@@ -266,7 +266,8 @@ def _add_global_flags(parser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--seed", type=int, default=default(1), help="master seed (64-bit)")
-    parser.add_argument("--threads", type=int, default=default(None), help="worker count hint")
+    parser.add_argument("--threads", type=int, default=default(None),
+                        help="worker threads (default all CPUs, never more than CPUs)")
     parser.add_argument("--out", default=default(None), help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=default("csv"))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .decay import DecayChannel, DecayParameters, chi_sp_mod_pi, params_from_alpha_phi
-from .mc import EventRecord, EventTable, ROLE_PAIR
+from .mc import EventTable, ROLE_PAIR
 
 log = logging.getLogger(__name__)
 
@@ -273,8 +273,3 @@ def paired_directions(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
     n2 = events.n[second][np.argsort(id2, kind="stable")]
     return n1, n2
 
-
-def record_stream(events: EventTable):
-    """Validated EventRecord iterator over a table (convenience for callers)."""
-    return (EventRecord(int(i), str(r), str(c), n)
-            for i, r, c, n in zip(events.event_id, events.role, events.channel, events.n))

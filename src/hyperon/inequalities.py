@@ -2,9 +2,11 @@
 
 The probability model is the singlet with both spin measurements scaled by
 the analyzing powers: joint (+,+) probability (1 - k a.b)/4 and singles 1/2.
-Under local realism each expression is bounded by 0; the inequalities are
-linear in k at fixed settings, so the optimal settings do not depend on k
-and every expression has a sharp violation threshold k*.
+Under local realism each expression is bounded by 0.  Each expression is
+c0 - k/4 sum c_ij a_i.b_j, linear in k at fixed settings, so the optimal
+settings do not depend on k, the maximum is c0 + k S/4 with S the maximal
+correlation sum, and the violation threshold k* = -4 c0 / S is exact: S
+comes from a see-saw over unit vectors, with no search over k.
 
 Raw (k-scaled) probabilities are the only admissible inputs here: dividing
 out the analyzing powers presupposes quantum mechanics and is confined to
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .pairs import psi_minus_state
 from .qcore import PAULI, tensor
@@ -128,25 +129,61 @@ def prob_single(model: ProbModel, direction=None) -> float:
     return 0.5
 
 
+def _constant(spec: InequalitySpec) -> float:
+    """The expression at k = 0, c0 = sum(joint)/4 + sum(singles)/2."""
+    return float(spec.joint.sum() / 4.0 + (spec.singles_a.sum() + spec.singles_b.sum()) / 2.0)
+
+
 def evaluate(spec: InequalitySpec, settings: BellSettings, model: ProbModel) -> float:
-    """Value of the Bell expression at the given settings."""
+    """Value of the Bell expression at the given settings, c0 - k/4 sum c_ij a_i.b_j."""
     if settings.a.shape[0] != spec.n_a or settings.b.shape[0] != spec.n_b:
         raise ValueError(
             f"{spec.name} needs {spec.n_a}+{spec.n_b} settings, "
             f"got {settings.a.shape[0]}+{settings.b.shape[0]}"
         )
     dots = settings.a @ settings.b.T
-    joint = ((1.0 - model.k * dots) / 4.0 * spec.joint).sum()
-    singles = 0.5 * (spec.singles_a.sum() + spec.singles_b.sum())
-    return float(joint + singles)
+    return _constant(spec) - model.k * float((spec.joint * dots).sum()) / 4.0
 
 
-def _settings_from_angles(x: np.ndarray, n_a: int, n_b: int) -> BellSettings:
-    thetas = x[0::2]
-    phis = x[1::2]
-    st = np.sin(thetas)
-    vecs = np.column_stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)])
-    return BellSettings(a=vecs[:n_a], b=vecs[n_a:])
+_SEESAW_RTOL = 1e-15
+_SEESAW_MAX_SWEEPS = 10_000
+
+
+def _unit_or_keep(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Rows of `target` scaled to unit length; zero rows keep `previous`."""
+    norms = np.linalg.norm(target, axis=-1, keepdims=True)
+    return np.where(norms > 0.0, target / np.where(norms > 0.0, norms, 1.0), previous)
+
+
+def _correlation_max(
+    spec: InequalitySpec, n_starts: int = 32, seed: int = 0
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """S = max sum_ij c_ij a_i.b_j over unit vectors in R^3, with its argmax (a, b).
+
+    See-saw of Liang & Doherty (PRA 75, 042103): with b fixed the best a_i
+    is unit(sum_j c_ij b_j), and with a fixed the best b_j is
+    unit(sum_i c_ij a_i), so no sweep lowers the value.  All starts run at
+    once in (n_starts, n, 3) arrays until no start gains more than
+    _SEESAW_RTOL of its value in a sweep (a few ulps, the rounding noise of
+    a converged sweep); the first start attaining the best value wins.
+    """
+    c = spec.joint
+    rng = np.random.default_rng(seed)
+    starts = rng.normal(size=(n_starts, spec.n_a + spec.n_b, 3))
+    starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
+    a, b = starts[:, : spec.n_a], starts[:, spec.n_a :]
+    value = np.full(n_starts, -np.inf)
+    for _ in range(_SEESAW_MAX_SWEEPS):
+        a = _unit_or_keep(c @ b, a)
+        field = c.T @ a
+        b = _unit_or_keep(field, b)
+        new = np.einsum("sjk,sjk->s", field, b)
+        converged = np.all(new - value <= _SEESAW_RTOL * np.abs(new))
+        value = new
+        if converged:
+            break
+    best = int(np.argmax(value))
+    return float(value[best]), a[best], b[best]
 
 
 def maximize(
@@ -154,75 +191,31 @@ def maximize(
 ) -> tuple[float, BellSettings]:
     """Maximize the expression over all measurement directions.
 
-    Multistart Powell search over the spherical angles of every setting;
-    deterministic for a fixed seed, ties resolved by the first start that
-    attains the best value.
+    The expression is c0 - k/4 sum c_ij a_i.b_j, so its maximum is
+    c0 + k S/4 at a = a*, b = -b* where (a*, b*) attains the correlation
+    maximum S (batched see-saw, deterministic for a fixed seed).  The
+    returned value is `evaluate` at the returned settings.
     """
-    n_vec = spec.n_a + spec.n_b
-    rng = np.random.default_rng(seed)
-
-    def negated(x):
-        return -evaluate(spec, _settings_from_angles(x, spec.n_a, spec.n_b), model)
-
-    best_val = -np.inf
-    best_x = None
-    for _ in range(n_starts):
-        x0 = np.empty(2 * n_vec)
-        x0[0::2] = np.arccos(rng.uniform(-1.0, 1.0, n_vec))
-        x0[1::2] = rng.uniform(0.0, 2.0 * np.pi, n_vec)
-        res = optimize.minimize(
-            negated, x0, method="Powell", options={"ftol": 1e-9, "xtol": 1e-9, "maxiter": 4000}
-        )
-        if -res.fun > best_val + 1e-12:
-            best_val = -res.fun
-            best_x = res.x
-    return float(best_val), _settings_from_angles(best_x, spec.n_a, spec.n_b)
+    _, a, b = _correlation_max(spec, n_starts, seed)
+    settings = BellSettings(a=a, b=-b)
+    return evaluate(spec, settings, model), settings
 
 
-def maximize_at_settings(spec: InequalitySpec, model: ProbModel, warm: BellSettings) -> float:
-    """Polish a known optimum at a different k; the optimal geometry is k-independent."""
+def threshold(spec: InequalitySpec, seed: int = 0) -> float:
+    """Exact smallest k in [0, 1] where the maximal value reaches zero.
 
-    def negated(x):
-        return -evaluate(spec, _settings_from_angles(x, spec.n_a, spec.n_b), model)
-
-    vecs = np.vstack([warm.a, warm.b])
-    x0 = np.empty(2 * vecs.shape[0])
-    x0[0::2] = np.arccos(np.clip(vecs[:, 2], -1.0, 1.0))
-    x0[1::2] = np.arctan2(vecs[:, 1], vecs[:, 0])
-    res = optimize.minimize(
-        negated, x0, method="Powell", options={"ftol": 1e-9, "xtol": 1e-9, "maxiter": 4000}
-    )
-    return float(-res.fun)
-
-
-def threshold(spec: InequalitySpec, tol: float = 1e-4, seed: int = 0) -> float:
-    """Smallest k in [0, 1] where the maximal value crosses zero, by bisection.
-
-    The maximum is verified to be increasing on a coarse k-grid before
-    bisecting; raises if the maximal value never changes sign on [0, 1].
+    The maximum is c0 + k g with g = S/4 >= 0, linear in k, so the
+    threshold is -c0/g with no search over k.  Raises when the maximum
+    never changes sign on [0, 1] (c0 > 0 or c0 + g <= 0).
     """
-    top, settings = maximize(spec, ProbModel(1.0), seed=seed)
-
-    def max_value(k: float) -> float:
-        return maximize_at_settings(spec, ProbModel(k), settings)
-
-    grid = [max_value(k) for k in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    if any(hi < lo - 1e-9 for lo, hi in zip(grid, grid[1:])):
-        raise ValueError(f"maximum of {spec.name} is not monotone in k: {grid}")
-    lo_val, hi_val = grid[0], grid[-1]
-    if lo_val > 0.0 or hi_val <= 0.0:
+    c0 = _constant(spec)
+    g = _correlation_max(spec, seed=seed)[0] / 4.0
+    if c0 > 0.0 or c0 + g <= 0.0:
         raise ValueError(
             f"no violation threshold for {spec.name} on [0, 1]: "
-            f"max at k=0 is {lo_val:.6g}, at k=1 is {hi_val:.6g}"
+            f"max at k=0 is {c0:.6g}, at k=1 is {c0 + g:.6g}"
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if max_value(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    return -c0 / g
 
 
 def contextuality_value(alpha_L: float, alpha_Lbar: float) -> float:
@@ -238,10 +231,14 @@ def contextuality_value(alpha_L: float, alpha_Lbar: float) -> float:
 
 
 def equal_alpha_contextuality_threshold() -> float:
-    """Root of (2 a^2)^2 + 2 a^6 = 4: the equal-alpha value where violation starts."""
-    return float(
-        optimize.brentq(lambda a: contextuality_value(a, a) - MERMIN_PERES_CLASSICAL_BOUND, 0.0, 1.0)
-    )
+    """Root of (2 a^2)^2 + 2 a^6 = 4: the equal-alpha value where violation starts.
+
+    In x = a^2 this is x^3 + 2 x^2 - 2 = 0, whose one real root is, by
+    Cardano, (cbrt(19 + 3 sqrt 33) + cbrt(19 - 3 sqrt 33) - 2) / 3.
+    """
+    r = 3.0 * np.sqrt(33.0)
+    x = (np.cbrt(19.0 + r) + np.cbrt(19.0 - r) - 2.0) / 3.0
+    return float(np.sqrt(x))
 
 
 _SQUARE = (

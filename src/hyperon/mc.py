@@ -127,6 +127,8 @@ class SampleConfig:
             raise ValueError("event count must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if self.workers is not None and self.workers < 0:
+            raise ValueError(f"worker count must be non-negative, got {self.workers}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,12 @@ def _roles_for(model) -> tuple[str, ...]:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
+def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
+    """Threads for `generate`: all CPUs when unset or 0, at most one per CPU and per chunk."""
+    cpus = cpus or 1
+    return min(requested or cpus, cpus, n_chunks)
+
+
 def generate(config: SampleConfig) -> EventTable:
     """Sample the configured events; bit-identical for any worker count.
 
@@ -280,8 +288,8 @@ def generate(config: SampleConfig) -> EventTable:
         count = min(_CHUNK, config.events - start)
         return kernel(model, _event_uniforms(config.seed, start, count))
 
-    workers = config.workers or os.cpu_count() or 1
-    if workers > 1 and len(starts) > 1:
+    workers = _pool_size(config.workers, os.cpu_count(), len(starts))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(run, starts))
     else:

@@ -1,4 +1,4 @@
-"""Unit-sphere helpers: directions, frames and the fixed product quadrature.
+"""Unit-sphere helpers: directions and the fixed product quadrature.
 
 The quadrature is Gauss-Legendre in cos(theta) times a uniform azimuth grid
 (64 x 64 by default), exact enough for the low-degree integrands that appear
@@ -26,17 +26,6 @@ def require_unit(n, tol: float = 1e-12, name: str = "direction") -> np.ndarray:
     if err > tol:
         raise ValueError(f"{name} is not unit length (|n| - 1 = {err:.3e})")
     return n
-
-
-def orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors completing `axis` (unit) to a right-handed frame."""
-    # pick the coordinate axis least aligned with `axis` as the seed
-    seed = np.zeros(3)
-    seed[np.argmin(np.abs(axis))] = 1.0
-    e1 = np.cross(axis, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2
 
 
 @lru_cache(maxsize=4)

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperon
 from hyperon.cli import main
 
 
@@ -107,6 +112,14 @@ class TestSimulate:
     def test_zero_events_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", "0")
         assert code == 1
+
+    def test_negative_threads_exit_1(self, capsys, tmp_path):
+        f = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "--threads", "-1", "simulate", "pair", "--k", "0.2",
+                                 "--events", "10", "--out", str(f))
+        assert code == 1
+        assert "usage error" in err and "worker count" in err
+        assert out == "" and not f.exists()
 
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", "10",
@@ -255,3 +268,17 @@ class TestDeterminism:
                               "--alphabar", "0.5")
         assert code == 0 and code2 == 0
         assert f.read_text() == out
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is needed by the tests only; importing it costs every CLI start
+        code = (
+            "import sys, hyperon.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "if loaded: sys.exit('scipy modules loaded: ' + ', '.join(loaded))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr

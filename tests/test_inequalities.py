@@ -161,11 +161,38 @@ class TestMaximize:
         for _ in range(10_000):
             assert evaluate(I2, random_settings(rng, I2), model) <= value + 1e-9
 
+    def test_i4_certificate(self):
+        value, _ = maximize(I4, ProbModel(1.0), seed=6)
+        rng = np.random.default_rng(97)
+        model = ProbModel(1.0)
+        for _ in range(10_000):
+            assert evaluate(I4, random_settings(rng, I4), model) <= value + 1e-9
+
+    def test_seed_independent(self):
+        for spec in (I2, I3, I4):
+            values = [maximize(spec, ProbModel(1.0), seed=s)[0] for s in range(5)]
+            assert max(values) - min(values) < 1e-12
+
+    def test_zero_at_threshold(self):
+        for spec in (I2, I3, I4):
+            value, _ = maximize(spec, ProbModel(threshold(spec)))
+            assert abs(value) < 1e-12
+
 
 class TestThreshold:
     def test_chsh_threshold_is_inverse_sqrt2(self):
         k_star = threshold(I2, seed=6)
         assert 0.7064 <= k_star <= 0.7078
+
+    def test_exact_values(self):
+        assert abs(threshold(I2) - 1.0 / np.sqrt(2.0)) < 1e-12
+        assert abs(threshold(I3) - 0.8) < 1e-12
+        # c0 + k g at the optimum: c0 is the k = 0 value, g the slope
+        c0 = evaluate(I4, random_settings(np.random.default_rng(57), I4), ProbModel(0.0))
+        top, _ = maximize(I4, ProbModel(1.0))
+        assert abs(threshold(I4) - (-c0 / (top - c0))) < 1e-12
+        # the see-saw attains S = 11/sqrt(2) for I4, so k* = 7 sqrt(2)/11
+        assert abs(threshold(I4) - 7.0 * np.sqrt(2.0) / 11.0) < 1e-12
 
     def test_degenerate_spec_has_no_threshold(self):
         flat = InequalitySpec(
@@ -210,6 +237,10 @@ class TestContextuality:
         assert 0.91 < root < 0.92
         # the formula's own root is inconsistent with the published 0.88 claim
         assert abs(root - PUBLISHED_EQUAL_ALPHA_THRESHOLD) > 0.03
+
+    def test_equal_alpha_root_exact(self):
+        x = equal_alpha_contextuality_threshold() ** 2
+        assert abs(x**3 + 2 * x**2 - 2.0) < 1e-14
 
 
 class TestMerminPeres:

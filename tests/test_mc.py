@@ -12,6 +12,7 @@ from hyperon.mc import (
     SampleConfig,
     SingleDecayModel,
     _STREAM_CONSTANT,
+    _pool_size,
     directions_from_linear_density,
     generate,
     sample_cascade,
@@ -214,6 +215,20 @@ class TestGenerate:
     def test_zero_events_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             SampleConfig(seed=1, events=0, model=PairCorrelationModel(k=0.2))
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="worker count"):
+            SampleConfig(seed=1, events=10, model=PairCorrelationModel(k=0.2), workers=-1)
+
+    def test_pool_size_bounded(self):
+        # never more threads than CPUs or chunks, however many are asked for
+        assert _pool_size(10**9, 2, 10**6) == 2
+        assert _pool_size(10**9, 64, 3) == 3
+        assert _pool_size(None, 4, 10**6) == 4
+        assert _pool_size(0, 4, 10**6) == 4
+        assert _pool_size(1, 64, 10**6) == 1
+        assert _pool_size(None, None, 10**6) == 1
+        assert _pool_size(8, 8, 1) == 1
 
     def test_draw_budget(self):
         assert DRAWS_PER_EVENT == 4
