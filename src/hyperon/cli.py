@@ -165,7 +165,7 @@ def _cmd_simulate(args) -> None:
         raise UsageError(str(exc)) from None
     events = mc.generate(config)
     if args.out is None or args.out == "-":
-        _write_out(dataio.format_events(events), None)
+        dataio.write_events(sys.stdout, events)
     else:
         dataio.write_events(args.out, events)
         print(f"wrote {len(events)} records to {args.out}", file=sys.stderr)

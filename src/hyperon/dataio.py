@@ -3,17 +3,23 @@
 Both formats are comma-separated UTF-8 text.  The parameter file stores the
 signed asymmetry alpha, the phase phi in units of pi and the sign of gamma
 per channel (none of which are recoverable from published magnitude tables),
-with `#` comment lines.  The event file is one record per line,
-``event_id,role,channel,nx,ny,nz``, directions printed with 9 significant
-digits so unit norms survive a round trip to 1e-9.
-"""
+with `#` comment lines.  The event file is the header
+``event_id,role,channel,nx,ny,nz`` and one record per line: a decimal uint64
+id, a role and a channel free of commas and line breaks, and a unit
+direction printed with 9 significant digits, so unit norms survive a round
+trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
+files are written in blocks of rows and read back with one vectorised parse."""
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import re
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -23,6 +29,12 @@ from .mc import EventTable, ROLE_PAIR
 log = logging.getLogger(__name__)
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
+_EVENT_ROW = "%d,%s,%s,%.9g,%.9g,%.9g\n"
+_BLOCK_ROWS = 65_536
+# role and channel as object: a fixed-width "U<n>" field silently truncates
+_EVENT_DTYPE = np.dtype(
+    [("event_id", np.uint64), ("role", object), ("channel", object), ("n", float, 3)]
+)
 PARAMETER_COLUMNS = (
     "parent",
     "quarks",
@@ -172,83 +184,149 @@ def emit_table(table: ParameterTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _event_columns(events):
+    """(ids, roles, channels, n) arrays of an EventTable or an iterable of EventRecord."""
+    if isinstance(events, EventTable):
+        return events.event_id, events.role, events.channel, events.n
+    records = list(events)
+    return (
+        np.array([r.event_id for r in records], dtype=object),
+        np.array([r.role for r in records], dtype=str),
+        np.array([r.channel for r in records], dtype=str),
+        np.array([r.n for r in records], dtype=float).reshape(-1, 3),
+    )
+
+
+def _check_names(column, what: str) -> None:
+    """Reject a role or channel that would split an event-file field or line."""
+    # a scan of the code points; np.unique would sort every row
+    names = np.ascontiguousarray(column, dtype=str)
+    codes = names.view(np.uint32)
+    hit = (codes == ord(",")) | (codes == ord("\n")) | (codes == ord("\r"))
+    if hit.any():
+        name = names[np.argmax(hit) // (names.itemsize // 4)]
+        raise EventFileError(f"{what} name {name!r} contains a comma or line break")
+
+
+def _event_chunks(events):
+    """Check the names, then return an iterator over the event-file text.
+
+    The header comes first, then blocks of _BLOCK_ROWS rows, so a writer
+    need not hold the whole file as one string.
+    """
+    ids, roles, channels, n = _event_columns(events)
+    _check_names(roles, "role")
+    _check_names(channels, "channel")
+
+    def blocks():
+        yield EVENT_HEADER + "\n"
+        for start in range(0, len(ids), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            yield "".join(map(_EVENT_ROW.__mod__, zip(
+                ids[rows].tolist(), roles[rows].tolist(), channels[rows].tolist(),
+                *n[rows].T.tolist(),
+            )))
+
+    return blocks()
+
+
 def format_events(events) -> str:
     """Event-file text for an EventTable or an iterable of EventRecord."""
-    if isinstance(events, EventTable):
-        ids = events.event_id
-        roles = events.role
-        channels = events.channel
-        dirs = events.n
-    else:
-        records = list(events)
-        ids = [r.event_id for r in records]
-        roles = [r.role for r in records]
-        channels = [r.channel for r in records]
-        dirs = np.array([r.n for r in records]).reshape(-1, 3)
-    lines = [EVENT_HEADER]
-    for i in range(len(ids)):
-        if "," in str(channels[i]):
-            raise EventFileError(f"channel name {channels[i]!r} contains a comma")
-        lines.append(
-            f"{ids[i]},{roles[i]},{channels[i]},"
-            f"{dirs[i, 0]:.9g},{dirs[i, 1]:.9g},{dirs[i, 2]:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_event_chunks(events))
 
 
 def write_events(path, events) -> None:
-    """Write an EventTable or an iterable of EventRecord to `path`."""
+    """Write an EventTable or an iterable of EventRecord, block by block.
+
+    `path` is a file path or an open text stream.  Names are checked before
+    anything is written; a write to a path that fails part way removes the
+    partial file.
+    """
+    chunks = _event_chunks(events)
+    if hasattr(path, "write"):
+        path.writelines(chunks)
+        return
     path = Path(path)
     try:
-        path.write_text(format_events(events), encoding="utf-8")
+        out = path.open("w", encoding="utf-8")
     except OSError as exc:
         raise EventFileError(f"cannot write event file {path}: {exc}") from None
+    try:
+        with out:
+            out.writelines(chunks)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            path.unlink()
+        raise EventFileError(f"cannot write event file {path}: {exc}") from None
+
+
+def _parse_body(lines) -> np.ndarray:
+    """Structured rows of event-file body lines (a text stream or a list of str).
+
+    Empty lines are skipped.  Raises ValueError at any other line that does
+    not hold six fields, a uint64 id, three floats and a unit direction.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+        rows = np.loadtxt(lines, dtype=_EVENT_DTYPE, delimiter=",", comments=None, ndmin=1)
+    # written so that a NaN component fails
+    if not (np.abs(np.linalg.norm(rows["n"], axis=1) - 1.0) <= 1e-9).all():
+        raise ValueError("direction is not unit length")
+    return rows
+
+
+def _raise_first_bad_line(path, lines: list[str]) -> NoReturn:
+    """Raise EventFileError at the first body line that _parse_body rejects.
+
+    Bisection: lines[:lo] parse, and the first bad line lies in [lo, hi).
+    Each probe parses only lines[lo:mid], so the search costs about two
+    parses of the body.
+    """
+    lo, hi, last_good = 0, len(lines), None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            rows = _parse_body(lines[lo:mid])
+        except ValueError:
+            hi = mid
+            continue
+        lo = mid
+        if rows.size:
+            last_good = int(rows["event_id"][-1])
+    reason = "malformed line"
+    try:
+        _parse_body(lines[lo:lo + 1])
+    except ValueError as exc:
+        fields = lines[lo].count(",") + 1
+        reason = (f"expected 6 fields, got {fields}" if fields != 6
+                  else re.sub(r" at row \d+, column (\d+)\.?$", r" in field \1", str(exc)))
+    raise EventFileError(f"{path}:{lo + 2}: {reason} (last good event id: {last_good})")
 
 
 def read_events(path) -> EventTable:
     """Read an event file back into a columnar table.
 
-    A malformed or truncated line aborts the read with the line number and
-    the last successfully parsed event id.
+    The body is parsed in one pass.  Only when that fails is the file read
+    again to find the first malformed or truncated line; the error names
+    its line number and the last good event id.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with path.open(encoding="utf-8") as f:
+            if f.readline().strip() != EVENT_HEADER:
+                raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
+            try:
+                rows = _parse_body(f)
+            except ValueError:
+                f.seek(0)
+                _raise_first_bad_line(path, f.readlines()[1:])
+    except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != EVENT_HEADER:
-        raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
-    ids: list[int] = []
-    roles: list[str] = []
-    channels: list[str] = []
-    comps: list[tuple[float, float, float]] = []
-    last_good = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != 6:
-                raise ValueError(f"expected 6 fields, got {len(parts)}")
-            event_id = int(parts[0])
-            nx, ny, nz = float(parts[3]), float(parts[4]), float(parts[5])
-            if abs(np.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) > 1e-9:
-                raise ValueError("direction is not unit length")
-        except ValueError as exc:
-            raise EventFileError(
-                f"{path}:{line_no}: {exc} (last good event id: {last_good})"
-            ) from None
-        ids.append(event_id)
-        roles.append(parts[1])
-        channels.append(parts[2])
-        comps.append((nx, ny, nz))
-        last_good = event_id
     return EventTable(
-        event_id=np.array(ids, dtype=np.uint64),
-        role=np.array(roles),
-        channel=np.array(channels),
-        n=np.array(comps, dtype=float).reshape(-1, 3),
+        event_id=np.ascontiguousarray(rows["event_id"]),
+        role=rows["role"].astype(str),
+        channel=rows["channel"].astype(str),
+        n=np.ascontiguousarray(rows["n"]),
     )
 
 

@@ -203,6 +203,19 @@ class TestAnalyze:
         for d in ("m_xx", "m_yy", "m_zz"):
             assert abs(float(row[d]) - (-1.0)) < 0.05
 
+    @pytest.mark.parametrize("event_id", ["-1", "18446744073709551616"])
+    def test_bad_event_id_is_data_error(self, tmp_path, event_id):
+        f = tmp_path / "pairs.csv"
+        f.write_text(f"event_id,role,channel,nx,ny,nz\n{event_id},pair-1,x,0,0,1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperon.cli", "analyze", "witness", "--events", str(f)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"{f}:2:" in result.stderr
+
     def test_renormalize_needs_alphas(self, capsys, pair_file):
         code, _, _ = run_cli(capsys, "analyze", "correlations", "--events", str(pair_file),
                              "--renormalize")

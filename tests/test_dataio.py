@@ -1,8 +1,13 @@
+import hashlib
+import io
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
+from hyperon import dataio
+from hyperon.cli import main
 from hyperon.dataio import (
     EventFileError,
     ParameterFileError,
@@ -16,7 +21,9 @@ from hyperon.dataio import (
     write_events,
 )
 from hyperon.decay import chi_sp_mod_pi
-from hyperon.mc import EventRecord, PairCorrelationModel, SampleConfig, SingleDecayModel, generate
+from hyperon.mc import (
+    EventRecord, EventTable, PairCorrelationModel, SampleConfig, SingleDecayModel, generate,
+)
 from hyperon.decay import params_from_alpha_phi
 
 # published magnitude bands: channel -> (chi_sp/pi, err), (V, err), (P, err)
@@ -138,6 +145,9 @@ class TestEmitTable:
         assert abs(float(pred) - abs(np.cos(phi))) < 1e-6
 
 
+HEADER = "event_id,role,channel,nx,ny,nz"
+
+
 class TestEventFiles:
     def test_round_trip(self, tmp_path):
         table = generate(
@@ -190,7 +200,15 @@ class TestEventFiles:
     def test_header_only(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("event_id,role,channel,nx,ny,nz\n")
-        assert len(read_events(path)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(read_events(path)) == 0
+
+    def test_undecodable_body(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(HEADER.encode() + b"\n0,single,\xff,0,0,1\n")
+        with pytest.raises(EventFileError, match="cannot read event file"):
+            read_events(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -202,12 +220,123 @@ class TestEventFiles:
         with pytest.raises(EventFileError, match="comma"):
             format_events([EventRecord(0, "single", "a,b", np.array([0.0, 0.0, 1.0]))])
 
+    @pytest.mark.parametrize("role, channel", [("single", "a,b"), ("single", "a\nb"), ("a,b", "x")])
+    def test_bad_name_leaves_no_file(self, tmp_path, role, channel):
+        table = generate(SampleConfig(seed=25, events=10, model=SingleDecayModel(
+            params=params_from_alpha_phi(0.5, 0.0))))
+        table = EventTable(
+            event_id=table.event_id,
+            role=np.where(table.event_id == 9, role, table.role),
+            channel=np.where(table.event_id == 9, channel, table.channel),
+            n=table.n,
+        )
+        path = tmp_path / "events.csv"
+        with pytest.raises(EventFileError, match="contains a comma or line break"):
+            write_events(path, table)
+        assert not path.exists()
+
+    def test_failed_write_removes_partial_file(self, tmp_path, monkeypatch):
+        def failing_chunks(events):
+            yield dataio.EVENT_HEADER + "\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(dataio, "_event_chunks", failing_chunks)
+        path = tmp_path / "events.csv"
+        with pytest.raises(EventFileError, match="No space left"):
+            write_events(path, [EventRecord(0, "single", "x", np.array([0.0, 0.0, 1.0]))])
+        assert not path.exists()
+
+    def test_stream_matches_text(self):
+        # 66,000 rows: more than one block of the writer
+        table = generate(SampleConfig(seed=26, events=33_000, model=PairCorrelationModel(k=0.3)))
+        out = io.StringIO()
+        write_events(out, table)
+        text = out.getvalue()
+        assert text == format_events(table) == format_events(table.records())
+        assert len(text.splitlines()) == 1 + 66_000
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n0,single,x,0,0,1\n\n1,single,x,1,0,0\n\n")
+        back = read_events(path)
+        assert back.event_id.tolist() == [0, 1]
+        assert back.role.tolist() == ["single", "single"]
+
+    def test_long_names_kept_whole(self, tmp_path):
+        name = "channel-" + "x" * 300
+        path = tmp_path / "events.csv"
+        write_events(path, [EventRecord(2**64 - 1, "r" * 100, name, np.array([0.0, 1.0, 0.0]))])
+        back = read_events(path)
+        assert back.event_id.tolist() == [2**64 - 1]
+        assert back.role.tolist() == ["r" * 100]
+        assert back.channel.tolist() == [name]
+
+    @pytest.mark.parametrize("line, reason", [
+        ("1,single,x,0,0", "expected 6 fields, got 5"),
+        ("1,single,x,0,0,1,0", "expected 6 fields, got 7"),
+        ("1,single,x,,0,1", "field 4"),
+        ("1,single,x,not-a-number,0,1", "not-a-number"),
+        ("1_0,single,x,0,0,1", "1_0"),
+        ("-1,single,x,0,0,1", "-1"),
+        ("18446744073709551616,single,x,0,0,1", "18446744073709551616"),
+        ("1,single,x,nan,0,1", "unit length"),
+        ("1,single,x,inf,0,0", "unit length"),
+        ("# comment", "expected 6 fields, got 1"),
+        ("   ", "expected 6 fields, got 1"),
+    ])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_malformed_body_located(self, tmp_path, line, reason, last):
+        path = tmp_path / "events.csv"
+        tail = "" if last else "\n2,single,x,1,0,0\n"
+        path.write_text(HEADER + "\n0,single,x,0,0,1\n\n" + line + tail)
+        with pytest.raises(EventFileError) as err:
+            read_events(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}:4: ")
+        assert reason in message
+        assert message.endswith("(last good event id: 0)")
+
+    @pytest.mark.parametrize("bad_row", [0, 1, 137, 998, 999])
+    def test_bad_line_found_in_long_file(self, tmp_path, bad_row):
+        lines = [f"{i},single,x,0,0,1" for i in range(1000)]
+        lines[bad_row] = f"{bad_row},single,x,0,0"
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
+        last_good = bad_row - 1 if bad_row else None
+        with pytest.raises(EventFileError, match=rf"events\.csv:{bad_row + 2}: .*"
+                           rf"\(last good event id: {last_good}\)$"):
+            read_events(path)
+
     def test_nine_digit_precision(self, tmp_path):
         n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
         path = tmp_path / "events.csv"
         write_events(path, [EventRecord(7, "single", "x", n)])
         back = read_events(path)
         assert abs(np.linalg.norm(back.n[0]) - 1.0) < 1e-9
+
+
+# sha256 of `hyperon simulate ... --events 2000 --seed 7` for the README's
+# three example models; a change of these bytes is a change of the stream
+GOLDEN_EVENT_FILES = {
+    ("single", "--hyperon", "Lambda", "--pol", "0,0,1"):
+        "2b443c4808c192de14bda843cb7c07bdb90e9ff621b34a833281c4d57309a1da",
+    ("pair", "--k", "0.46"):
+        "a48390daa78c6af7f77db6cd05571f68262bf46958bf3eff75688ddb458ac549",
+    ("cascade", "--mu-hyperon", "Xi-", "--nu-hyperon", "Lambda"):
+        "029f36593b9d5905c033a497f7ea8b6f08620046c1034744b538a94c09f689b5",
+}
+
+
+@pytest.mark.parametrize("model", list(GOLDEN_EVENT_FILES), ids=lambda m: m[0])
+def test_event_file_bytes_pinned(capsys, tmp_path, monkeypatch, model):
+    monkeypatch.delenv("HYPERON_PARAMS", raising=False)  # the bundled parameter table
+    argv = ["simulate", *model, "--events", "2000", "--seed", "7"]
+    path = tmp_path / "events.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EVENT_FILES[model]
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
 
 class TestPairedDirections:
