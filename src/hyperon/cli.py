@@ -68,8 +68,11 @@ def _csv_cell(value) -> str:
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from None
 
 
 def _load_table(args) -> dataio.ParameterTable:

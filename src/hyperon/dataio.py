@@ -29,7 +29,7 @@ from .mc import EventTable, ROLE_PAIR
 log = logging.getLogger(__name__)
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
-_EVENT_ROW = "%d,%s,%s,%.9g,%.9g,%.9g\n"
+_EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
 _BLOCK_ROWS = 65_536
 # role and channel as object: a fixed-width "U<n>" field silently truncates
 _EVENT_DTYPE = np.dtype(
@@ -184,28 +184,37 @@ def emit_table(table: ParameterTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _event_columns(events):
-    """(ids, roles, channels, n) arrays of an EventTable or an iterable of EventRecord."""
+def _event_table(events) -> EventTable:
+    """An EventTable as it is, or the table of an iterable of EventRecord."""
     if isinstance(events, EventTable):
-        return events.event_id, events.role, events.channel, events.n
+        return events
     records = list(events)
-    return (
-        np.array([r.event_id for r in records], dtype=object),
-        np.array([r.role for r in records], dtype=str),
-        np.array([r.channel for r in records], dtype=str),
-        np.array([r.n for r in records], dtype=float).reshape(-1, 3),
+    return EventTable.from_names(
+        event_id=np.array([r.event_id for r in records], dtype=object),
+        role=[r.role for r in records],
+        channel=[r.channel for r in records],
+        n=np.array([r.n for r in records], dtype=float).reshape(-1, 3),
     )
 
 
-def _check_names(column, what: str) -> None:
+def _check_names(names, what: str) -> None:
     """Reject a role or channel that would split an event-file field or line."""
-    # a scan of the code points; np.unique would sort every row
-    names = np.ascontiguousarray(column, dtype=str)
-    codes = names.view(np.uint32)
-    hit = (codes == ord(",")) | (codes == ord("\n")) | (codes == ord("\r"))
-    if hit.any():
-        name = names[np.argmax(hit) // (names.itemsize // 4)]
-        raise EventFileError(f"{what} name {name!r} contains a comma or line break")
+    for name in names:
+        if "," in name or "\n" in name or "\r" in name:
+            raise EventFileError(f"{what} name {name!r} contains a comma or line break")
+
+
+class _Prefixes(dict):
+    """"role,channel" text by key role_code * len(channels) + channel_code, made on first use."""
+
+    def __init__(self, roles, channels):
+        super().__init__()
+        self.roles, self.channels = roles, channels
+
+    def __missing__(self, key: int) -> str:
+        role, channel = divmod(key, len(self.channels))
+        text = self[key] = f"{self.roles[role]},{self.channels[channel]}"
+        return text
 
 
 def _event_chunks(events):
@@ -214,17 +223,19 @@ def _event_chunks(events):
     The header comes first, then blocks of _BLOCK_ROWS rows, so a writer
     need not hold the whole file as one string.
     """
-    ids, roles, channels, n = _event_columns(events)
-    _check_names(roles, "role")
-    _check_names(channels, "channel")
+    table = _event_table(events)
+    _check_names(table.roles, "role")
+    _check_names(table.channels, "channel")
+    prefixes = _Prefixes(table.roles, table.channels)
 
     def blocks():
         yield EVENT_HEADER + "\n"
-        for start in range(0, len(ids), _BLOCK_ROWS):
+        for start in range(0, len(table), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
+            keys = table.role_code[rows].astype(np.int64) * len(table.channels) + table.channel_code[rows]
             yield "".join(map(_EVENT_ROW.__mod__, zip(
-                ids[rows].tolist(), roles[rows].tolist(), channels[rows].tolist(),
-                *n[rows].T.tolist(),
+                table.event_id[rows].tolist(), map(prefixes.__getitem__, keys.tolist()),
+                *table.n[rows].T.tolist(),
             )))
 
     return blocks()
@@ -322,32 +333,39 @@ def read_events(path) -> EventTable:
                 _raise_first_bad_line(path, f.readlines()[1:])
     except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from None
-    return EventTable(
+    return EventTable.from_names(
         event_id=np.ascontiguousarray(rows["event_id"]),
-        role=rows["role"].astype(str),
-        channel=rows["channel"].astype(str),
+        role=rows["role"],
+        channel=rows["channel"],
         n=np.ascontiguousarray(rows["n"]),
     )
 
 
 def paired_directions(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
-    """Matched (n1, n2) arrays from a pair-event table.
+    """Matched (n1, n2) arrays, in event-id order, from a pair-event table.
 
     Requires every event id to appear exactly once per pair role; any other
     role mix is a data error.
     """
-    roles = set(np.unique(events.role))
-    if roles != set(ROLE_PAIR):
+    counts = np.bincount(events.role_code, minlength=len(events.roles))
+    found = {role for role, count in zip(events.roles, counts) if count}
+    if found != set(ROLE_PAIR):
         raise EventFileError(
-            f"expected pair events with roles {ROLE_PAIR}, found {sorted(roles)}"
+            f"expected pair events with roles {ROLE_PAIR}, found {sorted(found)}"
         )
-    first = events.role == ROLE_PAIR[0]
-    second = events.role == ROLE_PAIR[1]
-    id1 = events.event_id[first]
-    id2 = events.event_id[second]
-    if id1.size != id2.size or not np.array_equal(np.sort(id1), np.sort(id2)):
-        raise EventFileError("pair roles do not cover the same event ids")
-    n1 = events.n[first][np.argsort(id1, kind="stable")]
-    n2 = events.n[second][np.argsort(id2, kind="stable")]
-    return n1, n2
 
+    def rows_by_id(role: str) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.flatnonzero(events.role_code == events.roles.index(role))
+        ids = events.event_id[rows]
+        order = np.argsort(ids, kind="stable")
+        return rows[order], ids[order]
+
+    rows1, id1 = rows_by_id(ROLE_PAIR[0])
+    rows2, id2 = rows_by_id(ROLE_PAIR[1])
+    if not np.array_equal(id1, id2):
+        raise EventFileError("pair roles do not cover the same event ids")
+    repeated = np.flatnonzero(id1[1:] == id1[:-1])
+    if repeated.size:
+        raise EventFileError(f"event id {id1[repeated[0]]} appears more than once per pair role")
+    # np.take gathers rows about twice as fast as fancy indexing
+    return np.take(events.n, rows1, axis=0), np.take(events.n, rows2, axis=0)

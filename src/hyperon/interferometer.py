@@ -113,8 +113,11 @@ def fringe_visibility(state: SpinState, n_points: int = 64) -> float:
 
     Fits I(chi) = c0 + a cos(chi) + b sin(chi) on a uniform grid and returns
     sqrt(a^2 + b^2) / c0, the oscillation amplitude relative to the mean;
-    for a pure state this equals sin(theta).
+    for a pure state this equals sin(theta).  The fit has three unknowns,
+    so `n_points` below 3 is a ValueError.
     """
+    if n_points < 3:
+        raise ValueError(f"the fringe fit needs at least 3 points, got {n_points}")
     chis = 2.0 * np.pi * np.arange(n_points) / n_points
     intensities = np.array(
         [fringe(InterferometerConfig(chi=c), state, "x", +1) for c in chis]

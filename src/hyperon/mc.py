@@ -9,7 +9,7 @@ Reproducibility contract: event i consumes exactly one 4-word Philox
 counter block keyed by the master seed, so the event stream is bit
 identical for any worker count or chunking.  `generate` partitions the
 event range into fixed-size chunks and may process them on a thread pool;
-results are reassembled in event order.
+each chunk fills its own rows of the table, in event order.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,68 +50,144 @@ class EventRecord:
         object.__setattr__(self, "n", n)
 
 
+def _code_dtype(count: int) -> np.dtype:
+    """Smallest unsigned dtype that holds the codes 0 .. count - 1 (uint8 up to 256)."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def _name_codes(names) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(per-row codes, distinct names in order of first appearance) of a name column."""
+    names = names.tolist() if isinstance(names, np.ndarray) else list(names)
+    index = {name: code for code, name in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(index.__getitem__, names), _code_dtype(len(index)), count=len(names))
+    return codes, tuple(index)
+
+
 @dataclass(frozen=True)
 class EventTable:
-    """Columnar batch of event records (ids, roles, channels, directions)."""
+    """Columnar batch of events with categorical roles and channels.
+
+    Row i has id `event_id[i]`, direction `n[i]`, role `roles[role_code[i]]`
+    and channel `channels[channel_code[i]]`.  Each name appears once in its
+    tuple; codes are the smallest unsigned integers that hold the tuple's
+    indices (uint8 up to 256 names).
+    """
 
     event_id: np.ndarray
-    role: np.ndarray
-    channel: np.ndarray
+    role_code: np.ndarray
+    channel_code: np.ndarray
     n: np.ndarray
+    roles: tuple[str, ...]
+    channels: tuple[str, ...]
+
+    def __post_init__(self):
+        for codes, names in ((self.role_code, self.roles), (self.channel_code, self.channels)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"repeated name in {names}")
+            if codes.dtype.kind != "u" or (codes.size and codes.max() >= len(names)):
+                raise ValueError(f"codes must be unsigned indices into {names}")
+
+    @classmethod
+    def from_names(cls, event_id, role, channel, n) -> EventTable:
+        """Table from per-row role and channel names."""
+        role_code, roles = _name_codes(role)
+        channel_code, channels = _name_codes(channel)
+        return cls(event_id, role_code, channel_code, n, roles, channels)
 
     def __len__(self) -> int:
         return self.event_id.size
 
+    @property
+    def role(self) -> np.ndarray:
+        """Per-row role names, decoded on access."""
+        return np.array(self.roles, dtype=str)[self.role_code]
+
+    @property
+    def channel(self) -> np.ndarray:
+        """Per-row channel names, decoded on access."""
+        return np.array(self.channels, dtype=str)[self.channel_code]
+
     def records(self):
-        for i in range(len(self)):
-            yield EventRecord(
-                event_id=int(self.event_id[i]),
-                role=str(self.role[i]),
-                channel=str(self.channel[i]),
-                n=self.n[i],
-            )
+        rows = zip(self.event_id.tolist(), self.role_code.tolist(), self.channel_code.tolist(), self.n)
+        for event_id, role, channel, n in rows:
+            yield EventRecord(event_id, self.roles[role], self.channels[channel], n)
 
     def directions_by_role(self, role: str) -> np.ndarray:
-        return self.n[self.role == role]
+        if role not in self.roles:
+            return self.n[:0]
+        return self.n[self.role_code == self.roles.index(role)]
+
+
+def _polarization(s, name: str = "polarization") -> np.ndarray:
+    """`s` as a read-only float vector; ValueError when |s| exceeds 1."""
+    s = np.array(s, dtype=float)
+    if np.linalg.norm(s) > 1.0 + 1e-12:
+        raise ValueError(f"|{name}| exceeds 1")
+    s.setflags(write=False)
+    return s
 
 
 @dataclass(frozen=True)
 class SingleDecayModel:
+    """One decay of a polarized hyperon; one row per event."""
+
     params: DecayParameters
     polarization: np.ndarray = field(default_factory=lambda: np.zeros(3))
     channel: str = "single"
+    roles: ClassVar[tuple[str, ...]] = (ROLE_SINGLE,)
 
     def __post_init__(self):
-        s = np.asarray(self.polarization, dtype=float)
-        if np.linalg.norm(s) > 1.0 + 1e-12:
-            raise ValueError("|polarization| exceeds 1")
-        s.setflags(write=False)
-        object.__setattr__(self, "polarization", s)
+        object.__setattr__(self, "polarization", _polarization(self.polarization))
+
+    def kernel(self, u: np.ndarray) -> np.ndarray:
+        axis = self.params.alpha * self.polarization
+        return directions_from_linear_density(axis, u[:, 0], u[:, 1])[:, None, :]
 
 
 @dataclass(frozen=True)
 class PairCorrelationModel:
+    """Singlet hyperon-antihyperon pair; two rows per event."""
+
     k: float
     channel: str = "pair"
+    roles: ClassVar[tuple[str, ...]] = ROLE_PAIR
 
     def __post_init__(self):
         if abs(self.k) > 1.0:
             raise ValueError("|k| exceeds 1")
 
+    def kernel(self, u: np.ndarray) -> np.ndarray:
+        n1 = directions_from_linear_density(np.zeros(3), u[:, 0], u[:, 1])
+        n2 = directions_from_linear_density(-self.k * n1, u[:, 2], u[:, 3])
+        return np.stack([n1, n2], axis=1)
+
 
 @dataclass(frozen=True)
 class CascadeDecayModel:
+    """Two sequential decays of a polarized hyperon; two rows per event."""
+
     mu: DecayParameters
     nu: DecayParameters
     polarization: np.ndarray = field(default_factory=lambda: np.zeros(3))
     channel: str = "cascade"
+    roles: ClassVar[tuple[str, ...]] = ROLE_CASCADE
 
     def __post_init__(self):
-        s = np.asarray(self.polarization, dtype=float)
-        if np.linalg.norm(s) > 1.0 + 1e-12:
-            raise ValueError("|polarization| exceeds 1")
-        s.setflags(write=False)
-        object.__setattr__(self, "polarization", s)
+        object.__setattr__(self, "polarization", _polarization(self.polarization))
+
+    def kernel(self, u: np.ndarray) -> np.ndarray:
+        s, mu, nu = self.polarization, self.mu, self.nu
+        n_mu = directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1])
+        # vectorized form of cascade.conditional_axis
+        dots = n_mu @ s
+        weight = 1.0 + mu.alpha * dots
+        axes = nu.alpha * (
+            (mu.alpha + (1.0 - mu.gamma) * dots)[:, None] * n_mu
+            + mu.gamma * s
+            + mu.beta * np.cross(np.broadcast_to(s, n_mu.shape), n_mu)
+        ) / weight[:, None]
+        n_nu = directions_from_linear_density(axes, u[:, 2], u[:, 3])
+        return np.stack([n_mu, n_nu], axis=1)
 
 
 @dataclass(frozen=True)
@@ -156,10 +233,12 @@ def _frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi: np.ndarray) -> np.ndarray:
-    """Draw one direction per row from the density (1 + v.n)/(4 pi).
+    """Draw one direction per row of the uniforms from the density (1 + v.n)/(4 pi).
 
-    `vectors` has rows v with |v| <= 1; rows with v = 0 give uniform
-    directions about the z axis.
+    `vectors` is either one vector v of shape (3,) that holds for every row,
+    whose |v|, axis and frame are then computed once and broadcast, or one
+    row v per draw.  |v| <= 1; v = 0 gives uniform directions about the z
+    axis.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.linalg.norm(vectors, axis=1)
@@ -180,9 +259,7 @@ def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi
 
 def sample_single(params: DecayParameters, s, stream) -> np.ndarray:
     """One daughter direction from (1/4pi)(1 + alpha s.n)."""
-    s = np.asarray(s, dtype=float)
-    if np.linalg.norm(s) > 1.0 + 1e-12:
-        raise ValueError("|s| exceeds 1")
+    s = _polarization(s, "s")
     u = stream.random(2)
     return directions_from_linear_density(params.alpha * s[None, :], u[:1], u[1:])[0]
 
@@ -192,7 +269,7 @@ def sample_pair(k: float, stream) -> tuple[np.ndarray, np.ndarray]:
     if abs(k) > 1.0:
         raise ValueError("|k| exceeds 1")
     u = stream.random(4)
-    n1 = directions_from_linear_density(np.zeros((1, 3)), u[:1], u[1:2])[0]
+    n1 = directions_from_linear_density(np.zeros(3), u[:1], u[1:2])[0]
     n2 = directions_from_linear_density(-k * n1[None, :], u[2:3], u[3:4])[0]
     return n1, n2
 
@@ -201,9 +278,7 @@ def sample_cascade(
     mu: DecayParameters, nu: DecayParameters, s, stream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Directions (n_mu, n_nu): marginal for the first decay, exact conditional for the second."""
-    s = np.asarray(s, dtype=float)
-    if np.linalg.norm(s) > 1.0 + 1e-12:
-        raise ValueError("|s| exceeds 1")
+    s = _polarization(s, "s")
     u = stream.random(4)
     n_mu = directions_from_linear_density(mu.alpha * s[None, :], u[:1], u[1:2])[0]
     axis = conditional_axis(mu, nu, s, n_mu)
@@ -222,45 +297,6 @@ def _event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bitgen).random(4 * count).reshape(count, 4)
 
 
-def _chunk_single(model: SingleDecayModel, u: np.ndarray) -> np.ndarray:
-    axes = np.broadcast_to(model.params.alpha * model.polarization, (u.shape[0], 3))
-    return directions_from_linear_density(axes, u[:, 0], u[:, 1])[:, None, :]
-
-
-def _chunk_pair(model: PairCorrelationModel, u: np.ndarray) -> np.ndarray:
-    n1 = directions_from_linear_density(np.zeros((u.shape[0], 3)), u[:, 0], u[:, 1])
-    n2 = directions_from_linear_density(-model.k * n1, u[:, 2], u[:, 3])
-    return np.stack([n1, n2], axis=1)
-
-
-def _chunk_cascade(model: CascadeDecayModel, u: np.ndarray) -> np.ndarray:
-    s = model.polarization
-    n_mu = directions_from_linear_density(
-        np.broadcast_to(model.mu.alpha * s, (u.shape[0], 3)), u[:, 0], u[:, 1]
-    )
-    # vectorized form of cascade.conditional_axis
-    mu, nu = model.mu, model.nu
-    dots = n_mu @ s
-    weight = 1.0 + mu.alpha * dots
-    axes = nu.alpha * (
-        (mu.alpha + (1.0 - mu.gamma) * dots)[:, None] * n_mu
-        + mu.gamma * s
-        + mu.beta * np.cross(np.broadcast_to(s, n_mu.shape), n_mu)
-    ) / weight[:, None]
-    n_nu = directions_from_linear_density(axes, u[:, 2], u[:, 3])
-    return np.stack([n_mu, n_nu], axis=1)
-
-
-def _roles_for(model) -> tuple[str, ...]:
-    if isinstance(model, SingleDecayModel):
-        return (ROLE_SINGLE,)
-    if isinstance(model, PairCorrelationModel):
-        return ROLE_PAIR
-    if isinstance(model, CascadeDecayModel):
-        return ROLE_CASCADE
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
     """Threads for `generate`: all CPUs when unset or 0, at most one per CPU and per chunk."""
     cpus = cpus or 1
@@ -270,39 +306,33 @@ def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
 def generate(config: SampleConfig) -> EventTable:
     """Sample the configured events; bit-identical for any worker count.
 
-    Pair and cascade models emit two records per event id, in the fixed
-    role order, so the table holds events * len(roles) rows sorted by id.
+    Each model's `kernel` maps uniforms of shape (events, 4) to directions
+    of shape (events, len(roles), 3).  Pair and cascade models emit two
+    records per event id, in the fixed role order, so the table holds
+    events * len(roles) rows sorted by id.
     """
     model = config.model
-    roles = _roles_for(model)
-    if isinstance(model, SingleDecayModel):
-        kernel = _chunk_single
-    elif isinstance(model, PairCorrelationModel):
-        kernel = _chunk_pair
-    else:
-        kernel = _chunk_cascade
-
+    n_roles = len(model.roles)
+    per_event = np.empty((config.events, n_roles, 3))
     starts = list(range(0, config.events, _CHUNK))
 
-    def run(start: int) -> np.ndarray:
+    def run(start: int) -> None:
         count = min(_CHUNK, config.events - start)
-        return kernel(model, _event_uniforms(config.seed, start, count))
+        per_event[start:start + count] = model.kernel(_event_uniforms(config.seed, start, count))
 
     workers = _pool_size(config.workers, os.cpu_count(), len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, starts))
+            list(pool.map(run, starts))  # reading the results re-raises a worker's error
     else:
-        blocks = [run(s) for s in starts]
+        for start in starts:
+            run(start)
 
-    per_event = np.concatenate(blocks, axis=0)  # (events, len(roles), 3)
-    n_roles = len(roles)
-    ids = np.repeat(np.arange(config.events, dtype=np.uint64), n_roles)
-    role_col = np.tile(np.array(roles), config.events)
-    channel_col = np.full(ids.size, model.channel)
     return EventTable(
-        event_id=ids,
-        role=role_col,
-        channel=channel_col,
+        event_id=np.repeat(np.arange(config.events, dtype=np.uint64), n_roles),
+        role_code=np.tile(np.arange(n_roles, dtype=_code_dtype(n_roles)), config.events),
+        channel_code=np.zeros(config.events * n_roles, dtype=_code_dtype(1)),
         n=per_event.reshape(-1, 3),
+        roles=model.roles,
+        channels=(model.channel,),
     )

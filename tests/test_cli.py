@@ -76,6 +76,12 @@ class TestComplementarity:
         code, _, err = run_cli(capsys, "complementarity")
         assert code == 1
 
+    @pytest.mark.parametrize("points", ["0", "1", "2"])
+    def test_too_few_points_exit_1(self, capsys, points):
+        code, out, err = run_cli(capsys, "complementarity", "--theta", "1", "--points", points)
+        assert code == 1
+        assert out == "" and "at least 3 points" in err
+
 
 class TestSimulate:
     def test_pair_determinism(self, capsys, tmp_path):
@@ -281,6 +287,20 @@ class TestDeterminism:
                               "--alphabar", "0.5")
         assert code == 0 and code2 == 0
         assert f.read_text() == out
+
+
+class TestReportOut:
+    def test_unwritable_out_is_data_error(self, tmp_path):
+        out = tmp_path / "missing-dir" / "table.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperon.cli", "table", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"cannot write {out}" in result.stderr
+        assert result.stdout == "" and not out.exists()
 
 
 class TestStartup:

@@ -224,7 +224,7 @@ class TestEventFiles:
     def test_bad_name_leaves_no_file(self, tmp_path, role, channel):
         table = generate(SampleConfig(seed=25, events=10, model=SingleDecayModel(
             params=params_from_alpha_phi(0.5, 0.0))))
-        table = EventTable(
+        table = EventTable.from_names(
             event_id=table.event_id,
             role=np.where(table.event_id == 9, role, table.role),
             channel=np.where(table.event_id == 9, channel, table.channel),
@@ -251,9 +251,11 @@ class TestEventFiles:
         table = generate(SampleConfig(seed=26, events=33_000, model=PairCorrelationModel(k=0.3)))
         out = io.StringIO()
         write_events(out, table)
-        text = out.getvalue()
-        assert text == format_events(table) == format_events(table.records())
-        assert len(text.splitlines()) == 1 + 66_000
+        texts = [out.getvalue(), format_events(table), format_events(table.records())]
+        # digests, not the strings: a report that diffs two 66,000-line strings takes minutes
+        digests = {(len(t), hashlib.sha256(t.encode()).hexdigest()) for t in texts}
+        assert len(digests) == 1
+        assert len(texts[0].splitlines()) == 1 + 66_000
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -307,6 +309,25 @@ class TestEventFiles:
                            rf"\(last good event id: {last_good}\)$"):
             read_events(path)
 
+    def test_many_channels_and_interleaved_roles_round_trip(self, tmp_path):
+        # 300 channel names need wider than uint8 codes
+        records = [
+            EventRecord(i, ("pair-1", "single", "pair-2")[i % 3], f"ch-{(7 * i) % 300}",
+                        np.array([0.0, 0.0, 1.0]))
+            for i in range(900)
+        ]
+        path = tmp_path / "events.csv"
+        write_events(path, records)
+        back = read_events(path)
+        assert back.channel_code.dtype == np.uint16 and back.role_code.dtype == np.uint8
+        assert len(back.channels) == 300 and back.roles == ("pair-1", "single", "pair-2")
+        assert back.role.tolist() == [r.role for r in records]
+        assert back.channel.tolist() == [r.channel for r in records]
+        assert [(r.event_id, r.role, r.channel) for r in back.records()] == [
+            (r.event_id, r.role, r.channel) for r in records
+        ]
+        assert path.read_text() == format_events(back)
+
     def test_nine_digit_precision(self, tmp_path):
         n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
         path = tmp_path / "events.csv"
@@ -352,3 +373,71 @@ class TestPairedDirections:
             params=params_from_alpha_phi(0.5, 0.0))))
         with pytest.raises(EventFileError, match="pair events"):
             paired_directions(table)
+
+    def test_pairing_out_of_order(self):
+        table = generate(SampleConfig(seed=27, events=50, model=PairCorrelationModel(k=0.1)))
+        order = np.random.default_rng(0).permutation(len(table))
+        shuffled = EventTable(
+            table.event_id[order], table.role_code[order], table.channel_code[order],
+            table.n[order], table.roles, table.channels,
+        )
+        n1, n2 = paired_directions(shuffled)
+        assert np.array_equal(n1, table.n[0::2])
+        assert np.array_equal(n2, table.n[1::2])
+
+    def test_missing_partner_rejected(self):
+        table = generate(SampleConfig(seed=28, events=20, model=PairCorrelationModel(k=0.1)))
+        keep = np.arange(len(table)) != 5
+        table = EventTable(table.event_id[keep], table.role_code[keep], table.channel_code[keep],
+                           table.n[keep], table.roles, table.channels)
+        with pytest.raises(EventFileError, match="same event ids"):
+            paired_directions(table)
+
+    def test_duplicate_event_id_rejected(self, capsys, tmp_path):
+        table = generate(SampleConfig(seed=29, events=150, model=PairCorrelationModel(k=0.46)))
+        lines = format_events(table).splitlines(keepends=True)
+        path = tmp_path / "events.csv"
+        path.write_text("".join(lines + lines[1:3]))  # event 0 again, for both roles
+        with pytest.raises(EventFileError, match="event id 0 appears more than once"):
+            paired_directions(read_events(path))
+        assert main(["analyze", "witness", "--events", str(path)]) == 2
+        assert "appears more than once" in capsys.readouterr().err
+
+
+class TestTableLayout:
+    def test_column_bytes_per_row(self):
+        # an 8-byte id, 24 bytes of direction and one byte each for the role and channel codes
+        table = generate(SampleConfig(seed=30, events=1000, model=PairCorrelationModel(k=0.46)))
+        columns = (table.event_id, table.role_code, table.channel_code, table.n)
+        assert sum(c.nbytes for c in columns) <= 34 * len(table)
+        assert table.roles == ("pair-1", "pair-2") and table.channels == ("pair",)
+
+    @pytest.mark.parametrize("count, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_code_width(self, count, dtype):
+        names = [f"c{i}" for i in range(count)]
+        table = EventTable.from_names(np.arange(count, dtype=np.uint64), ["single"] * count,
+                                      names, np.tile([0.0, 0.0, 1.0], (count, 1)))
+        assert table.channel_code.dtype == dtype
+        assert table.channels == tuple(names)
+        assert table.channel.tolist() == names
+
+    def test_names_in_order_of_first_appearance(self):
+        table = EventTable.from_names(np.arange(4), ["b", "a", "b", "c"], ["x"] * 4,
+                                      np.tile([0.0, 0.0, 1.0], (4, 1)))
+        assert table.roles == ("b", "a", "c")
+        assert table.role_code.tolist() == [0, 1, 0, 2]
+
+    @pytest.mark.parametrize("roles, codes", [
+        (("a", "a"), [0, 1]),
+        (("a", "b"), [0, 2]),
+        (("a", "b"), [0, -1]),
+    ])
+    def test_bad_codes_rejected(self, roles, codes):
+        codes = np.array(codes, dtype=np.int8 if min(codes) < 0 else np.uint8)
+        with pytest.raises(ValueError, match="repeated name|unsigned indices"):
+            EventTable(np.arange(2), codes, np.zeros(2, np.uint8),
+                       np.tile([0.0, 0.0, 1.0], (2, 1)), roles, ("x",))
+
+    def test_directions_by_absent_role(self):
+        table = generate(SampleConfig(seed=31, events=10, model=PairCorrelationModel(k=0.1)))
+        assert table.directions_by_role("single").shape == (0, 3)

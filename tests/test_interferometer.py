@@ -98,6 +98,14 @@ class TestFringe:
     def test_partial_purity_scales_amplitude(self):
         assert abs(fringe_visibility(SpinState(np.pi / 3, 0.0, 0.5)) - 0.5 * np.sin(np.pi / 3)) < 1e-9
 
+    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2])
+    def test_too_few_fit_points(self, n_points):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            fringe_visibility(SpinState(0.4, 0.0), n_points=n_points)
+
+    def test_three_fit_points_suffice(self):
+        assert abs(fringe_visibility(SpinState(0.4, 0.0), n_points=3) - np.sin(0.4)) < 1e-12
+
     def test_z_predictability(self):
         for theta in np.linspace(0.0, np.pi, 13):
             assert abs(path_predictability(SpinState(theta, 1.0)) - abs(np.cos(theta))) < 1e-12

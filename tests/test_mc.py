@@ -55,6 +55,16 @@ class TestKernels:
         n = directions_from_linear_density(np.zeros((100_000, 3)), rng.random(100_000), rng.random(100_000))
         assert np.max(np.abs(n.mean(axis=0))) < 5.0 / np.sqrt(n.shape[0])
 
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [0.0, 0.6, -0.8]])
+    def test_one_vector_matches_one_row_per_draw(self, v):
+        rng = np.random.default_rng(62)
+        u_cos, u_phi = rng.random(1000), rng.random(1000)
+        rows = np.tile(v, (1000, 1))
+        assert np.array_equal(
+            directions_from_linear_density(np.array(v), u_cos, u_phi),
+            directions_from_linear_density(rows, u_cos, u_phi),
+        )
+
     def test_overlong_axis_rejected(self):
         with pytest.raises(ValueError, match="longer than 1"):
             directions_from_linear_density(np.array([[0.0, 0.0, 1.5]]), np.array([0.5]), np.array([0.5]))
@@ -229,6 +239,24 @@ class TestGenerate:
         assert _pool_size(1, 64, 10**6) == 1
         assert _pool_size(None, None, 10**6) == 1
         assert _pool_size(8, 8, 1) == 1
+
+    def test_overlong_polarization_rejected_everywhere(self):
+        s = [0.0, 0.6, 0.81]
+        with pytest.raises(ValueError, match=r"\|polarization\| exceeds 1"):
+            SingleDecayModel(params=LAMBDA, polarization=s)
+        with pytest.raises(ValueError, match=r"\|polarization\| exceeds 1"):
+            CascadeDecayModel(mu=LAMBDA, nu=LAMBDA, polarization=s)
+        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
+            sample_single(LAMBDA, s, stream_at(1))
+        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
+            sample_cascade(LAMBDA, LAMBDA, s, stream_at(1))
+
+    def test_polarization_is_a_read_only_copy(self):
+        s = np.array([0.0, 0.0, 0.5])
+        model = SingleDecayModel(params=LAMBDA, polarization=s)
+        s[2] = 0.9
+        assert model.polarization[2] == 0.5 and not model.polarization.flags.writeable
+        assert s.flags.writeable
 
     def test_draw_budget(self):
         assert DRAWS_PER_EVENT == 4
