@@ -52,7 +52,6 @@ from .inequalities import (
 )
 from .mc import (
     CascadeDecayModel,
-    EventRecord,
     EventTable,
     PairCorrelationModel,
     SampleConfig,
@@ -65,7 +64,6 @@ from .mc import (
 from .dataio import (
     ParameterRow,
     ParameterTable,
-    emit_table,
     load_bundled_parameters,
     load_parameters,
     read_events,

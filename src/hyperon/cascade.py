@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayParameters
-from .sphere import require_unit
+from .sphere import require_polarization, require_unit
 
 FOUR_PI_SQ = (4.0 * np.pi) ** 2
 
@@ -98,9 +98,7 @@ def cascade_pdf(mu: DecayParameters, nu: DecayParameters, s, n_mu, n_nu) -> floa
     Proportional to tau0 + tau . s; the normalization constant is (4 pi)^2
     because every s- and direction-linear term averages to zero.
     """
-    s = np.asarray(s, dtype=float)
-    if np.linalg.norm(s) > 1.0 + 1e-12:
-        raise ValueError(f"|s| = {np.linalg.norm(s):.6g} exceeds 1")
+    s = require_polarization(s, "s")
     tau0, tau = cascade_tau(mu, nu, n_mu, n_nu)
     return float((tau0 + np.dot(tau, s)) / FOUR_PI_SQ)
 
@@ -124,13 +122,31 @@ def conditional_axis(mu: DecayParameters, nu: DecayParameters, s, n_mu) -> np.nd
 
     Conditioning the joint density on the first daughter direction leaves a
     density linear in n_nu; this is what the cascade sampler draws from.
+    `n_mu` is one unit direction (3,) or unit rows (N, 3); the result has
+    the same shape.
     """
-    n_mu = require_unit(n_mu, name="n_mu")
-    s = np.asarray(s, dtype=float)
-    weight = 1.0 + mu.alpha * np.dot(n_mu, s)
-    vec = nu.alpha * (
-        (mu.alpha + (1.0 - mu.gamma) * np.dot(n_mu, s)) * n_mu
+    s = require_polarization(s, "s")
+    n_mu = np.asarray(n_mu, dtype=float)
+    rows = np.atleast_2d(n_mu)
+    for row in rows:
+        require_unit(row, name="n_mu")
+    axes = _conditional_axes(mu, nu, s, rows)
+    return axes if n_mu.ndim == 2 else axes[0]
+
+
+def _conditional_axes(mu: DecayParameters, nu: DecayParameters, s, n_mu) -> np.ndarray:
+    """conditional_axis for unit rows n_mu (N, 3) and a checked polarization s; checks nothing.
+
+    The cascade sampler's kernel calls this directly: its rows are unit by
+    construction, and a per-row check would cost more than the formula.
+    """
+    # BLAS takes a single row as a dot product, which rounds differently from
+    # the matrix-vector product of two or more rows; a padded row keeps each
+    # row's axis independent of how many rows come with it
+    dots = n_mu @ s if len(n_mu) > 1 else (np.repeat(n_mu, 2, axis=0) @ s)[:1]
+    weight = 1.0 + mu.alpha * dots
+    return nu.alpha * (
+        (mu.alpha + (1.0 - mu.gamma) * dots)[:, None] * n_mu
         + mu.gamma * s
-        + mu.beta * np.cross(s, n_mu)
-    )
-    return vec / weight
+        + mu.beta * np.cross(np.broadcast_to(s, n_mu.shape), n_mu)
+    ) / weight[:, None]

@@ -1,4 +1,4 @@
-"""Parameter-table ingestion, event-file persistence and table emission.
+"""Parameter-table ingestion and event-file persistence.
 
 Both formats are comma-separated UTF-8 text.  The parameter file stores the
 signed asymmetry alpha, the phase phi in units of pi and the sign of gamma
@@ -23,7 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .decay import DecayChannel, DecayParameters, chi_sp_mod_pi, params_from_alpha_phi
+from .decay import DecayChannel, DecayParameters, params_from_alpha_phi
 from .mc import EventTable, ROLE_PAIR
 
 log = logging.getLogger(__name__)
@@ -129,10 +129,6 @@ def _parse_row(fields: list[str], line_no: int, path) -> ParameterRow:
         raise ParameterFileError(
             f"{path}:{line_no}: branching fraction {branching} outside [0, 1]"
         )
-    if abs(alpha) > 1.0:
-        raise ParameterFileError(f"{path}:{line_no}: |alpha| = {abs(alpha)} exceeds 1")
-    if gamma_sign not in (1, -1):
-        raise ParameterFileError(f"{path}:{line_no}: gamma_sign must be +1 or -1")
     row = ParameterRow(parent, quarks, channel, branching, alpha, phi_over_pi, gamma_sign, note)
     try:
         row.params()
@@ -168,35 +164,6 @@ def load_bundled_parameters() -> ParameterTable:
     return load_parameters(bundled_parameters_path())
 
 
-def emit_table(table: ParameterTable) -> str:
-    """CSV report with the recomputed phase shift, visibility and predictability.
-
-    The phase-shift column is folded into (-pi/2, pi/2], the magnitude
-    convention of published tables.
-    """
-    lines = ["parent,channel,branching,chi_sp_over_pi,visibility,predictability"]
-    for row in table:
-        p = row.params()
-        lines.append(
-            f"{row.parent},{row.channel},{row.branching:.6g},"
-            f"{chi_sp_mod_pi(p) / np.pi:.6g},{p.visibility:.6g},{p.predictability:.6g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _event_table(events) -> EventTable:
-    """An EventTable as it is, or the table of an iterable of EventRecord."""
-    if isinstance(events, EventTable):
-        return events
-    records = list(events)
-    return EventTable.from_names(
-        event_id=np.array([r.event_id for r in records], dtype=object),
-        role=[r.role for r in records],
-        channel=[r.channel for r in records],
-        n=np.array([r.n for r in records], dtype=float).reshape(-1, 3),
-    )
-
-
 def _check_names(names, what: str) -> None:
     """Reject a role or channel that would split an event-file field or line."""
     for name in names:
@@ -217,13 +184,12 @@ class _Prefixes(dict):
         return text
 
 
-def _event_chunks(events):
+def _event_chunks(table: EventTable):
     """Check the names, then return an iterator over the event-file text.
 
     The header comes first, then blocks of _BLOCK_ROWS rows, so a writer
     need not hold the whole file as one string.
     """
-    table = _event_table(events)
     _check_names(table.roles, "role")
     _check_names(table.channels, "channel")
     prefixes = _Prefixes(table.roles, table.channels)
@@ -241,19 +207,19 @@ def _event_chunks(events):
     return blocks()
 
 
-def format_events(events) -> str:
-    """Event-file text for an EventTable or an iterable of EventRecord."""
-    return "".join(_event_chunks(events))
+def format_events(table: EventTable) -> str:
+    """Event-file text of an EventTable."""
+    return "".join(_event_chunks(table))
 
 
-def write_events(path, events) -> None:
-    """Write an EventTable or an iterable of EventRecord, block by block.
+def write_events(path, table: EventTable) -> None:
+    """Write an EventTable, block by block.
 
     `path` is a file path or an open text stream.  Names are checked before
     anything is written; a write to a path that fails part way removes the
     partial file.
     """
-    chunks = _event_chunks(events)
+    chunks = _event_chunks(table)
     if hasattr(path, "write"):
         path.writelines(chunks)
         return

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import PAULI, as_density, pauli_dot
-from .sphere import require_unit
+from .sphere import require_polarization, require_unit
 
 _PARAM_TOL = 1e-12
 
@@ -73,7 +73,7 @@ class DecayParameters:
             "predictability = |gamma|": self.predictability - abs(g),
         }
         for label, err in checks.items():
-            if abs(err) > _PARAM_TOL:
+            if not abs(err) <= _PARAM_TOL:  # written so that NaN fails
                 raise ValueError(f"inconsistent decay parameters: {label} off by {err:.3e}")
 
 
@@ -119,7 +119,7 @@ def params_from_alpha_phi(alpha: float, phi: float, gamma_sign: int | None = Non
     since gamma's sign is not recoverable from visibility/predictability
     magnitudes alone.
     """
-    if abs(alpha) > 1.0:
+    if not abs(alpha) <= 1.0:  # written so that NaN fails
         raise ValueError(f"|alpha| = {abs(alpha)} exceeds 1")
     r = np.sqrt(1.0 - alpha * alpha)
     beta = r * np.sin(phi)
@@ -252,11 +252,7 @@ def angular_pdf(params: DecayParameters, s, n) -> float:
     Integrates to 1 over the sphere; only the normalized shape is observable,
     the (|S|^2 + |P|^2) scale lives in the unnormalized intensity.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise ValueError("polarization must be a 3-vector")
-    if np.linalg.norm(s) > 1.0 + 1e-12:
-        raise ValueError(f"|s| = {np.linalg.norm(s):.6g} exceeds 1")
+    s = require_polarization(s, "s")
     n = require_unit(n)
     return float((1.0 + params.alpha * np.dot(s, n)) / (4.0 * np.pi))
 

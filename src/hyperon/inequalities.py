@@ -100,7 +100,7 @@ class BellSettings:
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"settings {name} must have shape (n, 3)")
             norms = np.linalg.norm(arr, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-12:
+            if not np.max(np.abs(norms - 1.0)) <= 1e-12:  # written so that NaN fails
                 raise ValueError(f"settings {name} contain non-unit vectors")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -225,7 +225,7 @@ def contextuality_value(alpha_L: float, alpha_Lbar: float) -> float:
     classical bound 4.
     """
     for v in (alpha_L, alpha_Lbar):
-        if abs(v) > 1.0:
+        if not abs(v) <= 1.0:  # written so that NaN fails
             raise ValueError("analyzing powers must lie in [-1, 1]")
     return float((alpha_L**2 + alpha_Lbar**2) ** 2 + 2.0 * alpha_L**3 * alpha_Lbar**3)
 

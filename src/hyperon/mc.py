@@ -21,8 +21,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cascade import conditional_axis
+from .cascade import _conditional_axes
 from .decay import DecayParameters
+from .sphere import require_polarization
 
 DRAWS_PER_EVENT = 4  # one Philox counter block
 _STREAM_CONSTANT = 0x9E3779B97F4A7C15
@@ -31,23 +32,6 @@ _CHUNK = 1 << 16
 ROLE_SINGLE = "single"
 ROLE_PAIR = ("pair-1", "pair-2")
 ROLE_CASCADE = ("cascade-mu", "cascade-nu")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One sampled daughter direction."""
-
-    event_id: int
-    role: str
-    channel: str
-    n: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise ValueError(f"event {self.event_id}: |n| - 1 = {np.linalg.norm(n) - 1.0:.3e}")
-        n.setflags(write=False)
-        object.__setattr__(self, "n", n)
 
 
 def _code_dtype(count: int) -> np.dtype:
@@ -107,24 +91,10 @@ class EventTable:
         """Per-row channel names, decoded on access."""
         return np.array(self.channels, dtype=str)[self.channel_code]
 
-    def records(self):
-        rows = zip(self.event_id.tolist(), self.role_code.tolist(), self.channel_code.tolist(), self.n)
-        for event_id, role, channel, n in rows:
-            yield EventRecord(event_id, self.roles[role], self.channels[channel], n)
-
     def directions_by_role(self, role: str) -> np.ndarray:
         if role not in self.roles:
             return self.n[:0]
         return self.n[self.role_code == self.roles.index(role)]
-
-
-def _polarization(s, name: str = "polarization") -> np.ndarray:
-    """`s` as a read-only float vector; ValueError when |s| exceeds 1."""
-    s = np.array(s, dtype=float)
-    if np.linalg.norm(s) > 1.0 + 1e-12:
-        raise ValueError(f"|{name}| exceeds 1")
-    s.setflags(write=False)
-    return s
 
 
 @dataclass(frozen=True)
@@ -137,7 +107,7 @@ class SingleDecayModel:
     roles: ClassVar[tuple[str, ...]] = (ROLE_SINGLE,)
 
     def __post_init__(self):
-        object.__setattr__(self, "polarization", _polarization(self.polarization))
+        object.__setattr__(self, "polarization", require_polarization(self.polarization))
 
     def kernel(self, u: np.ndarray) -> np.ndarray:
         axis = self.params.alpha * self.polarization
@@ -153,7 +123,7 @@ class PairCorrelationModel:
     roles: ClassVar[tuple[str, ...]] = ROLE_PAIR
 
     def __post_init__(self):
-        if abs(self.k) > 1.0:
+        if not abs(self.k) <= 1.0:  # written so that NaN fails
             raise ValueError("|k| exceeds 1")
 
     def kernel(self, u: np.ndarray) -> np.ndarray:
@@ -173,20 +143,12 @@ class CascadeDecayModel:
     roles: ClassVar[tuple[str, ...]] = ROLE_CASCADE
 
     def __post_init__(self):
-        object.__setattr__(self, "polarization", _polarization(self.polarization))
+        object.__setattr__(self, "polarization", require_polarization(self.polarization))
 
     def kernel(self, u: np.ndarray) -> np.ndarray:
         s, mu, nu = self.polarization, self.mu, self.nu
         n_mu = directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1])
-        # vectorized form of cascade.conditional_axis
-        dots = n_mu @ s
-        weight = 1.0 + mu.alpha * dots
-        axes = nu.alpha * (
-            (mu.alpha + (1.0 - mu.gamma) * dots)[:, None] * n_mu
-            + mu.gamma * s
-            + mu.beta * np.cross(np.broadcast_to(s, n_mu.shape), n_mu)
-        ) / weight[:, None]
-        n_nu = directions_from_linear_density(axes, u[:, 2], u[:, 3])
+        n_nu = directions_from_linear_density(_conditional_axes(mu, nu, s, n_mu), u[:, 2], u[:, 3])
         return np.stack([n_mu, n_nu], axis=1)
 
 
@@ -242,7 +204,7 @@ def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.linalg.norm(vectors, axis=1)
-    if np.any(a > 1.0 + 1e-9):
+    if not np.all(a <= 1.0 + 1e-9):  # written so that NaN fails
         raise ValueError(f"direction density axis longer than 1: max |v| = {a.max():.6g}")
     a = np.minimum(a, 1.0)
     axes = vectors / np.where(a > 0.0, a, 1.0)[:, None]
@@ -258,31 +220,23 @@ def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi
 
 
 def sample_single(params: DecayParameters, s, stream) -> np.ndarray:
-    """One daughter direction from (1/4pi)(1 + alpha s.n)."""
-    s = _polarization(s, "s")
-    u = stream.random(2)
-    return directions_from_linear_density(params.alpha * s[None, :], u[:1], u[1:])[0]
+    """One daughter direction from (1/4pi)(1 + alpha s.n): SingleDecayModel's kernel on 2 draws."""
+    model = SingleDecayModel(params, require_polarization(s, "s"))
+    return model.kernel(stream.random(2)[None])[0, 0]
 
 
 def sample_pair(k: float, stream) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n1, n2) from the singlet density (1 - k n1.n2)/(4 pi)^2."""
-    if abs(k) > 1.0:
-        raise ValueError("|k| exceeds 1")
-    u = stream.random(4)
-    n1 = directions_from_linear_density(np.zeros(3), u[:1], u[1:2])[0]
-    n2 = directions_from_linear_density(-k * n1[None, :], u[2:3], u[3:4])[0]
+    """Directions (n1, n2) from (1 - k n1.n2)/(4 pi)^2: PairCorrelationModel's kernel on 4 draws."""
+    n1, n2 = PairCorrelationModel(k).kernel(stream.random(4)[None])[0]
     return n1, n2
 
 
 def sample_cascade(
     mu: DecayParameters, nu: DecayParameters, s, stream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n_mu, n_nu): marginal for the first decay, exact conditional for the second."""
-    s = _polarization(s, "s")
-    u = stream.random(4)
-    n_mu = directions_from_linear_density(mu.alpha * s[None, :], u[:1], u[1:2])[0]
-    axis = conditional_axis(mu, nu, s, n_mu)
-    n_nu = directions_from_linear_density(axis[None, :], u[2:3], u[3:4])[0]
+    """Directions (n_mu, n_nu), n_nu from its exact conditional: CascadeDecayModel's kernel on 4 draws."""
+    model = CascadeDecayModel(mu, nu, require_polarization(s, "s"))
+    n_mu, n_nu = model.kernel(stream.random(4)[None])[0]
     return n_mu, n_nu
 
 
@@ -308,7 +262,7 @@ def generate(config: SampleConfig) -> EventTable:
 
     Each model's `kernel` maps uniforms of shape (events, 4) to directions
     of shape (events, len(roles), 3).  Pair and cascade models emit two
-    records per event id, in the fixed role order, so the table holds
+    rows per event id, in the fixed role order, so the table holds
     events * len(roles) rows sorted by id.
     """
     model = config.model

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, PAULI, as_density, pure_state, tensor
+from .qcore import DensityMatrix, PAULI, as_density, pauli_dot, pure_state, tensor
+from .sphere import require_unit
 
 PSI_MINUS_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -47,7 +48,7 @@ class PairModel:
     initial: DensityMatrix = field(default_factory=psi_minus_state)
 
     def __post_init__(self):
-        if abs(self.alpha_L) > 1.0 or abs(self.alpha_Lbar) > 1.0:
+        if not (abs(self.alpha_L) <= 1.0 and abs(self.alpha_Lbar) <= 1.0):  # written so that NaN fails
             raise ValueError("analyzing powers must lie in [-1, 1]")
         if self.initial.dim != 4:
             raise ValueError("initial state must be a two-qubit density matrix")
@@ -64,13 +65,8 @@ def joint_pdf(model: PairModel, n1, n2) -> float:
     (1/(4 pi)^2) Tr[(I + a1 n1.sigma) x (I + a2 n2.sigma) rho]; for the
     default singlet state this reduces to (1/(4 pi)^2)(1 - k n1.n2).
     """
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    for name, n in (("n1", n1), ("n2", n2)):
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError(f"{name} is not a unit vector")
-    eff1 = np.eye(2, dtype=complex) + model.alpha_L * np.tensordot(n1, PAULI, axes=1)
-    eff2 = np.eye(2, dtype=complex) + model.alpha_Lbar * np.tensordot(n2, PAULI, axes=1)
+    eff1 = np.eye(2, dtype=complex) + model.alpha_L * pauli_dot(require_unit(n1, name="n1"))
+    eff2 = np.eye(2, dtype=complex) + model.alpha_Lbar * pauli_dot(require_unit(n2, name="n2"))
     val = np.trace(tensor(eff1, eff2) @ model.initial.matrix).real
     return float(val / (4.0 * np.pi) ** 2)
 

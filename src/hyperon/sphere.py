@@ -23,9 +23,21 @@ def require_unit(n, tol: float = 1e-12, name: str = "direction") -> np.ndarray:
     if n.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {n.shape}")
     err = abs(np.linalg.norm(n) - 1.0)
-    if err > tol:
+    if not err <= tol:  # written so that NaN fails
         raise ValueError(f"{name} is not unit length (|n| - 1 = {err:.3e})")
     return n
+
+
+def require_polarization(s, name: str = "polarization") -> np.ndarray:
+    """`s` as a read-only float 3-vector copy; ValueError unless |s| <= 1."""
+    s = np.array(s, dtype=float)
+    if s.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {s.shape}")
+    norm = np.linalg.norm(s)
+    if not norm <= 1.0 + 1e-12:  # written so that NaN fails
+        raise ValueError(f"|{name}| exceeds 1 (got {norm:.6g})")
+    s.setflags(write=False)
+    return s
 
 
 @lru_cache(maxsize=4)

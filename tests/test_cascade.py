@@ -145,6 +145,24 @@ class TestCascadePdf:
         with pytest.raises(ValueError, match="exceeds 1"):
             cascade_pdf(mu, nu, [0, 0, 1.2], [1, 0, 0], [0, 1, 0])
 
+    def test_conditional_axis_rows_match_single_calls(self):
+        rng = np.random.default_rng(36)
+        mu, nu = random_params(rng), random_params(rng)
+        s = 0.7 * random_unit(rng)
+        rows = np.array([random_unit(rng) for _ in range(1000)])
+        bulk = conditional_axis(mu, nu, s, rows)
+        assert bulk.shape == (1000, 3)
+        assert np.array_equal(bulk, np.array([conditional_axis(mu, nu, s, n) for n in rows]))
+
+    def test_conditional_axis_checks_inputs(self):
+        mu, nu = xi_minus_chain()
+        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
+            conditional_axis(mu, nu, [0, 0, 1.2], [1, 0, 0])
+        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
+            conditional_axis(mu, nu, [0, 0, np.nan], [1, 0, 0])
+        with pytest.raises(ValueError, match="n_mu is not unit length"):
+            conditional_axis(mu, nu, [0, 0, 0.5], [[1, 0, 0], [0, 0, 1.1]])
+
 
 class TestApproximateAxis:
     def test_xi_chain_small_angle(self):

@@ -127,6 +127,24 @@ class TestSimulate:
         assert "usage error" in err and "worker count" in err
         assert out == "" and not f.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "single", "--alpha", "0.5", "--pol", "nan,0,0"),
+        ("simulate", "single", "--alpha", "nan"),
+        ("simulate", "single", "--alpha", "0.5", "--phi-over-pi", "nan"),
+        ("simulate", "single", "--alpha", "0.5", "--pol", "0,0"),
+        ("simulate", "pair", "--k", "nan"),
+        ("simulate", "cascade", "--mu-alpha", "0.5", "--nu-alpha", "nan"),
+        ("simulate", "cascade", "--mu-alpha", "0.5", "--nu-alpha", "0.5", "--pol", "0,inf,0"),
+        ("context", "--alpha", "nan", "--alphabar", "0.5"),
+    ])
+    def test_nan_or_bad_input_exit_1(self, capsys, tmp_path, argv):
+        f = tmp_path / "never.csv"
+        extra = ("--events", "10") if argv[0] == "simulate" else ()
+        code, out, err = run_cli(capsys, *argv, *extra, "--out", str(f))
+        assert code == 1
+        assert err.startswith(("error: ", "usage error: ")) and "Traceback" not in err
+        assert out == "" and not f.exists()
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", "10",
                              "--frobnicate")

@@ -12,7 +12,6 @@ from hyperon.dataio import (
     EventFileError,
     ParameterFileError,
     bundled_parameters_path,
-    emit_table,
     format_events,
     load_bundled_parameters,
     load_parameters,
@@ -21,9 +20,7 @@ from hyperon.dataio import (
     write_events,
 )
 from hyperon.decay import chi_sp_mod_pi
-from hyperon.mc import (
-    EventRecord, EventTable, PairCorrelationModel, SampleConfig, SingleDecayModel, generate,
-)
+from hyperon.mc import EventTable, PairCorrelationModel, SampleConfig, SingleDecayModel, generate
 from hyperon.decay import params_from_alpha_phi
 
 # published magnitude bands: channel -> (chi_sp/pi, err), (V, err), (P, err)
@@ -117,9 +114,22 @@ class TestLoadParameters:
             load_parameters(tmp_path / "missing.csv")
 
 
+def table_report(capsys, *argv):
+    """stdout of `hyperon table` with the given flags."""
+    assert main(["table", *argv]) == 0
+    return capsys.readouterr().out
+
+
+# sha256 of `hyperon table` on the bundled parameters
+GOLDEN_TABLE_REPORTS = {
+    "csv": "1ac3064c49ba9e81691708f61156784243e0781eb99082c2a469bf9531a43c91",
+    "json": "9f3d3737f9db17088b78fc8d0499581123dee3c2caf16ec4eba2c4baa0dba5aa",
+}
+
+
 class TestEmitTable:
-    def test_lambda_row(self):
-        text = emit_table(load_bundled_parameters())
+    def test_lambda_row(self, capsys):
+        text = table_report(capsys)
         lines = text.strip().splitlines()
         assert lines[0] == "parent,channel,branching,chi_sp_over_pi,visibility,predictability"
         lam = [l for l in lines if l.startswith("Lambda,p pi-")][0]
@@ -128,21 +138,33 @@ class TestEmitTable:
         assert abs(float(vis) - 0.648) <= 0.014
         assert abs(float(pred) - 0.762) <= 0.012
 
-    def test_sigma_plus_row(self):
-        text = emit_table(load_bundled_parameters())
+    def test_sigma_plus_row(self, capsys):
+        text = table_report(capsys)
         row = [l for l in text.splitlines() if l.startswith("Sigma+,p pi0")][0]
         vis, pred = float(row.split(",")[4]), float(row.split(",")[5])
         assert abs(vis - 0.976) <= 0.016
         assert abs(pred - 0.161) <= 0.097
 
-    def test_alpha_zero_limit(self, tmp_path):
+    def test_alpha_zero_limit(self, capsys, tmp_path):
         f = tmp_path / "row.csv"
         f.write_text("X,uds,p pi-,0.5,0.0,0.25,+1,synthetic\n")
-        text = emit_table(load_parameters(f))
+        text = table_report(capsys, "--params", str(f))
         _, _, _, chi, vis, pred = text.strip().splitlines()[1].split(",")
         phi = 0.25 * np.pi
         assert abs(float(vis) - abs(np.sin(phi))) < 1e-6
         assert abs(float(pred) - abs(np.cos(phi))) < 1e-6
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_TABLE_REPORTS))
+    def test_report_bytes_pinned(self, capsys, fmt):
+        text = table_report(capsys, "--format", fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TABLE_REPORTS[fmt]
+
+
+def event_table(event_id, role, channel, n) -> EventTable:
+    """EventTable of the given per-row ids, names and directions."""
+    return EventTable.from_names(
+        np.array(event_id, dtype=np.uint64), role, channel, np.array(n, dtype=float).reshape(-1, 3)
+    )
 
 
 HEADER = "event_id,role,channel,nx,ny,nz"
@@ -161,12 +183,9 @@ class TestEventFiles:
         assert np.max(np.abs(back.n - table.n)) < 1e-9
 
     def test_round_trip_records(self, tmp_path):
-        records = [
-            EventRecord(0, "single", "x", np.array([0.0, 0.0, 1.0])),
-            EventRecord(1, "single", "x", np.array([1.0, 0.0, 0.0])),
-        ]
+        table = event_table([0, 1], ["single"] * 2, ["x"] * 2, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         path = tmp_path / "records.csv"
-        write_events(path, records)
+        write_events(path, table)
         back = read_events(path)
         assert len(back) == 2
         assert np.allclose(back.n[1], [1.0, 0.0, 0.0])
@@ -218,7 +237,7 @@ class TestEventFiles:
 
     def test_comma_in_channel_rejected(self):
         with pytest.raises(EventFileError, match="comma"):
-            format_events([EventRecord(0, "single", "a,b", np.array([0.0, 0.0, 1.0]))])
+            format_events(event_table([0], ["single"], ["a,b"], [0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("role, channel", [("single", "a,b"), ("single", "a\nb"), ("a,b", "x")])
     def test_bad_name_leaves_no_file(self, tmp_path, role, channel):
@@ -243,7 +262,7 @@ class TestEventFiles:
         monkeypatch.setattr(dataio, "_event_chunks", failing_chunks)
         path = tmp_path / "events.csv"
         with pytest.raises(EventFileError, match="No space left"):
-            write_events(path, [EventRecord(0, "single", "x", np.array([0.0, 0.0, 1.0]))])
+            write_events(path, event_table([0], ["single"], ["x"], [0.0, 0.0, 1.0]))
         assert not path.exists()
 
     def test_stream_matches_text(self):
@@ -251,7 +270,7 @@ class TestEventFiles:
         table = generate(SampleConfig(seed=26, events=33_000, model=PairCorrelationModel(k=0.3)))
         out = io.StringIO()
         write_events(out, table)
-        texts = [out.getvalue(), format_events(table), format_events(table.records())]
+        texts = [out.getvalue(), format_events(table)]
         # digests, not the strings: a report that diffs two 66,000-line strings takes minutes
         digests = {(len(t), hashlib.sha256(t.encode()).hexdigest()) for t in texts}
         assert len(digests) == 1
@@ -267,7 +286,7 @@ class TestEventFiles:
     def test_long_names_kept_whole(self, tmp_path):
         name = "channel-" + "x" * 300
         path = tmp_path / "events.csv"
-        write_events(path, [EventRecord(2**64 - 1, "r" * 100, name, np.array([0.0, 1.0, 0.0]))])
+        write_events(path, event_table([2**64 - 1], ["r" * 100], [name], [0.0, 1.0, 0.0]))
         back = read_events(path)
         assert back.event_id.tolist() == [2**64 - 1]
         assert back.role.tolist() == ["r" * 100]
@@ -311,27 +330,22 @@ class TestEventFiles:
 
     def test_many_channels_and_interleaved_roles_round_trip(self, tmp_path):
         # 300 channel names need wider than uint8 codes
-        records = [
-            EventRecord(i, ("pair-1", "single", "pair-2")[i % 3], f"ch-{(7 * i) % 300}",
-                        np.array([0.0, 0.0, 1.0]))
-            for i in range(900)
-        ]
+        roles = [("pair-1", "single", "pair-2")[i % 3] for i in range(900)]
+        channels = [f"ch-{(7 * i) % 300}" for i in range(900)]
         path = tmp_path / "events.csv"
-        write_events(path, records)
+        write_events(path, event_table(range(900), roles, channels, [[0.0, 0.0, 1.0]] * 900))
         back = read_events(path)
         assert back.channel_code.dtype == np.uint16 and back.role_code.dtype == np.uint8
         assert len(back.channels) == 300 and back.roles == ("pair-1", "single", "pair-2")
-        assert back.role.tolist() == [r.role for r in records]
-        assert back.channel.tolist() == [r.channel for r in records]
-        assert [(r.event_id, r.role, r.channel) for r in back.records()] == [
-            (r.event_id, r.role, r.channel) for r in records
-        ]
+        assert back.event_id.tolist() == list(range(900))
+        assert back.role.tolist() == roles
+        assert back.channel.tolist() == channels
         assert path.read_text() == format_events(back)
 
     def test_nine_digit_precision(self, tmp_path):
         n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
         path = tmp_path / "events.csv"
-        write_events(path, [EventRecord(7, "single", "x", n)])
+        write_events(path, event_table([7], ["single"], ["x"], n))
         back = read_events(path)
         assert abs(np.linalg.norm(back.n[0]) - 1.0) < 1e-9
 

@@ -84,6 +84,15 @@ class TestParameters:
         with pytest.raises(ValueError, match="exceeds 1"):
             params_from_alpha_phi(1.2, 0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"\|alpha\| = nan exceeds 1"):
+            params_from_alpha_phi(np.nan, 0.0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            params_from_alpha_phi(0.5, np.nan)
+        with pytest.raises(ValueError, match="inconsistent"):
+            DecayParameters(alpha=np.nan, beta=0.0, gamma=0.0, phi=0.0, chi_sp=0.0,
+                            visibility=1.0, predictability=0.0)
+
     def test_gamma_sign_checked(self):
         params_from_alpha_phi(0.5, 0.1, gamma_sign=+1)
         with pytest.raises(ValueError, match="gamma_sign"):
@@ -241,6 +250,13 @@ class TestAngularPdf:
         p = params_from_alpha_phi(0.5, 0.0)
         with pytest.raises(ValueError, match="exceeds 1"):
             angular_pdf(p, [0, 0, 1.5], [0, 0, 1])
+
+    def test_nan_or_wrong_shaped_polarization_rejected(self):
+        p = params_from_alpha_phi(0.5, 0.0)
+        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
+            angular_pdf(p, [0, np.nan, 0], [0, 0, 1])
+        with pytest.raises(ValueError, match="s must be a 3-vector"):
+            angular_pdf(p, [0, 0.5], [0, 0, 1])
 
 
 class TestChannelRecord:

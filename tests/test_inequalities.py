@@ -228,6 +228,12 @@ class TestContextuality:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="analyzing"):
             contextuality_value(1.5, 0.2)
+        with pytest.raises(ValueError, match="analyzing"):
+            contextuality_value(0.2, np.nan)
+
+    def test_nan_setting_rejected(self):
+        with pytest.raises(ValueError, match="non-unit"):
+            BellSettings(a=[[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]], b=[[0.0, 0.0, 1.0]])
 
     def test_equal_alpha_root(self):
         root = equal_alpha_contextuality_threshold()

@@ -7,7 +7,6 @@ from hyperon.decay import DecayAmplitudes, params_from_alpha_phi, params_from_am
 from hyperon.mc import (
     DRAWS_PER_EVENT,
     CascadeDecayModel,
-    EventRecord,
     PairCorrelationModel,
     SampleConfig,
     SingleDecayModel,
@@ -82,6 +81,12 @@ class TestSingleSampler:
         model = SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.0, 1.0])
         table = generate(SampleConfig(seed=4, events=1_000_000, model=model))
         assert abs(table.n[:, 2].mean() - 0.642 / 3.0) < 0.003
+
+    def test_scalar_sampler_matches_generate(self):
+        model = SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5])
+        table = generate(SampleConfig(seed=12, events=16, model=model))
+        for i in range(16):
+            assert np.array_equal(sample_single(LAMBDA, [0.0, 0.3, 0.5], stream_at(12, i)), table.n[i])
 
     def test_first_samples_repeat(self):
         first = [sample_single(LAMBDA, [0, 0, 1], stream_at(12, i)) for i in range(10)]
@@ -200,6 +205,21 @@ class TestCascadeSampler:
             assert np.array_equal(n_mu, table.n[2 * i])
             assert np.array_equal(n_nu, table.n[2 * i + 1])
 
+    def test_one_row_matches_longer_chunks(self):
+        # BLAS rounds a one-row product differently; one event must get the
+        # bits it gets inside a longer chunk, from the scalar sampler and generate
+        mu = params_from_alpha_phi(-0.458, -0.011666667 * np.pi)
+        s = [0.31, -0.27, 0.55]
+        model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=s)
+        table = generate(SampleConfig(seed=14, events=300, model=model))
+        for i in range(300):
+            assert np.array_equal(np.array(sample_cascade(mu, LAMBDA, s, stream_at(14, i))),
+                                  table.n[2 * i:2 * i + 2])
+        for seed in range(100):
+            one = generate(SampleConfig(seed=seed, events=1, model=model))
+            two = generate(SampleConfig(seed=seed, events=2, model=model))
+            assert np.array_equal(one.n, two.n[:2])
+
 
 class TestGenerate:
     def test_worker_count_invariance(self):
@@ -261,15 +281,24 @@ class TestGenerate:
     def test_draw_budget(self):
         assert DRAWS_PER_EVENT == 4
 
-    def test_record_stream_validates_norm(self):
-        with pytest.raises(ValueError, match=r"\|n\| - 1"):
-            EventRecord(event_id=0, role="single", channel="x", n=np.array([0.0, 0.0, 1.1]))
+    @pytest.mark.parametrize("s", [[0.1, 0.2], [[0.0, 0.0, 0.5]], 0.5])
+    def test_wrong_shaped_polarization_rejected(self, s):
+        with pytest.raises(ValueError, match=r"polarization must be a 3-vector"):
+            SingleDecayModel(params=LAMBDA, polarization=s)
+        with pytest.raises(ValueError, match=r"polarization must be a 3-vector"):
+            CascadeDecayModel(mu=LAMBDA, nu=LAMBDA, polarization=s)
+        with pytest.raises(ValueError, match=r"s must be a 3-vector"):
+            sample_single(LAMBDA, s, stream_at(1))
 
-    def test_records_iterator(self):
-        model = SingleDecayModel(params=LAMBDA, channel="Lambda:ppi-")
-        table = generate(SampleConfig(seed=3, events=5, model=model))
-        records = list(table.records())
-        assert len(records) == 5
-        assert records[2].event_id == 2
-        assert records[2].channel == "Lambda:ppi-"
-        assert np.allclose(records[2].n, table.n[2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\|polarization\| exceeds 1"):
+            SingleDecayModel(params=LAMBDA, polarization=[bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
+            sample_cascade(LAMBDA, LAMBDA, [0.0, bad, 0.0], stream_at(1))
+        with pytest.raises(ValueError, match=r"\|k\| exceeds 1"):
+            PairCorrelationModel(k=bad)
+        with pytest.raises(ValueError, match=r"\|k\| exceeds 1"):
+            sample_pair(bad, stream_at(1))
+        with pytest.raises(ValueError, match="longer than 1"):
+            directions_from_linear_density(np.array([bad, 0.0, 0.0]), np.array([0.5]), np.array([0.5]))

@@ -107,6 +107,12 @@ class TestJointPdf:
         with pytest.raises(ValueError, match="unit"):
             joint_pdf(model, [0, 0, 2.0], [0, 0, 1.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="analyzing powers"):
+            PairModel(alpha_L=np.nan, alpha_Lbar=0.5)
+        with pytest.raises(ValueError, match="n2 is not unit length"):
+            joint_pdf(PairModel(alpha_L=0.5, alpha_Lbar=0.5), [0, 0, 1.0], [0, np.nan, 1.0])
+
 
 class TestWitness:
     def test_published_value(self):
