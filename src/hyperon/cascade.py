@@ -46,16 +46,16 @@ class CascadeKraus:
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
-        if self.tau0 <= 0.0:
+        # each check is written so that NaN fails it
+        if not self.tau0 > 0.0:
             raise ValueError(f"tau0 = {self.tau0} must be positive")
-        if np.linalg.norm(tau) > self.tau0 * (1.0 + 1e-12):
+        if not np.linalg.norm(tau) <= self.tau0 * (1.0 + 1e-12):
             raise ValueError(
                 f"|tau| = {np.linalg.norm(tau):.6g} exceeds tau0 = {self.tau0:.6g}"
             )
         expected = (1.0 + np.linalg.norm(tau) / self.tau0) / 2.0
-        if abs(self.omega_plus - expected) > 1e-12 or abs(
-            self.omega_plus + self.omega_minus - 1.0
-        ) > 1e-12:
+        if not (abs(self.omega_plus - expected) <= 1e-12
+                and abs(self.omega_plus + self.omega_minus - 1.0) <= 1e-12):
             raise ValueError("outcome probabilities inconsistent with (tau0, tau)")
         for name in ("tau", "n_mu", "n_nu"):
             arr = np.asarray(getattr(self, name), dtype=float)

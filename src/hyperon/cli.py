@@ -166,23 +166,23 @@ def _cmd_simulate(args) -> None:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    events = mc.generate(config)
+    chunks = mc.iter_chunks(config)  # written as they are sampled
     if args.out is None or args.out == "-":
-        dataio.write_events(sys.stdout, events)
+        dataio.write_events(sys.stdout, chunks)
     else:
-        dataio.write_events(args.out, events)
-        print(f"wrote {len(events)} records to {args.out}", file=sys.stderr)
+        dataio.write_events(args.out, chunks)
+        print(f"wrote {config.events * len(model.roles)} records to {args.out}", file=sys.stderr)
 
 
 def _cmd_analyze(args) -> None:
-    events = dataio.read_events(args.events)
-    n1, n2 = dataio.paired_directions(events)
+    # read, pair and estimate block by block, never holding the whole file
+    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(dataio.iter_events(args.events)))
     if args.what == "witness":
-        value, stderr = pairs.witness_estimate(n1, n2)
+        value, stderr = moments.witness()
         _emit(
             [
                 {
-                    "n_pairs": n1.shape[0],
+                    "n_pairs": moments.count,
                     "witness": value,
                     "stderr": stderr,
                     "verdict": "entangled" if value < 0.0 else "not detected",
@@ -196,7 +196,7 @@ def _cmd_analyze(args) -> None:
             if args.alpha is None or args.alphabar is None:
                 raise UsageError("--renormalize requires --alpha and --alphabar")
             model = pairs.PairModel(alpha_L=args.alpha, alpha_Lbar=args.alphabar)
-        m = pairs.correlation_estimate(n1, n2, model=model, renormalize=args.renormalize)
+        m = moments.correlations(model=model, renormalize=args.renormalize)
         row = {"mode": "renormalized (non-Bell-admissible)" if args.renormalize else "raw"}
         for i, a in enumerate("xyz"):
             for j, b in enumerate("xyz"):

@@ -182,15 +182,16 @@ class KrausPair:
     def __post_init__(self):
         w1 = np.asarray(self.w1, dtype=float)
         w2 = np.asarray(self.w2, dtype=float)
-        if abs(self.omega_plus + self.omega_minus - 1.0) > _PARAM_TOL:
+        # each check is written so that NaN fails it
+        if not abs(self.omega_plus + self.omega_minus - 1.0) <= _PARAM_TOL:
             raise ValueError("outcome probabilities must sum to 1")
-        if self.omega_plus < 0.0 or self.omega_minus < 0.0:
+        if not (self.omega_plus >= 0.0 and self.omega_minus >= 0.0):
             raise ValueError("outcome probabilities must be nonnegative")
-        if abs(np.dot(w1, w2)) > _PARAM_TOL:
+        if not abs(np.dot(w1, w2)) <= _PARAM_TOL:
             raise ValueError("quantization vectors must be orthogonal")
         for sign in (+1.0, -1.0):
             length_sq = float(np.dot(w1 + sign * w2, w1 + sign * w2))
-            if abs(length_sq - 1.0) > _PARAM_TOL:  # s(2s+1) = 1 for s = 1/2
+            if not abs(length_sq - 1.0) <= _PARAM_TOL:  # s(2s+1) = 1 for s = 1/2
                 raise ValueError(f"|w1 {'+' if sign > 0 else '-'} w2|^2 = {length_sq:.12g}, expected 1")
         w1.setflags(write=False)
         w2.setflags(write=False)

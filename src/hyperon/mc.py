@@ -7,14 +7,17 @@ uniformly.  No rejection, no clamping.
 
 Reproducibility contract: event i consumes exactly one 4-word Philox
 counter block keyed by the master seed, so the event stream is bit
-identical for any worker count or chunking.  `generate` partitions the
-event range into fixed-size chunks and may process them on a thread pool;
-each chunk fills its own rows of the table, in event order.
+identical for any worker count or chunking.  `iter_chunks` partitions the
+event range into fixed-size chunks, samples them on a bounded thread pool
+and yields them in event order; `generate` collects them into one table.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -77,6 +80,28 @@ class EventTable:
         role_code, roles = _name_codes(role)
         channel_code, channels = _name_codes(channel)
         return cls(event_id, role_code, channel_code, n, roles, channels)
+
+    @classmethod
+    def concat(cls, tables) -> EventTable:
+        """The rows of `tables`, in order, as one table; names keep their order of first appearance."""
+        tables = list(tables)
+        if not tables:
+            return cls.from_names(np.empty(0, np.uint64), [], [], np.empty((0, 3)))
+
+        def merged(codes: str, names: str) -> tuple[np.ndarray, tuple[str, ...]]:
+            union = tuple(dict.fromkeys(name for t in tables for name in getattr(t, names)))
+            index = {name: code for code, name in enumerate(union)}
+            dtype = _code_dtype(len(union))
+            # each table's codes, mapped through its names to their index in the union
+            return np.concatenate([
+                np.array([index[name] for name in getattr(t, names)], dtype)[getattr(t, codes)]
+                for t in tables
+            ]), union
+
+        role_code, roles = merged("role_code", "roles")
+        channel_code, channels = merged("channel_code", "channels")
+        return cls(np.concatenate([t.event_id for t in tables]), role_code, channel_code,
+                   np.concatenate([t.n for t in tables]), roles, channels)
 
     def __len__(self) -> int:
         return self.event_id.size
@@ -252,41 +277,68 @@ def _event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
-    """Threads for `generate`: all CPUs when unset or 0, at most one per CPU and per chunk."""
+    """Sampling threads: all CPUs when unset or 0, at most one per CPU and per chunk."""
     cpus = cpus or 1
     return min(requested or cpus, cpus, n_chunks)
 
 
-def generate(config: SampleConfig) -> EventTable:
-    """Sample the configured events; bit-identical for any worker count.
-
-    Each model's `kernel` maps uniforms of shape (events, 4) to directions
-    of shape (events, len(roles), 3).  Pair and cascade models emit two
-    rows per event id, in the fixed role order, so the table holds
-    events * len(roles) rows sorted by id.
-    """
-    model = config.model
+def _table(model, first_id: int, n: np.ndarray) -> EventTable:
+    """EventTable of events first_id, first_id + 1, ... whose rows `n` are in role order."""
     n_roles = len(model.roles)
-    per_event = np.empty((config.events, n_roles, 3))
-    starts = list(range(0, config.events, _CHUNK))
-
-    def run(start: int) -> None:
-        count = min(_CHUNK, config.events - start)
-        per_event[start:start + count] = model.kernel(_event_uniforms(config.seed, start, count))
-
-    workers = _pool_size(config.workers, os.cpu_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))  # reading the results re-raises a worker's error
-    else:
-        for start in starts:
-            run(start)
-
+    count = n.shape[0] // n_roles
     return EventTable(
-        event_id=np.repeat(np.arange(config.events, dtype=np.uint64), n_roles),
-        role_code=np.tile(np.arange(n_roles, dtype=_code_dtype(n_roles)), config.events),
-        channel_code=np.zeros(config.events * n_roles, dtype=_code_dtype(1)),
-        n=per_event.reshape(-1, 3),
+        event_id=np.repeat(np.arange(first_id, first_id + count, dtype=np.uint64), n_roles),
+        role_code=np.tile(np.arange(n_roles, dtype=_code_dtype(n_roles)), count),
+        channel_code=np.zeros(count * n_roles, dtype=_code_dtype(1)),
+        n=n,
         roles=model.roles,
         channels=(model.channel,),
     )
+
+
+def iter_chunks(config: SampleConfig) -> Iterator[EventTable]:
+    """The configured events as one EventTable per _CHUNK events, in id order.
+
+    Each model's `kernel` maps uniforms of shape (events, 4) to directions
+    of shape (events, len(roles), 3); pair and cascade models emit two rows
+    per event id, in the fixed role order.  Chunks are sampled on up to
+    `_pool_size` threads with at most two chunks per thread in flight, so
+    memory stays bounded for any event count.
+    """
+    model = config.model
+    starts = range(0, config.events, _CHUNK)
+
+    def sample(start: int) -> np.ndarray:
+        count = min(_CHUNK, config.events - start)
+        return model.kernel(_event_uniforms(config.seed, start, count)).reshape(-1, 3)
+
+    workers = _pool_size(config.workers, os.cpu_count(), len(starts))
+    if workers == 1:
+        yield from (_table(model, start, sample(start)) for start in starts)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = (pool.submit(sample, start) for start in starts)  # submitted when drawn
+        in_flight = deque(itertools.islice(futures, 2 * workers))
+        try:
+            for start in starts:
+                # .result() re-raises a worker's error; no name keeps the chunk alive here
+                yield _table(model, start, in_flight.popleft().result())
+                in_flight.extend(itertools.islice(futures, 1))
+        finally:
+            for future in in_flight:  # a consumer that stops early
+                future.cancel()
+
+
+def generate(config: SampleConfig) -> EventTable:
+    """Sample the configured events into one table; bit-identical for any worker count.
+
+    The table holds events * len(roles) rows sorted by id, filled chunk by
+    chunk from `iter_chunks`.
+    """
+    n = np.empty((config.events * len(config.model.roles), 3))
+    row = 0
+    for chunk in iter_chunks(config):
+        n[row:row + len(chunk)] = chunk.n
+        row += len(chunk)
+        del chunk  # free it before the next chunk is sampled
+    return _table(config.model, 0, n)

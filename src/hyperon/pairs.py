@@ -8,12 +8,15 @@ density for the singlet is (1/(4 pi)^2)(1 - k n1.n2), entanglement is
 witnessed by 1/3 - k < 0, and in the magic-simplex picture the accessible
 correlation tensor shrinks by k.
 
-Estimators consume plain (N, 3) direction arrays, so event batches can be
-split and merged by weighted means.
+The estimators reduce paired (N, 3) direction arrays to `PairMoments`,
+sufficient statistics that merge block by block, so an event file is
+estimated as it streams past and never held whole.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,46 +84,99 @@ def witness_value(model: PairModel) -> float:
     return 1.0 / 3.0 - model.k
 
 
-def _paired_directions(n1, n2) -> tuple[np.ndarray, np.ndarray]:
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    if n1.ndim != 2 or n1.shape[1] != 3 or n1.shape != n2.shape:
-        raise ValueError("expected matching (N, 3) direction arrays")
-    if n1.shape[0] < _MIN_EVENTS:
-        raise ValueError(f"need at least {_MIN_EVENTS} events, got {n1.shape[0]}")
-    return n1, n2
+@dataclass(frozen=True)
+class PairMoments:
+    """Sufficient statistics of paired direction samples (n1, n2).
+
+    The count; the mean and the sum of squared deviations (M2) of n1.n2;
+    and the sum over samples of the outer product n1 n2^T.  Blocks of
+    samples merge exactly with the pairwise update of Chan, Golub and
+    LeVeque (Am. Stat. 37, 242, 1983), so the estimators can consume a
+    stream of blocks in bounded memory.
+    """
+
+    count: int = 0
+    dot_mean: float = 0.0
+    dot_m2: float = 0.0
+    cross: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+
+    @classmethod
+    def of(cls, n1, n2) -> PairMoments:
+        """Moments of one block of matching (N, 3) direction arrays."""
+        n1 = np.asarray(n1, dtype=float)
+        n2 = np.asarray(n2, dtype=float)
+        if n1.ndim != 2 or n1.shape[1] != 3 or n1.shape != n2.shape:
+            raise ValueError("expected matching (N, 3) direction arrays")
+        if n1.shape[0] == 0:
+            return cls()
+        dots = np.einsum("ij,ij->i", n1, n2)
+        mean = dots.mean()
+        # einsum sums in the order of the (N, 3, 3) product's mean, without that temporary
+        return cls(dots.size, float(mean), float(((dots - mean) ** 2).sum()),
+                   np.einsum("ij,ik->jk", n1, n2))
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PairMoments:
+        """Moments of a stream of (n1, n2) blocks."""
+        return functools.reduce(cls.merge, (cls.of(n1, n2) for n1, n2 in blocks), cls())
+
+    def merge(self, other: PairMoments) -> PairMoments:
+        if not other.count:
+            return self
+        if not self.count:
+            return other
+        count = self.count + other.count
+        delta = other.dot_mean - self.dot_mean
+        return PairMoments(
+            count,
+            self.dot_mean + delta * (other.count / count),
+            self.dot_m2 + other.dot_m2 + delta**2 * (self.count * other.count / count),
+            self.cross + other.cross,
+        )
+
+    def _require_events(self) -> None:
+        if self.count < _MIN_EVENTS:
+            raise ValueError(f"need at least {_MIN_EVENTS} events, got {self.count}")
+
+    def witness(self) -> tuple[float, float]:
+        """Witness estimate and its standard error.
+
+        The singlet moment identity E[n1.n2] = -k/3 turns the witness
+        1/3 - k into 1/3 + 3 E[n1.n2]; the error is the plug-in standard
+        error of the sample mean.
+        """
+        self._require_events()
+        value = 1.0 / 3.0 + 3.0 * self.dot_mean
+        stderr = 3.0 * np.sqrt(self.dot_m2 / (self.count - 1)) / np.sqrt(self.count)
+        return float(value), float(stderr)
+
+    def correlations(self, model: PairModel | None = None, renormalize: bool = False) -> np.ndarray:
+        """Spin-correlation matrix estimate <sigma_i x sigma_j>.
+
+        Raw mode returns M_ij = 9 mean(n1_i n2_j), the direction-moment
+        estimate of the k-scaled correlations (for the singlet: -k on the
+        diagonal).  Renormalized mode divides by alpha_L alpha_Lbar so the
+        singlet gives -identity; the renormalized numbers presuppose the
+        analyzing powers and are therefore not admissible inputs to a Bell
+        test.
+        """
+        self._require_events()
+        m = 9.0 * (self.cross / self.count)
+        if renormalize:
+            if model is None or model.k == 0.0:
+                raise ValueError("renormalization requires a model with nonzero analyzing powers")
+            m = m / model.k
+        return m
 
 
 def witness_estimate(n1, n2) -> tuple[float, float]:
-    """Witness estimate and its standard error from paired direction samples.
-
-    The singlet moment identity E[n1.n2] = -k/3 turns the witness 1/3 - k
-    into 1/3 + 3 E[n1.n2]; the error is the plug-in standard error of the
-    sample mean.
-    """
-    n1, n2 = _paired_directions(n1, n2)
-    dots = np.einsum("ij,ij->i", n1, n2)
-    value = 1.0 / 3.0 + 3.0 * dots.mean()
-    stderr = 3.0 * dots.std(ddof=1) / np.sqrt(dots.size)
-    return float(value), float(stderr)
+    """Witness estimate and its standard error from paired direction samples (`PairMoments.witness`)."""
+    return PairMoments.of(n1, n2).witness()
 
 
 def correlation_estimate(n1, n2, model: PairModel | None = None, renormalize: bool = False) -> np.ndarray:
-    """Spin-correlation matrix estimate <sigma_i x sigma_j> from direction samples.
-
-    Raw mode returns M_ij = 9 mean(n1_i n2_j), the direction-moment estimate
-    of the k-scaled correlations (for the singlet: -k on the diagonal).
-    Renormalized mode divides by alpha_L alpha_Lbar so the singlet gives
-    -identity; the renormalized numbers presuppose the analyzing powers and
-    are therefore not admissible inputs to a Bell test.
-    """
-    n1, n2 = _paired_directions(n1, n2)
-    m = 9.0 * (n1[:, :, None] * n2[:, None, :]).mean(axis=0)
-    if renormalize:
-        if model is None or model.k == 0.0:
-            raise ValueError("renormalization requires a model with nonzero analyzing powers")
-        m = m / model.k
-    return m
+    """Spin-correlation matrix estimate from direction samples (`PairMoments.correlations`)."""
+    return PairMoments.of(n1, n2).correlations(model, renormalize)
 
 
 @dataclass(frozen=True)

@@ -222,3 +222,17 @@ class TestKrausStructure:
                 tau0=1.0, tau=np.array([0.5, 0, 0]), omega_plus=0.9, omega_minus=0.1,
                 n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]),
             )
+
+    @pytest.mark.parametrize("tau0, tau, omega_plus, omega_minus, match", [
+        (np.nan, [0.5, 0.0, 0.0], 0.75, 0.25, "must be positive"),
+        (1.0, [0.5, np.nan, 0.0], 0.75, 0.25, "exceeds tau0"),
+        (1.0, [0.5, 0.0, 0.0], np.nan, 0.25, "inconsistent"),
+        (1.0, [0.5, 0.0, 0.0], 0.75, np.nan, "inconsistent"),
+    ])
+    def test_kraus_record_rejects_nan(self, tau0, tau, omega_plus, omega_minus, match):
+        valid = dict(tau0=1.0, tau=np.array([0.5, 0.0, 0.0]), omega_plus=0.75, omega_minus=0.25,
+                     n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]))
+        CascadeKraus(**valid)
+        with pytest.raises(ValueError, match=match):
+            CascadeKraus(**valid | dict(tau0=tau0, tau=np.array(tau), omega_plus=omega_plus,
+                                        omega_minus=omega_minus))

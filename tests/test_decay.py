@@ -169,6 +169,17 @@ class TestKraus:
         with pytest.raises(ValueError, match="sum to 1"):
             KrausPair(0.7, 0.4, w1=np.zeros(3), w2=np.array([1.0, 0, 0]))
 
+    @pytest.mark.parametrize("omega_plus, omega_minus, w1, w2, match", [
+        (np.nan, 0.5, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], "sum to 1"),
+        (0.5, np.nan, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], "sum to 1"),
+        (0.5, 0.5, [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], "orthogonal"),
+        (0.5, 0.5, [0.0, 0.0, 0.0], [1.0, np.nan, 0.0], "orthogonal"),
+    ])
+    def test_pair_rejects_nan(self, omega_plus, omega_minus, w1, w2, match):
+        KrausPair(0.5, 0.5, w1=np.zeros(3), w2=np.array([1.0, 0.0, 0.0]))  # the valid base
+        with pytest.raises(ValueError, match=match):
+            KrausPair(omega_plus, omega_minus, w1=np.array(w1), w2=np.array(w2))
+
     def test_operators_are_hermitian_projector_multiples(self):
         rng = np.random.default_rng(13)
         a = random_amplitudes(rng)

@@ -1,0 +1,346 @@
+"""Block-streamed event files: reading, pairing, estimating and writing in small blocks.
+
+Each test shrinks the read block to a few hundred bytes, or the sampling
+chunk to a few events, so that block boundaries fall inside a handful of
+rows and every carry path runs.
+"""
+
+import hashlib
+import sys
+
+import numpy as np
+import pytest
+
+from hyperon import dataio, mc
+from hyperon.cli import main
+from hyperon.dataio import (
+    EventFileError,
+    format_events,
+    iter_events,
+    iter_pairs,
+    paired_directions,
+    read_events,
+)
+from hyperon.mc import EventTable, PairCorrelationModel, SampleConfig, generate, iter_chunks
+from hyperon.pairs import PairMoments, correlation_estimate, witness_estimate
+
+HEADER = "event_id,role,channel,nx,ny,nz"
+ROW = "{},pair-{},x,0,0,1\n"  # 17 bytes for a one-digit id
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Set the read block to `size` bytes."""
+    def set_size(size: int) -> None:
+        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", size)
+    return set_size
+
+
+def pair_file(tmp_path, table: EventTable, name="events.csv"):
+    path = tmp_path / name
+    path.write_text(format_events(table))
+    return path
+
+
+def shuffled(table: EventTable, seed=0) -> EventTable:
+    order = np.random.default_rng(seed).permutation(len(table))
+    return EventTable(table.event_id[order], table.role_code[order], table.channel_code[order],
+                      table.n[order], table.roles, table.channels)
+
+
+def streamed_moments(path) -> PairMoments:
+    return PairMoments.from_blocks(iter_pairs(iter_events(path)))
+
+
+class TestReadBlocks:
+    def test_blocks_hold_whole_lines(self, tmp_path, small_blocks):
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + "".join(ROW.format(i, 1 + j) for i in range(6) for j in range(2)))
+        small_blocks(3 * 17 - 1)  # a block ends at the line that takes it past the size
+        assert [len(t) for t in iter_events(path)] == [3, 3, 3, 3]
+
+    def test_read_events_is_concatenated_blocks(self, tmp_path, small_blocks):
+        # interleaved roles and channels that first appear in later blocks
+        roles = [("pair-1", "single", "pair-2")[i % 3] for i in range(300)]
+        channels = [f"ch-{(7 * i) % 50}" for i in range(300)]
+        table = EventTable.from_names(np.arange(300, dtype=np.uint64), roles, channels,
+                                      np.tile([0.0, 0.6, 0.8], (300, 1)))
+        path = pair_file(tmp_path, table)
+        small_blocks(500)
+        blocks = list(iter_events(path))
+        assert len(blocks) > 10
+        whole = read_events(path)
+        joined = EventTable.concat(blocks)
+        for got in (whole, joined):
+            assert got.roles == table.roles and got.channels == table.channels
+            assert np.array_equal(got.event_id, table.event_id)
+            assert np.array_equal(got.role_code, table.role_code)
+            assert np.array_equal(got.channel_code, table.channel_code)
+            assert np.array_equal(got.n, table.n)
+        assert format_events(whole) == format_events(blocks) == path.read_text()
+
+    def test_bad_line_in_third_block(self, tmp_path, small_blocks):
+        lines = [ROW.format(i, 1) for i in range(9)]
+        lines[6] = "6,pair-1,x,0,0,2\n"  # the first line of the third block
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + "".join(lines))
+        small_blocks(3 * 17 - 1)
+        blocks = []
+        with pytest.raises(EventFileError) as err:
+            for table in iter_events(path):
+                blocks.append(table)
+        assert len(blocks) == 2  # the first two blocks were read before the error
+        # the line number counts from the top of the file, the last good id is in block 2
+        assert str(err.value) == f"{path}:8: direction is not unit length (last good event id: 5)"
+
+    def test_bad_line_inside_a_later_block(self, tmp_path, small_blocks):
+        lines = [ROW.format(i, 1) for i in range(9)]
+        lines[7] = "7,pair-1,x,0,0\n"
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + "".join(lines))
+        small_blocks(3 * 17 - 1)
+        with pytest.raises(EventFileError) as err:
+            read_events(path)
+        assert str(err.value) == f"{path}:9: expected 6 fields, got 5 (last good event id: 6)"
+
+    def test_undecodable_byte_in_later_block(self, tmp_path, small_blocks, capsys):
+        table = generate(SampleConfig(seed=3, events=2000, model=PairCorrelationModel(k=0.46)))
+        path = tmp_path / "events.csv"
+        text = format_events(table).encode()
+        cut = text.index(b"\n", len(text) - 200) + 1  # a line start well past the first 8 KiB
+        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        small_blocks(300)
+        blocks = []
+        with pytest.raises(EventFileError, match="cannot read event file"):
+            for block in iter_events(path):
+                blocks.append(block)
+        assert blocks
+        assert main(["analyze", "witness", "--events", str(path)]) == 2
+        assert "cannot read event file" in capsys.readouterr().err
+
+    def test_blank_block_yields_nothing(self, tmp_path, small_blocks):
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + ROW.format(0, 1) + "\n" * 40 + ROW.format(0, 2))
+        small_blocks(10)
+        assert [len(t) for t in iter_events(path)] == [1, 1]
+        assert read_events(path).event_id.tolist() == [0, 0]
+
+
+class TestPairing:
+    def test_pair_split_across_block_boundary(self, tmp_path, small_blocks):
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + "".join(ROW.format(i, 1 + j) for i in range(6) for j in range(2)))
+        small_blocks(3 * 17 - 1)
+        # blocks hold rows 0-2, 3-5, 6-8, 9-11: events 1 and 4 straddle a boundary
+        assert [len(n1) for n1, _ in iter_pairs(iter_events(path))] == [1, 2, 1, 2]
+
+    def test_shuffled_file_carries_across_many_blocks(self, tmp_path, small_blocks):
+        table = generate(SampleConfig(seed=4, events=400, model=PairCorrelationModel(k=0.46)))
+        path = pair_file(tmp_path, shuffled(table))
+        small_blocks(400)
+        blocks = list(iter_pairs(iter_events(path)))
+        assert len(blocks) > 50
+        # a pair completes when its second row arrives: about a quarter of
+        # them by half way through a shuffled file
+        assert sum(len(n1) for n1, _ in blocks[:len(blocks) // 2]) < 150
+        n1 = np.concatenate([b[0] for b in blocks])
+        n2 = np.concatenate([b[1] for b in blocks])
+        assert n1.shape == (400, 3)
+        # each matched pair is a generated pair, each exactly once
+        want = {tuple(np.r_[a, b]) for a, b in zip(*paired_directions(read_events(path)))}
+        assert {tuple(np.r_[a, b]) for a, b in zip(n1, n2)} == want
+        moments = streamed_moments(path)
+        assert moments.count == 400
+
+    @pytest.mark.parametrize("block_bytes", [64, 700, 1 << 21])
+    def test_estimates_independent_of_block_size(self, tmp_path, small_blocks, block_bytes):
+        table = generate(SampleConfig(seed=6, events=3000, model=PairCorrelationModel(k=0.46)))
+        path = pair_file(tmp_path, table)
+        n1, n2 = table.n[0::2], table.n[1::2]
+        small_blocks(block_bytes)
+        moments = streamed_moments(path)
+        # the file holds 9 digits, so compare with the directions read back whole
+        r1, r2 = paired_directions(read_events(path))
+        assert moments.count == 3000
+        np.testing.assert_allclose(moments.witness(), witness_estimate(r1, r2), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moments.correlations(), correlation_estimate(r1, r2),
+                                   rtol=1e-12, atol=0)
+        assert abs(moments.witness()[0] - witness_estimate(n1, n2)[0]) < 1e-8
+
+
+def pair_events(count: int, extra_rows=(), drop_rows=()) -> str:
+    """Event-file text of `count` pairs, minus `drop_rows`, plus `extra_rows` (text lines)."""
+    lines = [ROW.format(i, 1 + j) for i in range(count) for j in range(2)]
+    lines = [line for i, line in enumerate(lines) if i not in drop_rows]
+    return HEADER + "\n" + "".join(lines) + "".join(extra_rows)
+
+
+class TestPairingErrorsThroughCli:
+    # (file text, exit code, stderr): one case per check, then the precedence among them
+    CASES = {
+        "roles": (pair_events(150, extra_rows=["150,single,x,0,0,1\n"]), 2,
+                  "data error: expected pair events with roles ('pair-1', 'pair-2'), "
+                  "found ['pair-1', 'pair-2', 'single']\n"),
+        "partner": (pair_events(150, drop_rows={7}), 2,
+                    "data error: pair roles do not cover the same event ids\n"),
+        "repeated": (pair_events(150, extra_rows=[ROW.format(3, 1), ROW.format(3, 2)]), 2,
+                     "data error: event id 3 appears more than once per pair role\n"),
+        "too few": (pair_events(50), 1, "error: need at least 100 events, got 50\n"),
+        "roles before partner": (pair_events(150, ["150,single,x,0,0,1\n"], drop_rows={7}), 2,
+                                 "data error: expected pair events with roles ('pair-1', 'pair-2'), "
+                                 "found ['pair-1', 'pair-2', 'single']\n"),
+        "partner before repeated": (pair_events(150, [ROW.format(3, 1)]), 2,
+                                    "data error: pair roles do not cover the same event ids\n"),
+        "repeated before too few": (pair_events(50, [ROW.format(3, 2), ROW.format(3, 1)]), 2,
+                                    "data error: event id 3 appears more than once per pair role\n"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("block_bytes", [100, 1 << 21])
+    def test_error_text(self, tmp_path, small_blocks, capsys, case, block_bytes):
+        text, code, err = self.CASES[case]
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        small_blocks(block_bytes)
+        for what in ("witness", "correlations"):
+            assert main(["analyze", what, "--events", str(path)]) == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == err
+
+
+class TestMoments:
+    def test_merge_matches_one_block(self):
+        rng = np.random.default_rng(7)
+        n1, n2 = rng.normal(size=(2, 1000, 3))
+        whole = PairMoments.of(n1, n2)
+        parts = PairMoments.from_blocks((n1[i:i + 37], n2[i:i + 37]) for i in range(0, 1000, 37))
+        assert parts.count == whole.count == 1000
+        np.testing.assert_allclose(parts.witness(), whole.witness(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(parts.correlations(), whole.correlations(), rtol=1e-12, atol=0)
+
+    def test_one_block_is_the_direct_formula(self):
+        rng = np.random.default_rng(8)
+        n1, n2 = rng.normal(size=(2, 5000, 3))
+        dots = np.einsum("ij,ij->i", n1, n2)
+        assert witness_estimate(n1, n2) == (1.0 / 3.0 + 3.0 * dots.mean(),
+                                            3.0 * dots.std(ddof=1) / np.sqrt(dots.size))
+        assert np.array_equal(correlation_estimate(n1, n2),
+                              9.0 * (n1[:, :, None] * n2[:, None, :]).mean(axis=0))
+
+    def test_empty_blocks_change_nothing(self):
+        rng = np.random.default_rng(9)
+        n1, n2 = rng.normal(size=(2, 200, 3))
+        empty = np.empty((0, 3))
+        moments = PairMoments.from_blocks([(empty, empty), (n1, n2), (empty, empty)])
+        one = PairMoments.of(n1, n2)
+        assert (moments.count, moments.dot_mean, moments.dot_m2) == (one.count, one.dot_mean, one.dot_m2)
+        assert np.array_equal(moments.cross, one.cross)
+        assert PairMoments.from_blocks([]).count == 0
+
+
+class TestChunks:
+    def test_chunks_in_id_order(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK", 7)
+        config = SampleConfig(seed=1, events=50, model=PairCorrelationModel(k=0.46), workers=2)
+        chunks = list(iter_chunks(config))
+        assert [len(c) for c in chunks] == [14] * 7 + [2]
+        assert np.array_equal(np.concatenate([c.event_id for c in chunks]), np.repeat(np.arange(50), 2))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_in_flight_bounded(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "_CHUNK", 5)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        started = []
+        uniforms = mc._event_uniforms
+
+        def counting(seed, start, count):
+            started.append(start)
+            return uniforms(seed, start, count)
+
+        monkeypatch.setattr(mc, "_event_uniforms", counting)
+        config = SampleConfig(seed=2, events=200, model=PairCorrelationModel(k=0.2), workers=workers)
+        for taken, _ in enumerate(iter_chunks(config), start=1):
+            # the chunk being consumed and at most 2 x workers more
+            assert len(started) <= taken + (2 * workers if workers > 1 else 0)
+        assert sorted(started) == list(range(0, 200, 5))
+
+    def test_generate_equals_chunks(self, monkeypatch):
+        config = SampleConfig(seed=3, events=1000, model=PairCorrelationModel(k=0.46), workers=2)
+        reference = generate(config)
+        monkeypatch.setattr(mc, "_CHUNK", 9)
+        table = generate(config)
+        chunks = EventTable.concat(iter_chunks(config))
+        for got in (table, chunks):
+            assert np.array_equal(got.n, reference.n)
+            assert np.array_equal(got.event_id, reference.event_id)
+            assert np.array_equal(got.role_code, reference.role_code)
+
+    def test_more_workers_than_cores_keep_order(self, monkeypatch):
+        # eight threads on small chunks, switching often: chunks still come in id order
+        serial = generate(SampleConfig(seed=6, events=3000, model=PairCorrelationModel(k=0.46), workers=1))
+        monkeypatch.setattr(mc, "_CHUNK", 16)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            config = SampleConfig(seed=6, events=3000, model=PairCorrelationModel(k=0.46), workers=8)
+            chunks = list(iter_chunks(config))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(np.concatenate([c.event_id for c in chunks]), serial.event_id)
+        assert np.array_equal(np.concatenate([c.n for c in chunks]), serial.n)
+
+    def test_consumer_that_stops_early(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK", 5)
+        chunks = iter_chunks(SampleConfig(seed=4, events=500, model=PairCorrelationModel(k=0.2),
+                                          workers=2))
+        first = next(chunks)
+        chunks.close()
+        assert first.event_id.tolist() == np.repeat(np.arange(5), 2).tolist()
+
+
+SIMULATE = ["--seed", "9", "simulate", "pair", "--k", "0.46", "--events", "100"]
+
+
+def test_simulate_bytes_independent_of_chunks_threads_and_target(capsys, tmp_path, monkeypatch):
+    assert main([*SIMULATE, "--out", "-"]) == 0
+    reference = capsys.readouterr().out
+    monkeypatch.setattr(mc, "_CHUNK", 7)  # 15 chunks: more than 2 x workers in flight
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    digests = set()
+    for threads in ("1", "2"):
+        path = tmp_path / f"events-{threads}.csv"
+        assert main([*SIMULATE, "--threads", threads, "--out", str(path)]) == 0
+        assert capsys.readouterr().err == f"wrote 200 records to {path}\n"
+        digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert main([*SIMULATE, "--threads", threads]) == 0
+        digests.add(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == {hashlib.sha256(reference.encode()).hexdigest()}
+
+
+def test_bad_name_in_a_later_chunk_leaves_no_file(tmp_path):
+    good = EventTable.from_names(np.arange(2, dtype=np.uint64), ["single"] * 2, ["x"] * 2,
+                                 np.tile([0.0, 0.0, 1.0], (2, 1)))
+    bad = EventTable.from_names(np.arange(2, 4, dtype=np.uint64), ["single"] * 2, ["a,b"] * 2,
+                                np.tile([0.0, 0.0, 1.0], (2, 1)))
+    path = tmp_path / "events.csv"
+    with pytest.raises(EventFileError, match="contains a comma"):
+        dataio.write_events(path, iter([good, bad]))
+    assert not path.exists()
+
+
+def test_worker_error_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(mc, "_CHUNK", 5)
+    uniforms = mc._event_uniforms
+
+    def failing(seed, start, count):
+        if start == 40:
+            raise MemoryError("no room for the chunk")
+        return uniforms(seed, start, count)
+
+    monkeypatch.setattr(mc, "_event_uniforms", failing)
+    path = tmp_path / "events.csv"
+    config = SampleConfig(seed=5, events=100, model=PairCorrelationModel(k=0.2), workers=2)
+    with pytest.raises(MemoryError):
+        dataio.write_events(path, iter_chunks(config))
+    assert not path.exists()
