@@ -24,7 +24,6 @@ from .qcore import (
 )
 from .decay import (
     DecayAmplitudes,
-    DecayChannel,
     DecayParameters,
     KrausPair,
     amplitudes_from_params,

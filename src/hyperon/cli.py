@@ -166,9 +166,18 @@ def _cmd_simulate(args) -> None:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    chunks = mc.iter_chunks(config)  # written as they are sampled
+    # each chunk is formatted on the thread that sampled it, and written as it arrives
+    chunks = mc.iter_chunks(config, dataio.format_blocks)
     if args.out is None or args.out == "-":
-        dataio.write_events(sys.stdout, chunks)
+        try:
+            dataio.write_events(sys.stdout, chunks)
+            sys.stdout.flush()
+        except OSError as exc:  # such as a closed pipe
+            # the interpreter flushes stdout again at exit; send that flush to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise DataError(f"cannot write event stream: {exc}") from None
     else:
         dataio.write_events(args.out, chunks)
         print(f"wrote {config.events * len(model.roles)} records to {args.out}", file=sys.stderr)

@@ -8,9 +8,9 @@ with `#` comment lines.  The event file is the header
 id, a role and a channel free of commas and line breaks, and a unit
 direction printed with 9 significant digits, so unit norms survive a round
 trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
-files are written and read in blocks of rows, each parsed in one vectorised
-pass, and pair rows are matched as the blocks stream past, so neither
-direction needs the whole file in memory."""
+files are written and read in blocks of rows, each formatted or parsed in
+one vectorised pass, and pair rows are matched as the blocks stream past,
+so neither direction needs the whole file in memory."""
 
 from __future__ import annotations
 
@@ -26,14 +26,13 @@ from typing import NoReturn
 
 import numpy as np
 
-from .decay import DecayChannel, DecayParameters, params_from_alpha_phi
+from .decay import DecayParameters, params_from_alpha_phi
 from .mc import EventTable, ROLE_PAIR
 
 log = logging.getLogger(__name__)
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
 _EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
-_BLOCK_ROWS = 65_536
 # text per parsed block, about 37,000 pair rows; 2^22 bytes parsed no
 # faster and took 12 MB more peak memory
 _READ_BLOCK_BYTES = 1 << 21
@@ -81,19 +80,6 @@ class ParameterRow:
     def params(self) -> DecayParameters:
         return params_from_alpha_phi(
             self.alpha, self.phi_over_pi * np.pi, gamma_sign=self.gamma_sign
-        )
-
-    def decay_channel(self) -> DecayChannel:
-        daughters = tuple(self.channel.split())
-        if len(daughters) != 2:
-            raise ParameterFileError(
-                f"channel {self.channel!r} does not name exactly two daughters"
-            )
-        return DecayChannel(
-            parent=self.parent,
-            daughters=daughters,
-            branching=self.branching,
-            params=self.params(),
         )
 
 
@@ -177,54 +163,211 @@ def _check_names(names, what: str) -> None:
             raise EventFileError(f"{what} name {name!r} contains a comma or line break")
 
 
-class _Prefixes(dict):
-    """"role,channel" text by key role_code * len(channels) + channel_code, made on first use."""
-
-    def __init__(self, roles, channels):
-        super().__init__()
-        self.roles, self.channels = roles, channels
-
-    def __missing__(self, key: int) -> str:
-        role, channel = divmod(key, len(self.channels))
-        text = self[key] = f"{self.roles[role]},{self.channels[channel]}"
-        return text
+# event-row formatting: each row is laid out in fixed-width uint32 words whose
+# zero bytes are padding, then the nonzero bytes are joined in one pass
+# rows per formatted block: whole 131,072-row chunks peaked 75 MB higher, and ran slower
+_FORMAT_ROWS = 1 << 14
 
 
-def _row_blocks(table: EventTable) -> Iterator[str]:
-    """Check the table's names, then return an iterator over its rows' text, _BLOCK_ROWS at a time."""
+def _words(table: np.ndarray) -> np.ndarray:
+    """Rows of at most four bytes, zero padded, as one uint32 word each."""
+    return np.pad(table, ((0, 0), (0, 4 - table.shape[1]))).astype(np.uint8).view(np.uint32).ravel()
+
+
+_DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_NONZERO = _DIGITS != ord("0")
+# word g: the three digits of g with trailing (leading) zeros dropped, for the
+# last (first) nonzero group of a number; word 1000 + g: all three digits
+_TRAILING = _words(np.concatenate([
+    np.where(np.logical_or.accumulate(_NONZERO[:, ::-1], axis=1)[:, ::-1], _DIGITS, 0), _DIGITS]))
+_LEADING = _words(np.concatenate([
+    np.where(np.logical_or.accumulate(_NONZERO, axis=1), _DIGITS, 0), _DIGITS]))
+# the first word of a component: comma, sign, integer digit and point, at 4 * negative + 2 * integer + point
+_HEAD = _words(np.array([[ord(","), ord("-") * s, ord("0") + i, ord(".") * p]
+                         for s in (0, 1) for i in (0, 1) for p in (0, 1)]))
+_ZERO, _NEWLINE = _words(np.array([[ord("0")], [ord("\n")]]))
+_POW10 = 10.0 ** np.arange(13)  # exact doubles 1 .. 1e12
+_POW10_INT = 10 ** np.arange(13, dtype=np.int64)
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = v * _SPLIT
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _round_scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The integers nearest the exact products a * 10**k, ties to even, where a * 10**k < 2**52.
+
+    rint of the rounded product is exact unless its fraction lies within
+    1e-6 of one half (the product's error is below 1.2e-7 up to 10**9);
+    those few are redone from the exact error of the product, found with
+    Dekker's TwoProduct (Numer. Math. 18, 1971), which needs no FMA.
+    """
+    s = _POW10[k]
+    p = a * s
+    q = np.rint(p)
+    near = np.nonzero(np.abs(p - np.floor(p) - 0.5) < 1e-6)
+    if near[0].size:
+        a, s, p = a[near], s[near], p[near]
+        (ah, al), (sh, sl) = _split(a), _split(s)
+        error = ((ah * sh - p) + ah * sl + al * sh) + al * sl  # a * s - p, exactly
+        floor = np.floor(p)
+        above = (p - floor - 0.5) + error  # of exact sign, as p - floor - 0.5 is exact
+        q[near] = floor + ((above > 0) | ((above == 0) & (floor % 2 == 1)))
+    return q
+
+
+def _groups(v: np.ndarray, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The value of v above its last `count` groups of three decimal digits, and those groups in order."""
+    groups = []
+    for _ in range(count):
+        upper = v // 1000  # a remainder costs four times a constant division
+        groups.append(v - upper * 1000)
+        v = upper
+    return v, groups[::-1]
+
+
+def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``",%.9g" % v`` for each v of x into `out`, uint32 of shape x.shape + (5,).
+
+    Only values with |v| in [1e-4, 1] or v = +-0 are written, as comma,
+    sign, integer digit and point, then 12 decimals in four words, with
+    zero bytes for a plus sign, trailing zeros and a bare point; %g prints
+    these values, whose 9-digit exponents lie in -4..0, in this fixed
+    notation.  Returns the mask of the values written; the other words of
+    `out` hold junk.
+    """
+    a = np.abs(x)
+    fast = ((a >= 1e-4) & (a <= 1.0)) | (a == 0.0)  # NaN is not fast
+    a = np.where(fast, a, 0.0)
+    # k = 8 - floor(log10 a), exactly: each double power of ten here lies above
+    # the real one, so a >= 1e-3 exactly when a >= 10**-3
+    k = 12 - (a >= 1e-3) - (a >= 1e-2) - (a >= 1e-1) - (a >= 1.0)
+    # q has 9 digits, or is 10**9 where rounding carries into the next decade;
+    # q * 10**(12 - k) is then the same as 10**8 one decade up, so k needs no correction
+    q = _round_scaled(a, k)
+    # the value times 10**12: an integer digit, then four groups of three decimals
+    integer, groups = _groups(q.astype(np.int64) * _POW10_INT[12 - k], 4)
+    later = False  # a later decimal group is nonzero, so this group keeps its trailing zeros
+    for word in range(4, 0, -1):
+        group = groups[word - 1]
+        out[..., word] = _TRAILING[group + 1000 * later]
+        later = later | (group > 0)
+    out[..., 0] = _HEAD[4 * np.signbit(x) + 2 * integer + later]
+    return fast
+
+
+def _format_ids(ids: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%d" % i`` for each uint64 i of ids into `out`, uint32 of shape (len(ids), words).
+
+    Each word holds a group of three digits, found with exact integer
+    arithmetic, so ids up to 2**64 - 1 fit 7 words; leading zeros are zero
+    bytes.
+    """
+    seen = False  # an earlier group is nonzero, so this group keeps its leading zeros
+    for word, group in enumerate(_groups(ids, out.shape[1])[1]):
+        group = group.astype(np.intp)
+        out[:, word] = _LEADING[group + 1000 * seen]
+        seen = seen | (group > 0)
+    out[~seen, -1] = _ZERO
+
+
+def _format_block(table: EventTable, rows: slice) -> str:
+    """The event-file text of `table[rows]`, byte for byte ``_EVENT_ROW % row`` for every row.
+
+    Each row is laid out in words: the id, the ",role,channel" bytes of
+    the row's key (templates made for the keys present), the three
+    components and a line break.  Zero bytes are padding, dropped when
+    the words are joined.  A row the layout cannot hold (a component
+    outside the range of _format_unit, a negative id, or a name holding a
+    NUL) is formatted with `_EVENT_ROW` and spliced in.
+    """
+    ids, n = table.event_id[rows], table.n[rows]
+    count = len(ids)
+    keys = table.role_code[rows].astype(np.intp) * len(table.channels) + table.channel_code[rows]
+    present, key_index = np.unique(keys, return_inverse=True)
+    names = [f"{table.roles[key // len(table.channels)]},{table.channels[key % len(table.channels)]}"
+             for key in present.tolist()]
+    fields = [f",{name}".encode("utf-8", "surrogatepass") for name in names]
+    field_words = -(-max(map(len, fields)) // 4)
+    templates = np.zeros((len(fields), 4 * field_words), np.uint8)
+    for template, field in zip(templates, fields):
+        template[:len(field)] = np.frombuffer(field, np.uint8)
+    ok = np.array([0 not in field for field in fields])[key_index]
+    if ids.dtype.kind in "iu":
+        ok &= ids >= 0
+        ids = np.where(ok, ids, 0).astype(np.uint64)
+    else:
+        ok[:] = False
+        ids = np.zeros(count, np.uint64)
+    id_words = max(1, -(-len(str(int(ids.max(initial=0)))) // 3))
+    words = np.empty((count, id_words + field_words + 16), np.uint32)
+    _format_ids(ids, words[:, :id_words])
+    words[:, id_words:id_words + field_words] = templates.view(np.uint32)[key_index]
+    components = words[:, id_words + field_words:-1].reshape(count, 3, 5)
+    ok &= _format_unit(np.asarray(n, dtype=float), components).all(axis=1)
+    words[:, -1] = _NEWLINE
+    text = words.view(np.uint8)
+    pieces, start = [], 0
+    for row in np.flatnonzero(~ok).tolist():
+        part = text[start:row]
+        pieces.append(part[part != 0].tobytes())
+        pieces.append((_EVENT_ROW % (table.event_id[rows][row].item(), names[key_index[row]],
+                                     *n[row].tolist())).encode("utf-8", "surrogatepass"))
+        start = row + 1
+    part = text[start:]
+    pieces.append(part[part != 0].tobytes())
+    return b"".join(pieces).decode("utf-8", "surrogatepass")
+
+
+def _text_blocks(table: EventTable | list[str]) -> Iterator[str]:
+    """Check the table's names, then return an iterator over its rows' text, _FORMAT_ROWS rows at a time.
+
+    A chunk that `format_blocks` made is text already, its names checked.
+    """
+    if not isinstance(table, EventTable):
+        return iter(table)
     _check_names(table.roles, "role")
     _check_names(table.channels, "channel")
-    prefixes = _Prefixes(table.roles, table.channels)
 
     def blocks():
-        for start in range(0, len(table), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            keys = table.role_code[rows].astype(np.int64) * len(table.channels) + table.channel_code[rows]
-            yield "".join(map(_EVENT_ROW.__mod__, zip(
-                table.event_id[rows].tolist(), map(prefixes.__getitem__, keys.tolist()),
-                *table.n[rows].T.tolist(),
-            )))
+        for start in range(0, len(table), _FORMAT_ROWS):
+            yield _format_block(table, slice(start, start + _FORMAT_ROWS))
 
     return blocks()
 
 
-def _event_chunks(tables: EventTable | Iterable[EventTable]) -> Iterator[str]:
+def format_blocks(table: EventTable) -> list[str]:
+    """Check the table's names, then format its event-file rows, in blocks of _FORMAT_ROWS rows.
+
+    The formatting is numpy that releases the GIL, so the sampling
+    threads of `mc.iter_chunks(config, format_blocks)` format their own
+    chunks in parallel; `write_events` writes such formatted chunks as it
+    writes tables.
+    """
+    return list(_text_blocks(table))
+
+
+def _event_chunks(tables: EventTable | Iterable[EventTable | list[str]]) -> Iterator[str]:
     """Check the first table's names, then return an iterator over the event-file text.
 
-    `tables` is one EventTable or an iterable of them, such as the chunks
-    of `mc.iter_chunks`.  The header comes first, then each table's rows in
-    blocks, so a writer need not hold the whole file, as text or as a
-    table.  Each later table's names are checked when it arrives.
+    `tables` is one EventTable or an iterable of EventTables or of their
+    `format_blocks` text, such as the chunks of `mc.iter_chunks`.  The
+    header comes first, then each table's rows in blocks, so a writer
+    need not hold the whole file, as text or as a table.  Each later
+    table's names are checked when it arrives.
     """
     tables = iter((tables,) if isinstance(tables, EventTable) else tables)
-    first = next(tables, None)
-    head = _row_blocks(first) if first is not None else iter(())
+    texts = map(_text_blocks, tables)  # no name holds a written table
+    first = next(texts, iter(()))
 
     def chunks():
         yield EVENT_HEADER + "\n"
-        yield from head
-        for blocks in map(_row_blocks, tables):  # no name holds a written table
-            yield from blocks
+        yield from first
+        for text in texts:
+            yield from text
 
     return chunks()
 
@@ -234,8 +377,8 @@ def format_events(tables: EventTable | Iterable[EventTable]) -> str:
     return "".join(_event_chunks(tables))
 
 
-def write_events(path, tables: EventTable | Iterable[EventTable]) -> None:
-    """Write an EventTable, or an iterable of them, block by block.
+def write_events(path, tables: EventTable | Iterable[EventTable | list[str]]) -> None:
+    """Write an EventTable, or an iterable of them or of their `format_blocks` text, block by block.
 
     `path` is a file path or an open text stream.  The names of the first
     table are checked before anything is written; a write to a path that

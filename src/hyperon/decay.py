@@ -149,23 +149,6 @@ def amplitudes_from_params(p: DecayParameters) -> DecayAmplitudes:
 
 
 @dataclass(frozen=True)
-class DecayChannel:
-    """One weak decay mode of a spin-1/2 hyperon."""
-
-    parent: str
-    daughters: tuple[str, str]
-    branching: float
-    params: DecayParameters
-    spin: float = 0.5
-
-    def __post_init__(self):
-        if self.spin != 0.5:
-            raise ValueError("only spin-1/2 channels can be constructed")
-        if not 0.0 <= self.branching <= 1.0:
-            raise ValueError(f"branching fraction {self.branching} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class KrausPair:
     """Two-outcome channel data: probabilities and quantization Bloch vectors.
 

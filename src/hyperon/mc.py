@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -35,6 +35,8 @@ _CHUNK = 1 << 16
 ROLE_SINGLE = "single"
 ROLE_PAIR = ("pair-1", "pair-2")
 ROLE_CASCADE = ("cascade-mu", "cascade-nu")
+
+_T = TypeVar("_T")
 
 
 def _code_dtype(count: int) -> np.dtype:
@@ -296,25 +298,34 @@ def _table(model, first_id: int, n: np.ndarray) -> EventTable:
     )
 
 
-def iter_chunks(config: SampleConfig) -> Iterator[EventTable]:
+def iter_chunks(
+    config: SampleConfig, apply: Callable[[EventTable], _T] | None = None
+) -> Iterator[EventTable | _T]:
     """The configured events as one EventTable per _CHUNK events, in id order.
 
     Each model's `kernel` maps uniforms of shape (events, 4) to directions
     of shape (events, len(roles), 3); pair and cascade models emit two rows
     per event id, in the fixed role order.  Chunks are sampled on up to
     `_pool_size` threads with at most two chunks per thread in flight, so
-    memory stays bounded for any event count.
+    memory stays bounded for any event count.  With `apply`, each chunk's
+    table is passed to it on the thread that sampled the chunk, and its
+    results are yielded in place of the tables.
     """
     model = config.model
     starts = range(0, config.events, _CHUNK)
 
-    def sample(start: int) -> np.ndarray:
+    def sample(start: int) -> np.ndarray | _T:
         count = min(_CHUNK, config.events - start)
-        return model.kernel(_event_uniforms(config.seed, start, count)).reshape(-1, 3)
+        n = model.kernel(_event_uniforms(config.seed, start, count)).reshape(-1, 3)
+        return n if apply is None else apply(_table(model, start, n))
+
+    def chunk(start: int, sampled: np.ndarray | _T) -> EventTable | _T:
+        # without `apply`, tables are made here, so a chunk in flight holds only its directions
+        return _table(model, start, sampled) if apply is None else sampled
 
     workers = _pool_size(config.workers, os.cpu_count(), len(starts))
     if workers == 1:
-        yield from (_table(model, start, sample(start)) for start in starts)
+        yield from (chunk(start, sample(start)) for start in starts)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = (pool.submit(sample, start) for start in starts)  # submitted when drawn
@@ -322,7 +333,7 @@ def iter_chunks(config: SampleConfig) -> Iterator[EventTable]:
         try:
             for start in starts:
                 # .result() re-raises a worker's error; no name keeps the chunk alive here
-                yield _table(model, start, in_flight.popleft().result())
+                yield chunk(start, in_flight.popleft().result())
                 in_flight.extend(itertools.islice(futures, 1))
         finally:
             for future in in_flight:  # a consumer that stops early

@@ -174,6 +174,25 @@ class TestSimulate:
         assert out.startswith("event_id,role,channel")
         assert len(out.strip().splitlines()) == 7
 
+    def test_closed_stdout_is_data_error(self):
+        # a reader that stops after one line, as `| head -1` does
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperon.cli", "simulate", "pair", "--k", "0.46",
+             "--events", "200000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"event_id,role,channel,nx,ny,nz\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert err.startswith("data error: cannot write event stream: ")
+        assert "Traceback" not in err and "Exception ignored" not in err
+
 
 class TestAnalyze:
     @pytest.fixture()

@@ -60,12 +60,6 @@ class TestBundledParameters:
         with pytest.raises(KeyError, match="Omega"):
             table.find("Omega-")
 
-    def test_decay_channel_construction(self):
-        row = load_bundled_parameters().find("Xi-")
-        channel = row.decay_channel()
-        assert channel.daughters == ("Lambda", "pi-")
-        assert channel.params.alpha == row.alpha
-
     def test_bundled_path_exists(self):
         assert bundled_parameters_path().exists()
 
@@ -352,6 +346,84 @@ class TestEventFiles:
 
 # sha256 of `hyperon simulate ... --events 2000 --seed 7` for the README's
 # three example models; a change of these bytes is a change of the stream
+
+
+def percent_rows(table: EventTable) -> str:
+    """The reference text of a table's rows: each row through `_EVENT_ROW %`."""
+    return "".join(
+        dataio._EVENT_ROW % (i, f"{table.roles[r]},{table.channels[c]}", *v)
+        for i, r, c, v in zip(table.event_id.tolist(), table.role_code.tolist(),
+                              table.channel_code.tolist(), table.n.tolist())
+    )
+
+
+def near(x: np.ndarray, ulps: int = 2) -> np.ndarray:
+    """x and its neighbours up to `ulps` doubles away on either side."""
+    out, up, down = [x], x, x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestRowFormatter:
+    """The vectorised event-row formatter against `%` formatting, byte for byte."""
+
+    def test_components_match_percent_format(self):
+        rng = np.random.default_rng(2024)
+        vectors = rng.normal(size=(500_000, 3))
+        q = rng.integers(10**8, 10**9, 250_000)
+        # the doubles nearest the 9-digit rounding midpoints (q + 1/2) 10**(e - 8) of
+        # the decades 10**e <= |x| < 10**(e + 1); the decade of 1 holds only 1, a power of ten
+        midpoints = np.concatenate([(q + 0.5) / 10.0 ** (8 - e) for e in range(-4, 0)])
+        powers = 10.0 ** -np.arange(5)
+        categories = {
+            "uniform": rng.uniform(-1, 1, 1_600_000),
+            "unit-vector components": (vectors / np.linalg.norm(vectors, axis=1, keepdims=True)).ravel(),
+            "ties k / 2**18": rng.integers(-2**18, 2**18 + 1, 1_500_000) / 2**18,
+            "9-digit decimals":
+                rng.integers(10**8, 10**9, 1_000_000) / 10.0 ** rng.integers(9, 13, 1_000_000),
+            "rounding midpoints": near(midpoints) * rng.choice([-1.0, 1.0], 5 * midpoints.size),
+            "powers of ten": near(np.concatenate([powers, powers * (1 - 5e-10)]), ulps=50),
+            "signed zero and one": np.array([0.0, -0.0, 1.0, -1.0]),
+        }
+        checked = 0
+        for name, x in categories.items():
+            a = np.abs(x)
+            x = x[((a >= 1e-4) & (a <= 1.0)) | (a == 0.0)]
+            for block in np.array_split(x, -(-x.size // 250_000)):
+                out = np.zeros(block.shape + (5,), np.uint32)
+                assert dataio._format_unit(block, out).all()
+                text = out.view(np.uint8)
+                got = text[text != 0].tobytes().decode()
+                want = "".join(map(",%.9g".__mod__, block.tolist()))
+                if got != want:  # name the first value, not a diff of megabytes
+                    bad = next(v for v, g, w in zip(block.tolist(), got.split(",")[1:], want.split(",")[1:])
+                               if g != w)
+                    pytest.fail(f"{name}: %.9g of {bad!r}")
+            checked += x.size
+        assert checked >= 10_000_000
+
+    @pytest.mark.parametrize("block_rows", [7, 1 << 14])
+    def test_fallback_rows_ids_and_names_match_percent_format(self, monkeypatch, block_rows):
+        monkeypatch.setattr(dataio, "_FORMAT_ROWS", block_rows)
+        rng = np.random.default_rng(8)
+        n = rng.normal(size=(40, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        # values outside the fast range, in rows among fast ones and in every column
+        outside = [np.nan, np.inf, -np.inf, 1e-5, 5e-324, 1.5, -5e-5, np.nextafter(-1.0, -2.0)]
+        for row, value in zip(range(2, 40, 5), outside):
+            n[row, row % 3] = value
+        ids = [0, 9, 10, 2**53 - 1, 2**53 + 1, 2**64 - 1] + list(range(1000, 1034))
+        tables = [
+            event_table(ids, ["pair-1", "rôle-β"] * 20, ["Λ→pπ⁻", "x", "Ξ"] * 13 + ["x"], n),
+            # negative ids and a NUL in a name do not fit the layout either
+            EventTable.from_names(np.arange(-20, 20), ["a\0b", "c"] * 20, ["x"] * 40, n),
+        ]
+        for table in tables:
+            assert format_events(table) == HEADER + "\n" + percent_rows(table)
+
+
 GOLDEN_EVENT_FILES = {
     ("single", "--hyperon", "Lambda", "--pol", "0,0,1"):
         "2b443c4808c192de14bda843cb7c07bdb90e9ff621b34a833281c4d57309a1da",

@@ -3,7 +3,6 @@ import pytest
 
 from hyperon.decay import (
     DecayAmplitudes,
-    DecayChannel,
     DecayParameters,
     KrausPair,
     amplitudes_from_params,
@@ -268,34 +267,6 @@ class TestAngularPdf:
             angular_pdf(p, [0, np.nan, 0], [0, 0, 1])
         with pytest.raises(ValueError, match="s must be a 3-vector"):
             angular_pdf(p, [0, 0.5], [0, 0, 1])
-
-
-class TestChannelRecord:
-    def test_valid_channel(self):
-        ch = DecayChannel(
-            parent="Lambda",
-            daughters=("p", "pi-"),
-            branching=0.639,
-            params=params_from_alpha_phi(0.642, -0.114),
-        )
-        assert ch.spin == 0.5
-
-    def test_bad_spin_rejected(self):
-        with pytest.raises(ValueError, match="spin-1/2"):
-            DecayChannel(
-                parent="Omega-",
-                daughters=("Lambda", "K-"),
-                branching=0.678,
-                params=params_from_alpha_phi(0.018, 0.0),
-                spin=1.5,
-            )
-
-    def test_bad_branching_rejected(self):
-        with pytest.raises(ValueError, match="branching"):
-            DecayChannel(
-                parent="X", daughters=("a", "b"), branching=1.2,
-                params=params_from_alpha_phi(0.5, 0.0),
-            )
 
 
 def test_projector_builds_spin_states():

@@ -7,6 +7,7 @@ rows and every carry path runs.
 
 import hashlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -289,6 +290,22 @@ class TestChunks:
             sys.setswitchinterval(interval)
         assert np.array_equal(np.concatenate([c.event_id for c in chunks]), serial.event_id)
         assert np.array_equal(np.concatenate([c.n for c in chunks]), serial.n)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_apply_runs_on_the_sampling_thread(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "_CHUNK", 5)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        config = SampleConfig(seed=7, events=60, model=PairCorrelationModel(k=0.46), workers=workers)
+        applied = list(iter_chunks(config, lambda table: (table, threading.get_ident())))
+        tables = [table for table, _ in applied]
+        assert np.array_equal(EventTable.concat(tables).n, generate(config).n)
+        threads = {thread for _, thread in applied}
+        if workers == 1:  # inline
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads
+        assert "".join(text for blocks in iter_chunks(config, dataio.format_blocks) for text in blocks) \
+            == format_events(generate(config))[len(HEADER) + 1:]
 
     def test_consumer_that_stops_early(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK", 5)
