@@ -10,7 +10,6 @@ matching estimators.
 from .qcore import (
     BlochVector,
     DensityMatrix,
-    Projector,
     as_density,
     bloch_compose,
     bloch_expand,

@@ -103,20 +103,6 @@ def cascade_pdf(mu: DecayParameters, nu: DecayParameters, s, n_mu, n_nu) -> floa
     return float((tau0 + np.dot(tau, s)) / FOUR_PI_SQ)
 
 
-def large_predictability_axis(
-    mu: DecayParameters, nu: DecayParameters, n_mu, n_nu
-) -> np.ndarray:
-    """Approximate quantization axis alpha_mu n_mu + alpha_nu n_nu.
-
-    Good when the first decay's predictability is close to 1 (the
-    (1 - P_mu) and beta_mu terms are then small); diagnostic only, compare
-    with the exact tau from :func:`cascade_tau`.
-    """
-    n_mu = require_unit(n_mu, name="n_mu")
-    n_nu = require_unit(n_nu, name="n_nu")
-    return mu.alpha * n_mu + nu.alpha * n_nu
-
-
 def conditional_axis(mu: DecayParameters, nu: DecayParameters, s, n_mu) -> np.ndarray:
     """Axis b of the second direction's conditional density (1 + b.n_nu)/4pi.
 

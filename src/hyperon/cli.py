@@ -131,15 +131,15 @@ def _cmd_complementarity(args) -> None:
 
 
 def _resolve_params(args, prefix: str = ""):
-    name = getattr(args, f"{prefix}hyperon".replace("-", "_"), None)
-    alpha = getattr(args, f"{prefix}alpha".replace("-", "_"), None)
+    name = getattr(args, f"{prefix}hyperon", None)
+    alpha = getattr(args, f"{prefix}alpha", None)
     if name is not None:
         table = _load_table(args)
-        row = table.find(name, getattr(args, f"{prefix}channel".replace("-", "_"), None))
+        row = table.find(name, getattr(args, f"{prefix}channel", None))
         return row.params(), f"{row.parent}:{row.channel.replace(' ', '')}"
     if alpha is None:
         raise UsageError(f"specify --{prefix}hyperon or --{prefix}alpha")
-    phi_over_pi = getattr(args, f"{prefix}phi_over_pi".replace("-", "_"), 0.0) or 0.0
+    phi_over_pi = getattr(args, f"{prefix}phi_over_pi", 0.0) or 0.0
     return params_from_alpha_phi(alpha, phi_over_pi * np.pi), f"alpha={alpha:g}"
 
 

@@ -134,7 +134,7 @@ def load_parameters(path) -> ParameterTable:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterFileError(f"cannot read parameter file {path}: {exc}") from None
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -188,35 +188,6 @@ _HEAD = _words(np.array([[ord(","), ord("-") * s, ord("0") + i, ord(".") * p]
 _ZERO, _NEWLINE = _words(np.array([[ord("0")], [ord("\n")]]))
 _POW10 = 10.0 ** np.arange(13)  # exact doubles 1 .. 1e12
 _POW10_INT = 10 ** np.arange(13, dtype=np.int64)
-_SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
-
-
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = v * _SPLIT
-    hi = t - (t - v)
-    return hi, v - hi
-
-
-def _round_scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The integers nearest the exact products a * 10**k, ties to even, where a * 10**k < 2**52.
-
-    rint of the rounded product is exact unless its fraction lies within
-    1e-6 of one half (the product's error is below 1.2e-7 up to 10**9);
-    those few are redone from the exact error of the product, found with
-    Dekker's TwoProduct (Numer. Math. 18, 1971), which needs no FMA.
-    """
-    s = _POW10[k]
-    p = a * s
-    q = np.rint(p)
-    near = np.nonzero(np.abs(p - np.floor(p) - 0.5) < 1e-6)
-    if near[0].size:
-        a, s, p = a[near], s[near], p[near]
-        (ah, al), (sh, sl) = _split(a), _split(s)
-        error = ((ah * sh - p) + ah * sl + al * sh) + al * sl  # a * s - p, exactly
-        floor = np.floor(p)
-        above = (p - floor - 0.5) + error  # of exact sign, as p - floor - 0.5 is exact
-        q[near] = floor + ((above > 0) | ((above == 0) & (floor % 2 == 1)))
-    return q
 
 
 def _groups(v: np.ndarray, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -236,8 +207,9 @@ def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     sign, integer digit and point, then 12 decimals in four words, with
     zero bytes for a plus sign, trailing zeros and a bare point; %g prints
     these values, whose 9-digit exponents lie in -4..0, in this fixed
-    notation.  Returns the mask of the values written; the other words of
-    `out` hold junk.
+    notation.  A value whose scaled product lies within 1e-6 of a rounding
+    tie is not written either.  Returns the mask of the values written;
+    the other words of `out` hold junk.
     """
     a = np.abs(x)
     fast = ((a >= 1e-4) & (a <= 1.0)) | (a == 0.0)  # NaN is not fast
@@ -245,9 +217,14 @@ def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # k = 8 - floor(log10 a), exactly: each double power of ten here lies above
     # the real one, so a >= 1e-3 exactly when a >= 10**-3
     k = 12 - (a >= 1e-3) - (a >= 1e-2) - (a >= 1e-1) - (a >= 1.0)
+    p = a * _POW10[k]
+    # rint of the rounded product p is the integer nearest the exact product
+    # unless p lies within 1e-6 of a tie (its error is below 1.2e-7 up to
+    # 10**9); those rare values are left to the caller's `%` formatting
+    fast &= np.abs(p - np.floor(p) - 0.5) >= 1e-6
     # q has 9 digits, or is 10**9 where rounding carries into the next decade;
     # q * 10**(12 - k) is then the same as 10**8 one decade up, so k needs no correction
-    q = _round_scaled(a, k)
+    q = np.rint(p)
     # the value times 10**12: an integer digit, then four groups of three decimals
     integer, groups = _groups(q.astype(np.int64) * _POW10_INT[12 - k], 4)
     later = False  # a later decimal group is nonzero, so this group keeps its trailing zeros
@@ -280,11 +257,11 @@ def _format_block(table: EventTable, rows: slice) -> str:
     Each row is laid out in words: the id, the ",role,channel" bytes of
     the row's key (templates made for the keys present), the three
     components and a line break.  Zero bytes are padding, dropped when
-    the words are joined.  A row the layout cannot hold (a component
-    outside the range of _format_unit, a negative id, or a name holding a
-    NUL) is formatted with `_EVENT_ROW` and spliced in.
+    the words are joined.  A row the layout cannot hold (a component that
+    _format_unit does not write, or a name holding a NUL) is formatted with
+    `_EVENT_ROW` and spliced in.
     """
-    ids, n = table.event_id[rows], table.n[rows]
+    ids, n = table.event_id[rows].astype(np.uint64, copy=False), table.n[rows]
     count = len(ids)
     keys = table.role_code[rows].astype(np.intp) * len(table.channels) + table.channel_code[rows]
     present, key_index = np.unique(keys, return_inverse=True)
@@ -296,12 +273,6 @@ def _format_block(table: EventTable, rows: slice) -> str:
     for template, field in zip(templates, fields):
         template[:len(field)] = np.frombuffer(field, np.uint8)
     ok = np.array([0 not in field for field in fields])[key_index]
-    if ids.dtype.kind in "iu":
-        ok &= ids >= 0
-        ids = np.where(ok, ids, 0).astype(np.uint64)
-    else:
-        ok[:] = False
-        ids = np.zeros(count, np.uint64)
     id_words = max(1, -(-len(str(int(ids.max(initial=0)))) // 3))
     words = np.empty((count, id_words + field_words + 16), np.uint32)
     _format_ids(ids, words[:, :id_words])
@@ -314,7 +285,7 @@ def _format_block(table: EventTable, rows: slice) -> str:
     for row in np.flatnonzero(~ok).tolist():
         part = text[start:row]
         pieces.append(part[part != 0].tobytes())
-        pieces.append((_EVENT_ROW % (table.event_id[rows][row].item(), names[key_index[row]],
+        pieces.append((_EVENT_ROW % (ids[row].item(), names[key_index[row]],
                                      *n[row].tolist())).encode("utf-8", "surrogatepass"))
         start = row + 1
     part = text[start:]

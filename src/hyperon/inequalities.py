@@ -124,11 +124,6 @@ def prob_joint(model: ProbModel, a, b) -> float:
     return float((1.0 - model.k * np.dot(a, b)) / 4.0)
 
 
-def prob_single(model: ProbModel, direction=None) -> float:
-    """Single-side plus probability; 1/2 for the locally mixed singlet."""
-    return 0.5
-
-
 def _constant(spec: InequalitySpec) -> float:
     """The expression at k = 0, c0 = sum(joint)/4 + sum(singles)/2."""
     return float(spec.joint.sum() / 4.0 + (spec.singles_a.sum() + spec.singles_b.sum()) / 2.0)

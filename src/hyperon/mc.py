@@ -57,9 +57,10 @@ class EventTable:
     """Columnar batch of events with categorical roles and channels.
 
     Row i has id `event_id[i]`, direction `n[i]`, role `roles[role_code[i]]`
-    and channel `channels[channel_code[i]]`.  Each name appears once in its
-    tuple; codes are the smallest unsigned integers that hold the tuple's
-    indices (uint8 up to 256 names).
+    and channel `channels[channel_code[i]]`.  Ids are unsigned integers, as
+    an event file holds them.  Each name appears once in its tuple; codes
+    are the smallest unsigned integers that hold the tuple's indices (uint8
+    up to 256 names).
     """
 
     event_id: np.ndarray
@@ -75,6 +76,8 @@ class EventTable:
                 raise ValueError(f"repeated name in {names}")
             if codes.dtype.kind != "u" or (codes.size and codes.max() >= len(names)):
                 raise ValueError(f"codes must be unsigned indices into {names}")
+        if self.event_id.dtype.kind != "u":
+            raise ValueError(f"event ids must be unsigned integers, got dtype {self.event_id.dtype}")
 
     @classmethod
     def from_names(cls, event_id, role, channel, n) -> EventTable:
@@ -314,26 +317,23 @@ def iter_chunks(
     model = config.model
     starts = range(0, config.events, _CHUNK)
 
-    def sample(start: int) -> np.ndarray | _T:
+    def sample(start: int) -> EventTable | _T:
         count = min(_CHUNK, config.events - start)
         n = model.kernel(_event_uniforms(config.seed, start, count)).reshape(-1, 3)
-        return n if apply is None else apply(_table(model, start, n))
-
-    def chunk(start: int, sampled: np.ndarray | _T) -> EventTable | _T:
-        # without `apply`, tables are made here, so a chunk in flight holds only its directions
-        return _table(model, start, sampled) if apply is None else sampled
+        table = _table(model, start, n)
+        return table if apply is None else apply(table)
 
     workers = _pool_size(config.workers, os.cpu_count(), len(starts))
     if workers == 1:
-        yield from (chunk(start, sample(start)) for start in starts)
+        yield from map(sample, starts)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = (pool.submit(sample, start) for start in starts)  # submitted when drawn
         in_flight = deque(itertools.islice(futures, 2 * workers))
         try:
-            for start in starts:
+            for _ in starts:
                 # .result() re-raises a worker's error; no name keeps the chunk alive here
-                yield chunk(start, in_flight.popleft().result())
+                yield in_flight.popleft().result()
                 in_flight.extend(itertools.islice(futures, 1))
         finally:
             for future in in_flight:  # a consumer that stops early
@@ -344,12 +344,12 @@ def generate(config: SampleConfig) -> EventTable:
     """Sample the configured events into one table; bit-identical for any worker count.
 
     The table holds events * len(roles) rows sorted by id, filled chunk by
-    chunk from `iter_chunks`.
+    chunk from `iter_chunks`; a chunk in flight holds only its directions.
     """
     n = np.empty((config.events * len(config.model.roles), 3))
     row = 0
-    for chunk in iter_chunks(config):
-        n[row:row + len(chunk)] = chunk.n
+    for chunk in iter_chunks(config, lambda table: table.n):
+        n[row:row + len(chunk)] = chunk
         row += len(chunk)
         del chunk  # free it before the next chunk is sampled
     return _table(config.model, 0, n)

@@ -138,22 +138,6 @@ def pure_state(ket) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Validated projector: Hermitian with P^2 = P."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_square(self.matrix, "projector").copy()
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("projector is not Hermitian")
-        if np.max(np.abs(mat @ mat - mat)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not idempotent")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
 class BlochVector:
     """Coefficient vector of a density matrix in the Gell-Mann basis."""
 

@@ -12,12 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def unit_vector(theta: float, phi: float) -> np.ndarray:
-    """Direction (sin t cos p, sin t sin p, cos t)."""
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-
-
 def require_unit(n, tol: float = 1e-12, name: str = "direction") -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):

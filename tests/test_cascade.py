@@ -7,7 +7,6 @@ from hyperon.cascade import (
     cascade_pdf,
     cascade_tau,
     conditional_axis,
-    large_predictability_axis,
 )
 from hyperon.decay import (
     DecayAmplitudes,
@@ -162,33 +161,6 @@ class TestCascadePdf:
             conditional_axis(mu, nu, [0, 0, np.nan], [1, 0, 0])
         with pytest.raises(ValueError, match="n_mu is not unit length"):
             conditional_axis(mu, nu, [0, 0, 0.5], [[1, 0, 0], [0, 0, 1.1]])
-
-
-class TestApproximateAxis:
-    def test_xi_chain_small_angle(self):
-        mu, nu = xi_minus_chain()
-        n_mu, n_nu = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-        approx = large_predictability_axis(mu, nu, n_mu, n_nu)
-        _, exact = cascade_tau(mu, nu, n_mu, n_nu)
-        cos_angle = approx @ exact / (np.linalg.norm(approx) * np.linalg.norm(exact))
-        assert np.degrees(np.arccos(np.clip(cos_angle, -1, 1))) < 5.0
-
-    def test_exact_when_second_off(self):
-        mu, _ = xi_minus_chain()
-        nu = params_from_alpha_phi(0.0, 0.0)
-        n_mu, n_nu = np.array([0, 0, 1.0]), np.array([1.0, 0, 0])
-        approx = large_predictability_axis(mu, nu, n_mu, n_nu)
-        _, exact = cascade_tau(mu, nu, n_mu, n_nu)
-        assert np.max(np.abs(approx - exact)) < 1e-15
-
-    def test_residual_is_cross_term_at_unit_gamma(self):
-        # gamma_mu = 1: the (1 - gamma) term vanishes, only the beta cross term remains
-        mu = params_from_alpha_phi(0.0, 0.0)  # pure S wave: alpha = beta = 0, gamma = 1
-        nu = params_from_alpha_phi(0.5, 0.3)
-        n_mu, n_nu = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-        approx = large_predictability_axis(mu, nu, n_mu, n_nu)
-        _, exact = cascade_tau(mu, nu, n_mu, n_nu)
-        assert np.max(np.abs(exact - approx - nu.alpha * mu.beta * np.cross(n_mu, n_nu))) < 1e-15
 
 
 class TestKrausStructure:

@@ -39,6 +39,21 @@ class TestTable:
         assert code == 2
         assert "/no/such/file.csv" in err
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_undecodable_file_exits_2(self, capsys, monkeypatch, tmp_path, source):
+        f = tmp_path / "params.csv"
+        f.write_bytes(b"X,uds,p pi-,0.5,0.3,0.0,+1,caf\xe9\n")  # Latin-1, not UTF-8
+        if source == "env":
+            monkeypatch.setenv("HYPERON_PARAMS", str(f))
+            argv = ["table"]
+        else:
+            monkeypatch.delenv("HYPERON_PARAMS", raising=False)
+            argv = ["table", "--params", str(f)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"data error: cannot read parameter file {f}: ")
+        assert "utf-8" in err and "Traceback" not in err
+
     def test_env_var_lookup(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "params.csv"
         f.write_text("X,uds,p pi-,0.5,0.3,0.0,+1,note\n")

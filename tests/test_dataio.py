@@ -350,11 +350,10 @@ class TestEventFiles:
 
 def percent_rows(table: EventTable) -> str:
     """The reference text of a table's rows: each row through `_EVENT_ROW %`."""
-    return "".join(
-        dataio._EVENT_ROW % (i, f"{table.roles[r]},{table.channels[c]}", *v)
-        for i, r, c, v in zip(table.event_id.tolist(), table.role_code.tolist(),
-                              table.channel_code.tolist(), table.n.tolist())
-    )
+    names = [f"{role},{channel}" for role in table.roles for channel in table.channels]
+    keys = table.role_code.astype(np.intp) * len(table.channels) + table.channel_code
+    return "".join(map(dataio._EVENT_ROW.__mod__, zip(
+        table.event_id.tolist(), map(names.__getitem__, keys.tolist()), *table.n.T.tolist())))
 
 
 def near(x: np.ndarray, ulps: int = 2) -> np.ndarray:
@@ -376,6 +375,10 @@ class TestRowFormatter:
         # the doubles nearest the 9-digit rounding midpoints (q + 1/2) 10**(e - 8) of
         # the decades 10**e <= |x| < 10**(e + 1); the decade of 1 holds only 1, a power of ten
         midpoints = np.concatenate([(q + 0.5) / 10.0 ** (8 - e) for e in range(-4, 0)])
+        # values about the edges of the 1e-6 window of scaled products that _format_unit leaves to `%`
+        q = rng.integers(10**8, 10**9, 50_000)
+        edges = np.concatenate([(q + 0.5 + d) / 10.0 ** (8 - e) for e in range(-4, 0)
+                                for d in (-1e-5, -1.5e-6, -1e-6, 1e-6, 1.5e-6, 1e-5)])
         powers = 10.0 ** -np.arange(5)
         categories = {
             "uniform": rng.uniform(-1, 1, 1_600_000),
@@ -384,23 +387,36 @@ class TestRowFormatter:
             "9-digit decimals":
                 rng.integers(10**8, 10**9, 1_000_000) / 10.0 ** rng.integers(9, 13, 1_000_000),
             "rounding midpoints": near(midpoints) * rng.choice([-1.0, 1.0], 5 * midpoints.size),
+            "rounding-window edges": edges * rng.choice([-1.0, 1.0], edges.size),
             "powers of ten": near(np.concatenate([powers, powers * (1 - 5e-10)]), ulps=50),
             "signed zero and one": np.array([0.0, -0.0, 1.0, -1.0]),
         }
         checked = 0
         for name, x in categories.items():
-            a = np.abs(x)
-            x = x[((a >= 1e-4) & (a <= 1.0)) | (a == 0.0)]
+            # the values _format_unit writes, against `%`
+            written_count = 0
             for block in np.array_split(x, -(-x.size // 250_000)):
                 out = np.zeros(block.shape + (5,), np.uint32)
-                assert dataio._format_unit(block, out).all()
-                text = out.view(np.uint8)
+                written = dataio._format_unit(block, out)
+                text = out[written].view(np.uint8)
                 got = text[text != 0].tobytes().decode()
-                want = "".join(map(",%.9g".__mod__, block.tolist()))
+                want = "".join(map(",%.9g".__mod__, block[written].tolist()))
                 if got != want:  # name the first value, not a diff of megabytes
-                    bad = next(v for v, g, w in zip(block.tolist(), got.split(",")[1:], want.split(",")[1:])
-                               if g != w)
+                    bad = next(v for v, g, w in zip(block[written].tolist(), got.split(",")[1:],
+                                                    want.split(",")[1:]) if g != w)
                     pytest.fail(f"{name}: %.9g of {bad!r}")
+                written_count += np.count_nonzero(written)
+            if name == "unit-vector components":
+                assert written_count >= 0.9999 * x.size
+            # every value, fast or left to `%`, through the writer
+            n = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)
+            rows = len(n)
+            table = EventTable(np.arange(rows, dtype=np.uint64), np.zeros(rows, np.uint8),
+                               np.zeros(rows, np.uint8), n, ("r",), ("c",))
+            got, want = format_events(table), HEADER + "\n" + percent_rows(table)
+            if got != want:
+                line = next(g for g, w in zip(got.splitlines(), want.splitlines()) if g != w)
+                pytest.fail(f"{name}: format_events wrote {line!r}")
             checked += x.size
         assert checked >= 10_000_000
 
@@ -417,8 +433,8 @@ class TestRowFormatter:
         ids = [0, 9, 10, 2**53 - 1, 2**53 + 1, 2**64 - 1] + list(range(1000, 1034))
         tables = [
             event_table(ids, ["pair-1", "rôle-β"] * 20, ["Λ→pπ⁻", "x", "Ξ"] * 13 + ["x"], n),
-            # negative ids and a NUL in a name do not fit the layout either
-            EventTable.from_names(np.arange(-20, 20), ["a\0b", "c"] * 20, ["x"] * 40, n),
+            # a NUL in a name does not fit the layout either; ids of any unsigned dtype
+            EventTable.from_names(np.arange(20, 60, dtype=np.uint8), ["a\0b", "c"] * 20, ["x"] * 40, n),
         ]
         for table in tables:
             assert format_events(table) == HEADER + "\n" + percent_rows(table)
@@ -508,7 +524,7 @@ class TestTableLayout:
         assert table.channel.tolist() == names
 
     def test_names_in_order_of_first_appearance(self):
-        table = EventTable.from_names(np.arange(4), ["b", "a", "b", "c"], ["x"] * 4,
+        table = EventTable.from_names(np.arange(4, dtype=np.uint64), ["b", "a", "b", "c"], ["x"] * 4,
                                       np.tile([0.0, 0.0, 1.0], (4, 1)))
         assert table.roles == ("b", "a", "c")
         assert table.role_code.tolist() == [0, 1, 0, 2]
@@ -523,6 +539,17 @@ class TestTableLayout:
         with pytest.raises(ValueError, match="repeated name|unsigned indices"):
             EventTable(np.arange(2), codes, np.zeros(2, np.uint8),
                        np.tile([0.0, 0.0, 1.0], (2, 1)), roles, ("x",))
+
+    @pytest.mark.parametrize("ids", [np.arange(-2, 2, dtype=np.int64), np.array([0.5, 1.0, 2.0, 3.0])],
+                             ids=["int64", "float"])
+    def test_signed_or_fractional_ids_rejected(self, ids):
+        # an event file holds unsigned ids: a negative id would be written but not read back,
+        # and a fractional one written truncated
+        n = np.tile([0.0, 0.0, 1.0], (4, 1))
+        with pytest.raises(ValueError, match="event ids must be unsigned"):
+            EventTable(ids, np.zeros(4, np.uint8), np.zeros(4, np.uint8), n, ("single",), ("x",))
+        with pytest.raises(ValueError, match="event ids must be unsigned"):
+            EventTable.from_names(ids, ["single"] * 4, ["x"] * 4, n)
 
     def test_directions_by_absent_role(self):
         table = generate(SampleConfig(seed=31, events=10, model=PairCorrelationModel(k=0.1)))

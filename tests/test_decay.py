@@ -18,7 +18,7 @@ from hyperon.decay import (
     transition_matrix,
 )
 from hyperon.qcore import DensityMatrix, maximally_mixed, two_amplitude_intensity
-from hyperon.sphere import sphere_integral, unit_vector
+from hyperon.sphere import sphere_integral
 
 
 def random_density(rng):
@@ -270,7 +270,7 @@ class TestAngularPdf:
 
 
 def test_projector_builds_spin_states():
-    n = unit_vector(0.7, 1.3)
+    n = np.array([np.sin(0.7) * np.cos(1.3), np.sin(0.7) * np.sin(1.3), np.cos(0.7)])
     proj = spin_half_projector(n)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     assert abs(np.trace(proj) - 1.0) < 1e-12

@@ -17,7 +17,6 @@ from hyperon.inequalities import (
     maximize,
     mermin_peres_quantum_value,
     prob_joint,
-    prob_single,
     threshold,
 )
 
@@ -48,9 +47,6 @@ class TestProbabilities:
 
     def test_published_k_antiparallel(self):
         assert abs(prob_joint(ProbModel(0.46), [0, 0, 1], [0, 0, -1]) - 0.365) < 1e-12
-
-    def test_single_is_half(self):
-        assert prob_single(ProbModel(0.3)) == 0.5
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(51)
@@ -90,8 +86,7 @@ class TestEvaluate:
                 for i in range(spec.n_a)
                 for j in range(spec.n_b)
             )
-            manual += sum(c * prob_single(model) for c in spec.singles_a)
-            manual += sum(c * prob_single(model) for c in spec.singles_b)
+            manual += 0.5 * (spec.singles_a.sum() + spec.singles_b.sum())  # singles are 1/2
             assert abs(evaluate(spec, settings, model) - manual) < 1e-12
 
     def test_correlations_collapse_at_k_zero(self):

@@ -4,7 +4,6 @@ import pytest
 from hyperon.qcore import (
     BlochVector,
     DensityMatrix,
-    Projector,
     as_density,
     bloch_compose,
     bloch_expand,
@@ -98,11 +97,6 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_projector_validation(self):
-        Projector(np.diag([1.0, 0.0]))
-        with pytest.raises(ValueError, match="idempotent"):
-            Projector(np.diag([0.5, 0.5]))
 
 
 class TestTensorAndPartialTrace:
