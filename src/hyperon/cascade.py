@@ -39,8 +39,6 @@ class CascadeKraus:
 
     tau0: float
     tau: np.ndarray
-    omega_plus: float
-    omega_minus: float
     n_mu: np.ndarray
     n_nu: np.ndarray
 
@@ -53,14 +51,19 @@ class CascadeKraus:
             raise ValueError(
                 f"|tau| = {np.linalg.norm(tau):.6g} exceeds tau0 = {self.tau0:.6g}"
             )
-        expected = (1.0 + np.linalg.norm(tau) / self.tau0) / 2.0
-        if not (abs(self.omega_plus - expected) <= 1e-12
-                and abs(self.omega_plus + self.omega_minus - 1.0) <= 1e-12):
-            raise ValueError("outcome probabilities inconsistent with (tau0, tau)")
         for name in ("tau", "n_mu", "n_nu"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def omega_plus(self) -> float:
+        """Probability (1 + |tau|/tau0)/2 of the spin projected along +tau."""
+        return (1.0 + np.linalg.norm(self.tau) / self.tau0) / 2.0
+
+    @property
+    def omega_minus(self) -> float:
+        return (1.0 - np.linalg.norm(self.tau) / self.tau0) / 2.0
 
 
 def cascade_tau(
@@ -81,15 +84,7 @@ def cascade_tau(
 
 def cascade_kraus(mu: DecayParameters, nu: DecayParameters, n_mu, n_nu) -> CascadeKraus:
     tau0, tau = cascade_tau(mu, nu, n_mu, n_nu)
-    ratio = np.linalg.norm(tau) / tau0
-    return CascadeKraus(
-        tau0=tau0,
-        tau=tau,
-        omega_plus=(1.0 + ratio) / 2.0,
-        omega_minus=(1.0 - ratio) / 2.0,
-        n_mu=np.asarray(n_mu, dtype=float),
-        n_nu=np.asarray(n_nu, dtype=float),
-    )
+    return CascadeKraus(tau0=tau0, tau=tau, n_mu=n_mu, n_nu=n_nu)
 
 
 def cascade_pdf(mu: DecayParameters, nu: DecayParameters, s, n_mu, n_nu) -> float:

@@ -131,16 +131,17 @@ def _cmd_complementarity(args) -> None:
 
 
 def _resolve_params(args, prefix: str = ""):
-    name = getattr(args, f"{prefix}hyperon", None)
-    alpha = getattr(args, f"{prefix}alpha", None)
+    """Parameters and channel label from the flags --{prefix}hyperon, --{prefix}alpha, ..."""
+    name, channel, alpha, phi_over_pi = (
+        getattr(args, prefix.replace("-", "_") + key)
+        for key in ("hyperon", "channel", "alpha", "phi_over_pi")
+    )
     if name is not None:
-        table = _load_table(args)
-        row = table.find(name, getattr(args, f"{prefix}channel", None))
+        row = _load_table(args).find(name, channel)
         return row.params(), f"{row.parent}:{row.channel.replace(' ', '')}"
     if alpha is None:
         raise UsageError(f"specify --{prefix}hyperon or --{prefix}alpha")
-    phi_over_pi = getattr(args, f"{prefix}phi_over_pi", 0.0) or 0.0
-    return params_from_alpha_phi(alpha, phi_over_pi * np.pi), f"alpha={alpha:g}"
+    return params_from_alpha_phi(alpha, (phi_over_pi or 0.0) * np.pi), f"alpha={alpha:g}"
 
 
 def _cmd_simulate(args) -> None:
@@ -154,8 +155,8 @@ def _cmd_simulate(args) -> None:
             raise UsageError("simulate pair requires --k")
         model = mc.PairCorrelationModel(k=args.k, channel=f"pair(k={args.k:g})")
     else:
-        mu, mu_name = _resolve_params(args, "mu_")
-        nu, nu_name = _resolve_params(args, "nu_")
+        mu, mu_name = _resolve_params(args, "mu-")
+        nu, nu_name = _resolve_params(args, "nu-")
         model = mc.CascadeDecayModel(
             mu=mu, nu=nu, polarization=_parse_vector(args.pol),
             channel=f"{mu_name}>{nu_name}",
@@ -205,7 +206,7 @@ def _cmd_analyze(args) -> None:
             if args.alpha is None or args.alphabar is None:
                 raise UsageError("--renormalize requires --alpha and --alphabar")
             model = pairs.PairModel(alpha_L=args.alpha, alpha_Lbar=args.alphabar)
-        m = moments.correlations(model=model, renormalize=args.renormalize)
+        m = moments.correlations(model)
         row = {"mode": "renormalized (non-Bell-admissible)" if args.renormalize else "raw"}
         for i, a in enumerate("xyz"):
             for j, b in enumerate("xyz"):
@@ -271,78 +272,61 @@ def _cmd_context(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_global_flags(parser, suppress: bool) -> None:
-    # the same flags are accepted before and after the subcommand; the
-    # subparser copies must not clobber values already parsed by the root
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--seed", type=int, default=default(1), help="master seed (64-bit)")
-    parser.add_argument("--threads", type=int, default=default(None),
-                        help="worker threads (default all CPUs, never more than CPUs)")
-    parser.add_argument("--out", default=default(None), help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=default("csv"))
-
-
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hyperon", description=__doc__)
-    _add_global_flags(parser, suppress=False)
+    # the global flags are declared once and accepted before and after the
+    # subcommand (the later one wins); a flag that is not given stays off the
+    # namespace, so the subcommand's copy never clobbers a value given before
+    # it, and main() passes their defaults in as the starting namespace
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="master seed (64-bit)")
+    common.add_argument("--threads", type=int,
+                        help="worker threads (default all CPUs, never more than CPUs)")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--format", choices=("csv", "json"))
+    parser = _Parser(prog="hyperon", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="reproduce the channel parameter table")
-    _add_global_flags(p, suppress=True)
-    p.add_argument("--params", default=None, help=f"parameter file (default ${PARAMS_ENV} or bundled)")
-    p.set_defaults(func=_cmd_table)
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("complementarity", help="interferometer visibility/predictability scan")
-    _add_global_flags(p, suppress=True)
+    p = command("table", _cmd_table, "reproduce the channel parameter table")
+    p.add_argument("--params", default=None, help=f"parameter file (default ${PARAMS_ENV} or bundled)")
+
+    p = command("complementarity", _cmd_complementarity, "interferometer visibility/predictability scan")
     p.add_argument("--theta", type=float, required=True, help="initial polar angle (radians)")
     p.add_argument("--phi", type=float, default=0.0, help="initial azimuth (radians)")
     p.add_argument("--points", type=int, default=64, help="phase-scan grid size")
-    p.set_defaults(func=_cmd_complementarity)
 
-    p = sub.add_parser("simulate", help="generate decay events")
-    _add_global_flags(p, suppress=True)
+    p = command("simulate", _cmd_simulate, "generate decay events")
     p.add_argument("kind", choices=("single", "pair", "cascade"))
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--params", default=None)
-    p.add_argument("--hyperon", default=None, help="channel lookup by parent name")
-    p.add_argument("--channel", default=None, help="channel selector, e.g. 'p pi-'")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--phi-over-pi", type=float, default=0.0)
+    # one decay for single, the first (mu-) and second (nu-) decay for cascade
+    for prefix in ("", "mu-", "nu-"):
+        p.add_argument(f"--{prefix}hyperon", default=None, help="channel lookup by parent name")
+        p.add_argument(f"--{prefix}channel", default=None, help="channel selector, e.g. 'p pi-'")
+        p.add_argument(f"--{prefix}alpha", type=float, default=None)
+        p.add_argument(f"--{prefix}phi-over-pi", type=float, default=0.0)
     p.add_argument("--k", type=float, default=None, help="pair correlation alpha*alphabar")
-    p.add_argument("--mu-hyperon", default=None)
-    p.add_argument("--mu-channel", default=None)
-    p.add_argument("--mu-alpha", type=float, default=None)
-    p.add_argument("--mu-phi-over-pi", type=float, default=0.0)
-    p.add_argument("--nu-hyperon", default=None)
-    p.add_argument("--nu-channel", default=None)
-    p.add_argument("--nu-alpha", type=float, default=None)
-    p.add_argument("--nu-phi-over-pi", type=float, default=0.0)
     p.add_argument("--pol", default="0,0,0", help="parent polarization vector x,y,z")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("analyze", help="estimate pair observables from an event file")
-    _add_global_flags(p, suppress=True)
+    p = command("analyze", _cmd_analyze, "estimate pair observables from an event file")
     p.add_argument("what", choices=("witness", "correlations"))
     p.add_argument("--events", required=True, help="event file path")
     p.add_argument("--renormalize", action="store_true")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alphabar", type=float, default=None)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("bell", help="maximize a Bell expression or find its threshold")
-    _add_global_flags(p, suppress=True)
+    p = command("bell", _cmd_bell, "maximize a Bell expression or find its threshold")
     p.add_argument("--inequality", choices=("I2", "I3", "I4"), required=True)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--threshold", action="store_true")
-    p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("context", help="Mermin-Peres contextuality value")
-    _add_global_flags(p, suppress=True)
+    p = command("context", _cmd_context, "Mermin-Peres contextuality value")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--alphabar", type=float, required=True)
-    p.set_defaults(func=_cmd_context)
 
     return parser
 
@@ -350,11 +334,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        defaults = argparse.Namespace(seed=1, threads=None, out=None, format="csv")
+        args = parser.parse_args(argv, defaults)
         args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

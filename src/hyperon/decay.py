@@ -51,30 +51,34 @@ class DecayParameters:
     gamma = (|S|^2 - |P|^2) / (|S|^2 + |P|^2) = sqrt(1 - alpha^2) cos(phi)
     visibility = sqrt(alpha^2 + beta^2), predictability = |gamma|,
     chi_sp = atan2(beta, alpha).
+
+    Only (alpha, beta, gamma) are stored; the rest are computed from them.
     """
 
     alpha: float
     beta: float
     gamma: float
-    phi: float
-    chi_sp: float
-    visibility: float
-    predictability: float
 
     def __post_init__(self):
-        a, b, g = self.alpha, self.beta, self.gamma
-        checks = {
-            "alpha^2+beta^2+gamma^2 = 1": a * a + b * b + g * g - 1.0,
-            "V^2+P^2 = 1": self.visibility**2 + self.predictability**2 - 1.0,
-            "alpha = V cos(chi_sp)": a - self.visibility * np.cos(self.chi_sp),
-            "beta = V sin(chi_sp)": b - self.visibility * np.sin(self.chi_sp),
-            "beta = sqrt(1-alpha^2) sin(phi)": b - np.sqrt(max(1.0 - a * a, 0.0)) * np.sin(self.phi),
-            "gamma = sqrt(1-alpha^2) cos(phi)": g - np.sqrt(max(1.0 - a * a, 0.0)) * np.cos(self.phi),
-            "predictability = |gamma|": self.predictability - abs(g),
-        }
-        for label, err in checks.items():
-            if not abs(err) <= _PARAM_TOL:  # written so that NaN fails
-                raise ValueError(f"inconsistent decay parameters: {label} off by {err:.3e}")
+        err = self.alpha * self.alpha + self.beta * self.beta + self.gamma * self.gamma - 1.0
+        if not abs(err) <= _PARAM_TOL:  # written so that NaN fails
+            raise ValueError(f"inconsistent decay parameters: alpha^2+beta^2+gamma^2 = 1 off by {err:.3e}")
+
+    @property
+    def phi(self) -> float:
+        return float(np.arctan2(self.beta, self.gamma))
+
+    @property
+    def chi_sp(self) -> float:
+        return float(np.arctan2(self.beta, self.alpha))
+
+    @property
+    def visibility(self) -> float:
+        return float(np.hypot(self.alpha, self.beta))
+
+    @property
+    def predictability(self) -> float:
+        return abs(self.gamma)
 
 
 def chi_sp_mod_pi(params: DecayParameters) -> float:
@@ -91,24 +95,12 @@ def chi_sp_mod_pi(params: DecayParameters) -> float:
     return chi
 
 
-def _build_params(alpha: float, beta: float, gamma: float) -> DecayParameters:
-    visibility = float(np.hypot(alpha, beta))
-    return DecayParameters(
-        alpha=float(alpha),
-        beta=float(beta),
-        gamma=float(gamma),
-        phi=float(np.arctan2(beta, gamma)),
-        chi_sp=float(np.arctan2(beta, alpha)),
-        visibility=visibility,
-        predictability=abs(float(gamma)),
-    )
-
-
 def params_from_amplitudes(a: DecayAmplitudes) -> DecayParameters:
     """Standard decay parameters (alpha, beta, gamma, ...) from (S, P)."""
     n = a.norm_sq
     sp = np.conj(a.S) * a.P
-    return _build_params(2.0 * sp.real / n, 2.0 * sp.imag / n, (abs(a.S) ** 2 - abs(a.P) ** 2) / n)
+    gamma = (abs(a.S) ** 2 - abs(a.P) ** 2) / n
+    return DecayParameters(float(2.0 * sp.real / n), float(2.0 * sp.imag / n), float(gamma))
 
 
 def params_from_alpha_phi(alpha: float, phi: float, gamma_sign: int | None = None) -> DecayParameters:
@@ -121,6 +113,8 @@ def params_from_alpha_phi(alpha: float, phi: float, gamma_sign: int | None = Non
     """
     if not abs(alpha) <= 1.0:  # written so that NaN fails
         raise ValueError(f"|alpha| = {abs(alpha)} exceeds 1")
+    if not np.isfinite(phi):
+        raise ValueError(f"phi = {phi} is not finite")
     r = np.sqrt(1.0 - alpha * alpha)
     beta = r * np.sin(phi)
     gamma = r * np.cos(phi)
@@ -131,7 +125,7 @@ def params_from_alpha_phi(alpha: float, phi: float, gamma_sign: int | None = Non
             raise ValueError(
                 f"gamma_sign {gamma_sign:+d} contradicts cos(phi) = {np.cos(phi):.6g}"
             )
-    return _build_params(alpha, beta, gamma)
+    return DecayParameters(float(alpha), float(beta), float(gamma))
 
 
 def amplitudes_from_params(p: DecayParameters) -> DecayAmplitudes:

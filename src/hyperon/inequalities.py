@@ -142,6 +142,7 @@ def evaluate(spec: InequalitySpec, settings: BellSettings, model: ProbModel) -> 
 
 _SEESAW_RTOL = 1e-15
 _SEESAW_MAX_SWEEPS = 10_000
+_SEESAW_STARTS = 32
 
 
 def _unit_or_keep(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -150,24 +151,22 @@ def _unit_or_keep(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, target / np.where(norms > 0.0, norms, 1.0), previous)
 
 
-def _correlation_max(
-    spec: InequalitySpec, n_starts: int = 32, seed: int = 0
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _correlation_max(spec: InequalitySpec, seed: int = 0) -> tuple[float, np.ndarray, np.ndarray]:
     """S = max sum_ij c_ij a_i.b_j over unit vectors in R^3, with its argmax (a, b).
 
     See-saw of Liang & Doherty (PRA 75, 042103): with b fixed the best a_i
     is unit(sum_j c_ij b_j), and with a fixed the best b_j is
     unit(sum_i c_ij a_i), so no sweep lowers the value.  All starts run at
-    once in (n_starts, n, 3) arrays until no start gains more than
+    once in (_SEESAW_STARTS, n, 3) arrays until no start gains more than
     _SEESAW_RTOL of its value in a sweep (a few ulps, the rounding noise of
     a converged sweep); the first start attaining the best value wins.
     """
     c = spec.joint
     rng = np.random.default_rng(seed)
-    starts = rng.normal(size=(n_starts, spec.n_a + spec.n_b, 3))
+    starts = rng.normal(size=(_SEESAW_STARTS, spec.n_a + spec.n_b, 3))
     starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
     a, b = starts[:, : spec.n_a], starts[:, spec.n_a :]
-    value = np.full(n_starts, -np.inf)
+    value = np.full(_SEESAW_STARTS, -np.inf)
     for _ in range(_SEESAW_MAX_SWEEPS):
         a = _unit_or_keep(c @ b, a)
         field = c.T @ a
@@ -181,9 +180,7 @@ def _correlation_max(
     return float(value[best]), a[best], b[best]
 
 
-def maximize(
-    spec: InequalitySpec, model: ProbModel, n_starts: int = 32, seed: int = 0
-) -> tuple[float, BellSettings]:
+def maximize(spec: InequalitySpec, model: ProbModel, seed: int = 0) -> tuple[float, BellSettings]:
     """Maximize the expression over all measurement directions.
 
     The expression is c0 - k/4 sum c_ij a_i.b_j, so its maximum is
@@ -191,7 +188,7 @@ def maximize(
     maximum S (batched see-saw, deterministic for a fixed seed).  The
     returned value is `evaluate` at the returned settings.
     """
-    _, a, b = _correlation_max(spec, n_starts, seed)
+    _, a, b = _correlation_max(spec, seed)
     settings = BellSettings(a=a, b=-b)
     return evaluate(spec, settings, model), settings
 
@@ -204,7 +201,7 @@ def threshold(spec: InequalitySpec, seed: int = 0) -> float:
     never changes sign on [0, 1] (c0 > 0 or c0 + g <= 0).
     """
     c0 = _constant(spec)
-    g = _correlation_max(spec, seed=seed)[0] / 4.0
+    g = _correlation_max(spec, seed)[0] / 4.0
     if c0 > 0.0 or c0 + g <= 0.0:
         raise ValueError(
             f"no violation threshold for {spec.name} on [0, 1]: "

@@ -25,6 +25,8 @@ import numpy as np
 from .qcore import DensityMatrix, as_density, complementarity_of, pauli_dot
 
 _AXES = {"x": 0, "y": 1, "z": 2}
+# the fringe scan costs about 190 us per point, so 2^16 points take about 12 s
+_MAX_FRINGE_POINTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,13 @@ def fringe_visibility(state: SpinState, n_points: int = 64) -> float:
     Fits I(chi) = c0 + a cos(chi) + b sin(chi) on a uniform grid and returns
     sqrt(a^2 + b^2) / c0, the oscillation amplitude relative to the mean;
     for a pure state this equals sin(theta).  The fit has three unknowns,
-    so `n_points` below 3 is a ValueError.
+    so `n_points` below 3 is a ValueError, and so is one above
+    _MAX_FRINGE_POINTS.
     """
     if n_points < 3:
         raise ValueError(f"the fringe fit needs at least 3 points, got {n_points}")
+    if n_points > _MAX_FRINGE_POINTS:
+        raise ValueError(f"the fringe scan takes at most {_MAX_FRINGE_POINTS} points, got {n_points}")
     chis = 2.0 * np.pi * np.arange(n_points) / n_points
     intensities = np.array(
         [fringe(InterferometerConfig(chi=c), state, "x", +1) for c in chis]

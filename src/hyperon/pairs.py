@@ -150,20 +150,20 @@ class PairMoments:
         stderr = 3.0 * np.sqrt(self.dot_m2 / (self.count - 1)) / np.sqrt(self.count)
         return float(value), float(stderr)
 
-    def correlations(self, model: PairModel | None = None, renormalize: bool = False) -> np.ndarray:
+    def correlations(self, model: PairModel | None = None) -> np.ndarray:
         """Spin-correlation matrix estimate <sigma_i x sigma_j>.
 
         Raw mode returns M_ij = 9 mean(n1_i n2_j), the direction-moment
         estimate of the k-scaled correlations (for the singlet: -k on the
-        diagonal).  Renormalized mode divides by alpha_L alpha_Lbar so the
-        singlet gives -identity; the renormalized numbers presuppose the
-        analyzing powers and are therefore not admissible inputs to a Bell
-        test.
+        diagonal).  Given a model, the estimate is renormalized: divided by
+        alpha_L alpha_Lbar so the singlet gives -identity; the renormalized
+        numbers presuppose the analyzing powers and are therefore not
+        admissible inputs to a Bell test.
         """
         self._require_events()
         m = 9.0 * (self.cross / self.count)
-        if renormalize:
-            if model is None or model.k == 0.0:
+        if model is not None:
+            if model.k == 0.0:
                 raise ValueError("renormalization requires a model with nonzero analyzing powers")
             m = m / model.k
         return m
@@ -174,9 +174,9 @@ def witness_estimate(n1, n2) -> tuple[float, float]:
     return PairMoments.of(n1, n2).witness()
 
 
-def correlation_estimate(n1, n2, model: PairModel | None = None, renormalize: bool = False) -> np.ndarray:
+def correlation_estimate(n1, n2, model: PairModel | None = None) -> np.ndarray:
     """Spin-correlation matrix estimate from direction samples (`PairMoments.correlations`)."""
-    return PairMoments.of(n1, n2).correlations(model, renormalize)
+    return PairMoments.of(n1, n2).correlations(model)
 
 
 @dataclass(frozen=True)

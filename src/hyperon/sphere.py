@@ -12,12 +12,12 @@ from functools import lru_cache
 import numpy as np
 
 
-def require_unit(n, tol: float = 1e-12, name: str = "direction") -> np.ndarray:
+def require_unit(n, name: str = "direction") -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {n.shape}")
     err = abs(np.linalg.norm(n) - 1.0)
-    if not err <= tol:  # written so that NaN fails
+    if not err <= 1e-12:  # written so that NaN fails
         raise ValueError(f"{name} is not unit length (|n| - 1 = {err:.3e})")
     return n
 

@@ -186,25 +186,20 @@ class TestKrausStructure:
     def test_kraus_record_invariants(self):
         with pytest.raises(ValueError, match="exceeds tau0"):
             CascadeKraus(
-                tau0=1.0, tau=np.array([1.5, 0, 0]), omega_plus=1.25, omega_minus=-0.25,
+                tau0=1.0, tau=np.array([1.5, 0, 0]),
                 n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]),
             )
-        with pytest.raises(ValueError, match="inconsistent"):
-            CascadeKraus(
-                tau0=1.0, tau=np.array([0.5, 0, 0]), omega_plus=0.9, omega_minus=0.1,
-                n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]),
-            )
+        record = CascadeKraus(tau0=2.0, tau=np.array([1.0, 0, 0]),
+                              n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]))
+        assert record.omega_plus == 0.75 and record.omega_minus == 0.25
 
-    @pytest.mark.parametrize("tau0, tau, omega_plus, omega_minus, match", [
-        (np.nan, [0.5, 0.0, 0.0], 0.75, 0.25, "must be positive"),
-        (1.0, [0.5, np.nan, 0.0], 0.75, 0.25, "exceeds tau0"),
-        (1.0, [0.5, 0.0, 0.0], np.nan, 0.25, "inconsistent"),
-        (1.0, [0.5, 0.0, 0.0], 0.75, np.nan, "inconsistent"),
-    ])
-    def test_kraus_record_rejects_nan(self, tau0, tau, omega_plus, omega_minus, match):
-        valid = dict(tau0=1.0, tau=np.array([0.5, 0.0, 0.0]), omega_plus=0.75, omega_minus=0.25,
+    @pytest.mark.parametrize("tau0, tau, match", [
+        (np.nan, [0.5, 0.0, 0.0], "must be positive"),
+        (1.0, [0.5, np.nan, 0.0], "exceeds tau0"),
+    ], ids=["nan-tau0", "nan-tau"])
+    def test_kraus_record_rejects_nan(self, tau0, tau, match):
+        valid = dict(tau0=1.0, tau=np.array([0.5, 0.0, 0.0]),
                      n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]))
         CascadeKraus(**valid)
         with pytest.raises(ValueError, match=match):
-            CascadeKraus(**valid | dict(tau0=tau0, tau=np.array(tau), omega_plus=omega_plus,
-                                        omega_minus=omega_minus))
+            CascadeKraus(**valid | dict(tau0=tau0, tau=np.array(tau)))

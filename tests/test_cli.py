@@ -97,6 +97,12 @@ class TestComplementarity:
         assert code == 1
         assert out == "" and "at least 3 points" in err
 
+    def test_too_many_points_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "complementarity", "--theta", "1",
+                                 "--points", "1000000000000000")
+        assert code == 1 and out == ""
+        assert err == "error: the fringe scan takes at most 65536 points, got 1000000000000000\n"
+
 
 class TestSimulate:
     def test_pair_determinism(self, capsys, tmp_path):
@@ -159,6 +165,22 @@ class TestSimulate:
         assert code == 1
         assert err.startswith(("error: ", "usage error: ")) and "Traceback" not in err
         assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("given, missing", [("--nu-alpha", "mu"), ("--mu-alpha", "nu")])
+    def test_cascade_names_the_missing_flag(self, capsys, given, missing):
+        code, out, err = run_cli(capsys, "simulate", "cascade", "--events", "10", given, "0.5")
+        assert code == 1 and out == ""
+        assert err == f"usage error: specify --{missing}-hyperon or --{missing}-alpha\n"
+
+    def test_infinite_phi_is_one_line_error(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperon.cli", "simulate", "single", "--alpha", "0.5",
+             "--phi-over-pi", "inf", "--events", "10"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: phi = inf is not finite\n"
 
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", "10",
@@ -339,6 +361,69 @@ class TestDeterminism:
                               "--alphabar", "0.5")
         assert code == 0 and code2 == 0
         assert f.read_text() == out
+
+
+class TestGlobalFlags:
+    """--seed, --threads, --out and --format go before the subcommand, after
+    it, or in both places, where the later one wins."""
+
+    @staticmethod
+    def placed(flag, value, where, earlier):
+        """(argv before, argv after) the subcommand; `earlier` loses to `value` in "both"."""
+        return {
+            "before": ([flag, value], []),
+            "after": ([], [flag, value]),
+            "both": ([flag, earlier], [flag, value]),
+        }[where]
+
+    @pytest.mark.parametrize("where", ["before", "after", "both"])
+    def test_seed(self, capsys, where):
+        pair = ("simulate", "pair", "--k", "0.2", "--events", "5")
+        _, default_seed, _ = run_cli(capsys, *pair)
+        _, seed_7, _ = run_cli(capsys, "--seed", "7", *pair)
+        assert seed_7 != default_seed
+        before, after = self.placed("--seed", "7", where, earlier="3")
+        code, out, _ = run_cli(capsys, *before, *pair, *after)
+        assert code == 0 and out == seed_7
+
+    @pytest.mark.parametrize("where", ["before", "after", "both"])
+    def test_threads(self, capsys, where):
+        pair = ("simulate", "pair", "--k", "0.2", "--events", "5")
+        before, after = self.placed("--threads", "-1", where, earlier="1")
+        code, out, err = run_cli(capsys, *before, *pair, *after)
+        assert code == 1 and out == "" and "worker count" in err
+        before, after = self.placed("--threads", "1", where, earlier="-1")
+        code, out, _ = run_cli(capsys, *before, *pair, *after)
+        assert code == 0 and out.startswith("event_id,role,channel")
+
+    @pytest.mark.parametrize("where", ["before", "after", "both"])
+    def test_out(self, capsys, tmp_path, where):
+        report = ("context", "--alpha", "0.5", "--alphabar", "0.5")
+        _, expected, _ = run_cli(capsys, *report)
+        target, other = tmp_path / "target.csv", tmp_path / "other.csv"
+        before, after = self.placed("--out", str(target), where, earlier=str(other))
+        code, out, _ = run_cli(capsys, *before, *report, *after)
+        assert code == 0 and out == ""
+        assert target.read_text() == expected and not other.exists()
+
+    @pytest.mark.parametrize("where", ["before", "after", "both"])
+    def test_format(self, capsys, where):
+        report = ("context", "--alpha", "0.5", "--alphabar", "0.5")
+        before, after = self.placed("--format", "json", where, earlier="csv")
+        code, out, _ = run_cli(capsys, *before, *report, *after)
+        assert code == 0 and json.loads(out)[0]["alpha"] == 0.5
+        before, after = self.placed("--format", "csv", where, earlier="json")
+        code, out, _ = run_cli(capsys, *before, *report, *after)
+        assert code == 0 and parse_csv(out)[0]["alpha"] == "0.5"
+
+    @pytest.mark.parametrize("command", [
+        (), ("table",), ("complementarity",), ("simulate",), ("analyze",), ("bell",), ("context",),
+    ])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(" ".join(("usage: hyperon", *command)))
 
 
 class TestReportOut:

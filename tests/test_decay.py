@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,10 +89,14 @@ class TestParameters:
         with pytest.raises(ValueError, match=r"\|alpha\| = nan exceeds 1"):
             params_from_alpha_phi(np.nan, 0.0)
         with pytest.raises(ValueError, match="inconsistent"):
-            params_from_alpha_phi(0.5, np.nan)
-        with pytest.raises(ValueError, match="inconsistent"):
-            DecayParameters(alpha=np.nan, beta=0.0, gamma=0.0, phi=0.0, chi_sp=0.0,
-                            visibility=1.0, predictability=0.0)
+            DecayParameters(alpha=np.nan, beta=0.0, gamma=0.0)
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_phi_rejected(self, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any numpy call warns
+            with pytest.raises(ValueError, match=rf"phi = {phi} is not finite"):
+                params_from_alpha_phi(0.5, phi)
 
     def test_gamma_sign_checked(self):
         params_from_alpha_phi(0.5, 0.1, gamma_sign=+1)
@@ -99,10 +105,22 @@ class TestParameters:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            DecayParameters(
-                alpha=0.5, beta=0.5, gamma=0.5, phi=0.0, chi_sp=0.0,
-                visibility=0.5, predictability=0.5,
-            )
+            DecayParameters(alpha=0.5, beta=0.5, gamma=0.5)
+
+    def test_derived_quantities_consistent(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            p = params_from_amplitudes(random_amplitudes(rng))
+            r = np.sqrt(max(1.0 - p.alpha**2, 0.0))
+            for err in (
+                p.visibility**2 + p.predictability**2 - 1.0,
+                p.alpha - p.visibility * np.cos(p.chi_sp),
+                p.beta - p.visibility * np.sin(p.chi_sp),
+                p.beta - r * np.sin(p.phi),
+                p.gamma - r * np.cos(p.phi),
+                p.predictability - abs(p.gamma),
+            ):
+                assert abs(err) <= 1e-12
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(10)

@@ -103,6 +103,10 @@ class TestFringe:
         with pytest.raises(ValueError, match="at least 3 points"):
             fringe_visibility(SpinState(0.4, 0.0), n_points=n_points)
 
+    def test_too_many_fit_points(self):
+        with pytest.raises(ValueError, match="at most 65536 points, got 65537"):
+            fringe_visibility(SpinState(0.4, 0.0), n_points=65_537)
+
     def test_three_fit_points_suffice(self):
         assert abs(fringe_visibility(SpinState(0.4, 0.0), n_points=3) - np.sin(0.4)) < 1e-12
 

@@ -172,7 +172,7 @@ class TestEstimators:
     def test_correlation_matrix_renormalized(self):
         n1, n2 = pair_samples(0.46, 1_000_000, seed=6)
         model = PairModel(alpha_L=np.sqrt(0.46), alpha_Lbar=np.sqrt(0.46))
-        m = correlation_estimate(n1, n2, model=model, renormalize=True)
+        m = correlation_estimate(n1, n2, model=model)
         assert np.max(np.abs(np.diag(m) - (-1.0))) < 0.02
         off = m - np.diag(np.diag(m))
         assert np.max(np.abs(off)) < 0.02
@@ -190,11 +190,9 @@ class TestEstimators:
 
     def test_renormalize_requires_model(self):
         n1, n2 = pair_samples(0.2, 1000, seed=10)
-        with pytest.raises(ValueError, match="renormalization"):
-            correlation_estimate(n1, n2, renormalize=True)
         zero = PairModel(alpha_L=0.0, alpha_Lbar=0.5)
         with pytest.raises(ValueError, match="renormalization"):
-            correlation_estimate(n1, n2, model=zero, renormalize=True)
+            correlation_estimate(n1, n2, model=zero)
 
 
 class TestSimplex:
