@@ -168,6 +168,27 @@ class TestPairing:
                                    rtol=1e-12, atol=0)
         assert abs(moments.witness()[0] - witness_estimate(n1, n2)[0]) < 1e-8
 
+    @pytest.mark.parametrize("runs, repeated", [
+        ([[0, 1, 2], [3, 4], [5]], None),  # disjoint runs in order
+        ([[5, 6], [0, 1], [2, 3]], None),  # disjoint runs out of order
+        ([[0, 1, 1, 2], [3]], 1),  # a repeat inside one run
+        ([[0, 1, 2], [2, 3]], 2),  # runs that touch at one id
+        ([[0, 4, 8], [9, 12], [1, 9]], 9),  # three overlapping runs merged
+        ([[10, 20], [20, 30], [0, 5], [5, 6]], 5),  # the smaller of two groups' repeats
+    ])
+    def test_repeated_id_across_tables(self, runs, repeated):
+        def table(ids):
+            ids = np.repeat(np.array(ids, np.uint64), 2)
+            return EventTable.from_names(ids, ["pair-1", "pair-2"] * (len(ids) // 2),
+                                         ["x"] * len(ids), np.tile([0.0, 0.0, 1.0], (len(ids), 1)))
+
+        pairs = iter_pairs(map(table, runs))
+        if repeated is None:
+            assert sum(len(n1) for n1, _ in pairs) == sum(map(len, runs))
+        else:
+            with pytest.raises(EventFileError, match=f"^event id {repeated} appears more than once"):
+                list(pairs)
+
 
 def pair_events(count: int, extra_rows=(), drop_rows=()) -> str:
     """Event-file text of `count` pairs, minus `drop_rows`, plus `extra_rows` (text lines)."""
