@@ -52,7 +52,7 @@ class CascadeKraus:
                 f"|tau| = {np.linalg.norm(tau):.6g} exceeds tau0 = {self.tau0:.6g}"
             )
         for name in ("tau", "n_mu", "n_nu"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # a copy: the caller's arrays stay writable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -185,8 +185,16 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    model = None
+    if args.what == "correlations" and args.renormalize:
+        if args.alpha is None or args.alphabar is None:
+            raise UsageError("--renormalize requires --alpha and --alphabar")
+        model = pairs.PairModel(alpha_L=args.alpha, alpha_Lbar=args.alphabar)
+    elif args.what == "correlations" and (args.alpha is not None or args.alphabar is not None):
+        raise UsageError("--alpha and --alphabar apply only with --renormalize")
     # read, pair and estimate block by block, never holding the whole file
-    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(dataio.iter_events(args.events)))
+    blocks = dataio.iter_events(args.events, args.threads)
+    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks))
     if args.what == "witness":
         value, stderr = moments.witness()
         _emit(
@@ -201,11 +209,6 @@ def _cmd_analyze(args) -> None:
             args,
         )
     else:
-        model = None
-        if args.renormalize:
-            if args.alpha is None or args.alphabar is None:
-                raise UsageError("--renormalize requires --alpha and --alphabar")
-            model = pairs.PairModel(alpha_L=args.alpha, alpha_Lbar=args.alphabar)
         m = moments.correlations(model)
         row = {"mode": "renormalized (non-Bell-admissible)" if args.renormalize else "raw"}
         for i, a in enumerate("xyz"):

@@ -8,16 +8,17 @@ with `#` comment lines.  The event file is the header
 id, a role and a channel free of commas and line breaks, and a unit
 direction printed with 9 significant digits, so unit norms survive a round
 trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
-files are written and read in blocks of rows, each formatted or parsed in
-one vectorised pass, and pair rows are matched as the blocks stream past,
-so neither direction needs the whole file in memory."""
+files are written and read in blocks of rows, formatted or parsed by
+vectorised passes over their bytes on the sampling threads, and pair rows
+are matched as the blocks stream past, so neither direction needs the
+whole file in memory."""
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import os
 import re
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
@@ -27,7 +28,7 @@ from typing import NoReturn
 import numpy as np
 
 from .decay import DecayParameters, params_from_alpha_phi
-from .mc import EventTable, ROLE_PAIR
+from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map, _pool_size
 
 log = logging.getLogger(__name__)
 
@@ -281,17 +282,24 @@ def _format_block(table: EventTable, rows: slice) -> str:
     components = words[:, id_words + field_words:-1].reshape(count, 3, 5)
     ok &= _format_unit(np.asarray(n, dtype=float), components).all(axis=1)
     words[:, -1] = _NEWLINE
+    fallback = np.flatnonzero(~ok)
+    words[fallback] = 0  # no bytes: each fallback row is spliced in where its words would be
     text = words.view(np.uint8)
-    pieces, start = [], 0
-    for row in np.flatnonzero(~ok).tolist():
-        part = text[start:row]
-        pieces.append(part[part != 0].tobytes())
-        pieces.append((_EVENT_ROW % (ids[row].item(), names[key_index[row]],
-                                     *n[row].tolist())).encode("utf-8", "surrogatepass"))
-        start = row + 1
-    part = text[start:]
-    pieces.append(part[part != 0].tobytes())
-    return b"".join(pieces).decode("utf-8", "surrogatepass")
+    kept = text != 0
+    # each fallback row goes after the kept bytes of the rows before it
+    bounds = [0, *(fallback * text.shape[1]).tolist()]
+    ends = np.cumsum([np.count_nonzero(kept.ravel()[a:b]) for a, b in zip(bounds, bounds[1:])]).tolist()
+    joined = text[kept]
+    del kept
+    if fallback.size:
+        pieces, start, view = [], 0, memoryview(joined)
+        for row, end in zip(fallback.tolist(), ends):
+            pieces += [view[start:end], (_EVENT_ROW % (ids[row].item(), names[key_index[row]],
+                                                        *n[row].tolist())).encode("utf-8", "surrogatepass")]
+            start = end
+        pieces.append(view[start:])
+        joined = b"".join(pieces)
+    return str(joined, "utf-8", "surrogatepass")
 
 
 def _text_blocks(table: EventTable | list[str]) -> Iterator[str]:
@@ -377,17 +385,22 @@ def write_events(path, tables: EventTable | Iterable[EventTable | list[str]]) ->
         raise
 
 
+def _is_unit(n: np.ndarray) -> bool:
+    """Whether every row of n is a unit vector to 1e-9; written so that a NaN component fails."""
+    return bool((np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-9).all())
+
+
 def _parse_body(lines: list[str]) -> np.ndarray:
     """Structured rows of event-file body lines.
 
     Empty lines are skipped.  Raises ValueError at any other line that does
     not hold six fields, a uint64 id, three floats and a unit direction.
     """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
-        rows = np.loadtxt(lines, dtype=_EVENT_DTYPE, delimiter=",", comments=None, ndmin=1)
-    # written so that a NaN component fails
-    if not (np.abs(np.linalg.norm(rows["n"], axis=1) - 1.0) <= 1e-9).all():
+    lines = [line for line in lines if line.rstrip("\n")]
+    if not lines:  # np.loadtxt would warn, and warning filters are not thread-safe
+        return np.empty(0, _EVENT_DTYPE)
+    rows = np.loadtxt(lines, dtype=_EVENT_DTYPE, delimiter=",", comments=None, ndmin=1)
+    if not _is_unit(rows["n"]):
         raise ValueError("direction is not unit length")
     return rows
 
@@ -421,36 +434,249 @@ def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: in
     raise EventFileError(f"{path}:{first_line + lo}: {reason} (last good event id: {last_good})")
 
 
-def iter_events(path) -> Iterator[EventTable]:
+# event-row parsing: the text of a block is parsed as bytes, in slices of
+# whole lines.  Fields are read eight bytes at a time through an unaligned
+# uint64 view (after D. Lemire, "Number parsing at a gigabyte per second",
+# SP&E 51, 2021).  A component of the grammar -?D(.D{1,13})? is its integer
+# mantissa m < 10**14 < 2**53 divided by the exact double 10**f, f <= 13: one
+# correctly rounded division (W. D. Clinger, PLDI 1990), so it equals the
+# correctly rounded parse of np.loadtxt.  Rows outside this grammar, such as
+# exponent forms (about 600 per 1M pairs), go through _parse_body.
+# characters per parsed slice, the parsing threads' unit of work: `analyze witness` of a 1M-pair
+# file on 2 threads peaked at 56 MB with 2^19 and at 72 MB with 2^20 (2.10 and 1.72 s; np.loadtxt
+# took 3.57 s and 67 MB)
+_PARSE_SLICE_BYTES = 1 << 19
+# a smaller slice goes through _parse_body whole: np.loadtxt costs less than the byte parser's fixed cost
+_BYTE_PARSE_MIN = 1 << 15
+_MAX_KEYS = 16  # distinct "role,channel" keys matched per slice; rows of later keys go through _parse_body
+_MAX_KEY_BYTES = 64
+_PAD_BEFORE, _PAD_AFTER = 24, _MAX_KEY_BYTES  # bytes around a slice's text that word reads may touch
+_ROW_SEPARATORS = np.array([ord(",")] * 5 + [ord("\n")], np.uint8)
+# _KEEP_LAST[k] keeps the last k of the 8 bytes in a little-endian word, _ZEROS_KEPT[k] the ASCII zeros there
+_KEEP_LAST = np.array([(2**64 - 1) & ~((1 << 8 * (8 - k)) - 1) for k in range(9)], np.uint64)
+_ZEROS_KEPT = _KEEP_LAST & np.uint64(0x3030303030303030)
+# by the length of a component without its sign: its decimals f, 0 for "D", and 14 outside the grammar
+_DECIMALS = np.array([14, 0, 14, *range(1, 14), 14, 14, 14, 14])
+_POW10_U64 = 10 ** np.arange(15, dtype=np.uint64)
+_SIGNED_POW10 = np.concatenate([10.0 ** np.arange(15), -10.0 ** np.arange(15)])  # exact up to 10**22
+
+
+def _digits(words: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, ok) of the last `count` (0 to 8) bytes of each little-endian word read as decimal digits.
+
+    `words` is overwritten.  ok is whether those bytes are all digits:
+    with the ASCII zeros taken off, a digit byte is 0-9 and adding 0x76
+    sets no high bit, while the lowest other byte borrows or sets one.
+    The digits are then combined pairwise by multiplications (Lemire's
+    SWAR step).
+    """
+    x = words
+    x &= _KEEP_LAST[count]
+    x -= _ZEROS_KEPT[count]
+    ok = x + np.uint64(0x7676767676767676)
+    ok |= x
+    ok = ok & np.uint64(0x8080808080808080) == 0
+    pairs = x >> np.uint64(8)
+    x *= np.uint64(10)
+    x += pairs  # byte 2k + 1: the value of digits 2k and 2k + 1
+    pairs = x >> np.uint64(16)
+    pairs &= np.uint64(0x000000FF000000FF)
+    pairs *= np.uint64(1 + (10000 << 32))
+    x &= np.uint64(0x000000FF000000FF)
+    x *= np.uint64(100 + (1000000 << 32))
+    x += pairs
+    x >>= np.uint64(32)
+    return x, ok
+
+
+def _parse_rows(text: str):
+    """(ids, n, key codes, keys, slow rows, slow lines) of event-file lines, or None.
+
+    Returns None unless every line holds exactly five commas and no byte
+    below 0x20 but its line break.  `keys` maps each (role, channel)
+    found to its key code.  The slow rows, outside the grammar this
+    parser reads, hold junk and must go through _parse_body; the slow
+    lines are their text.
+    """
+    end = "" if text.endswith("\n") else "\n"
+    data = ("0" * _PAD_BEFORE + text + end + "0" * _PAD_AFTER).encode("utf-8")
+    buf = np.frombuffer(data, np.uint8)
+    words = np.ndarray((buf.size - 7,), np.uint64, data, 0, (1,))  # words[i]: the bytes buf[i:i + 8]
+    lo = _PAD_BEFORE
+    body = buf[lo:-_PAD_AFTER]
+    separators = np.flatnonzero((body == ord(",")) | (body < 0x20))
+    if separators.size % 6 or not (body[separators].reshape(-1, 6) == _ROW_SEPARATORS).all():
+        return None
+    separators += lo
+    field_end = separators.reshape(-1, 6).T.copy()  # field_end[k]: where field k of each row ends
+    del separators
+    rows = field_end.shape[1]
+    start = np.empty(rows, np.intp)
+    start[0] = lo
+    start[1:] = field_end[5, :-1] + 1
+    # id: 1 to 19 digits, so it fits a uint64
+    length = field_end[0] - start
+    parsed = (length >= 1) & (length <= 19)
+    ids = np.zeros(rows, np.uint64)
+    for word in range(-(-int(length.max()) // 8)):
+        value, ok = _digits(words[field_end[0] - 8 * word - 8],
+                            np.minimum(np.maximum(length - 8 * word, 0), 8))
+        ids += value * np.uint64(10 ** (8 * word))
+        parsed &= ok
+    # components: -?D(.D{1,13})?
+    first, last = field_end[2:5] + 1, field_end[3:6]
+    negative = buf[first] == ord("-")
+    first += negative
+    decimals = _DECIMALS[np.minimum(last - first, len(_DECIMALS) - 1)]
+    digit = buf[first] - np.uint8(ord("0"))
+    ok = (digit < 10) & (decimals < 14) & ((decimals == 0) | (buf[first + 1] == ord(".")))
+    # the last 8 decimals, and the up to 5 before them
+    (low, high), digits_ok = _digits(words[last - [[[8]], [[16]]]], [np.minimum(decimals, 8),
+                                                                       np.maximum(decimals - 8, 0)])
+    ok &= digits_ok[0] & digits_ok[1]
+    parsed &= ok[0] & ok[1] & ok[2]
+    mantissa = high * np.uint64(10**8) + low + digit * _POW10_U64[decimals]
+    n = np.empty((rows, 3))
+    np.divide(mantissa.T, _SIGNED_POW10[decimals + 15 * negative].T, out=n)  # -0 for "-0"
+    # keys "role,channel": each distinct key is compared word by word with every row
+    key_start = field_end[0] + 1
+    key_length = field_end[2] - key_start
+    parsed &= key_length <= _MAX_KEY_BYTES
+    code, keys = np.zeros(rows, np.intp), {}
+    todo, found = parsed.copy(), {}  # found: key length -> its words in each row
+    while len(keys) < _MAX_KEYS and todo.any():
+        row = int(todo.argmax())
+        size = int(key_length[row])
+        if size not in found:  # words from the key's start, the last one ending at its end
+            found[size] = [words[key_start + offset] for offset in [*range(0, size - 8, 8), size - 8]]
+            found[size][-1] = found[size][-1] & _KEEP_LAST[min(size, 8)]
+        match = key_length == size
+        for word in found[size]:
+            match &= word == word[row]
+        name = buf[key_start[row]:field_end[2, row]].tobytes().decode("utf-8")
+        code[match] = keys.setdefault(tuple(name.split(",", 1)), len(keys))
+        todo &= ~match
+    slow = np.flatnonzero(todo | ~parsed).tolist()
+    slow_lines = [buf[start[i]:field_end[5, i]].tobytes().decode("utf-8") for i in slow]
+    return ids, n, code, keys, slow, slow_lines
+
+
+def _parse_slice(text: str) -> tuple[EventTable | None, int]:
+    """(table, line count) of event-file lines; the table is None if _parse_body rejects a line.
+
+    The table is the one `EventTable.from_names` makes of `_parse_body`'s
+    rows: the same values, names in order of first appearance and code
+    dtypes.  The rows _parse_rows leaves go through one _parse_body call
+    and are spliced in by row index; a slice it does not take goes
+    through _parse_body whole.
+    """
+    parts = _parse_rows(text) if len(text) >= _BYTE_PARSE_MIN else None
+    if parts is None:  # not five commas a line, or few lines: every line through _parse_body
+        lines = _text_lines(text)
+        try:
+            rows = _parse_body(lines)
+        except ValueError:
+            return None, len(lines)
+        return EventTable.from_names(np.ascontiguousarray(rows["event_id"]), rows["role"], rows["channel"],
+                                     np.ascontiguousarray(rows["n"])), len(lines)
+    ids, n, code, keys, slow, slow_lines = parts
+    rows = lines = len(ids)
+    if slow_lines:
+        try:
+            rest = _parse_body(slow_lines)
+        except ValueError:
+            return None, lines
+        ids[slow], n[slow] = rest["event_id"], rest["n"]
+        code[slow] = [keys.setdefault(key, len(keys))
+                      for key in zip(rest["role"].tolist(), rest["channel"].tolist())]
+    if not _is_unit(n):
+        return None, lines
+    # names in order of first appearance
+    first = np.full(len(keys), rows)
+    np.minimum.at(first, code, np.arange(rows))
+    names = list(keys)
+    ordered = [names[k] for k in np.argsort(first).tolist()]
+    roles = tuple(dict.fromkeys(role for role, _ in ordered))
+    channels = tuple(dict.fromkeys(channel for _, channel in ordered))
+    role_of = np.array([roles.index(role) for role, _ in names], _code_dtype(len(roles)))
+    channel_of = np.array([channels.index(channel) for _, channel in names], _code_dtype(len(channels)))
+    return EventTable(ids, role_of[code], channel_of[code], n, roles, channels), lines
+
+
+def _slices(f) -> Iterator[tuple[str, bool]]:
+    """Whole lines of `f` in slices of about _PARSE_SLICE_BYTES characters, and whether each ends a block.
+
+    A block is what one `f.readlines(_READ_BLOCK_BYTES)` call returns: it
+    ends at the first line break at or after its character
+    _READ_BLOCK_BYTES, or at the end of the file.  A slice ends at the
+    first line break at or after its character _PARSE_SLICE_BYTES, or
+    where its block ends.
+    """
+    text, used = "", 0  # text read but not yet returned; characters of its block returned before it
+    while True:
+        limit = max(min(_PARSE_SLICE_BYTES, _READ_BLOCK_BYTES - used), 0)
+        cut = text.find("\n", limit)
+        while cut < 0:
+            # at least as much as is held, so that a long line reads in linear time
+            more = f.read(max(min(_PARSE_SLICE_BYTES, _READ_BLOCK_BYTES), len(text)))
+            if not more:
+                if text:
+                    yield text, True
+                return
+            searched = max(len(text), limit)
+            text += more
+            cut = text.find("\n", searched)
+        block_ends = cut >= _READ_BLOCK_BYTES - used
+        yield text[:cut + 1], block_ends
+        used = 0 if block_ends else used + cut + 1
+        text = text[cut + 1:]
+
+
+def _text_lines(text: str) -> list[str]:
+    """The lines of `text` as `readlines` returns them: split after each line break only."""
+    lines = [line + "\n" for line in text.split("\n")]
+    lines[-1] = lines[-1][:-1]
+    return lines if lines[-1] else lines[:-1]
+
+
+def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
     """Read an event file as a stream of EventTables, one per block of lines.
 
-    The header is checked first.  Each block holds whole lines, about
-    _READ_BLOCK_BYTES of text, and is parsed in one vectorised pass; a
-    block with no records yields nothing.  Only a block that fails is
-    searched for its first malformed or truncated line; the error names
-    that line's number in the file and the last good event id, which may
-    lie in an earlier block.
+    The header is checked first.  Each block holds the lines that one
+    `readlines(_READ_BLOCK_BYTES)` call returns, parsed in slices by
+    _parse_slice on up to `workers` threads (all CPUs when unset or 0, as
+    for `SampleConfig.workers`): the tables come in file order and are the
+    same for any worker count.  A block with no records yields nothing.
+    Only a slice that fails is searched for its first malformed or
+    truncated line; the error names that line's number in the file and
+    the last good event id, which may lie in an earlier block.
     """
     path = Path(path)
+
+    def parse(piece: tuple[str, bool]) -> tuple[str | None, bool, EventTable | None, int]:
+        text, block_ends = piece
+        table, lines = _parse_slice(text)
+        return (text if table is None else None), block_ends, table, lines  # the text only to locate an error
+
     try:
         with path.open(encoding="utf-8") as f:
             if f.readline().strip() != EVENT_HEADER:
                 raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
-            line_no, last_good = 2, None
-            while lines := f.readlines(_READ_BLOCK_BYTES):
-                try:
-                    rows = _parse_body(lines)
-                except ValueError:
-                    _raise_first_bad_line(path, lines, line_no, last_good)
-                line_no += len(lines)
-                if rows.size:
-                    last_good = int(rows["event_id"][-1])
-                    yield EventTable.from_names(
-                        event_id=np.ascontiguousarray(rows["event_id"]),
-                        role=rows["role"],
-                        channel=rows["channel"],
-                        n=np.ascontiguousarray(rows["n"]),
-                    )
+            line_no, last_good, tables = 2, None, []
+            slices = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
+            threads = _pool_size(workers, os.cpu_count(), slices)
+            for text, block_ends, table, lines in _ordered_map(parse, _slices(f), threads):
+                if table is None:
+                    _raise_first_bad_line(path, _text_lines(text), line_no, last_good)
+                line_no += lines
+                if len(table):
+                    last_good = int(table.event_id[-1])
+                    tables.append(table)
+                if block_ends and tables:
+                    yield EventTable.concat(tables)
+                    tables = []
+            if tables:  # the end of the file ends the last block
+                yield EventTable.concat(tables)
     except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from None
 
@@ -502,13 +728,16 @@ def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.nd
     """
     found: set[str] = set()
     carry = [(np.empty(0, np.uint64), np.empty((0, 3)))] * len(ROLE_PAIR)
-    matched = []
+    firsts, lasts = [], []  # the first and last ids of the runs of consecutive matched ids
     for table in tables:
         counts = np.bincount(table.role_code, minlength=len(table.roles))
         found.update(role for role, count in zip(table.roles, counts) if count)
         (id1, n1), (id2, n2) = (_sorted_side(table, role, c) for role, c in zip(ROLE_PAIR, carry))
         i1, i2 = _match(id1, id2)
-        matched.append(id1[i1])
+        if (ids := id1[i1]).size:  # sorted
+            cut = np.flatnonzero(np.diff(ids) != 1) + 1
+            firsts.append(ids[np.r_[0, cut]])
+            lasts.append(ids[np.r_[cut - 1, ids.size - 1]])
         yield np.take(n1, i1, axis=0), np.take(n2, i2, axis=0)
         carry = [(np.delete(id1, i1), np.delete(n1, i1, axis=0)),
                  (np.delete(id2, i2), np.delete(n2, i2, axis=0))]
@@ -518,15 +747,15 @@ def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.nd
         )
     if any(ids.size for ids, _ in carry):
         raise EventFileError("pair roles do not cover the same event ids")
-    # sort and merge only the runs whose id ranges overlap: no copy of all ids for an in-order stream
-    groups, top = [], None
-    for run in sorted((ids for ids in matched if ids.size), key=lambda ids: ids[0]):
-        groups.append(groups.pop() + [run] if groups and run[0] <= top else [run])
-        top = run[-1] if top is None else max(top, run[-1])
-    for ids in (np.sort(np.concatenate(group)) for group in groups):
-        repeated = np.flatnonzero(ids[1:] == ids[:-1])
+    # an id is repeated where a run starts at or below the last id of a run before it, in order of
+    # first id; the first such run starts at the smallest repeated id
+    if firsts:
+        first, last = np.concatenate(firsts), np.concatenate(lasts)
+        order = np.argsort(first, kind="stable")
+        first, last = first[order], last[order]
+        repeated = np.flatnonzero(first[1:] <= np.maximum.accumulate(last)[:-1])
         if repeated.size:
-            raise EventFileError(f"event id {ids[repeated[0]]} appears more than once per pair role")
+            raise EventFileError(f"event id {first[repeated[0] + 1]} appears more than once per pair role")
 
 
 def paired_directions(events: EventTable) -> tuple[np.ndarray, np.ndarray]:

@@ -157,8 +157,8 @@ class KrausPair:
     w2: np.ndarray
 
     def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=float)
-        w2 = np.asarray(self.w2, dtype=float)
+        w1 = np.array(self.w1, dtype=float)  # a copy: the caller's arrays stay writable
+        w2 = np.array(self.w2, dtype=float)
         # each check is written so that NaN fails it
         if not abs(self.omega_plus + self.omega_minus - 1.0) <= _PARAM_TOL:
             raise ValueError("outcome probabilities must sum to 1")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, TypeVar
@@ -38,6 +38,7 @@ ROLE_SINGLE = "single"
 ROLE_PAIR = ("pair-1", "pair-2")
 ROLE_CASCADE = ("cascade-mu", "cascade-nu")
 
+_S = TypeVar("_S")
 _T = TypeVar("_T")
 
 
@@ -94,16 +95,21 @@ class EventTable:
         tables = list(tables)
         if not tables:
             return cls.from_names(np.empty(0, np.uint64), [], [], np.empty((0, 3)))
+        if len(tables) == 1:
+            return tables[0]
 
         def merged(codes: str, names: str) -> tuple[np.ndarray, tuple[str, ...]]:
             union = tuple(dict.fromkeys(name for t in tables for name in getattr(t, names)))
             index = {name: code for code, name in enumerate(union)}
             dtype = _code_dtype(len(union))
-            # each table's codes, mapped through its names to their index in the union
-            return np.concatenate([
-                np.array([index[name] for name in getattr(t, names)], dtype)[getattr(t, codes)]
-                for t in tables
-            ]), union
+
+            def in_union(t: EventTable) -> np.ndarray:  # the table's codes as indices into the union
+                own = getattr(t, names)
+                if own == union[:len(own)]:
+                    return getattr(t, codes)
+                return np.array([index[name] for name in own], dtype)[getattr(t, codes)]
+
+            return np.concatenate([in_union(t) for t in tables], dtype=dtype), union
 
         role_code, roles = merged("role_code", "roles")
         channel_code, channels = merged("channel_code", "channels")
@@ -198,8 +204,7 @@ class SampleConfig:
             raise ValueError("event count must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"worker count must be non-negative, got {self.workers}")
+        _check_workers(self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +289,51 @@ def _event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
-    """Sampling threads: all CPUs when unset or 0, at most one per CPU and per chunk."""
+    """Threads: all CPUs when unset or 0, at most one per CPU and per chunk."""
+    _check_workers(requested)
     cpus = cpus or 1
     return min(requested or cpus, cpus, n_chunks)
+
+
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 0:
+        raise ValueError(f"worker count must be non-negative, got {workers}")
+
+
+def _ordered_map(func: Callable[[_S], _T], items: Iterable[_S], workers: int) -> Iterator[_T]:
+    """func(item) for each item, in order, on `workers` threads with at most 2 x workers items in flight.
+
+    One worker maps in the calling thread, one item at a time.  An error
+    raised while drawing the next item is raised after the results of
+    the items before it have been yielded.
+    """
+    items = iter(items)
+    if workers <= 1:
+        yield from map(func, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight, failure = deque(), None
+
+        def submit(count: int) -> None:
+            nonlocal failure
+            try:
+                for item in itertools.islice(items, count):  # drawn only as the window has room
+                    in_flight.append(pool.submit(func, item))
+            except Exception as exc:
+                failure = exc
+
+        submit(2 * workers)
+        try:
+            while in_flight:
+                # .result() re-raises a worker's error; no name keeps the result alive here
+                yield in_flight.popleft().result()
+                if failure is None:
+                    submit(1)
+        finally:
+            for future in in_flight:  # a consumer that stops early
+                future.cancel()
+        if failure is not None:
+            raise failure
 
 
 def _table(model, first_id: int, n: np.ndarray) -> EventTable:
@@ -325,21 +372,7 @@ def iter_chunks(
         table = _table(model, start, n)
         return table if apply is None else apply(table)
 
-    workers = _pool_size(config.workers, os.cpu_count(), len(starts))
-    if workers == 1:
-        yield from map(sample, starts)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = (pool.submit(sample, start) for start in starts)  # submitted when drawn
-        in_flight = deque(itertools.islice(futures, 2 * workers))
-        try:
-            for _ in starts:
-                # .result() re-raises a worker's error; no name keeps the chunk alive here
-                yield in_flight.popleft().result()
-                in_flight.extend(itertools.islice(futures, 1))
-        finally:
-            for future in in_flight:  # a consumer that stops early
-                future.cancel()
+    yield from _ordered_map(sample, starts, _pool_size(config.workers, os.cpu_count(), len(starts)))
 
 
 def generate(config: SampleConfig) -> EventTable:

@@ -193,6 +193,14 @@ class TestKrausStructure:
                               n_mu=np.array([1.0, 0, 0]), n_nu=np.array([0, 1.0, 0]))
         assert record.omega_plus == 0.75 and record.omega_minus == 0.25
 
+    def test_caller_directions_stay_writable(self):
+        mu, nu = params_from_alpha_phi(-0.39, 0.0), params_from_alpha_phi(0.642, 0.0)
+        n_mu, n_nu = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        record = cascade_kraus(mu, nu, n_mu, n_nu)
+        n_mu[0] = n_nu[1] = -1.0  # the record holds its own read-only copies
+        assert record.n_mu.tolist() == [1.0, 0.0, 0.0] and record.n_nu.tolist() == [0.0, 1.0, 0.0]
+        assert not (record.n_mu.flags.writeable or record.n_nu.flags.writeable)
+
     @pytest.mark.parametrize("tau0, tau, match", [
         (np.nan, [0.5, 0.0, 0.0], "must be positive"),
         (1.0, [0.5, np.nan, 0.0], "exceeds tau0"),

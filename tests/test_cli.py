@@ -296,6 +296,19 @@ class TestAnalyze:
         assert "Traceback" not in result.stderr
         assert f"{f}:2:" in result.stderr
 
+    @pytest.mark.parametrize("flags", [("--alpha", "0.642", "--alphabar", "0.71"), ("--alphabar", "0.71")])
+    def test_alphas_without_renormalize_exit_1(self, tmp_path, flags):
+        # the flags would otherwise be ignored: the raw matrix printed with exit 0
+        f = tmp_path / "pairs.csv"
+        f.write_text("event_id,role,channel,nx,ny,nz\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperon.cli", "analyze", "correlations", "--events", str(f), *flags],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "usage error: --alpha and --alphabar apply only with --renormalize\n"
+
     def test_renormalize_needs_alphas(self, capsys, pair_file):
         code, _, _ = run_cli(capsys, "analyze", "correlations", "--events", str(pair_file),
                              "--renormalize")

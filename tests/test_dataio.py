@@ -356,6 +356,22 @@ def percent_rows(table: EventTable) -> str:
         table.event_id.tolist(), map(names.__getitem__, keys.tolist()), *table.n.T.tolist())))
 
 
+def reference_table(lines: list[str]) -> EventTable:
+    """The table of event-file lines as np.loadtxt (`_parse_body`) and `from_names` make it."""
+    rows = dataio._parse_body(lines)
+    return EventTable.from_names(np.ascontiguousarray(rows["event_id"]), rows["role"], rows["channel"],
+                                 np.ascontiguousarray(rows["n"]))
+
+
+def assert_same_table(got: EventTable, want: EventTable) -> None:
+    """Same ids, names, code dtypes and direction bits."""
+    assert (got.roles, got.channels) == (want.roles, want.channels)
+    for column in ("event_id", "role_code", "channel_code"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+    assert got.n.flags.c_contiguous and np.array_equal(got.n.view(np.uint64), want.n.view(np.uint64))
+
+
 def near(x: np.ndarray, ulps: int = 2) -> np.ndarray:
     """x and its neighbours up to `ulps` doubles away on either side."""
     out, up, down = [x], x, x
@@ -368,7 +384,7 @@ def near(x: np.ndarray, ulps: int = 2) -> np.ndarray:
 class TestRowFormatter:
     """The vectorised event-row formatter against `%` formatting, byte for byte."""
 
-    def test_components_match_percent_format(self):
+    def test_components_match_percent_format(self, monkeypatch):
         rng = np.random.default_rng(2024)
         vectors = rng.normal(size=(500_000, 3))
         q = rng.integers(10**8, 10**9, 250_000)
@@ -417,6 +433,16 @@ class TestRowFormatter:
             if got != want:
                 line = next(g for g, w in zip(got.splitlines(), want.splitlines()) if g != w)
                 pytest.fail(f"{name}: format_events wrote {line!r}")
+            # the first 200,000 rows parsed back, against _parse_body; the unit check, which both
+            # share, is off
+            with monkeypatch.context() as patch:
+                patch.setattr(dataio, "_is_unit", lambda n: True)
+                head = got.split("\n", 200_001)[1:-1]
+                for part in range(0, len(head), 50_000):
+                    lines = [line + "\n" for line in head[part:part + 50_000]]
+                    parsed, count = dataio._parse_slice("".join(lines))
+                    assert count == len(lines)
+                    assert_same_table(parsed, reference_table(lines))
             checked += x.size
         assert checked >= 10_000_000
 
@@ -438,6 +464,104 @@ class TestRowFormatter:
         ]
         for table in tables:
             assert format_events(table) == HEADER + "\n" + percent_rows(table)
+
+
+def parent_read(path) -> EventTable:
+    """An event file of one block read as the np.loadtxt reader did: `_parse_body`, `from_names`, and
+    `_raise_first_bad_line` at a line it rejects."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        lines = f.readlines()
+    try:
+        return reference_table(lines)
+    except ValueError:
+        dataio._raise_first_bad_line(path, lines, 2, None)
+
+
+ROWS = "0,pair-1,x,0.6,0,0.8\n0,pair-2,x,-0.6,0,-0.8\n"
+
+
+class TestRowParser:
+    """The byte parser against the np.loadtxt reader, line by line: the same table or the same error."""
+
+    @pytest.fixture(autouse=True)
+    def byte_parser(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_BYTE_PARSE_MIN", 0)  # small files too
+
+    @pytest.mark.parametrize("line", [
+        "01,pair-1,x,0,0,1",  # leading zero in an id
+        "+1,pair-1,x,0,0,1",
+        "1,pair-1,x, 0.6,0,0.8",
+        "1,pair-1,x,0.6 ,0,0.8",
+        "1,pair-1,x,1.,0,0",
+        "1,pair-1,x,.6,0,.8",
+        "1,pair-1,x,1E0,0,0",
+        "1,pair-1,x,1e-05,0,1",
+        "1,pair-1,x,-0,-0.0,-1",  # negative zeros keep their sign
+        "1,pair-1,x,0.6000000000000,0,0.8000000000000",  # 13 decimals, the most the fast grammar reads
+        "1,pair-1,x,0.60000000000000,0,0.8",  # 14
+        "1,pair-1,x,00.6,0,0.8",
+        "1,pair-1,x,0,0,1\r",  # \r\n
+        "1,pair-1,x,0,0,1\r2,pair-1,x,0,1,0",  # a lone \r
+        "1234567890123456789,pair-1,x,0,0,1",  # 19 digits, the most the fast grammar reads
+        "18446744073709551615,pair-1,x,0,0,1",  # 2**64 - 1 in 20 digits
+        "18446744073709551616,pair-1,x,0,0,1",  # 2**64
+        "-1,pair-1,x,0,0,1",
+        "1,pa\tir-1,x,0,0,1",
+        "1,pair-1,\x00,0,0,1",
+        '1,"pair-1",x,0,0,1',
+        "1, pair-1 ,x y,0,0,1",
+        "1,,,0,0,1",
+        ",pair-1,x,0,0,1",  # no id
+        "1,Λ→pπ⁻,Ξ ,0,0,1",
+        "1," + "r" * 70 + ",x,0,0,1",  # a key longer than the word compare takes
+        "1,pair-1,x,0,0",
+        "1,pair-1,x,0,0,1,",
+        ",,,,,",
+        "1,pair-1,x,0.5,0,0.5",
+        "1,pair-1,x,nan,0,1",
+        "1,pair-1,x,2,0,0",
+        "1,pair-1,x,-,0,1",
+        "1,pair-1,x,0.6e,0,0.8",
+        "   ",
+        "",
+    ])
+    @pytest.mark.parametrize("where", ["first", "inside", "last"])
+    def test_line_like_loadtxt(self, tmp_path, line, where):
+        before, after = {"first": ("", ROWS * 3), "inside": (ROWS * 2, ROWS), "last": (ROWS * 3, "")}[where]
+        path = tmp_path / "events.csv"
+        path.write_bytes(f"{HEADER}\n{before}{line}\n{after}".encode())
+        try:
+            want = parent_read(path)
+        except EventFileError as exc:
+            with pytest.raises(EventFileError) as got:
+                read_events(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_table(read_events(path), want)
+
+    @pytest.mark.parametrize("keys", [2, 16, 17, 300])
+    def test_many_keys(self, tmp_path, keys):
+        # keys past the sixteenth in a slice go through _parse_body
+        roles = [("pair-1", "single", "pair-2")[i % 3] for i in range(3 * keys)]
+        channels = [f"ch-{(7 * i) % keys}" for i in range(3 * keys)]
+        n = np.random.default_rng(keys).normal(size=(3 * keys, 3))
+        path = tmp_path / "events.csv"
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        write_events(path, event_table(range(3 * keys), roles, channels, n))
+        assert_same_table(read_events(path), parent_read(path))
+
+    def test_digit_words(self):
+        # every byte in every position of an eight-byte word, with every count of digits read
+        rng = np.random.default_rng(3)
+        text = rng.integers(ord("0"), ord("9") + 1, (256 * 8, 8), dtype=np.uint8)
+        text[np.arange(256 * 8), np.arange(256 * 8) % 8] = np.arange(256 * 8) // 8
+        for count in range(9):
+            value, ok = dataio._digits(text.view(np.uint64).ravel().copy(), np.full(len(text), count))
+            for row, got, good in zip(text.tolist(), value.tolist(), ok.tolist()):
+                digits = bytes(row[8 - count:])
+                assert good == digits.isdigit() or count == 0
+                assert not good or got == int(digits or b"0")
 
 
 GOLDEN_EVENT_FILES = {

@@ -197,6 +197,12 @@ class TestKraus:
         with pytest.raises(ValueError, match=match):
             KrausPair(omega_plus, omega_minus, w1=np.array(w1), w2=np.array(w2))
 
+    def test_caller_direction_stays_writable(self):
+        n = np.array([0.0, 0.0, 1.0])
+        pair = kraus_decompose(DecayAmplitudes(1.0, 1.0j), n)
+        n[2] = -1.0  # the record holds its own read-only copy
+        assert pair.w2.tolist() == [0.0, 0.0, 1.0] and not pair.w2.flags.writeable
+
     def test_operators_are_hermitian_projector_multiples(self):
         rng = np.random.default_rng(13)
         a = random_amplitudes(rng)

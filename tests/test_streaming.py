@@ -127,6 +127,117 @@ class TestReadBlocks:
         assert read_events(path).event_id.tolist() == [0, 0]
 
 
+def parent_iter_events(path, size: int):
+    """The np.loadtxt reader: `_parse_body` per `readlines(size)` block, `from_names`, and
+    `_raise_first_bad_line` in the first block it rejects."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        line_no, last_good = 2, None
+        while lines := f.readlines(size):
+            try:
+                rows = dataio._parse_body(lines)
+            except ValueError:
+                dataio._raise_first_bad_line(path, lines, line_no, last_good)
+            line_no += len(lines)
+            if rows.size:
+                last_good = int(rows["event_id"][-1])
+                yield EventTable.from_names(np.ascontiguousarray(rows["event_id"]), rows["role"],
+                                            rows["channel"], np.ascontiguousarray(rows["n"]))
+
+
+def drain(tables) -> tuple[list[tuple], str | None]:
+    """The tables of a stream as comparable tuples (with the direction bits), and its error text."""
+    got = []
+    try:
+        for t in tables:
+            got.append((t.event_id.dtype, t.event_id.tolist(), t.roles, t.channels, t.role_code.dtype,
+                        t.role_code.tolist(), t.channel_code.dtype, t.channel_code.tolist(),
+                        t.n.view(np.uint64).tolist()))
+    except EventFileError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def mixed_lines(count: int, seed: int) -> list[str]:
+    """Event-file lines of every kind the readers take: rows of the byte parser's grammar, and
+    exponent forms, blank lines, \r\n endings, names that first appear late and long names."""
+    rng = np.random.default_rng(seed)
+    n = rng.normal(size=(count, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n[rng.random(count) < 0.1, 0] = 3e-6  # printed as 3e-06; the row is still a unit vector to 1e-9
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    lines = []
+    for i, (x, y, z) in enumerate(n.tolist()):
+        role = ("pair-1", "pair-2", "single")[i % 3 if i > count // 2 else i % 2]
+        channel = "ch" if rng.random() < 0.8 else ("late ch", "Λ→pπ⁻", "c" * 80)[i % 3]
+        end = rng.choice(["\n", "\r\n", "\n\n"])
+        lines.append(f"{i // 2},{role},{channel},{x:.9g},{y:.9g},{z:.9g}{end}")
+    return lines
+
+
+class TestByteReader:
+    """iter_events against the np.loadtxt reader it replaces: the same tables, block for block."""
+
+    @pytest.fixture(autouse=True)
+    def byte_parser(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_BYTE_PARSE_MIN", 0)  # small slices too
+
+    @pytest.mark.parametrize("block_bytes", [10, 300, 500])
+    @pytest.mark.parametrize("slice_bytes", [1, 120, 1 << 18])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_like_readlines(self, tmp_path, monkeypatch, block_bytes, slice_bytes, workers):
+        path = tmp_path / "events.csv"
+        path.write_bytes((HEADER + "\n" + "".join(mixed_lines(200, block_bytes))).encode())
+        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
+        got, error = drain(iter_events(path, workers))
+        assert error is None and got == drain(parent_iter_events(path, block_bytes))[0]
+        assert len(got) > 10 if block_bytes < 1000 else len(got) == 1
+
+    @pytest.mark.parametrize("bad_line", [0, 1, 57, 58, 120, 199])
+    @pytest.mark.parametrize("slice_bytes", [1, 120])
+    def test_error_like_readlines(self, tmp_path, monkeypatch, bad_line, slice_bytes):
+        # the error names the same line and last good id when it lies in a later slice of a block
+        lines = mixed_lines(200, 4)
+        lines[bad_line] = lines[bad_line].replace(",", ";", 1)
+        path = tmp_path / "events.csv"
+        path.write_bytes((HEADER + "\n" + "".join(lines)).encode())
+        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 700)
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
+        got, error = drain(iter_events(path, 2))
+        assert error is not None and (got, error) == drain(parent_iter_events(path, 700))
+
+    def test_more_threads_than_cores_keep_order(self, tmp_path, monkeypatch):
+        # eight parsing threads on small slices, switching often: the tables of one thread
+        path = tmp_path / "events.csv"
+        path.write_bytes((HEADER + "\n" + "".join(mixed_lines(600, 5))).encode())
+        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 2000)
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", 300)
+        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 8)
+        serial = drain(iter_events(path, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = drain(iter_events(path, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial and serial[1] is None and len(serial[0]) > 10
+
+    def test_threads_give_the_same_reports(self, tmp_path, monkeypatch, capsys):
+        table = generate(SampleConfig(seed=11, events=3000, model=PairCorrelationModel(k=0.46)))
+        path = pair_file(tmp_path, table)
+        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 20_000)
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", 3_000)
+        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
+        reports = set()
+        for threads in ("1", "2"):
+            for what in (["witness"], ["correlations", "--format", "json"]):
+                assert main(["--threads", threads, "analyze", *what, "--events", str(path)]) == 0
+                reports.add((what[0], capsys.readouterr().out))
+        assert len(reports) == 2
+
+
 class TestPairing:
     def test_pair_split_across_block_boundary(self, tmp_path, small_blocks):
         path = tmp_path / "events.csv"
@@ -327,6 +438,18 @@ class TestChunks:
             assert threading.get_ident() not in threads
         assert "".join(text for blocks in iter_chunks(config, dataio.format_blocks) for text in blocks) \
             == format_events(generate(config))[len(HEADER) + 1:]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_error_drawing_items_follows_earlier_results(self, workers):
+        def items():
+            yield from range(7)
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        got = []
+        with pytest.raises(UnicodeDecodeError):
+            for value in mc._ordered_map(lambda x: x * x, items(), workers):
+                got.append(value)
+        assert got == [x * x for x in range(7)]
 
     def test_consumer_that_stops_early(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK", 5)
