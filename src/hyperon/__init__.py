@@ -68,4 +68,4 @@ from .dataio import (
     write_events,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -121,13 +121,11 @@ def _conditional_axes(mu: DecayParameters, nu: DecayParameters, s, n_mu) -> np.n
     The cascade sampler's kernel calls this directly: its rows are unit by
     construction, and a per-row check would cost more than the formula.
     """
-    # BLAS takes a single row as a dot product, which rounds differently from
-    # the matrix-vector product of two or more rows; a padded row keeps each
-    # row's axis independent of how many rows come with it
-    dots = n_mu @ s if len(n_mu) > 1 else (np.repeat(n_mu, 2, axis=0) @ s)[:1]
+    x, y, z = n_mu.T
+    s0, s1, s2 = s
+    dots = x * s0 + y * s1 + z * s2
     weight = 1.0 + mu.alpha * dots
-    return nu.alpha * (
-        (mu.alpha + (1.0 - mu.gamma) * dots)[:, None] * n_mu
-        + mu.gamma * s
-        + mu.beta * np.cross(np.broadcast_to(s, n_mu.shape), n_mu)
-    ) / weight[:, None]
+    along = mu.alpha + (1.0 - mu.gamma) * dots
+    s_cross_n = (s1 * z - s2 * y, s2 * x - s0 * z, s0 * y - s1 * x)
+    return np.stack([nu.alpha * (along * n_mu[:, i] + mu.gamma * s[i] + mu.beta * s_cross_n[i]) / weight
+                     for i in range(3)], axis=1)

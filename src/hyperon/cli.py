@@ -130,11 +130,20 @@ def _cmd_complementarity(args) -> None:
     _emit([row], args)
 
 
+_DECAY_FLAGS = ("hyperon", "channel", "alpha", "phi-over-pi")  # one decay's, after its prefix
+
+
+def _refuse(args, command: str, flags) -> None:
+    """Usage error if any of `flags` (such as "--k") was given: `command` would ignore it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{command} does not take {flag}")
+
+
 def _resolve_params(args, prefix: str = ""):
     """Parameters and channel label from the flags --{prefix}hyperon, --{prefix}alpha, ..."""
     name, channel, alpha, phi_over_pi = (
-        getattr(args, prefix.replace("-", "_") + key)
-        for key in ("hyperon", "channel", "alpha", "phi_over_pi")
+        getattr(args, (prefix + key).replace("-", "_")) for key in _DECAY_FLAGS
     )
     if name is not None:
         row = _load_table(args).find(name, channel)
@@ -145,11 +154,15 @@ def _resolve_params(args, prefix: str = ""):
 
 
 def _cmd_simulate(args) -> None:
+    own = {"single": ("",), "pair": (), "cascade": ("mu-", "nu-")}[args.kind]  # decay flag prefixes
+    ignored = [f"--{prefix}{key}" for prefix in ("", "mu-", "nu-") if prefix not in own
+               for key in _DECAY_FLAGS]
+    ignored.append("--pol" if args.kind == "pair" else "--k")
+    _refuse(args, f"simulate {args.kind}", ignored)
+    pol = np.zeros(3) if args.pol is None else _parse_vector(args.pol)
     if args.kind == "single":
         params, channel = _resolve_params(args)
-        model = mc.SingleDecayModel(
-            params=params, polarization=_parse_vector(args.pol), channel=channel
-        )
+        model = mc.SingleDecayModel(params=params, polarization=pol, channel=channel)
     elif args.kind == "pair":
         if args.k is None:
             raise UsageError("simulate pair requires --k")
@@ -158,7 +171,7 @@ def _cmd_simulate(args) -> None:
         mu, mu_name = _resolve_params(args, "mu-")
         nu, nu_name = _resolve_params(args, "nu-")
         model = mc.CascadeDecayModel(
-            mu=mu, nu=nu, polarization=_parse_vector(args.pol),
+            mu=mu, nu=nu, polarization=pol,
             channel=f"{mu_name}>{nu_name}",
         )
     try:
@@ -228,14 +241,15 @@ def _settings_string(settings: inequalities.BellSettings) -> str:
 
 def _cmd_bell(args) -> None:
     spec = inequalities.inequality(args.inequality)
-    if args.k is not None and not 0.0 <= args.k <= 1.0:
-        raise UsageError(f"--k must lie in [0, 1], got {args.k}")
     if args.threshold:
+        _refuse(args, "bell --threshold", ["--k"])
         k_star = inequalities.threshold(spec, seed=args.seed)
         _emit([{"inequality": spec.name, "threshold": k_star}], args)
         return
     if args.k is None:
         raise UsageError("bell requires --k (or --threshold)")
+    if not 0.0 <= args.k <= 1.0:
+        raise UsageError(f"--k must lie in [0, 1], got {args.k}")
     value, settings = inequalities.maximize(spec, inequalities.ProbModel(args.k), seed=args.seed)
     _emit(
         [
@@ -311,9 +325,9 @@ def build_parser() -> _Parser:
         p.add_argument(f"--{prefix}hyperon", default=None, help="channel lookup by parent name")
         p.add_argument(f"--{prefix}channel", default=None, help="channel selector, e.g. 'p pi-'")
         p.add_argument(f"--{prefix}alpha", type=float, default=None)
-        p.add_argument(f"--{prefix}phi-over-pi", type=float, default=0.0)
+        p.add_argument(f"--{prefix}phi-over-pi", type=float, default=None, help="default 0")
     p.add_argument("--k", type=float, default=None, help="pair correlation alpha*alphabar")
-    p.add_argument("--pol", default="0,0,0", help="parent polarization vector x,y,z")
+    p.add_argument("--pol", default=None, help="parent polarization vector x,y,z (default 0,0,0)")
 
     p = command("analyze", _cmd_analyze, "estimate pair observables from an event file")
     p.add_argument("what", choices=("witness", "correlations"))
@@ -339,6 +353,8 @@ def main(argv=None) -> int:
     try:
         defaults = argparse.Namespace(seed=1, threads=None, out=None, format="csv")
         args = parser.parse_args(argv, defaults)
+        if args.threads is not None and args.threads < 0:  # one message for every command
+            raise UsageError(f"worker count must be non-negative, got {args.threads}")
         args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -165,9 +165,10 @@ class PairCorrelationModel:
             raise ValueError("|k| exceeds 1")
 
     def kernel(self, u: np.ndarray) -> np.ndarray:
-        n1 = directions_from_linear_density(np.zeros(3), u[:, 0], u[:, 1])
-        n2 = directions_from_linear_density(-self.k * n1, u[:, 2], u[:, 3])
-        return np.stack([n1, n2], axis=1)
+        n = np.empty((u.shape[0], 2, 3))
+        n[:, 0] = directions_from_linear_density(np.zeros(3), u[:, 0], u[:, 1])
+        n[:, 1] = directions_from_linear_density(-self.k * n[:, 0], u[:, 2], u[:, 3])
+        return n
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,10 @@ class CascadeDecayModel:
 
     def kernel(self, u: np.ndarray) -> np.ndarray:
         s, mu, nu = self.polarization, self.mu, self.nu
-        n_mu = directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1])
-        n_nu = directions_from_linear_density(_conditional_axes(mu, nu, s, n_mu), u[:, 2], u[:, 3])
-        return np.stack([n_mu, n_nu], axis=1)
+        n = np.empty((u.shape[0], 2, 3))
+        n[:, 0] = directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1])
+        n[:, 1] = directions_from_linear_density(_conditional_axes(mu, nu, s, n[:, 0]), u[:, 2], u[:, 3])
+        return n
 
 
 @dataclass(frozen=True)
@@ -221,14 +223,17 @@ def _cosine_from_uniform(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (4.0 * u + a - 2.0) / (1.0 + np.sqrt(disc))
 
 
-def _frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors (e1, e2) orthogonal to each row of `axes` (unit rows)."""
-    seeds = np.zeros_like(axes)
-    seeds[np.arange(axes.shape[0]), np.argmin(np.abs(axes), axis=1)] = 1.0
-    e1 = np.cross(axes, seeds)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axes, e1)
-    return e1, e2
+def _frames(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[tuple, tuple]:
+    """Components (e1, e2) of unit vectors orthogonal to the unit vectors (x, y, z) and to each other.
+
+    The branchless orthonormal basis of Duff et al., "Building an
+    Orthonormal Basis, Revisited", JCGT 6(1), 2017: |sign + z| >= 1, so no
+    axis needs a special case, and no product needs normalizing.
+    """
+    sign = np.copysign(1.0, z)
+    h = -1.0 / (sign + z)
+    b = x * y * h
+    return (1.0 + sign * x * x * h, sign * b, -sign * x), (b, sign + y * y * h, -y)
 
 
 def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi: np.ndarray) -> np.ndarray:
@@ -237,23 +242,22 @@ def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi
     `vectors` is either one vector v of shape (3,) that holds for every row,
     whose |v|, axis and frame are then computed once and broadcast, or one
     row v per draw.  |v| <= 1; v = 0 gives uniform directions about the z
-    axis.
+    axis.  The kernel works on the x, y and z columns one at a time.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    a = np.linalg.norm(vectors, axis=1)
+    x, y, z = np.atleast_2d(np.asarray(vectors, dtype=float)).T
+    a = np.sqrt((x * x + y * y) + z * z)
     if not np.all(a <= 1.0 + 1e-9):  # written so that NaN fails
         raise ValueError(f"direction density axis longer than 1: max |v| = {a.max():.6g}")
     a = np.minimum(a, 1.0)
-    axes = vectors / np.where(a > 0.0, a, 1.0)[:, None]
-    axes[a == 0.0] = (0.0, 0.0, 1.0)
+    zero = a == 0.0  # the +z axis, also for signed zeros
+    scale = np.where(zero, 1.0, a)
+    axis = tuple(np.where(zero, plus_z, c / scale) for c, plus_z in ((x, 0.0), (y, 0.0), (z, 1.0)))
     cos = _cosine_from_uniform(a, u_cos)
     sin = np.sqrt(np.maximum(1.0 - cos**2, 0.0))
     psi = 2.0 * np.pi * u_phi
-    e1, e2 = _frames(axes)
-    return (
-        cos[:, None] * axes
-        + sin[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2)
-    )
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    e1, e2 = _frames(*axis)
+    return np.stack([cos * axis[i] + sin * (cos_psi * e1[i] + sin_psi * e2[i]) for i in range(3)], axis=1)
 
 
 def sample_single(params: DecayParameters, s, stream) -> np.ndarray:

@@ -141,11 +141,36 @@ class TestSimulate:
         assert code == 1
 
     def test_negative_threads_exit_1(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        assert main(["simulate", "pair", "--k", "0.2", "--events", "10", "--out", str(events)]) == 0
+        capsys.readouterr()
         f = tmp_path / "never.csv"
-        code, out, err = run_cli(capsys, "--threads", "-1", "simulate", "pair", "--k", "0.2",
+        # one message from every command that takes a worker count
+        for argv in (("simulate", "pair", "--k", "0.2", "--events", "10"),
+                     ("analyze", "witness", "--events", str(events))):
+            code, out, err = run_cli(capsys, "--threads", "-1", *argv, "--out", str(f))
+            assert code == 1
+            assert err == "usage error: worker count must be non-negative, got -1\n"
+            assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        *(("pair", f"--{prefix}{key}", value) for prefix in ("", "mu-", "nu-")
+          for key, value in (("hyperon", "Lambda"), ("channel", "p pi-"), ("alpha", "0.5"),
+                             ("phi-over-pi", "0"))),
+        ("pair", "--pol", "0,0,0"),
+        ("single", "--k", "0.2"),
+        ("cascade", "--k", "0.2"),
+        ("single", "--mu-alpha", "0.5"),
+        ("cascade", "--hyperon", "Lambda"),
+    ])
+    def test_ignored_flag_exit_1(self, capsys, tmp_path, kind, flag, value):
+        model = {"single": ("--alpha", "0.5"), "pair": ("--k", "0.2"),
+                 "cascade": ("--mu-alpha", "0.5", "--nu-alpha", "0.5")}[kind]
+        f = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "simulate", kind, *model, flag, value,
                                  "--events", "10", "--out", str(f))
         assert code == 1
-        assert "usage error" in err and "worker count" in err
+        assert err == f"usage error: simulate {kind} does not take {flag}\n"
         assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -337,6 +362,11 @@ class TestBell:
     def test_missing_k(self, capsys):
         code, _, _ = run_cli(capsys, "bell", "--inequality", "I2")
         assert code == 1
+
+    def test_threshold_refuses_k(self, capsys):
+        code, out, err = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--k", "0.46")
+        assert code == 1 and out == ""
+        assert err == "usage error: bell --threshold does not take --k\n"
 
 
 class TestContext:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hyperon import mc
 from hyperon.cascade import cascade_tau
 from hyperon.decay import DecayAmplitudes, params_from_alpha_phi, params_from_amplitudes
 from hyperon.mc import (
@@ -11,6 +12,7 @@ from hyperon.mc import (
     SampleConfig,
     SingleDecayModel,
     _STREAM_CONSTANT,
+    _frames,
     _pool_size,
     directions_from_linear_density,
     generate,
@@ -63,6 +65,26 @@ class TestKernels:
             directions_from_linear_density(np.array(v), u_cos, u_phi),
             directions_from_linear_density(rows, u_cos, u_phi),
         )
+
+    def test_frames_orthonormal(self):
+        rng = np.random.default_rng(63)
+        axes = rng.normal(size=(1_000_000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        t = np.sqrt(1e-9 * (2.0 - 1e-9))  # the rows below within 1e-9 of -z have unit length
+        edges = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [1, 0, -0.0], [0, -1, -0.0],
+                 [t, 0, -(1 - 1e-9)], [0, t, -(1 - 1e-9)]]
+        axes = np.vstack([axes, edges])
+        e1, e2 = (np.stack(e, axis=1) for e in _frames(*axes.T))
+        dot = lambda p, q: np.einsum("ij,ij->i", p, q)
+        for err in (dot(e1, e1) - 1, dot(e2, e2) - 1, dot(e1, e2), dot(e1, axes), dot(e2, axes)):
+            assert np.max(np.abs(err)) <= 1e-15
+
+    def test_signed_zero_axis_is_plus_z(self):
+        u_cos, u_phi = np.array([0.3, 0.7]), np.array([0.2, 0.9])
+        plus = directions_from_linear_density(np.zeros(3), u_cos, u_phi)
+        for v in ([0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]):
+            n = directions_from_linear_density(np.array(v), u_cos, u_phi)
+            assert np.array_equal(n, plus) and np.array_equal(np.signbit(n), np.signbit(plus))
 
     def test_overlong_axis_rejected(self):
         with pytest.raises(ValueError, match="longer than 1"):
@@ -206,8 +228,8 @@ class TestCascadeSampler:
             assert np.array_equal(n_nu, table.n[2 * i + 1])
 
     def test_one_row_matches_longer_chunks(self):
-        # BLAS rounds a one-row product differently; one event must get the
-        # bits it gets inside a longer chunk, from the scalar sampler and generate
+        # every kernel step is elementwise; one event must get the bits it
+        # gets inside a longer chunk, from the scalar sampler and generate
         mu = params_from_alpha_phi(-0.458, -0.011666667 * np.pi)
         s = [0.31, -0.27, 0.55]
         model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=s)
@@ -229,6 +251,18 @@ class TestGenerate:
         assert np.array_equal(one.n, eight.n)
         assert np.array_equal(one.event_id, eight.event_id)
         assert np.array_equal(one.role, eight.role)
+
+    @pytest.mark.parametrize("model", [
+        SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5]),
+        PairCorrelationModel(k=0.46),
+        CascadeDecayModel(mu=params_from_alpha_phi(-0.458, -0.011666667 * np.pi), nu=LAMBDA,
+                          polarization=[0.31, -0.27, 0.55]),
+    ], ids=["single", "pair", "cascade"])
+    def test_chunk_size_invariance(self, monkeypatch, model):
+        config = SampleConfig(seed=16, events=20_000, model=model, workers=1)
+        default = generate(config)
+        monkeypatch.setattr(mc, "_CHUNK", 1_000)
+        assert np.array_equal(generate(config).n, default.n)
 
     def test_seed_changes_stream(self):
         model = SingleDecayModel(params=LAMBDA)
