@@ -10,17 +10,13 @@ error, 2 data error.  Every subcommand is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, inequalities, mc, pairs
-from .dataio import DataError
-from .decay import chi_sp_mod_pi, params_from_alpha_phi
-from .interferometer import SpinState, fringe_visibility, path_predictability
+from .errors import DataError
 
 PARAMS_ENV = "HYPERON_PARAMS"
 
@@ -47,6 +43,8 @@ def _fmt(value):
 def _emit(rows: list[dict], args) -> None:
     rows = [{k: _fmt(v) for k, v in row.items()} for row in rows]
     if args.format == "json":
+        import json
+
         text = json.dumps(rows, indent=2) + "\n"
     else:
         keys = list(rows[0].keys())
@@ -75,7 +73,9 @@ def _write_out(text: str, out: str | None) -> None:
         raise DataError(f"cannot write {out}: {exc}") from None
 
 
-def _load_table(args) -> dataio.ParameterTable:
+def _load_table(args):
+    from . import dataio
+
     path = getattr(args, "params", None) or os.environ.get(PARAMS_ENV)
     if path:
         return dataio.load_parameters(path)
@@ -93,10 +93,13 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each command is a fresh process, so each handler
+# imports the modules it runs and no command pays for another's
 
 
 def _cmd_table(args) -> None:
+    from .decay import chi_sp_mod_pi
+
     table = _load_table(args)
     rows = []
     for row in table:
@@ -117,6 +120,8 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_complementarity(args) -> None:
+    from .interferometer import SpinState, fringe_visibility, path_predictability
+
     state = SpinState(theta=args.theta, phi=args.phi)
     fitted = fringe_visibility(state, n_points=args.points)
     row = {
@@ -142,6 +147,8 @@ def _refuse(args, command: str, flags) -> None:
 
 def _resolve_params(args, prefix: str = ""):
     """Parameters and channel label from the flags --{prefix}hyperon, --{prefix}alpha, ..."""
+    from .decay import params_from_alpha_phi
+
     name, channel, alpha, phi_over_pi = (
         getattr(args, (prefix + key).replace("-", "_")) for key in _DECAY_FLAGS
     )
@@ -154,6 +161,8 @@ def _resolve_params(args, prefix: str = ""):
 
 
 def _cmd_simulate(args) -> None:
+    from . import dataio, mc
+
     own = {"single": ("",), "pair": (), "cascade": ("mu-", "nu-")}[args.kind]  # decay flag prefixes
     ignored = [f"--{prefix}{key}" for prefix in ("", "mu-", "nu-") if prefix not in own
                for key in _DECAY_FLAGS]
@@ -198,6 +207,8 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    from . import dataio, pairs
+
     model = None
     if args.what == "correlations" and args.renormalize:
         if args.alpha is None or args.alphabar is None:
@@ -230,7 +241,9 @@ def _cmd_analyze(args) -> None:
         _emit([row], args)
 
 
-def _settings_string(settings: inequalities.BellSettings) -> str:
+def _settings_string(settings) -> str:
+    """The a and b settings of an `inequalities.BellSettings`, on one line."""
+
     def side(label, vecs):
         return ";".join(
             f"{label}{i + 1}=({v[0]:.6g} {v[1]:.6g} {v[2]:.6g})" for i, v in enumerate(vecs)
@@ -240,6 +253,8 @@ def _settings_string(settings: inequalities.BellSettings) -> str:
 
 
 def _cmd_bell(args) -> None:
+    from . import inequalities
+
     spec = inequalities.inequality(args.inequality)
     if args.threshold:
         _refuse(args, "bell --threshold", ["--k"])
@@ -266,6 +281,8 @@ def _cmd_bell(args) -> None:
 
 
 def _cmd_context(args) -> None:
+    from . import inequalities
+
     value = inequalities.contextuality_value(args.alpha, args.alphabar)
     root = inequalities.equal_alpha_contextuality_threshold()
     _emit(
@@ -295,9 +312,11 @@ def build_parser() -> _Parser:
     # namespace, so the subcommand's copy never clobbers a value given before
     # it, and main() passes their defaults in as the starting namespace
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, help="master seed (64-bit)")
+    # every command accepts them; one that does not use --seed or --threads ignores it
+    common.add_argument("--seed", type=int, help="master seed (64-bit; simulate and bell)")
     common.add_argument("--threads", type=int,
-                        help="worker threads (default all CPUs, never more than CPUs)")
+                        help="worker threads of simulate and analyze (default all CPUs, "
+                             "never more than CPUs)")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"))
     parser = _Parser(prog="hyperon", description=__doc__, parents=[common])

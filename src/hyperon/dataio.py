@@ -28,6 +28,7 @@ from typing import NoReturn
 import numpy as np
 
 from .decay import DecayParameters, params_from_alpha_phi
+from .errors import DataError, EventFileError, ParameterFileError  # DataError: re-exported
 from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map, _pool_size
 
 log = logging.getLogger(__name__)
@@ -37,6 +38,9 @@ _EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
 # text per parsed block, about 37,000 pair rows; 2^22 bytes parsed no
 # faster and took 12 MB more peak memory
 _READ_BLOCK_BYTES = 1 << 21
+# rows `iter_pairs` may carry while they wait for their partner; 2^22 rows
+# hold about 130 MB, and a file in id order carries a row or two
+_MAX_CARRY_ROWS = 1 << 22
 # role and channel as object: a fixed-width "U<n>" field silently truncates
 _EVENT_DTYPE = np.dtype(
     [("event_id", np.uint64), ("role", object), ("channel", object), ("n", float, 3)]
@@ -51,18 +55,6 @@ PARAMETER_COLUMNS = (
     "gamma_sign",
     "note",
 )
-
-
-class DataError(Exception):
-    """Malformed or inconsistent input data."""
-
-
-class ParameterFileError(DataError):
-    pass
-
-
-class EventFileError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -721,7 +713,9 @@ def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.nd
     One pair of arrays is yielded per table, in event-id order.  A row
     whose partner has not arrived yet carries over to the next table, so
     a file that keeps partners together, as `simulate` writes them,
-    carries a row or two; a shuffled file carries more.  The checks that
+    carries a row or two; a shuffled file carries more, and a table that
+    arrives while more than `_MAX_CARRY_ROWS` rows wait is a data error:
+    the file is not in event-id order.  The checks that
     need the whole stream run after its last table, in this order: the
     roles must be exactly the pair roles, both roles must cover the same
     event ids, and no id may appear more than once per role.
@@ -730,6 +724,12 @@ def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.nd
     carry = [(np.empty(0, np.uint64), np.empty((0, 3)))] * len(ROLE_PAIR)
     firsts, lasts = [], []  # the first and last ids of the runs of consecutive matched ids
     for table in tables:
+        if sum(ids.size for ids, _ in carry) > _MAX_CARRY_ROWS:
+            first = min(ids[0] for ids, _ in carry if ids.size)
+            raise EventFileError(
+                f"first unpaired event id {first}: more than {_MAX_CARRY_ROWS} rows wait for "
+                "their partner, so the file is not in event-id order"
+            )
         counts = np.bincount(table.role_code, minlength=len(table.roles))
         found.update(role for role, count in zip(table.roles, counts) if count)
         (id1, n1), (id2, n2) = (_sorted_side(table, role, c) for role, c in zip(ROLE_PAIR, carry))

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pairs import psi_minus_state
-from .qcore import PAULI, tensor
+from .qcore import PAULI, psi_minus_state, tensor
 
 MERMIN_PERES_CLASSICAL_BOUND = 4.0
 # Published equal-alpha contextuality claim; the displayed formula's own root

@@ -21,17 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, PAULI, as_density, pauli_dot, pure_state, tensor
+from .qcore import DensityMatrix, PAULI, PSI_MINUS_KET, as_density, pauli_dot, psi_minus_state, tensor
 from .sphere import require_unit
 
-PSI_MINUS_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-
 _MIN_EVENTS = 100
-
-
-def psi_minus_state() -> DensityMatrix:
-    """Projector onto the antisymmetric Bell state."""
-    return pure_state(PSI_MINUS_KET)
 
 
 def _pauli_correlation_operator(c) -> np.ndarray:

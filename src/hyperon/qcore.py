@@ -137,6 +137,14 @@ def pure_state(ket) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
+PSI_MINUS_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+
+def psi_minus_state() -> DensityMatrix:
+    """Projector onto the antisymmetric Bell state."""
+    return pure_state(PSI_MINUS_KET)
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Coefficient vector of a density matrix in the Gell-Mann basis."""

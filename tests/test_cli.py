@@ -491,7 +491,104 @@ class TestStartup:
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "if loaded: sys.exit('scipy modules loaded: ' + ', '.join(loaded))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=60)
+        result = run_fresh(code)
         assert result.returncode == 0, result.stderr
+
+    # the hyperon modules each command loads, and which of these standard
+    # modules it loads beyond what numpy and argparse load
+    STDLIB = ("concurrent.futures", "logging", "json")
+    BELL = {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.inequalities"}
+    LOADS = {
+        "bell --inequality I3 --threshold": (BELL, set()),
+        "bell --inequality I2 --k 0.46": (BELL, set()),
+        "context --alpha 0.75 --alphabar 0.75": (BELL, set()),
+        "--format json context --alpha 0.75 --alphabar 0.75": (BELL, {"json"}),
+        "complementarity --theta 1.0472": (
+            {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.interferometer"},
+            set(),
+        ),
+        # the parameter reader shares dataio with the event files, which import mc's pool
+        "table": (
+            {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.dataio",
+             "hyperon.decay", "hyperon.sphere", "hyperon.mc", "hyperon.cascade"},
+            {"concurrent.futures", "logging"},
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(LOADS))
+    def test_command_loads_only_its_modules(self, argv):
+        code = (
+            "import argparse, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import hyperon.cli\n"
+            f"code = hyperon.cli.main({argv.split()!r})\n"
+            "new = set(sys.modules) - before\n"
+            "print(code, sorted(m for m in new if m.split('.')[0] == 'hyperon'),\n"
+            f"      sorted(new & set({self.STDLIB!r})), file=sys.stderr)\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        hyperon_modules, stdlib = self.LOADS[argv]
+        assert result.stderr.splitlines()[-1] == f"0 {sorted(hyperon_modules)} {sorted(stdlib)}"
+
+    @pytest.mark.parametrize("code, want", [
+        ("import hyperon", {"hyperon"}),
+        ("import hyperon.cli", {"hyperon", "hyperon.cli", "hyperon.errors"}),
+    ])
+    def test_import_loads_only_the_namespace(self, code, want):
+        result = run_fresh(
+            "import argparse, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            f"{code}\n"
+            "new = set(sys.modules) - before\n"
+            "print(sorted(m for m in new if m.split('.')[0] == 'hyperon'),\n"
+            f"      sorted(new & set({self.STDLIB!r})))\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{sorted(want)} []\n"
+
+    # the public names of the package, as it exported them when it imported every module
+    PUBLIC = (
+        "BellSettings BlochVector CascadeDecayModel CascadeKraus DecayAmplitudes DecayParameters "
+        "DensityMatrix EventTable InequalitySpec InterferometerConfig KrausPair PairCorrelationModel "
+        "PairModel ParameterRow ParameterTable ProbModel SampleConfig SimplexPoint SingleDecayModel "
+        "SpinState amplitudes_from_params angular_pdf as_density asymmetric_intensity bloch_compose "
+        "bloch_expand cascade_kraus cascade_pdf cascade_tau complementarity_of contextuality_value "
+        "evaluate evolve fringe gell_mann_basis generate inequality joint_pdf kraus_decompose "
+        "kraus_operators load_bundled_parameters load_parameters maximally_mixed maximize "
+        "mermin_peres_quantum_value params_from_alpha_phi params_from_amplitudes partial_trace "
+        "prob_joint pure_state read_events sample_cascade sample_pair sample_single tensor threshold "
+        "transition_matrix two_amplitude_intensity witness_estimate witness_value write_events"
+    ).split()
+
+    def test_public_names_and_submodules_resolve(self):
+        package = Path(hyperon.__file__).parent
+        submodules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+        code = (
+            "import sys, types, hyperon\n"
+            f"for name in {submodules!r}:\n"
+            "    assert isinstance(getattr(hyperon, name), types.ModuleType), name\n"
+            f"for name in {self.PUBLIC!r}:\n"
+            "    value = getattr(hyperon, name)\n"
+            "    assert vars(sys.modules[value.__module__])[name] is value, name\n"
+            "assert not hasattr(hyperon, 'no_such_name')\n"
+            "print(sorted(hyperon.__all__))\n"
+            f"print(set(hyperon.__all__) | set({submodules!r}) <= set(dir(hyperon)))\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{sorted(self.PUBLIC)}\nTrue\n"
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        result = run_fresh(example)
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 3
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports hyperon from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)

@@ -300,6 +300,36 @@ class TestPairing:
             with pytest.raises(EventFileError, match=f"^event id {repeated} appears more than once"):
                 list(pairs)
 
+    def test_carry_past_the_cap_is_a_data_error(self, tmp_path, small_blocks, monkeypatch, capsys):
+        table = generate(SampleConfig(seed=4, events=400, model=PairCorrelationModel(k=0.46)))
+        path = pair_file(tmp_path, shuffled(table))
+        small_blocks(400)
+        monkeypatch.setattr(dataio, "_MAX_CARRY_ROWS", 20)
+        # reference: the smallest id seen once when a table arrives with more than 20 waiting
+        seen, first = set(), None
+        for block in iter_events(path):
+            if len(seen) > 20:
+                first = min(seen)
+                break
+            seen ^= set(block.event_id.tolist())
+        assert first is not None
+        for what in ("witness", "correlations"):
+            assert main(["analyze", what, "--events", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"data error: first unpaired event id {first}: more than 20 rows "
+                                    "wait for their partner, so the file is not in event-id order\n")
+
+    def test_in_order_file_passes_a_small_cap(self, tmp_path, small_blocks, monkeypatch):
+        table = generate(SampleConfig(seed=5, events=400, model=PairCorrelationModel(k=0.46)))
+        path = pair_file(tmp_path, table)
+        small_blocks(400)
+        want = streamed_moments(path)
+        monkeypatch.setattr(dataio, "_MAX_CARRY_ROWS", 2)  # a block boundary splits at most one pair
+        got = streamed_moments(path)
+        assert got.count == want.count == 400
+        assert got.witness() == want.witness()
+
 
 def pair_events(count: int, extra_rows=(), drop_rows=()) -> str:
     """Event-file text of `count` pairs, minus `drop_rows`, plus `extra_rows` (text lines)."""
