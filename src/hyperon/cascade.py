@@ -115,17 +115,37 @@ def conditional_axis(mu: DecayParameters, nu: DecayParameters, s, n_mu) -> np.nd
     return axes if n_mu.ndim == 2 else axes[0]
 
 
-def _conditional_axes(mu: DecayParameters, nu: DecayParameters, s, n_mu) -> np.ndarray:
+def _conditional_axes(mu: DecayParameters, nu: DecayParameters, s, n_mu, out=None) -> np.ndarray:
     """conditional_axis for unit rows n_mu (N, 3) and a checked polarization s; checks nothing.
 
     The cascade sampler's kernel calls this directly: its rows are unit by
     construction, and a per-row check would cost more than the formula.
+    Every step writes with `out=` into `out` (N, 3), which may be a
+    strided view, or into one of four (N,) arrays; `out` is returned.
     """
     x, y, z = n_mu.T
     s0, s1, s2 = s
-    dots = x * s0 + y * s1 + z * s2
-    weight = 1.0 + mu.alpha * dots
-    along = mu.alpha + (1.0 - mu.gamma) * dots
-    s_cross_n = (s1 * z - s2 * y, s2 * x - s0 * z, s0 * y - s1 * x)
-    return np.stack([nu.alpha * (along * n_mu[:, i] + mu.gamma * s[i] + mu.beta * s_cross_n[i]) / weight
-                     for i in range(3)], axis=1)
+    out = np.empty(n_mu.shape) if out is None else out
+    dots, weight, s_cross_n, t = (np.empty(x.size) for _ in range(4))
+    np.multiply(x, s0, out=dots)
+    np.multiply(y, s1, out=t)
+    np.add(dots, t, out=dots)
+    np.multiply(z, s2, out=t)
+    np.add(dots, t, out=dots)
+    np.multiply(mu.alpha, dots, out=weight)
+    np.add(1.0, weight, out=weight)
+    along = np.multiply(1.0 - mu.gamma, dots, out=dots)
+    np.add(mu.alpha, along, out=along)
+    # out[:, i] = nu.alpha (along n_mu[:, i] + gamma s[i] + beta (s x n_mu)[i]) / weight
+    for i, (p, q, r, w) in enumerate(((s1, z, s2, y), (s2, x, s0, z), (s0, y, s1, x))):
+        np.multiply(p, q, out=s_cross_n)
+        np.multiply(r, w, out=t)
+        np.subtract(s_cross_n, t, out=s_cross_n)
+        np.multiply(mu.beta, s_cross_n, out=s_cross_n)
+        axis = out[:, i]
+        np.multiply(along, n_mu[:, i], out=axis)
+        np.add(axis, mu.gamma * s[i], out=axis)
+        np.add(axis, s_cross_n, out=axis)
+        np.multiply(nu.alpha, axis, out=axis)
+        np.divide(axis, weight, out=axis)
+    return out

@@ -9,7 +9,12 @@ Reproducibility contract: event i consumes exactly one 4-word Philox
 counter block keyed by the master seed, so the event stream is bit
 identical for any worker count or chunking.  `iter_chunks` partitions the
 event range into fixed-size chunks, samples them on a bounded thread pool
-and yields them in event order; `generate` collects them into one table.
+and yields them in event order; `generate` samples the same chunks on the
+same pool, each thread writing its chunk straight into the chunk's rows of
+one preallocated table.  Every kernel step writes with `out=` into a
+workspace that the call allocates: a call of `directions_from_linear_density`
+with one axis per row holds 16 x 16,384 x 8 B (2.1 MB) on its sampling
+thread, a call with a constant axis 6 x 16,384 x 8 B.
 """
 
 from __future__ import annotations
@@ -147,9 +152,10 @@ class SingleDecayModel:
     def __post_init__(self):
         object.__setattr__(self, "polarization", require_polarization(self.polarization))
 
-    def kernel(self, u: np.ndarray) -> np.ndarray:
-        axis = self.params.alpha * self.polarization
-        return directions_from_linear_density(axis, u[:, 0], u[:, 1])[:, None, :]
+    def kernel(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        n = np.empty((u.shape[0], 1, 3)) if out is None else out
+        directions_from_linear_density(self.params.alpha * self.polarization, u[:, 0], u[:, 1], out=n[:, 0])
+        return n
 
 
 @dataclass(frozen=True)
@@ -164,10 +170,11 @@ class PairCorrelationModel:
         if not abs(self.k) <= 1.0:  # written so that NaN fails
             raise ValueError("|k| exceeds 1")
 
-    def kernel(self, u: np.ndarray) -> np.ndarray:
-        n = np.empty((u.shape[0], 2, 3))
-        n[:, 0] = directions_from_linear_density(np.zeros(3), u[:, 0], u[:, 1])
-        n[:, 1] = directions_from_linear_density(-self.k * n[:, 0], u[:, 2], u[:, 3])
+    def kernel(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        n = np.empty((u.shape[0], 2, 3)) if out is None else out
+        directions_from_linear_density(np.zeros(3), u[:, 0], u[:, 1], out=n[:, 0])
+        axes = np.multiply(-self.k, n[:, 0].T, out=np.empty((3, u.shape[0])))
+        directions_from_linear_density(axes.T, u[:, 2], u[:, 3], out=n[:, 1])
         return n
 
 
@@ -184,11 +191,12 @@ class CascadeDecayModel:
     def __post_init__(self):
         object.__setattr__(self, "polarization", require_polarization(self.polarization))
 
-    def kernel(self, u: np.ndarray) -> np.ndarray:
+    def kernel(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         s, mu, nu = self.polarization, self.mu, self.nu
-        n = np.empty((u.shape[0], 2, 3))
-        n[:, 0] = directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1])
-        n[:, 1] = directions_from_linear_density(_conditional_axes(mu, nu, s, n[:, 0]), u[:, 2], u[:, 3])
+        n = np.empty((u.shape[0], 2, 3)) if out is None else out
+        directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1], out=n[:, 0])
+        axes = _conditional_axes(mu, nu, s, n[:, 0], out=np.empty((3, u.shape[0])).T)
+        directions_from_linear_density(axes, u[:, 2], u[:, 3], out=n[:, 1])
         return n
 
 
@@ -213,51 +221,110 @@ class SampleConfig:
 # sampling kernels (vectorized over events)
 
 
-def _cosine_from_uniform(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the density (1 + a c)/2 on [-1, 1].
-
-    Written as (4u + a - 2) / (1 + sqrt((1-a)^2 + 4 a u)), the root in
-    [-1, 1] in a form with no cancellation as a -> 0.
-    """
-    disc = (1.0 - a) ** 2 + 4.0 * a * u
-    return (4.0 * u + a - 2.0) / (1.0 + np.sqrt(disc))
-
-
-def _frames(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[tuple, tuple]:
+def _frames(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Components (e1, e2) of unit vectors orthogonal to the unit vectors (x, y, z) and to each other.
 
     The branchless orthonormal basis of Duff et al., "Building an
     Orthonormal Basis, Revisited", JCGT 6(1), 2017: |sign + z| >= 1, so no
-    axis needs a special case, and no product needs normalizing.
+    axis needs a special case, and no product needs normalizing.  Every
+    step writes into one of six arrays of len(x), which end as e1 and e2.
     """
-    sign = np.copysign(1.0, z)
-    h = -1.0 / (sign + z)
-    b = x * y * h
-    return (1.0 + sign * x * x * h, sign * b, -sign * x), (b, sign + y * y * h, -y)
+    out = [np.empty(x.size) for _ in range(6)]
+    e1x, sign, e1z, b, h, t = out  # e2x is b; sign, h and t end as e1y, e2y and e2z
+    np.copysign(1.0, z, out=sign)
+    np.add(sign, z, out=h)
+    np.divide(-1.0, h, out=h)
+    np.multiply(x, y, out=b)
+    np.multiply(b, h, out=b)
+    np.multiply(sign, x, out=e1x)
+    np.multiply(e1x, x, out=e1x)
+    np.multiply(e1x, h, out=e1x)
+    np.add(1.0, e1x, out=e1x)
+    np.negative(sign, out=e1z)
+    np.multiply(e1z, x, out=e1z)
+    np.multiply(y, y, out=t)
+    np.multiply(t, h, out=t)
+    np.add(sign, t, out=h)
+    np.multiply(sign, b, out=sign)
+    np.negative(y, out=t)
+    return out[:3], out[3:]
 
 
-def directions_from_linear_density(vectors: np.ndarray, u_cos: np.ndarray, u_phi: np.ndarray) -> np.ndarray:
+def directions_from_linear_density(
+    vectors: np.ndarray, u_cos: np.ndarray, u_phi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw one direction per row of the uniforms from the density (1 + v.n)/(4 pi).
 
     `vectors` is either one vector v of shape (3,) that holds for every row,
     whose |v|, axis and frame are then computed once and broadcast, or one
     row v per draw.  |v| <= 1; v = 0 gives uniform directions about the z
-    axis.  The kernel works on the x, y and z columns one at a time.
+    axis.  The directions are written into `out` of shape (rows, 3), which
+    may be a strided view, and `out` is returned; without it, a new array.
+
+    Each step writes with `out=` into one of 16 arrays that the call
+    allocates first, and only the last addition of each component writes
+    into `out`: |v| and the unit axis (4) and the frame (6) have one entry
+    per row of `vectors`, so a constant v does no per-draw frame work, and
+    the per-draw values (6) one per draw.  They are separate allocations,
+    each the size of one per-operation temporary: one 2 MB block of all 16
+    at 16,384 draws raised glibc's dynamic mmap threshold, and with it the
+    heap that each `simulate` thread keeps.
     """
     x, y, z = np.atleast_2d(np.asarray(vectors, dtype=float)).T
-    a = np.sqrt((x * x + y * y) + z * z)
-    if not np.all(a <= 1.0 + 1e-9):  # written so that NaN fails
-        raise ValueError(f"direction density axis longer than 1: max |v| = {a.max():.6g}")
-    a = np.minimum(a, 1.0)
-    zero = a == 0.0  # the +z axis, also for signed zeros
-    scale = np.where(zero, 1.0, a)
-    axis = tuple(np.where(zero, plus_z, c / scale) for c, plus_z in ((x, 0.0), (y, 0.0), (z, 1.0)))
-    cos = _cosine_from_uniform(a, u_cos)
-    sin = np.sqrt(np.maximum(1.0 - cos**2, 0.0))
-    psi = 2.0 * np.pi * u_phi
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    (count,) = np.broadcast_shapes(x.shape, np.shape(u_cos), np.shape(u_phi))
+    out = np.empty((count, 3)) if out is None else out
+    a, *axis = (np.empty(x.size) for _ in range(4))
+    cos, sin, cos_psi, sin_psi, t, v = (np.empty(count) for _ in range(6))
+
+    np.multiply(x, x, out=a)
+    np.multiply(y, y, out=axis[0])
+    np.add(a, axis[0], out=a)
+    np.multiply(z, z, out=axis[0])
+    np.add(a, axis[0], out=a)
+    np.sqrt(a, out=a)
+    top = a.max(initial=0.0)
+    if not top <= 1.0 + 1e-9:  # written so that NaN fails
+        raise ValueError(f"direction density axis longer than 1: max |v| = {top:.6g}")
+    np.minimum(a, 1.0, out=a)
+    zero = a == 0.0 if a.min(initial=1.0) == 0.0 else None  # the +z axis, also for signed zeros
+    scale = a if zero is None else np.where(zero, 1.0, a)
+    for c, plus_z, dst in zip((x, y, z), (0.0, 0.0, 1.0), axis):
+        np.divide(c, scale, out=dst)
+        if zero is not None:
+            np.copyto(dst, plus_z, where=zero)
     e1, e2 = _frames(*axis)
-    return np.stack([cos * axis[i] + sin * (cos_psi * e1[i] + sin_psi * e2[i]) for i in range(3)], axis=1)
+
+    # inverse CDF of the cosine's density (1 + a c)/2 on [-1, 1]: the root (4u + a - 2) /
+    # (1 + sqrt((1-a)^2 + 4 a u)), a form with no cancellation as a -> 0
+    disc, term = sin_psi, cos_psi[:x.size]
+    np.multiply(4.0, a, out=term)
+    np.multiply(term, u_cos, out=disc)
+    np.subtract(1.0, a, out=term)
+    np.square(term, out=term)
+    np.add(term, disc, out=disc)
+    np.sqrt(disc, out=disc)
+    np.add(1.0, disc, out=disc)
+    np.multiply(4.0, u_cos, out=cos)
+    np.add(cos, a, out=cos)
+    np.subtract(cos, 2.0, out=cos)
+    np.divide(cos, disc, out=cos)
+    np.square(cos, out=sin)
+    np.subtract(1.0, sin, out=sin)
+    np.maximum(sin, 0.0, out=sin)
+    np.sqrt(sin, out=sin)
+    np.multiply(2.0 * np.pi, u_phi, out=sin_psi)  # psi
+    np.cos(sin_psi, out=cos_psi)
+    np.sin(sin_psi, out=sin_psi)
+
+    # out[:, i] = cos * axis[i] + sin * (cos_psi * e1[i] + sin_psi * e2[i])
+    for i in range(3):
+        np.multiply(cos_psi, e1[i], out=t)
+        np.multiply(sin_psi, e2[i], out=v)
+        np.add(t, v, out=t)
+        np.multiply(sin, t, out=t)
+        np.multiply(cos, axis[i], out=v)
+        np.add(v, t, out=out[:, i])
+    return out
 
 
 def sample_single(params: DecayParameters, s, stream) -> np.ndarray:
@@ -354,6 +421,17 @@ def _table(model, first_id: int, n: np.ndarray) -> EventTable:
     )
 
 
+def _sample(config: SampleConfig, start: int, out: np.ndarray) -> None:
+    """Write the directions of events start, start + 1, ... into `out` of shape (events, len(roles), 3)."""
+    config.model.kernel(_event_uniforms(config.seed, start, out.shape[0]), out=out)
+
+
+def _map_chunks(config: SampleConfig, func: Callable[[int], _T]) -> Iterator[_T]:
+    """func(start) for the first event of each chunk, in order, on the sampling pool."""
+    starts = range(0, config.events, _CHUNK)
+    return _ordered_map(func, starts, _pool_size(config.workers, os.cpu_count(), len(starts)))
+
+
 def iter_chunks(
     config: SampleConfig, apply: Callable[[EventTable], _T] | None = None
 ) -> Iterator[EventTable | _T]:
@@ -368,27 +446,26 @@ def iter_chunks(
     results are yielded in place of the tables.
     """
     model = config.model
-    starts = range(0, config.events, _CHUNK)
 
     def sample(start: int) -> EventTable | _T:
-        count = min(_CHUNK, config.events - start)
-        n = model.kernel(_event_uniforms(config.seed, start, count)).reshape(-1, 3)
-        table = _table(model, start, n)
+        n = np.empty((min(_CHUNK, config.events - start), len(model.roles), 3))
+        _sample(config, start, n)
+        table = _table(model, start, n.reshape(-1, 3))
         return table if apply is None else apply(table)
 
-    yield from _ordered_map(sample, starts, _pool_size(config.workers, os.cpu_count(), len(starts)))
+    yield from _map_chunks(config, sample)
 
 
 def generate(config: SampleConfig) -> EventTable:
     """Sample the configured events into one table; bit-identical for any worker count.
 
-    The table holds events * len(roles) rows sorted by id, filled chunk by
-    chunk from `iter_chunks`; a chunk in flight holds only its directions.
+    The table holds events * len(roles) rows sorted by id.  Each sampling
+    thread writes a chunk straight into the chunk's rows of the table, so
+    no chunk is copied or tabled on its own; while it samples, a thread
+    holds the chunk's 4 x 16,384 uniforms and at most 16 x 16,384 doubles
+    (2.1 MB) of kernel workspace.
     """
-    n = np.empty((config.events * len(config.model.roles), 3))
-    row = 0
-    for chunk in iter_chunks(config, lambda table: table.n):
-        n[row:row + len(chunk)] = chunk
-        row += len(chunk)
-        del chunk  # free it before the next chunk is sampled
-    return _table(config.model, 0, n)
+    n = np.empty((config.events, len(config.model.roles), 3))
+    for _ in _map_chunks(config, lambda start: _sample(config, start, n[start:start + _CHUNK])):
+        pass
+    return _table(config.model, 0, n.reshape(-1, 3))

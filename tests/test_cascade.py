@@ -3,6 +3,7 @@ import pytest
 
 from hyperon.cascade import (
     CascadeKraus,
+    _conditional_axes,
     cascade_kraus,
     cascade_pdf,
     cascade_tau,
@@ -152,6 +153,28 @@ class TestCascadePdf:
         bulk = conditional_axis(mu, nu, s, rows)
         assert bulk.shape == (1000, 3)
         assert np.array_equal(bulk, np.array([conditional_axis(mu, nu, s, n) for n in rows]))
+
+    def test_conditional_axes_match_expression_form(self):
+        # the formula with fresh arrays, one expression per component: the bits the in-place form keeps
+        rng = np.random.default_rng(37)
+        mu, nu = random_params(rng), random_params(rng)
+        s = 0.7 * random_unit(rng)
+        n_mu = np.array([random_unit(rng) for _ in range(500)] + [[0.0, 0.0, -1.0], [-0.0, 1.0, 0.0]])
+        x, y, z = n_mu.T
+        dots = x * s[0] + y * s[1] + z * s[2]
+        weight = 1.0 + mu.alpha * dots
+        along = mu.alpha + (1.0 - mu.gamma) * dots
+        s_cross_n = (s[1] * z - s[2] * y, s[2] * x - s[0] * z, s[0] * y - s[1] * x)
+        want = np.stack([nu.alpha * (along * n_mu[:, i] + mu.gamma * s[i] + mu.beta * s_cross_n[i]) / weight
+                         for i in range(3)], axis=1)
+        pairs = np.zeros((len(n_mu), 2, 3))
+        pairs[:, 0] = n_mu
+        rows_first = np.empty((3, len(n_mu))).T  # each component contiguous, as the sampler passes it
+        for out in (None, rows_first):
+            got = _conditional_axes(mu, nu, s, pairs[:, 0], out=out)  # a strided n_mu
+            assert out is None or got is out
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.all(pairs[:, 1] == 0.0)
 
     def test_conditional_axis_checks_inputs(self):
         mu, nu = xi_minus_chain()

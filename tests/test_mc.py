@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -89,6 +91,104 @@ class TestKernels:
     def test_overlong_axis_rejected(self):
         with pytest.raises(ValueError, match="longer than 1"):
             directions_from_linear_density(np.array([[0.0, 0.0, 1.5]]), np.array([0.5]), np.array([0.5]))
+
+
+def reference_directions(vectors, u_cos, u_phi):
+    """The direction kernel as one expression per step, with fresh arrays: the bits to match."""
+    x, y, z = np.atleast_2d(np.asarray(vectors, dtype=float)).T
+    a = np.sqrt((x * x + y * y) + z * z)
+    if not np.all(a <= 1.0 + 1e-9):
+        raise ValueError(f"direction density axis longer than 1: max |v| = {a.max():.6g}")
+    a = np.minimum(a, 1.0)
+    zero = a == 0.0
+    scale = np.where(zero, 1.0, a)
+    axis = tuple(np.where(zero, plus_z, c / scale) for c, plus_z in ((x, 0.0), (y, 0.0), (z, 1.0)))
+    cos = (4.0 * u_cos + a - 2.0) / (1.0 + np.sqrt((1.0 - a) ** 2 + 4.0 * a * u_cos))
+    sin = np.sqrt(np.maximum(1.0 - cos**2, 0.0))
+    psi = 2.0 * np.pi * u_phi
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    sign = np.copysign(1.0, axis[2])
+    h = -1.0 / (sign + axis[2])
+    b = axis[0] * axis[1] * h
+    e1 = (1.0 + sign * axis[0] * axis[0] * h, sign * b, -sign * axis[0])
+    e2 = (b, sign + axis[1] * axis[1] * h, -axis[1])
+    return np.stack([cos * axis[i] + sin * (cos_psi * e1[i] + sin_psi * e2[i]) for i in range(3)], axis=1)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+EDGE_AXES = [
+    [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0],  # signed zeros: +z
+    [1e-200, 0.0, -1e-200],  # |v| underflows to 0: +z as well
+    [0.0, 0.0, -1.0], [0.0, 0.0, -0.5], [0.0, -0.0, -0.3], [1e-9, 0.0, -1.0 + 1e-12],  # about -z
+    [0.0, 0.0, 1.0], [0.6, 0.0, -0.8], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],  # |v| = 1
+    [0.0, 0.0, 1.0 + 5e-10], [-(1.0 + 5e-10), 0.0, 0.0],  # clamped to 1
+    [0.3, -0.2, 0.5], [-0.1, 0.7, 0.05],
+]
+
+
+class TestKernelInPlace:
+    def uniforms(self, count, seed=64):
+        u = np.random.default_rng(seed).random((count, 4))
+        return u[:, 0], u[:, 1]  # strided columns, as the models pass them
+
+    def test_rows_match_reference(self):
+        rng = np.random.default_rng(65)
+        rows = rng.normal(size=(5000, 3))
+        rows *= rng.random((5000, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = np.vstack([rows, np.repeat(EDGE_AXES, 50, axis=0)])
+        u_cos, u_phi = self.uniforms(len(rows))
+        assert same_bits(directions_from_linear_density(rows, u_cos, u_phi),
+                         reference_directions(rows, u_cos, u_phi))
+
+    @pytest.mark.parametrize("v", EDGE_AXES)
+    def test_constant_axis_matches_reference(self, v):
+        u_cos, u_phi = self.uniforms(777)
+        got = directions_from_linear_density(np.array(v), u_cos, u_phi)
+        assert same_bits(got, reference_directions(np.array(v), u_cos, u_phi))
+        assert same_bits(got, directions_from_linear_density(np.tile(v, (777, 1)), u_cos, u_phi))
+
+    def test_strided_out_is_filled_and_returned(self):
+        rows = np.random.default_rng(66).normal(size=(300, 3))
+        rows /= 2.0 * np.linalg.norm(rows, axis=1, keepdims=True)
+        u_cos, u_phi = self.uniforms(300)
+        for vectors in (rows, rows[0]):
+            n = np.full((300, 2, 3), 7.0)
+            second = n[:, 1]
+            assert directions_from_linear_density(vectors, u_cos, u_phi, out=second) is second
+            assert same_bits(second, reference_directions(vectors, u_cos, u_phi))
+            assert np.all(n[:, 0] == 7.0)
+            assert same_bits(directions_from_linear_density(vectors, u_cos, u_phi), n[:, 1])
+
+    def test_out_none_returns_new_rows(self):
+        u_cos, u_phi = self.uniforms(10)
+        n = directions_from_linear_density(np.zeros(3), u_cos, u_phi)
+        assert n.shape == (10, 3) and n.flags.c_contiguous
+
+    @pytest.mark.parametrize("vectors", [np.zeros((0, 3)), np.array([0.0, 0.0, 0.5])],
+                             ids=["rows", "constant"])
+    def test_zero_rows(self, vectors):
+        empty = np.empty(0)
+        got = directions_from_linear_density(vectors, empty, empty)
+        assert got.shape == (0, 3)
+        assert same_bits(got, reference_directions(vectors, empty, empty))
+
+    @pytest.mark.parametrize("bad", [
+        [0.0, 0.0, 1.5], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 1.0 + 2e-9],
+    ])
+    @pytest.mark.parametrize("shape", ["constant", "rows", "no draws"])
+    def test_rejections_match_reference(self, bad, shape):
+        count = 0 if shape == "no draws" else 4
+        vectors = np.array(bad) if shape != "rows" else np.array([[0.0, 0.0, 0.5]] * 3 + [bad])
+        u = np.full(count, 0.5)
+        with pytest.raises(ValueError) as want:
+            reference_directions(vectors, u, u)
+        with pytest.raises(ValueError) as got:
+            directions_from_linear_density(vectors, u, u)
+        assert str(got.value) == str(want.value)
 
 
 class TestSingleSampler:
@@ -263,6 +363,33 @@ class TestGenerate:
         default = generate(config)
         monkeypatch.setattr(mc, "_CHUNK", 1_000)
         assert np.array_equal(generate(config).n, default.n)
+
+    # sha256 over event_id, role_code, channel_code and n of 3,123 events of seed 16 sampled in
+    # 1,000-event chunks, as the element-wise expression kernel gave them
+    DIGESTS = {
+        "single": "df6a3e6b9f87f8c901e773fe37d76ff3c6bb9db5d8cca5b6053fc7be0fe96ee3",
+        "pair": "7727f3c24286339f0003b28a56e55b2da9d51bd19656eaf43edfaed4232a1fc3",
+        "pair-k0": "dee0be29a01b3bc349c2c83d253decc7698bf56e824683fd48a5b775566a9a0f",
+        "cascade": "1aa092e54f2d57f9fb8a42a383c8abe524afb7873c95d9cca377e74350c59cfb",
+    }
+    MODELS = {
+        "single": SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5]),
+        "pair": PairCorrelationModel(k=0.46),
+        "pair-k0": PairCorrelationModel(k=0.0),  # signed-zero axes for the second direction
+        "cascade": CascadeDecayModel(mu=params_from_alpha_phi(-0.458, -0.011666667 * np.pi), nu=LAMBDA,
+                                     polarization=[0.31, -0.27, 0.55]),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_stream_pinned(self, monkeypatch, name, workers):
+        monkeypatch.setattr(mc, "_CHUNK", 1_000)  # three whole chunks and a remainder of 123
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        table = generate(SampleConfig(seed=16, events=3_123, model=self.MODELS[name], workers=workers))
+        h = hashlib.sha256()
+        for col in (table.event_id, table.role_code, table.channel_code, table.n):
+            h.update(np.ascontiguousarray(col).tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
 
     def test_seed_changes_stream(self):
         model = SingleDecayModel(params=LAMBDA)

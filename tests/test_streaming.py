@@ -43,10 +43,13 @@ def pair_file(tmp_path, table: EventTable, name="events.csv"):
     return path
 
 
+def rows_of(table: EventTable, rows) -> EventTable:
+    return EventTable(table.event_id[rows], table.role_code[rows], table.channel_code[rows],
+                      table.n[rows], table.roles, table.channels)
+
+
 def shuffled(table: EventTable, seed=0) -> EventTable:
-    order = np.random.default_rng(seed).permutation(len(table))
-    return EventTable(table.event_id[order], table.role_code[order], table.channel_code[order],
-                      table.n[order], table.roles, table.channels)
+    return rows_of(table, np.random.default_rng(seed).permutation(len(table)))
 
 
 def streamed_moments(path) -> PairMoments:
@@ -329,6 +332,46 @@ class TestPairing:
         got = streamed_moments(path)
         assert got.count == want.count == 400
         assert got.witness() == want.witness()
+
+
+def completed_pairs(tables):
+    """Per table, the (n1, n2) of the pairs its rows complete, by id: what iter_pairs must yield."""
+    waiting = ({}, {})
+    for table in tables:
+        for side, role in zip(waiting, ("pair-1", "pair-2")):
+            side.update(zip(table.event_id[table.role == role].tolist(), table.directions_by_role(role)))
+        done = sorted(waiting[0].keys() & waiting[1].keys())
+        yield tuple(np.array([side.pop(i) for i in done]).reshape(-1, 3) for side in waiting)
+
+
+def row_slices(table: EventTable, cuts) -> list[EventTable]:
+    bounds = [0, *cuts, len(table)]
+    return [rows_of(table, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestPairingOrders:
+    # ids already ascending skip the sort, and sides whose ids all match skip the searches;
+    # the yielded arrays must be those of the general path in every order
+    TABLE = generate(SampleConfig(seed=9, events=600, model=PairCorrelationModel(k=0.46)))
+    ORDERS = {"in order": np.arange(1200), "shuffled": np.random.default_rng(3).permutation(1200),
+              "descending": np.arange(1200)[::-1]}
+
+    @pytest.mark.parametrize("order", list(ORDERS))
+    @pytest.mark.parametrize("cuts", [[], [1, 2, 3], [301, 302, 777, 1199], [599, 601]])
+    def test_same_arrays_as_general_path(self, order, cuts):
+        tables = row_slices(rows_of(self.TABLE, self.ORDERS[order]), cuts)
+        got = list(iter_pairs(tables))
+        want = list(completed_pairs(tables))
+        assert len(got) == len(want) == len(tables)
+        for (g1, g2), (w1, w2) in zip(got, want):
+            assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
+        assert sum(len(n1) for n1, _ in got) == 600
+
+    def test_in_order_tables_yield_fresh_arrays(self):
+        # a matched side in place is still the caller's to keep: no view of a table's rows
+        tables = row_slices(self.TABLE, [400])
+        for (n1, n2), table in zip(iter_pairs(tables), tables):
+            assert not np.shares_memory(n1, table.n) and not np.shares_memory(n2, table.n)
 
 
 def pair_events(count: int, extra_rows=(), drop_rows=()) -> str:
