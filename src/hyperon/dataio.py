@@ -8,10 +8,10 @@ with `#` comment lines.  The event file is the header
 id, a role and a channel free of commas and line breaks, and a unit
 direction printed with 9 significant digits, so unit norms survive a round
 trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
-files are written and read in blocks of rows, formatted or parsed by
-vectorised passes over their bytes on the sampling threads, and pair rows
-are matched as the blocks stream past, so neither direction needs the
-whole file in memory."""
+files are written in blocks of rows and read in slices of lines,
+formatted or parsed by vectorised passes over their bytes on the sampling
+threads, and pair rows are matched as the slices stream past, so neither
+direction needs the whole file in memory."""
 
 from __future__ import annotations
 
@@ -35,9 +35,6 @@ log = logging.getLogger(__name__)
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
 _EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
-# text per parsed block, about 37,000 pair rows; 2^22 bytes parsed no
-# faster and took 12 MB more peak memory
-_READ_BLOCK_BYTES = 1 << 21
 # rows `iter_pairs` may carry while they wait for their partner; 2^22 rows
 # hold about 130 MB, and a file in id order carries a row or two
 _MAX_CARRY_ROWS = 1 << 22
@@ -403,7 +400,7 @@ def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: in
     `lines` start at file line `first_line`, and `last_good` is the last
     event id before them.  Bisection: lines[:lo] parse, and the first bad
     line lies in [lo, hi).  Each probe parses only lines[lo:mid], so the
-    search costs about two parses of the block.
+    search costs about two parses of the slice.
     """
     lo, hi = 0, len(lines)
     while hi - lo > 1:
@@ -426,7 +423,7 @@ def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: in
     raise EventFileError(f"{path}:{first_line + lo}: {reason} (last good event id: {last_good})")
 
 
-# event-row parsing: the text of a block is parsed as bytes, in slices of
+# event-row parsing: the text of a file is parsed as bytes, in slices of
 # whole lines.  Fields are read eight bytes at a time through an unaligned
 # uint64 view (after D. Lemire, "Number parsing at a gigabyte per second",
 # SP&E 51, 2021).  A component of the grammar -?D(.D{1,13})? is its integer
@@ -434,7 +431,7 @@ def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: in
 # correctly rounded division (W. D. Clinger, PLDI 1990), so it equals the
 # correctly rounded parse of np.loadtxt.  Rows outside this grammar, such as
 # exponent forms (about 600 per 1M pairs), go through _parse_body.
-# characters per parsed slice, the parsing threads' unit of work: `analyze witness` of a 1M-pair
+# characters per parsed slice, the reader's one unit of work: `analyze witness` of a 1M-pair
 # file on 2 threads peaked at 56 MB with 2^19 and at 72 MB with 2^20 (2.10 and 1.72 s; np.loadtxt
 # took 3.57 s and 67 MB)
 _PARSE_SLICE_BYTES = 1 << 19
@@ -595,33 +592,18 @@ def _parse_slice(text: str) -> tuple[EventTable | None, int]:
     return EventTable(ids, role_of[code], channel_of[code], n, roles, channels), lines
 
 
-def _slices(f) -> Iterator[tuple[str, bool]]:
-    """Whole lines of `f` in slices of about _PARSE_SLICE_BYTES characters, and whether each ends a block.
-
-    A block is what one `f.readlines(_READ_BLOCK_BYTES)` call returns: it
-    ends at the first line break at or after its character
-    _READ_BLOCK_BYTES, or at the end of the file.  A slice ends at the
-    first line break at or after its character _PARSE_SLICE_BYTES, or
-    where its block ends.
-    """
-    text, used = "", 0  # text read but not yet returned; characters of its block returned before it
-    while True:
-        limit = max(min(_PARSE_SLICE_BYTES, _READ_BLOCK_BYTES - used), 0)
-        cut = text.find("\n", limit)
-        while cut < 0:
-            # at least as much as is held, so that a long line reads in linear time
-            more = f.read(max(min(_PARSE_SLICE_BYTES, _READ_BLOCK_BYTES), len(text)))
-            if not more:
-                if text:
-                    yield text, True
-                return
-            searched = max(len(text), limit)
-            text += more
-            cut = text.find("\n", searched)
-        block_ends = cut >= _READ_BLOCK_BYTES - used
-        yield text[:cut + 1], block_ends
-        used = 0 if block_ends else used + cut + 1
-        text = text[cut + 1:]
+def _slices(f) -> Iterator[str]:
+    """Whole lines of `f` in slices: each ends at the first line break at or after its character
+    _PARSE_SLICE_BYTES, or at the end of the file."""
+    text = ""  # read but not yet returned
+    # at least as much as is held, so that a long line reads in linear time
+    while more := f.read(max(_PARSE_SLICE_BYTES, len(text))):
+        text += more
+        while cut := text.find("\n", _PARSE_SLICE_BYTES) + 1:
+            yield text[:cut]
+            text = text[cut:]
+    if text:
+        yield text
 
 
 def _text_lines(text: str) -> list[str]:
@@ -632,49 +614,43 @@ def _text_lines(text: str) -> list[str]:
 
 
 def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
-    """Read an event file as a stream of EventTables, one per block of lines.
+    """Read an event file as a stream of EventTables, one per slice of lines.
 
-    The header is checked first.  Each block holds the lines that one
-    `readlines(_READ_BLOCK_BYTES)` call returns, parsed in slices by
-    _parse_slice on up to `workers` threads (all CPUs when unset or 0, as
-    for `SampleConfig.workers`): the tables come in file order and are the
-    same for any worker count.  A block with no records yields nothing.
-    Only a slice that fails is searched for its first malformed or
-    truncated line; the error names that line's number in the file and
-    the last good event id, which may lie in an earlier block.
+    The header is checked first.  The lines are parsed in slices of about
+    _PARSE_SLICE_BYTES characters by _parse_slice on up to `workers`
+    threads (all CPUs when unset or 0, as for `SampleConfig.workers`): the
+    tables come in file order and are the same for any worker count.  A
+    slice with no records yields nothing.  Only a slice that fails is
+    searched for its first malformed or truncated line; the error names
+    that line's number in the file and the last good event id, which may
+    lie in an earlier slice.
     """
     path = Path(path)
 
-    def parse(piece: tuple[str, bool]) -> tuple[str | None, bool, EventTable | None, int]:
-        text, block_ends = piece
+    def parse(text: str) -> tuple[str | None, EventTable | None, int]:
         table, lines = _parse_slice(text)
-        return (text if table is None else None), block_ends, table, lines  # the text only to locate an error
+        return (text if table is None else None), table, lines  # the text only to locate an error
 
     try:
         with path.open(encoding="utf-8") as f:
             if f.readline().strip() != EVENT_HEADER:
                 raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
-            line_no, last_good, tables = 2, None, []
+            line_no, last_good = 2, None
             slices = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
             threads = _pool_size(workers, os.cpu_count(), slices)
-            for text, block_ends, table, lines in _ordered_map(parse, _slices(f), threads):
+            for text, table, lines in _ordered_map(parse, _slices(f), threads):
                 if table is None:
                     _raise_first_bad_line(path, _text_lines(text), line_no, last_good)
                 line_no += lines
                 if len(table):
                     last_good = int(table.event_id[-1])
-                    tables.append(table)
-                if block_ends and tables:
-                    yield EventTable.concat(tables)
-                    tables = []
-            if tables:  # the end of the file ends the last block
-                yield EventTable.concat(tables)
+                    yield table
     except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from None
 
 
 def read_events(path) -> EventTable:
-    """Read a whole event file into one table: the blocks of `iter_events`, concatenated."""
+    """Read a whole event file into one table: the tables of `iter_events`, concatenated."""
     return EventTable.concat(iter_events(path))
 
 
@@ -709,7 +685,9 @@ def _match(id1: np.ndarray, id2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Matched (n1, n2) direction arrays from a stream of pair-event tables.
 
-    One pair of arrays is yielded per table, in event-id order.  A row
+    One pair of arrays is yielded per table, in event-id order: the
+    arrays are cut where the tables are, one per parse slice of
+    `iter_events`, and `PairMoments.from_blocks` regroups them.  A row
     whose partner has not arrived yet carries over to the next table, so
     a file that keeps partners together, as `simulate` writes them,
     carries a row or two; a shuffled file carries more, and a table that

@@ -109,12 +109,9 @@ class EventTable:
             dtype = _code_dtype(len(union))
 
             def in_union(t: EventTable) -> np.ndarray:  # the table's codes as indices into the union
-                own = getattr(t, names)
-                if own == union[:len(own)]:
-                    return getattr(t, codes)
-                return np.array([index[name] for name in own], dtype)[getattr(t, codes)]
+                return np.array([index[name] for name in getattr(t, names)], dtype)[getattr(t, codes)]
 
-            return np.concatenate([in_union(t) for t in tables], dtype=dtype), union
+            return np.concatenate([in_union(t) for t in tables]), union
 
         role_code, roles = merged("role_code", "roles")
         channel_code, channels = merged("channel_code", "channels")

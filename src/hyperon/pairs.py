@@ -9,13 +9,12 @@ witnessed by 1/3 - k < 0, and in the magic-simplex picture the accessible
 correlation tensor shrinks by k.
 
 The estimators reduce paired (N, 3) direction arrays to `PairMoments`,
-sufficient statistics that merge block by block, so an event file is
+sufficient statistics that merge group by group, so an event file is
 estimated as it streams past and never held whole.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from .qcore import DensityMatrix, PAULI, PSI_MINUS_KET, as_density, pauli_dot, p
 from .sphere import require_unit
 
 _MIN_EVENTS = 100
+_GROUP = 1 << 14  # pairs per merged group of `PairMoments.from_blocks`
 
 
 def _pauli_correlation_operator(c) -> np.ndarray:
@@ -96,10 +96,7 @@ class PairMoments:
     @classmethod
     def of(cls, n1, n2) -> PairMoments:
         """Moments of one block of matching (N, 3) direction arrays."""
-        n1 = np.asarray(n1, dtype=float)
-        n2 = np.asarray(n2, dtype=float)
-        if n1.ndim != 2 or n1.shape[1] != 3 or n1.shape != n2.shape:
-            raise ValueError("expected matching (N, 3) direction arrays")
+        n1, n2 = _directions(n1, n2)
         if n1.shape[0] == 0:
             return cls()
         dots = np.einsum("ij,ij->i", n1, n2)
@@ -110,8 +107,26 @@ class PairMoments:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PairMoments:
-        """Moments of a stream of (n1, n2) blocks."""
-        return functools.reduce(cls.merge, (cls.of(n1, n2) for n1, n2 in blocks), cls())
+        """Moments of a stream of (n1, n2) blocks.
+
+        The pairs are merged in groups of _GROUP in stream order, the last
+        group partial, and each group is copied into one array first.  So
+        the moments depend on the sequence of pairs alone, not on where the
+        stream is cut into blocks: a file whose pairs complete in id order
+        gives the same bits for any slice size or thread count of the reader.
+        """
+        total, held, count = cls(), [], 0  # held: the pieces of the group being filled
+        for n1, n2 in blocks:
+            n1, n2 = _directions(n1, n2)
+            while len(n1):
+                take = min(_GROUP - count, len(n1))
+                held.append((n1[:take], n2[:take]))
+                count += take
+                n1, n2 = n1[take:], n2[take:]
+                if count == _GROUP:
+                    total = total.merge(cls.of(*map(np.concatenate, zip(*held))))
+                    held, count = [], 0
+        return total.merge(cls.of(*map(np.concatenate, zip(*held)))) if held else total
 
     def merge(self, other: PairMoments) -> PairMoments:
         if not other.count:
@@ -160,6 +175,14 @@ class PairMoments:
                 raise ValueError("renormalization requires a model with nonzero analyzing powers")
             m = m / model.k
         return m
+
+
+def _directions(n1, n2) -> tuple[np.ndarray, np.ndarray]:
+    """n1 and n2 as float arrays, which must be matching (N, 3) direction arrays."""
+    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    if n1.ndim != 2 or n1.shape[1] != 3 or n1.shape != n2.shape:
+        raise ValueError("expected matching (N, 3) direction arrays")
+    return n1, n2
 
 
 def witness_estimate(n1, n2) -> tuple[float, float]:

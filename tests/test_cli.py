@@ -217,6 +217,15 @@ class TestSimulate:
                              "--events", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, wanted", [
+        (["--hyperon", "Nope"], "'Nope'"),
+        (["--hyperon", "Lambda", "--channel", "zz"], "'Lambda -> zz'"),
+    ], ids=["hyperon", "channel"])
+    def test_unknown_channel_message(self, capsys, argv, wanted):
+        # the message once quoted, not the repr of a KeyError's message
+        code, out, err = run_cli(capsys, "simulate", "single", *argv, "--events", "10")
+        assert (code, out, err) == (1, "", f"error: no parameter row for {wanted}\n")
+
     def test_cascade_by_names(self, capsys, tmp_path):
         f = tmp_path / "cascade.csv"
         code, _, _ = run_cli(

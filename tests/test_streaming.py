@@ -1,8 +1,10 @@
-"""Block-streamed event files: reading, pairing, estimating and writing in small blocks.
+"""Streamed event files: reading in slices, pairing, estimating and writing in small blocks.
 
-Each test shrinks the read block to a few hundred bytes, or the sampling
-chunk to a few events, so that block boundaries fall inside a handful of
-rows and every carry path runs.
+Each test shrinks the parse slice to a few hundred characters, or the
+sampling chunk to a few events, so that slice and chunk boundaries fall
+inside a handful of rows and every carry path runs.  The reader's tables
+are its slices, and the reports must not depend on where those fall: the
+pair moments merge in fixed groups of pairs.
 """
 
 import hashlib
@@ -31,9 +33,9 @@ ROW = "{},pair-{},x,0,0,1\n"  # 17 bytes for a one-digit id
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
-    """Set the read block to `size` bytes."""
+    """Set the parse slice to `size` characters."""
     def set_size(size: int) -> None:
-        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", size)
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", size)
     return set_size
 
 
@@ -60,11 +62,11 @@ class TestReadBlocks:
     def test_blocks_hold_whole_lines(self, tmp_path, small_blocks):
         path = tmp_path / "events.csv"
         path.write_text(HEADER + "\n" + "".join(ROW.format(i, 1 + j) for i in range(6) for j in range(2)))
-        small_blocks(3 * 17 - 1)  # a block ends at the line that takes it past the size
+        small_blocks(3 * 17 - 1)  # a slice ends at the line that takes it past the size
         assert [len(t) for t in iter_events(path)] == [3, 3, 3, 3]
 
     def test_read_events_is_concatenated_blocks(self, tmp_path, small_blocks):
-        # interleaved roles and channels that first appear in later blocks
+        # interleaved roles and channels that first appear in later slices
         roles = [("pair-1", "single", "pair-2")[i % 3] for i in range(300)]
         channels = [f"ch-{(7 * i) % 50}" for i in range(300)]
         table = EventTable.from_names(np.arange(300, dtype=np.uint64), roles, channels,
@@ -85,7 +87,7 @@ class TestReadBlocks:
 
     def test_bad_line_in_third_block(self, tmp_path, small_blocks):
         lines = [ROW.format(i, 1) for i in range(9)]
-        lines[6] = "6,pair-1,x,0,0,2\n"  # the first line of the third block
+        lines[6] = "6,pair-1,x,0,0,2\n"  # the first line of the third slice
         path = tmp_path / "events.csv"
         path.write_text(HEADER + "\n" + "".join(lines))
         small_blocks(3 * 17 - 1)
@@ -93,8 +95,8 @@ class TestReadBlocks:
         with pytest.raises(EventFileError) as err:
             for table in iter_events(path):
                 blocks.append(table)
-        assert len(blocks) == 2  # the first two blocks were read before the error
-        # the line number counts from the top of the file, the last good id is in block 2
+        assert len(blocks) == 2  # the first two slices were read before the error
+        # the line number counts from the top of the file, the last good id is in slice 2
         assert str(err.value) == f"{path}:8: direction is not unit length (last good event id: 5)"
 
     def test_bad_line_inside_a_later_block(self, tmp_path, small_blocks):
@@ -130,7 +132,7 @@ class TestReadBlocks:
         assert read_events(path).event_id.tolist() == [0, 0]
 
 
-def parent_iter_events(path, size: int):
+def loadtxt_events(path, size: int):
     """The np.loadtxt reader: `_parse_body` per `readlines(size)` block, `from_names`, and
     `_raise_first_bad_line` in the first block it rejects."""
     with open(path, encoding="utf-8") as f:
@@ -179,43 +181,45 @@ def mixed_lines(count: int, seed: int) -> list[str]:
 
 
 class TestByteReader:
-    """iter_events against the np.loadtxt reader it replaces: the same tables, block for block."""
+    """iter_events against the np.loadtxt reader it replaced: for every slice size and worker
+    count, the same rows and names, and the same error, wherever either reader cuts the file."""
 
     @pytest.fixture(autouse=True)
     def byte_parser(self, monkeypatch):
         monkeypatch.setattr(dataio, "_BYTE_PARSE_MIN", 0)  # small slices too
 
+    # block_bytes: the reference's `readlines` partition, which must not matter either
     @pytest.mark.parametrize("block_bytes", [10, 300, 500])
-    @pytest.mark.parametrize("slice_bytes", [1, 120, 1 << 18])
+    @pytest.mark.parametrize("slice_bytes", [1, 120, 700, 1 << 18])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blocks_like_readlines(self, tmp_path, monkeypatch, block_bytes, slice_bytes, workers):
         path = tmp_path / "events.csv"
         path.write_bytes((HEADER + "\n" + "".join(mixed_lines(200, block_bytes))).encode())
-        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
         monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
-        got, error = drain(iter_events(path, workers))
-        assert error is None and got == drain(parent_iter_events(path, block_bytes))[0]
-        assert len(got) > 10 if block_bytes < 1000 else len(got) == 1
+        tables = list(iter_events(path, workers))
+        want = drain([EventTable.concat(loadtxt_events(path, block_bytes))])
+        assert drain([EventTable.concat(tables)]) == drain([read_events(path)]) == want
+        assert len(tables) > 10 if slice_bytes < 1000 else len(tables) == 1  # one table per slice
 
     @pytest.mark.parametrize("bad_line", [0, 1, 57, 58, 120, 199])
-    @pytest.mark.parametrize("slice_bytes", [1, 120])
+    @pytest.mark.parametrize("slice_bytes", [1, 120, 700, 1 << 18])
     def test_error_like_readlines(self, tmp_path, monkeypatch, bad_line, slice_bytes):
-        # the error names the same line and last good id when it lies in a later slice of a block
+        # the same error text, line number and last good id wherever the bad line falls in a slice
         lines = mixed_lines(200, 4)
         lines[bad_line] = lines[bad_line].replace(",", ";", 1)
         path = tmp_path / "events.csv"
         path.write_bytes((HEADER + "\n" + "".join(lines)).encode())
-        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 700)
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
-        got, error = drain(iter_events(path, 2))
-        assert error is not None and (got, error) == drain(parent_iter_events(path, 700))
+        line_no = 2 + "".join(lines[:bad_line]).count("\n")  # \r\n reads as one line break
+        last_good = (bad_line - 1) // 2 if bad_line else None
+        assert drain(iter_events(path, 2))[1] == drain(loadtxt_events(path, 700))[1] == \
+            f"{path}:{line_no}: expected 6 fields, got 5 (last good event id: {last_good})"
 
     def test_more_threads_than_cores_keep_order(self, tmp_path, monkeypatch):
         # eight parsing threads on small slices, switching often: the tables of one thread
         path = tmp_path / "events.csv"
         path.write_bytes((HEADER + "\n" + "".join(mixed_lines(600, 5))).encode())
-        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 2000)
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", 300)
         monkeypatch.setattr(dataio.os, "cpu_count", lambda: 8)
         serial = drain(iter_events(path, 1))
@@ -228,16 +232,17 @@ class TestByteReader:
         assert threaded == serial and serial[1] is None and len(serial[0]) > 10
 
     def test_threads_give_the_same_reports(self, tmp_path, monkeypatch, capsys):
+        # and any slice size: the moments merge in groups of pairs, not of slices
         table = generate(SampleConfig(seed=11, events=3000, model=PairCorrelationModel(k=0.46)))
         path = pair_file(tmp_path, table)
-        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 20_000)
-        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", 3_000)
         monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
         reports = set()
-        for threads in ("1", "2"):
-            for what in (["witness"], ["correlations", "--format", "json"]):
-                assert main(["--threads", threads, "analyze", *what, "--events", str(path)]) == 0
-                reports.add((what[0], capsys.readouterr().out))
+        for slice_bytes in (3_000, 1 << 19):
+            monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
+            for threads in ("1", "2"):
+                for what in (["witness"], ["correlations", "--format", "json"]):
+                    assert main(["--threads", threads, "analyze", *what, "--events", str(path)]) == 0
+                    reports.add((what[0], capsys.readouterr().out))
         assert len(reports) == 2
 
 
@@ -274,13 +279,24 @@ class TestPairing:
         n1, n2 = table.n[0::2], table.n[1::2]
         small_blocks(block_bytes)
         moments = streamed_moments(path)
-        # the file holds 9 digits, so compare with the directions read back whole
+        # the file holds 9 digits, so compare with the directions read back whole: 3,000 pairs
+        # are one group of the merge, so the bits are those of one block
         r1, r2 = paired_directions(read_events(path))
         assert moments.count == 3000
-        np.testing.assert_allclose(moments.witness(), witness_estimate(r1, r2), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(moments.correlations(), correlation_estimate(r1, r2),
-                                   rtol=1e-12, atol=0)
+        assert moments.witness() == witness_estimate(r1, r2)
+        assert np.array_equal(moments.correlations(), correlation_estimate(r1, r2))
         assert abs(moments.witness()[0] - witness_estimate(n1, n2)[0]) < 1e-8
+
+    def test_blank_lines_give_the_same_moments(self, tmp_path):
+        # a blank line after every row (`sed G`) moves every slice boundary but no pair
+        table = generate(SampleConfig(seed=12, events=40_000, model=PairCorrelationModel(k=0.46)))
+        path = pair_file(tmp_path, table)
+        blank = tmp_path / "blank.csv"
+        blank.write_text(path.read_text().replace("\n", "\n\n"))
+        assert [len(t) for t in iter_events(blank)] != [len(t) for t in iter_events(path)]
+        want, got = streamed_moments(path), streamed_moments(blank)
+        assert (got.count, got.dot_mean, got.dot_m2) == (want.count, want.dot_mean, want.dot_m2)
+        assert got.count == 40_000 and np.array_equal(got.cross, want.cross)
 
     @pytest.mark.parametrize("runs, repeated", [
         ([[0, 1, 2], [3, 4], [5]], None),  # disjoint runs in order
@@ -416,13 +432,18 @@ class TestPairingErrorsThroughCli:
 
 class TestMoments:
     def test_merge_matches_one_block(self):
+        # blocks of `size` pairs, most of them across a group boundary: the bits of one block
         rng = np.random.default_rng(7)
-        n1, n2 = rng.normal(size=(2, 1000, 3))
-        whole = PairMoments.of(n1, n2)
-        parts = PairMoments.from_blocks((n1[i:i + 37], n2[i:i + 37]) for i in range(0, 1000, 37))
-        assert parts.count == whole.count == 1000
-        np.testing.assert_allclose(parts.witness(), whole.witness(), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(parts.correlations(), whole.correlations(), rtol=1e-12, atol=0)
+        n1, n2 = rng.normal(size=(2, 60_000, 3))
+        whole = PairMoments.from_blocks([(n1, n2)])
+        for size in (1, 37, 4_095, 16_384, 16_385, 50_000):
+            parts = PairMoments.from_blocks((n1[i:i + size], n2[i:i + size]) for i in range(0, 60_000, size))
+            assert (parts.count, parts.dot_mean, parts.dot_m2) == (whole.count, whole.dot_mean, whole.dot_m2)
+            assert np.array_equal(parts.cross, whole.cross)
+        one = PairMoments.of(n1, n2)  # the same moments, summed in another order
+        assert whole.count == one.count == 60_000
+        np.testing.assert_allclose(whole.witness(), one.witness(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(whole.correlations(), one.correlations(), rtol=1e-12, atol=0)
 
     def test_one_block_is_the_direct_formula(self):
         rng = np.random.default_rng(8)
