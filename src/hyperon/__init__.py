@@ -67,14 +67,8 @@ _EXPORTS = {
         "sample_pair",
         "sample_single",
     ),
-    "dataio": (
-        "ParameterRow",
-        "ParameterTable",
-        "load_bundled_parameters",
-        "load_parameters",
-        "read_events",
-        "write_events",
-    ),
+    "params": ("ParameterRow", "ParameterTable", "load_bundled_parameters", "load_parameters"),
+    "dataio": ("read_events", "write_events"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset({*_EXPORTS, "cli", "errors", "sphere"})

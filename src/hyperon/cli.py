@@ -74,12 +74,12 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _load_table(args):
-    from . import dataio
+    from . import params
 
     path = getattr(args, "params", None) or os.environ.get(PARAMS_ENV)
     if path:
-        return dataio.load_parameters(path)
-    return dataio.load_bundled_parameters()
+        return params.load_parameters(path)
+    return params.load_bundled_parameters()
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -210,11 +210,13 @@ def _cmd_analyze(args) -> None:
     from . import dataio, pairs
 
     model = None
-    if args.what == "correlations" and args.renormalize:
+    if args.what == "witness":
+        _refuse(args, "analyze witness", ["--alpha", "--alphabar", "--renormalize"])
+    elif args.renormalize:
         if args.alpha is None or args.alphabar is None:
             raise UsageError("--renormalize requires --alpha and --alphabar")
         model = pairs.PairModel(alpha_L=args.alpha, alpha_Lbar=args.alphabar)
-    elif args.what == "correlations" and (args.alpha is not None or args.alphabar is not None):
+    elif args.alpha is not None or args.alphabar is not None:
         raise UsageError("--alpha and --alphabar apply only with --renormalize")
     # read, pair and estimate block by block, never holding the whole file
     blocks = dataio.iter_events(args.events, args.threads)
@@ -351,7 +353,7 @@ def build_parser() -> _Parser:
     p = command("analyze", _cmd_analyze, "estimate pair observables from an event file")
     p.add_argument("what", choices=("witness", "correlations"))
     p.add_argument("--events", required=True, help="event file path")
-    p.add_argument("--renormalize", action="store_true")
+    p.add_argument("--renormalize", action="store_true", default=None)  # None: not given, for _refuse
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alphabar", type=float, default=None)
 

@@ -1,37 +1,32 @@
-"""Parameter-table ingestion and event-file persistence.
+"""Event-file persistence.
 
-Both formats are comma-separated UTF-8 text.  The parameter file stores the
-signed asymmetry alpha, the phase phi in units of pi and the sign of gamma
-per channel (none of which are recoverable from published magnitude tables),
-with `#` comment lines.  The event file is the header
-``event_id,role,channel,nx,ny,nz`` and one record per line: a decimal uint64
+The event file is comma-separated UTF-8 text: the header
+``event_id,role,channel,nx,ny,nz`` and one record per line, a decimal uint64
 id, a role and a channel free of commas and line breaks, and a unit
 direction printed with 9 significant digits, so unit norms survive a round
 trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
 files are written in blocks of rows and read in slices of lines,
 formatted or parsed by vectorised passes over their bytes on the sampling
 threads, and pair rows are matched as the slices stream past, so neither
-direction needs the whole file in memory."""
+direction needs the whole file in memory.  The parameter-table names
+(`load_parameters`, ...) live in `params` and are re-exported here."""
 
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from .decay import DecayParameters, params_from_alpha_phi
-from .errors import DataError, EventFileError, ParameterFileError  # DataError: re-exported
+from .errors import DataError, EventFileError, ParameterFileError  # DataError, ParameterFileError: re-exported
 from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map, _pool_size
-
-log = logging.getLogger(__name__)
+from .params import (  # re-exported
+    PARAMETER_COLUMNS, ParameterRow, ParameterTable, bundled_parameters_path, load_bundled_parameters,
+    load_parameters)
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
 _EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
@@ -42,108 +37,6 @@ _MAX_CARRY_ROWS = 1 << 22
 _EVENT_DTYPE = np.dtype(
     [("event_id", np.uint64), ("role", object), ("channel", object), ("n", float, 3)]
 )
-PARAMETER_COLUMNS = (
-    "parent",
-    "quarks",
-    "channel",
-    "branching",
-    "alpha",
-    "phi_over_pi",
-    "gamma_sign",
-    "note",
-)
-
-
-@dataclass(frozen=True)
-class ParameterRow:
-    """One decay channel as stored on disk."""
-
-    parent: str
-    quarks: str
-    channel: str
-    branching: float
-    alpha: float
-    phi_over_pi: float
-    gamma_sign: int
-    note: str
-
-    def params(self) -> DecayParameters:
-        return params_from_alpha_phi(
-            self.alpha, self.phi_over_pi * np.pi, gamma_sign=self.gamma_sign
-        )
-
-
-@dataclass(frozen=True)
-class ParameterTable:
-    rows: tuple[ParameterRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def find(self, parent: str, channel: str | None = None) -> ParameterRow:
-        """First row matching the parent (and channel, when given)."""
-        for row in self.rows:
-            if row.parent == parent and (channel is None or row.channel == channel):
-                return row
-        wanted = parent if channel is None else f"{parent} -> {channel}"
-        raise KeyError(f"no parameter row for {wanted!r}")
-
-
-def _parse_row(fields: list[str], line_no: int, path) -> ParameterRow:
-    if len(fields) != len(PARAMETER_COLUMNS):
-        raise ParameterFileError(
-            f"{path}:{line_no}: expected {len(PARAMETER_COLUMNS)} fields, got {len(fields)}"
-        )
-    parent, quarks, channel, branching_s, alpha_s, phi_s, gsign_s, note = (
-        f.strip() for f in fields
-    )
-    try:
-        branching = float(branching_s)
-        alpha = float(alpha_s)
-        phi_over_pi = float(phi_s)
-        gamma_sign = int(gsign_s)
-    except ValueError as exc:
-        raise ParameterFileError(f"{path}:{line_no}: unparseable number: {exc}") from None
-    if not 0.0 <= branching <= 1.0:
-        raise ParameterFileError(
-            f"{path}:{line_no}: branching fraction {branching} outside [0, 1]"
-        )
-    row = ParameterRow(parent, quarks, channel, branching, alpha, phi_over_pi, gamma_sign, note)
-    try:
-        row.params()
-    except ValueError as exc:
-        raise ParameterFileError(f"{path}:{line_no}: {exc}") from None
-    return row
-
-
-def load_parameters(path) -> ParameterTable:
-    """Read and validate a parameter file; errors carry the offending line."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterFileError(f"cannot read parameter file {path}: {exc}") from None
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(_parse_row(stripped.split(","), line_no, path))
-    if not rows:
-        log.warning("parameter file %s contains no data rows", path)
-    return ParameterTable(rows=tuple(rows))
-
-
-def bundled_parameters_path() -> Path:
-    """Location of the parameter file shipped with the package."""
-    return Path(resources.files("hyperon") / "data" / "hyperon_channels.csv")
-
-
-def load_bundled_parameters() -> ParameterTable:
-    return load_parameters(bundled_parameters_path())
 
 
 def _check_names(names, what: str) -> None:
@@ -429,18 +322,16 @@ def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: in
 # SP&E 51, 2021).  A component of the grammar -?D(.D{1,13})? is its integer
 # mantissa m < 10**14 < 2**53 divided by the exact double 10**f, f <= 13: one
 # correctly rounded division (W. D. Clinger, PLDI 1990), so it equals the
-# correctly rounded parse of np.loadtxt.  Rows outside this grammar, such as
-# exponent forms (about 600 per 1M pairs), go through _parse_body.
+# correctly rounded parse of np.loadtxt.  Each line is judged on its own:
+# a line outside this grammar, such as an exponent form (about 600 per 1M
+# pairs), or one without exactly five commas, goes through _parse_body.
 # characters per parsed slice, the reader's one unit of work: `analyze witness` of a 1M-pair
 # file on 2 threads peaked at 56 MB with 2^19 and at 72 MB with 2^20 (2.10 and 1.72 s; np.loadtxt
 # took 3.57 s and 67 MB)
 _PARSE_SLICE_BYTES = 1 << 19
-# a smaller slice goes through _parse_body whole: np.loadtxt costs less than the byte parser's fixed cost
-_BYTE_PARSE_MIN = 1 << 15
 _MAX_KEYS = 16  # distinct "role,channel" keys matched per slice; rows of later keys go through _parse_body
 _MAX_KEY_BYTES = 64
 _PAD_BEFORE, _PAD_AFTER = 24, _MAX_KEY_BYTES  # bytes around a slice's text that word reads may touch
-_ROW_SEPARATORS = np.array([ord(",")] * 5 + [ord("\n")], np.uint8)
 # _KEEP_LAST[k] keeps the last k of the 8 bytes in a little-endian word, _ZEROS_KEPT[k] the ASCII zeros there
 _KEEP_LAST = np.array([(2**64 - 1) & ~((1 << 8 * (8 - k)) - 1) for k in range(9)], np.uint64)
 _ZEROS_KEPT = _KEEP_LAST & np.uint64(0x3030303030303030)
@@ -479,13 +370,15 @@ def _digits(words: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _parse_rows(text: str):
-    """(ids, n, key codes, keys, slow rows, slow lines) of event-file lines, or None.
+    """(ids, n, key codes, keys, slow rows, slow lines, line count) of event-file lines.
 
-    Returns None unless every line holds exactly five commas and no byte
-    below 0x20 but its line break.  `keys` maps each (role, channel)
-    found to its key code.  The slow rows, outside the grammar this
-    parser reads, hold junk and must go through _parse_body; the slow
-    lines are their text.
+    Each line is judged on its own.  An empty line is dropped but counted;
+    every other line is a row.  A row whose separators (its commas and
+    bytes below 0x20) are not exactly five commas and its line break, or
+    that lies outside the grammar this parser reads, is slow: its values
+    hold junk and must come from _parse_body, and the slow lines are the
+    text of these rows.  `keys` maps each (role, channel) found to its key code.  The
+    text holds no "\r": text mode reads every line break as "\n".
     """
     end = "" if text.endswith("\n") else "\n"
     data = ("0" * _PAD_BEFORE + text + end + "0" * _PAD_AFTER).encode("utf-8")
@@ -494,20 +387,26 @@ def _parse_rows(text: str):
     lo = _PAD_BEFORE
     body = buf[lo:-_PAD_AFTER]
     separators = np.flatnonzero((body == ord(",")) | (body < 0x20))
-    if separators.size % 6 or not (body[separators].reshape(-1, 6) == _ROW_SEPARATORS).all():
-        return None
     separators += lo
-    field_end = separators.reshape(-1, 6).T.copy()  # field_end[k]: where field k of each row ends
-    del separators
+    kind = buf[separators]
+    breaks = np.flatnonzero(kind == ord("\n"))  # each line's break, as an index into separators
+    lines = breaks.size
+    count = np.diff(breaks, prepend=-1)  # separators per line, its break included
+    start = np.concatenate([[lo], separators[breaks[:-1]] + 1])  # where each line starts
+    full = start < separators[breaks]  # not an empty line
+    if not full.all():
+        breaks, count, start = breaks[full], count[full], start[full]
+    # field k ends at the (5 - k)-th separator before the line break; a slow row's may lie in earlier lines
+    index = np.maximum(breaks + np.arange(-5, 1)[:, None], 0)
+    field_end = separators[index]
+    parsed = (count == 6) & (kind[index[:5]] == ord(",")).all(axis=0)
+    del separators, kind, breaks, count, index  # freed before the parse's temporaries: fewer page faults
     rows = field_end.shape[1]
-    start = np.empty(rows, np.intp)
-    start[0] = lo
-    start[1:] = field_end[5, :-1] + 1
     # id: 1 to 19 digits, so it fits a uint64
     length = field_end[0] - start
-    parsed = (length >= 1) & (length <= 19)
+    parsed &= (length >= 1) & (length <= 19)
     ids = np.zeros(rows, np.uint64)
-    for word in range(-(-int(length.max()) // 8)):
+    for word in range(-(-min(int(length.max(initial=0)), 19) // 8)):
         value, ok = _digits(words[field_end[0] - 8 * word - 8],
                             np.minimum(np.maximum(length - 8 * word, 0), 8))
         ids += value * np.uint64(10 ** (8 * word))
@@ -547,7 +446,7 @@ def _parse_rows(text: str):
         todo &= ~match
     slow = np.flatnonzero(todo | ~parsed).tolist()
     slow_lines = [buf[start[i]:field_end[5, i]].tobytes().decode("utf-8") for i in slow]
-    return ids, n, code, keys, slow, slow_lines
+    return ids, n, code, keys, slow, slow_lines, lines
 
 
 def _parse_slice(text: str) -> tuple[EventTable | None, int]:
@@ -556,20 +455,10 @@ def _parse_slice(text: str) -> tuple[EventTable | None, int]:
     The table is the one `EventTable.from_names` makes of `_parse_body`'s
     rows: the same values, names in order of first appearance and code
     dtypes.  The rows _parse_rows leaves go through one _parse_body call
-    and are spliced in by row index; a slice it does not take goes
-    through _parse_body whole.
+    and are spliced in by row index.
     """
-    parts = _parse_rows(text) if len(text) >= _BYTE_PARSE_MIN else None
-    if parts is None:  # not five commas a line, or few lines: every line through _parse_body
-        lines = _text_lines(text)
-        try:
-            rows = _parse_body(lines)
-        except ValueError:
-            return None, len(lines)
-        return EventTable.from_names(np.ascontiguousarray(rows["event_id"]), rows["role"], rows["channel"],
-                                     np.ascontiguousarray(rows["n"])), len(lines)
-    ids, n, code, keys, slow, slow_lines = parts
-    rows = lines = len(ids)
+    ids, n, code, keys, slow, slow_lines, lines = _parse_rows(text)
+    rows = len(ids)
     if slow_lines:
         try:
             rest = _parse_body(slow_lines)

@@ -343,6 +343,36 @@ class TestAnalyze:
         assert result.returncode == 1 and result.stdout == ""
         assert result.stderr == "usage error: --alpha and --alphabar apply only with --renormalize\n"
 
+    @pytest.mark.parametrize("flags, refused", [
+        (["--alpha", "0.5"], "--alpha"),
+        (["--alphabar", "0.5"], "--alphabar"),
+        (["--renormalize"], "--renormalize"),
+        (["--renormalize", "--alpha", "0.5", "--alphabar", "0.5"], "--alpha"),
+    ])
+    def test_witness_refuses_correlation_flags(self, capsys, tmp_path, flags, refused):
+        # the witness takes no model: these flags would be ignored with exit 0
+        f = tmp_path / "pairs.csv"
+        f.write_text("event_id,role,channel,nx,ny,nz\n")
+        code, out, err = run_cli(capsys, "analyze", "witness", "--events", str(f), *flags)
+        assert code == 1 and out == ""
+        assert err == f"usage error: analyze witness does not take {refused}\n"
+
+    def test_long_event_id_is_one_line_data_error(self, capsys, tmp_path):
+        # an id of 25 digits, more than a uint64 holds, in a 3,000-row file: exit 2 and one line
+        f = tmp_path / "pairs.csv"
+        run_cli(capsys, "simulate", "pair", "--k", "0.46", "--events", "1500", "--out", str(f))
+        lines = f.read_text().splitlines(keepends=True)
+        lines[1000] = "1234567890123456789012345" + lines[1000][lines[1000].index(","):]
+        f.write_text("".join(lines))
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperon.cli", "analyze", "witness", "--events", str(f)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == (f"data error: {f}:1001: could not convert string "
+                                 "'1234567890123456789012345' to uint64 in field 1 (last good event id: 499)\n")
+
     def test_renormalize_needs_alphas(self, capsys, pair_file):
         code, _, _ = run_cli(capsys, "analyze", "correlations", "--events", str(pair_file),
                              "--renormalize")
@@ -516,11 +546,11 @@ class TestStartup:
             {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.interferometer"},
             set(),
         ),
-        # the parameter reader shares dataio with the event files, which import mc's pool
+        # the parameter reader, with no event-file or sampling module
         "table": (
-            {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.dataio",
-             "hyperon.decay", "hyperon.sphere", "hyperon.mc", "hyperon.cascade"},
-            {"concurrent.futures", "logging"},
+            {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.params",
+             "hyperon.decay", "hyperon.sphere"},
+            {"logging"},
         ),
     }
 

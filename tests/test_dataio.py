@@ -484,10 +484,6 @@ ROWS = "0,pair-1,x,0.6,0,0.8\n0,pair-2,x,-0.6,0,-0.8\n"
 class TestRowParser:
     """The byte parser against the np.loadtxt reader, line by line: the same table or the same error."""
 
-    @pytest.fixture(autouse=True)
-    def byte_parser(self, monkeypatch):
-        monkeypatch.setattr(dataio, "_BYTE_PARSE_MIN", 0)  # small files too
-
     @pytest.mark.parametrize("line", [
         "01,pair-1,x,0,0,1",  # leading zero in an id
         "+1,pair-1,x,0,0,1",
@@ -506,6 +502,7 @@ class TestRowParser:
         "1234567890123456789,pair-1,x,0,0,1",  # 19 digits, the most the fast grammar reads
         "18446744073709551615,pair-1,x,0,0,1",  # 2**64 - 1 in 20 digits
         "18446744073709551616,pair-1,x,0,0,1",  # 2**64
+        "1234567890123456789012345,pair-1,x,0,0,1",  # 25 digits, past the id words the parser reads
         "-1,pair-1,x,0,0,1",
         "1,pa\tir-1,x,0,0,1",
         "1,pair-1,\x00,0,0,1",

@@ -8,6 +8,7 @@ pair moments merge in fixed groups of pairs.
 """
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -184,10 +185,6 @@ class TestByteReader:
     """iter_events against the np.loadtxt reader it replaced: for every slice size and worker
     count, the same rows and names, and the same error, wherever either reader cuts the file."""
 
-    @pytest.fixture(autouse=True)
-    def byte_parser(self, monkeypatch):
-        monkeypatch.setattr(dataio, "_BYTE_PARSE_MIN", 0)  # small slices too
-
     # block_bytes: the reference's `readlines` partition, which must not matter either
     @pytest.mark.parametrize("block_bytes", [10, 300, 500])
     @pytest.mark.parametrize("slice_bytes", [1, 120, 700, 1 << 18])
@@ -244,6 +241,37 @@ class TestByteReader:
                     assert main(["--threads", threads, "analyze", *what, "--events", str(path)]) == 0
                     reports.add((what[0], capsys.readouterr().out))
         assert len(reports) == 2
+
+    # replacements of a field or a comma: separators, control bytes, forms outside the byte parser's
+    # grammar, 20-digit ids below and at 2**64, 25 digits, a key past its word compare, a non-ASCII name
+    MUTATIONS = ["", ",", ",,", "\t", "\x00", "\n", "1e5", "nan", "+1", "00.6", "0.12345678901234",
+                 "18446744073709551615", "18446744073709551616", "1234567890123456789012345", "k" * 70, "Λ"]
+
+    def test_mutated_files_like_loadtxt(self, tmp_path, monkeypatch):
+        # each file read at three slice sizes: the reference's table bit for bit, or its error text
+        rng = np.random.default_rng(16)
+        path = tmp_path / "events.csv"
+        for _ in range(200):
+            lines = mixed_lines(12, int(rng.integers(1 << 30)))
+            for _ in range(rng.integers(1, 4)):
+                row = int(rng.integers(len(lines)))
+                body = lines[row].rstrip("\r\n")
+                parts = re.split("(,)", body)  # fields and commas in turn
+                parts[rng.integers(len(parts))] = self.MUTATIONS[rng.integers(len(self.MUTATIONS))]
+                lines[row] = "".join(parts) + lines[row][len(body):]
+            path.write_bytes((HEADER + "\n" + "".join(lines)).encode())
+            want = concat_or_error(loadtxt_events(path, 1 << 18))
+            for slice_bytes in (1, 120, 1 << 18):
+                monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
+                assert concat_or_error(iter_events(path, 1)) == want, "".join(lines)
+
+
+def concat_or_error(tables) -> tuple[list[tuple] | None, str | None]:
+    """The concatenated tables of a stream as `drain` gives them, or None and the error text."""
+    try:
+        return drain([EventTable.concat(tables)])
+    except EventFileError as exc:
+        return None, str(exc)
 
 
 class TestPairing:
