@@ -135,54 +135,43 @@ def _cmd_complementarity(args) -> None:
     _emit([row], args)
 
 
-_DECAY_FLAGS = ("hyperon", "channel", "alpha", "phi-over-pi")  # one decay's, after its prefix
-
-
-def _refuse(args, command: str, flags) -> None:
-    """Usage error if any of `flags` (such as "--k") was given: `command` would ignore it."""
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise UsageError(f"{command} does not take {flag}")
-
-
 def _resolve_params(args, prefix: str = ""):
     """Parameters and channel label from the flags --{prefix}hyperon, --{prefix}alpha, ..."""
     from .decay import params_from_alpha_phi
 
     name, channel, alpha, phi_over_pi = (
-        getattr(args, (prefix + key).replace("-", "_")) for key in _DECAY_FLAGS
+        getattr(args, (prefix + key).replace("-", "_"))
+        for key in ("hyperon", "channel", "alpha", "phi-over-pi")
     )
-    if name is not None:
+    if name is not None:  # the parser takes exactly one of --{prefix}hyperon and --{prefix}alpha
+        if phi_over_pi is not None:
+            raise UsageError(f"--{prefix}phi-over-pi applies only with --{prefix}alpha")
         row = _load_table(args).find(name, channel)
         return row.params(), f"{row.parent}:{row.channel.replace(' ', '')}"
-    if alpha is None:
-        raise UsageError(f"specify --{prefix}hyperon or --{prefix}alpha")
+    if channel is not None:
+        raise UsageError(f"--{prefix}channel applies only with --{prefix}hyperon")
     return params_from_alpha_phi(alpha, (phi_over_pi or 0.0) * np.pi), f"alpha={alpha:g}"
 
 
 def _cmd_simulate(args) -> None:
     from . import dataio, mc
 
-    own = {"single": ("",), "pair": (), "cascade": ("mu-", "nu-")}[args.kind]  # decay flag prefixes
-    ignored = [f"--{prefix}{key}" for prefix in ("", "mu-", "nu-") if prefix not in own
-               for key in _DECAY_FLAGS]
-    ignored.append("--pol" if args.kind == "pair" else "--k")
-    _refuse(args, f"simulate {args.kind}", ignored)
-    pol = np.zeros(3) if args.pol is None else _parse_vector(args.pol)
-    if args.kind == "single":
-        params, channel = _resolve_params(args)
-        model = mc.SingleDecayModel(params=params, polarization=pol, channel=channel)
-    elif args.kind == "pair":
-        if args.k is None:
-            raise UsageError("simulate pair requires --k")
+    if args.kind == "pair":
         model = mc.PairCorrelationModel(k=args.k, channel=f"pair(k={args.k:g})")
     else:
-        mu, mu_name = _resolve_params(args, "mu-")
-        nu, nu_name = _resolve_params(args, "nu-")
-        model = mc.CascadeDecayModel(
-            mu=mu, nu=nu, polarization=pol,
-            channel=f"{mu_name}>{nu_name}",
-        )
+        # the decay flags: one decay for single, the first (mu-) and second (nu-) for cascade
+        prefixes = ("",) if args.kind == "single" else ("mu-", "nu-")
+        if args.params is not None and all(getattr(args, f"{p}hyperon".replace("-", "_")) is None
+                                           for p in prefixes):
+            raise UsageError("--params applies only with " + " or ".join(f"--{p}hyperon" for p in prefixes))
+        pol = np.zeros(3) if args.pol is None else _parse_vector(args.pol)
+        decays = [_resolve_params(args, prefix) for prefix in prefixes]
+        if args.kind == "single":
+            (params, channel), = decays
+            model = mc.SingleDecayModel(params=params, polarization=pol, channel=channel)
+        else:
+            (mu, mu_name), (nu, nu_name) = decays
+            model = mc.CascadeDecayModel(mu=mu, nu=nu, polarization=pol, channel=f"{mu_name}>{nu_name}")
     try:
         config = mc.SampleConfig(
             seed=args.seed, events=args.events, model=model, workers=args.threads
@@ -206,41 +195,37 @@ def _cmd_simulate(args) -> None:
         print(f"wrote {config.events * len(model.roles)} records to {args.out}", file=sys.stderr)
 
 
-def _cmd_analyze(args) -> None:
+def _pair_moments(args):
     from . import dataio, pairs
 
+    # read, pair and estimate block by block, never holding the whole file
+    blocks = dataio.iter_events(args.events, args.threads)
+    return pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks))
+
+
+def _cmd_witness(args) -> None:
+    moments = _pair_moments(args)
+    value, stderr = moments.witness()
+    verdict = "entangled" if value < 0.0 else "not detected"
+    _emit([{"n_pairs": moments.count, "witness": value, "stderr": stderr, "verdict": verdict}], args)
+
+
+def _cmd_correlations(args) -> None:
+    from . import pairs
+
     model = None
-    if args.what == "witness":
-        _refuse(args, "analyze witness", ["--alpha", "--alphabar", "--renormalize"])
-    elif args.renormalize:
+    if args.renormalize:
         if args.alpha is None or args.alphabar is None:
             raise UsageError("--renormalize requires --alpha and --alphabar")
         model = pairs.PairModel(alpha_L=args.alpha, alpha_Lbar=args.alphabar)
     elif args.alpha is not None or args.alphabar is not None:
         raise UsageError("--alpha and --alphabar apply only with --renormalize")
-    # read, pair and estimate block by block, never holding the whole file
-    blocks = dataio.iter_events(args.events, args.threads)
-    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks))
-    if args.what == "witness":
-        value, stderr = moments.witness()
-        _emit(
-            [
-                {
-                    "n_pairs": moments.count,
-                    "witness": value,
-                    "stderr": stderr,
-                    "verdict": "entangled" if value < 0.0 else "not detected",
-                }
-            ],
-            args,
-        )
-    else:
-        m = moments.correlations(model)
-        row = {"mode": "renormalized (non-Bell-admissible)" if args.renormalize else "raw"}
-        for i, a in enumerate("xyz"):
-            for j, b in enumerate("xyz"):
-                row[f"m_{a}{b}"] = m[i, j]
-        _emit([row], args)
+    m = _pair_moments(args).correlations(model)
+    row = {"mode": "renormalized (non-Bell-admissible)" if args.renormalize else "raw"}
+    for i, a in enumerate("xyz"):
+        for j, b in enumerate("xyz"):
+            row[f"m_{a}{b}"] = m[i, j]
+    _emit([row], args)
 
 
 def _settings_string(settings) -> str:
@@ -259,12 +244,9 @@ def _cmd_bell(args) -> None:
 
     spec = inequalities.inequality(args.inequality)
     if args.threshold:
-        _refuse(args, "bell --threshold", ["--k"])
         k_star = inequalities.threshold(spec, seed=args.seed)
         _emit([{"inequality": spec.name, "threshold": k_star}], args)
         return
-    if args.k is None:
-        raise UsageError("bell requires --k (or --threshold)")
     if not 0.0 <= args.k <= 1.0:
         raise UsageError(f"--k must lie in [0, 1], got {args.k}")
     value, settings = inequalities.maximize(spec, inequalities.ProbModel(args.k), seed=args.seed)
@@ -309,10 +291,12 @@ def _cmd_context(args) -> None:
 
 
 def build_parser() -> _Parser:
-    # the global flags are declared once and accepted before and after the
-    # subcommand (the later one wins); a flag that is not given stays off the
-    # namespace, so the subcommand's copy never clobbers a value given before
-    # it, and main() passes their defaults in as the starting namespace
+    # each command declares only the flags its handler reads, so argparse
+    # refuses any other.  The global flags are declared once and accepted at
+    # every level, before and after each command word (the later one wins); a
+    # flag that is not given stays off the namespace, so a later level's copy
+    # never clobbers a value given before it, and main() passes their
+    # defaults in as the starting namespace
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     # every command accepts them; one that does not use --seed or --threads ignores it
     common.add_argument("--seed", type=int, help="master seed (64-bit; simulate and bell)")
@@ -324,45 +308,57 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hyperon", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(func=func)
+    def command(subparsers, name, summary, func=None):
+        p = subparsers.add_parser(name, parents=[common], help=summary)
+        if func is not None:
+            p.set_defaults(func=func)
         return p
 
-    p = command("table", _cmd_table, "reproduce the channel parameter table")
-    p.add_argument("--params", default=None, help=f"parameter file (default ${PARAMS_ENV} or bundled)")
+    p = command(sub, "table", "reproduce the channel parameter table", _cmd_table)
+    p.add_argument("--params", help=f"parameter file (default ${PARAMS_ENV} or bundled)")
 
-    p = command("complementarity", _cmd_complementarity, "interferometer visibility/predictability scan")
+    p = command(sub, "complementarity", "interferometer visibility/predictability scan",
+                _cmd_complementarity)
     p.add_argument("--theta", type=float, required=True, help="initial polar angle (radians)")
     p.add_argument("--phi", type=float, default=0.0, help="initial azimuth (radians)")
     p.add_argument("--points", type=int, default=64, help="phase-scan grid size")
 
-    p = command("simulate", _cmd_simulate, "generate decay events")
-    p.add_argument("kind", choices=("single", "pair", "cascade"))
+    kinds = command(sub, "simulate", "generate decay events", _cmd_simulate).add_subparsers(
+        dest="kind", required=True)
+    p = command(kinds, "pair", "singlet pairs with correlation scale k")
     p.add_argument("--events", type=int, required=True)
-    p.add_argument("--params", default=None)
-    # one decay for single, the first (mu-) and second (nu-) decay for cascade
-    for prefix in ("", "mu-", "nu-"):
-        p.add_argument(f"--{prefix}hyperon", default=None, help="channel lookup by parent name")
-        p.add_argument(f"--{prefix}channel", default=None, help="channel selector, e.g. 'p pi-'")
-        p.add_argument(f"--{prefix}alpha", type=float, default=None)
-        p.add_argument(f"--{prefix}phi-over-pi", type=float, default=None, help="default 0")
-    p.add_argument("--k", type=float, default=None, help="pair correlation alpha*alphabar")
-    p.add_argument("--pol", default=None, help="parent polarization vector x,y,z (default 0,0,0)")
+    p.add_argument("--k", type=float, required=True, help="pair correlation alpha*alphabar")
+    for kind, summary, prefixes in (("single", "one decay of a polarized hyperon", ("",)),
+                                    ("cascade", "a decay chain, first (mu-) then second (nu-) decay",
+                                     ("mu-", "nu-"))):
+        p = command(kinds, kind, summary)
+        p.add_argument("--events", type=int, required=True)
+        p.add_argument("--params", help=f"parameter file (default ${PARAMS_ENV} or bundled)")
+        p.add_argument("--pol", help="parent polarization vector x,y,z (default 0,0,0)")
+        for prefix in prefixes:
+            decay = p.add_mutually_exclusive_group(required=True)
+            decay.add_argument(f"--{prefix}hyperon", help="channel lookup by parent name")
+            decay.add_argument(f"--{prefix}alpha", type=float)
+            p.add_argument(f"--{prefix}channel", help=f"with --{prefix}hyperon: channel, e.g. 'p pi-'")
+            p.add_argument(f"--{prefix}phi-over-pi", type=float, help=f"with --{prefix}alpha: default 0")
 
-    p = command("analyze", _cmd_analyze, "estimate pair observables from an event file")
-    p.add_argument("what", choices=("witness", "correlations"))
-    p.add_argument("--events", required=True, help="event file path")
-    p.add_argument("--renormalize", action="store_true", default=None)  # None: not given, for _refuse
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alphabar", type=float, default=None)
+    whats = command(sub, "analyze", "estimate pair observables from an event file").add_subparsers(
+        dest="what", required=True)
+    for what, summary, func in (("witness", "entanglement witness", _cmd_witness),
+                                ("correlations", "spin correlation matrix", _cmd_correlations)):
+        p = command(whats, what, summary, func)
+        p.add_argument("--events", required=True, help="event file path")
+    p.add_argument("--renormalize", action="store_true")  # p: correlations, the last kind
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--alphabar", type=float)
 
-    p = command("bell", _cmd_bell, "maximize a Bell expression or find its threshold")
+    p = command(sub, "bell", "maximize a Bell expression or find its threshold", _cmd_bell)
     p.add_argument("--inequality", choices=("I2", "I3", "I4"), required=True)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--threshold", action="store_true")
+    goal = p.add_mutually_exclusive_group(required=True)
+    goal.add_argument("--k", type=float)
+    goal.add_argument("--threshold", action="store_true")
 
-    p = command("context", _cmd_context, "Mermin-Peres contextuality value")
+    p = command(sub, "context", "Mermin-Peres contextuality value", _cmd_context)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--alphabar", type=float, required=True)
 

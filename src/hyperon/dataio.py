@@ -141,9 +141,11 @@ def _format_block(table: EventTable, rows: slice) -> str:
     Each row is laid out in words: the id, the ",role,channel" bytes of
     the row's key (templates made for the keys present), the three
     components and a line break.  Zero bytes are padding, dropped when
-    the words are joined.  A row the layout cannot hold (a component that
-    _format_unit does not write, or a name holding a NUL) is formatted with
-    `_EVENT_ROW` and spliced in.
+    the words are joined.  A row with a component that _format_unit does
+    not write is formatted with `_EVENT_ROW` into its own row of words,
+    which its text fits: `%.9g` takes at most 16 of a component's 20
+    bytes.  A block whose names hold a NUL, which would read as padding,
+    is formatted with `_EVENT_ROW` throughout.
     """
     ids, n = table.event_id[rows].astype(np.uint64, copy=False), table.n[rows]
     count = len(ids)
@@ -152,36 +154,31 @@ def _format_block(table: EventTable, rows: slice) -> str:
     names = [f"{table.roles[key // len(table.channels)]},{table.channels[key % len(table.channels)]}"
              for key in present.tolist()]
     fields = [f",{name}".encode("utf-8", "surrogatepass") for name in names]
+
+    def percent(picked):
+        """``_EVENT_ROW % row`` of each picked row."""
+        return (_EVENT_ROW % (i, names[k], *v)
+                for i, k, v in zip(ids[picked].tolist(), key_index[picked].tolist(), n[picked].tolist()))
+
+    if any(0 in field for field in fields):
+        return "".join(percent(slice(None)))
     field_words = -(-max(map(len, fields)) // 4)
     templates = np.zeros((len(fields), 4 * field_words), np.uint8)
     for template, field in zip(templates, fields):
         template[:len(field)] = np.frombuffer(field, np.uint8)
-    ok = np.array([0 not in field for field in fields])[key_index]
     id_words = max(1, -(-len(str(int(ids.max(initial=0)))) // 3))
     words = np.empty((count, id_words + field_words + 16), np.uint32)
     _format_ids(ids, words[:, :id_words])
     words[:, id_words:id_words + field_words] = templates.view(np.uint32)[key_index]
     components = words[:, id_words + field_words:-1].reshape(count, 3, 5)
-    ok &= _format_unit(np.asarray(n, dtype=float), components).all(axis=1)
+    ok = _format_unit(np.asarray(n, dtype=float), components).all(axis=1)
     words[:, -1] = _NEWLINE
-    fallback = np.flatnonzero(~ok)
-    words[fallback] = 0  # no bytes: each fallback row is spliced in where its words would be
     text = words.view(np.uint8)
-    kept = text != 0
-    # each fallback row goes after the kept bytes of the rows before it
-    bounds = [0, *(fallback * text.shape[1]).tolist()]
-    ends = np.cumsum([np.count_nonzero(kept.ravel()[a:b]) for a, b in zip(bounds, bounds[1:])]).tolist()
-    joined = text[kept]
-    del kept
-    if fallback.size:
-        pieces, start, view = [], 0, memoryview(joined)
-        for row, end in zip(fallback.tolist(), ends):
-            pieces += [view[start:end], (_EVENT_ROW % (ids[row].item(), names[key_index[row]],
-                                                        *n[row].tolist())).encode("utf-8", "surrogatepass")]
-            start = end
-        pieces.append(view[start:])
-        joined = b"".join(pieces)
-    return str(joined, "utf-8", "surrogatepass")
+    fallback = np.flatnonzero(~ok)
+    lines = b"".join(line.encode("utf-8", "surrogatepass").ljust(text.shape[1], b"\0")
+                     for line in percent(fallback))
+    text[fallback] = np.frombuffer(lines, np.uint8).reshape(fallback.size, text.shape[1])
+    return str(text[text != 0], "utf-8", "surrogatepass")
 
 
 def _text_blocks(table: EventTable | list[str]) -> Iterator[str]:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -170,8 +171,41 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", kind, *model, flag, value,
                                  "--events", "10", "--out", str(f))
         assert code == 1
-        assert err == f"usage error: simulate {kind} does not take {flag}\n"
+        assert err == f"usage error: unrecognized arguments: {flag} {value}\n"
         assert out == "" and not f.exists()
+
+    @pytest.mark.parametrize("kind, argv, message", [
+        # the channel selector of a decay given by alpha, and phi of a decay looked up by name
+        ("single", ["--alpha", "0.5", "--channel", "x"], "--channel applies only with --hyperon"),
+        ("cascade", ["--mu-hyperon", "Xi-", "--nu-alpha", "0.5", "--nu-channel", "x"],
+         "--nu-channel applies only with --nu-hyperon"),
+        ("single", ["--hyperon", "Lambda", "--phi-over-pi", "0.3"],
+         "--phi-over-pi applies only with --alpha"),
+        ("cascade", ["--mu-hyperon", "Xi-", "--mu-phi-over-pi", "0.3", "--nu-alpha", "0.5"],
+         "--mu-phi-over-pi applies only with --mu-alpha"),
+        # a parameter file that no decay looks up
+        ("single", ["--alpha", "0.5", "--params", "/nope"], "--params applies only with --hyperon"),
+        ("cascade", ["--mu-alpha", "0.5", "--nu-alpha", "0.5", "--params", "/nope"],
+         "--params applies only with --mu-hyperon or --nu-hyperon"),
+        ("pair", ["--k", "0.2", "--params", "/nope"], "unrecognized arguments: --params /nope"),
+        # a decay both looked up and given by alpha
+        ("single", ["--hyperon", "Lambda", "--alpha", "0.9"],
+         "argument --alpha: not allowed with argument --hyperon"),
+    ])
+    def test_unused_decay_flag_exit_1(self, capsys, tmp_path, kind, argv, message):
+        f = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "simulate", kind, *argv, "--events", "10", "--out", str(f))
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert not f.exists()
+
+    def test_params_read_by_one_decay_of_a_cascade(self, capsys, tmp_path):
+        table = tmp_path / "params.csv"
+        table.write_text("X,uds,p pi-,0.5,0.3,0.0,+1,note\n")
+        argv = ("simulate", "cascade", "--mu-alpha", "0.4", "--nu-hyperon", "X", "--events", "3")
+        code, out, _ = run_cli(capsys, *argv, "--params", str(table))
+        assert code == 0 and ",cascade-nu,alpha=0.4>X:ppi-," in out
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: no parameter row for 'X'\n")
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "single", "--alpha", "0.5", "--pol", "nan,0,0"),
@@ -195,7 +229,7 @@ class TestSimulate:
     def test_cascade_names_the_missing_flag(self, capsys, given, missing):
         code, out, err = run_cli(capsys, "simulate", "cascade", "--events", "10", given, "0.5")
         assert code == 1 and out == ""
-        assert err == f"usage error: specify --{missing}-hyperon or --{missing}-alpha\n"
+        assert err == f"usage error: one of the arguments --{missing}-hyperon --{missing}-alpha is required\n"
 
     def test_infinite_phi_is_one_line_error(self):
         env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
@@ -355,7 +389,8 @@ class TestAnalyze:
         f.write_text("event_id,role,channel,nx,ny,nz\n")
         code, out, err = run_cli(capsys, "analyze", "witness", "--events", str(f), *flags)
         assert code == 1 and out == ""
-        assert err == f"usage error: analyze witness does not take {refused}\n"
+        assert err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
+        assert refused in err
 
     def test_long_event_id_is_one_line_data_error(self, capsys, tmp_path):
         # an id of 25 digits, more than a uint64 holds, in a 3,000-row file: exit 2 and one line
@@ -405,7 +440,7 @@ class TestBell:
     def test_threshold_refuses_k(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--k", "0.46")
         assert code == 1 and out == ""
-        assert err == "usage error: bell --threshold does not take --k\n"
+        assert err == "usage error: argument --k: not allowed with argument --threshold\n"
 
 
 class TestContext:
@@ -458,6 +493,40 @@ class TestGlobalFlags:
             "both": ([flag, earlier], [flag, value]),
         }[where]
 
+    @pytest.mark.parametrize("levels", [
+        levels for count in (1, 2, 3) for levels in itertools.combinations(("root", "command", "kind"), count)
+    ], ids="-".join)
+    def test_root_command_and_kind_levels(self, capsys, tmp_path, levels):
+        """Each flag at the root, after simulate or analyze, and after the kind word; the last wins."""
+
+        def argv(command, kind, rest, flag, last, earlier):
+            given = {level: [flag, earlier] for level in levels[:-1]}
+            given[levels[-1]] = [flag, last]
+            return [*given.get("root", []), command, *given.get("command", []),
+                    kind, *rest, *given.get("kind", [])]
+
+        pair = ["--k", "0.2", "--events", "100"]  # the fewest the witness takes
+        _, seed_1, _ = run_cli(capsys, "simulate", "pair", *pair)
+        _, seed_3, _ = run_cli(capsys, "simulate", "pair", *pair, "--seed", "3")
+        assert seed_1 != seed_3
+        code, out, _ = run_cli(capsys, *argv("simulate", "pair", pair, "--seed", "3", "1"))
+        assert code == 0 and out == seed_3
+
+        code, out, err = run_cli(capsys, *argv("simulate", "pair", pair, "--threads", "-1", "1"))
+        assert code == 1 and out == "" and "worker count" in err
+        code, out, _ = run_cli(capsys, *argv("simulate", "pair", pair, "--threads", "1", "-1"))
+        assert code == 0 and out == seed_1
+
+        target, other = tmp_path / "target.csv", tmp_path / "other.csv"
+        code, out, _ = run_cli(capsys, *argv("simulate", "pair", pair, "--out", str(target), str(other)))
+        assert code == 0 and out == "" and target.read_text() == seed_1 and not other.exists()
+
+        witness = ["--events", str(target)]
+        code, out, _ = run_cli(capsys, *argv("analyze", "witness", witness, "--format", "json", "csv"))
+        assert code == 0 and json.loads(out)[0]["n_pairs"] == 100
+        code, out, _ = run_cli(capsys, *argv("analyze", "witness", witness, "--format", "csv", "json"))
+        assert code == 0 and parse_csv(out)[0]["n_pairs"] == "100"
+
     @pytest.mark.parametrize("where", ["before", "after", "both"])
     def test_seed(self, capsys, where):
         pair = ("simulate", "pair", "--k", "0.2", "--events", "5")
@@ -500,6 +569,8 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize("command", [
         (), ("table",), ("complementarity",), ("simulate",), ("analyze",), ("bell",), ("context",),
+        ("simulate", "single"), ("simulate", "pair"), ("simulate", "cascade"),
+        ("analyze", "witness"), ("analyze", "correlations"),
     ])
     def test_help_exits_0(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
