@@ -12,7 +12,7 @@ no submodule and each CLI command loads only the modules it runs.
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 _EXPORTS = {
     "qcore": (

@@ -10,6 +10,7 @@ error, 2 data error.  Every subcommand is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -135,8 +136,11 @@ def _cmd_complementarity(args) -> None:
     _emit([row], args)
 
 
-def _resolve_params(args, prefix: str = ""):
-    """Parameters and channel label from the flags --{prefix}hyperon, --{prefix}alpha, ..."""
+def _resolve_params(args, table, prefix: str = ""):
+    """Parameters and channel label from the flags --{prefix}hyperon, --{prefix}alpha, ...
+
+    `table()` returns the parameter table that --{prefix}hyperon looks up.
+    """
     from .decay import params_from_alpha_phi
 
     name, channel, alpha, phi_over_pi = (
@@ -146,7 +150,7 @@ def _resolve_params(args, prefix: str = ""):
     if name is not None:  # the parser takes exactly one of --{prefix}hyperon and --{prefix}alpha
         if phi_over_pi is not None:
             raise UsageError(f"--{prefix}phi-over-pi applies only with --{prefix}alpha")
-        row = _load_table(args).find(name, channel)
+        row = table().find(name, channel)
         return row.params(), f"{row.parent}:{row.channel.replace(' ', '')}"
     if channel is not None:
         raise UsageError(f"--{prefix}channel applies only with --{prefix}hyperon")
@@ -165,7 +169,8 @@ def _cmd_simulate(args) -> None:
                                            for p in prefixes):
             raise UsageError("--params applies only with " + " or ".join(f"--{p}hyperon" for p in prefixes))
         pol = np.zeros(3) if args.pol is None else _parse_vector(args.pol)
-        decays = [_resolve_params(args, prefix) for prefix in prefixes]
+        table = functools.cache(functools.partial(_load_table, args))  # loaded once, if a decay looks it up
+        decays = [_resolve_params(args, table, prefix) for prefix in prefixes]
         if args.kind == "single":
             (params, channel), = decays
             model = mc.SingleDecayModel(params=params, polarization=pol, channel=channel)
@@ -200,7 +205,12 @@ def _pair_moments(args):
 
     # read, pair and estimate block by block, never holding the whole file
     blocks = dataio.iter_events(args.events, args.threads)
-    return pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks))
+    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks))
+    try:
+        moments.require_events()
+    except ValueError as exc:  # too few pairs is a fault of the file
+        raise DataError(str(exc)) from None
+    return moments
 
 
 def _cmd_witness(args) -> None:

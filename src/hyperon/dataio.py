@@ -5,15 +5,19 @@ The event file is comma-separated UTF-8 text: the header
 id, a role and a channel free of commas and line breaks, and a unit
 direction printed with 9 significant digits, so unit norms survive a round
 trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
-files are written in blocks of rows and read in slices of lines,
-formatted or parsed by vectorised passes over their bytes on the sampling
-threads, and pair rows are matched as the slices stream past, so neither
-direction needs the whole file in memory.  The parameter-table names
-(`load_parameters`, ...) live in `params` and are re-exported here."""
+files are written in blocks of rows and read in slices of about 1 MB of
+lines, formatted or parsed by vectorised passes over their bytes on the
+sampling threads, and pair rows are matched as the slices stream past, so
+neither direction needs the whole file in memory.  Both directions keep
+the file as bytes, in binary mode; a slice is decoded only to check that
+it is UTF-8, and its line breaks are read as text mode reads them.  The
+parameter-table names (`load_parameters`, ...) live in `params` and are
+re-exported here."""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import re
 from collections.abc import Iterable, Iterator
@@ -135,8 +139,8 @@ def _format_ids(ids: np.ndarray, out: np.ndarray) -> None:
     out[~seen, -1] = _ZERO
 
 
-def _format_block(table: EventTable, rows: slice) -> str:
-    """The event-file text of `table[rows]`, byte for byte ``_EVENT_ROW % row`` for every row.
+def _format_block(table: EventTable, rows: slice) -> bytes:
+    """The event-file bytes of `table[rows]`, byte for byte ``_EVENT_ROW % row`` in UTF-8 for every row.
 
     Each row is laid out in words: the id, the ",role,channel" bytes of
     the row's key (templates made for the keys present), the three
@@ -153,7 +157,7 @@ def _format_block(table: EventTable, rows: slice) -> str:
     present, key_index = np.unique(keys, return_inverse=True)
     names = [f"{table.roles[key // len(table.channels)]},{table.channels[key % len(table.channels)]}"
              for key in present.tolist()]
-    fields = [f",{name}".encode("utf-8", "surrogatepass") for name in names]
+    fields = [f",{name}".encode() for name in names]
 
     def percent(picked):
         """``_EVENT_ROW % row`` of each picked row."""
@@ -161,7 +165,7 @@ def _format_block(table: EventTable, rows: slice) -> str:
                 for i, k, v in zip(ids[picked].tolist(), key_index[picked].tolist(), n[picked].tolist()))
 
     if any(0 in field for field in fields):
-        return "".join(percent(slice(None)))
+        return "".join(percent(slice(None))).encode()
     field_words = -(-max(map(len, fields)) // 4)
     templates = np.zeros((len(fields), 4 * field_words), np.uint8)
     for template, field in zip(templates, fields):
@@ -175,16 +179,15 @@ def _format_block(table: EventTable, rows: slice) -> str:
     words[:, -1] = _NEWLINE
     text = words.view(np.uint8)
     fallback = np.flatnonzero(~ok)
-    lines = b"".join(line.encode("utf-8", "surrogatepass").ljust(text.shape[1], b"\0")
-                     for line in percent(fallback))
+    lines = b"".join(line.encode().ljust(text.shape[1], b"\0") for line in percent(fallback))
     text[fallback] = np.frombuffer(lines, np.uint8).reshape(fallback.size, text.shape[1])
-    return str(text[text != 0], "utf-8", "surrogatepass")
+    return text[text != 0].tobytes()
 
 
-def _text_blocks(table: EventTable | list[str]) -> Iterator[str]:
-    """Check the table's names, then return an iterator over its rows' text, _FORMAT_ROWS rows at a time.
+def _row_blocks(table: EventTable | list[bytes]) -> Iterator[bytes]:
+    """Check the table's names, then return an iterator over its rows' bytes, _FORMAT_ROWS rows at a time.
 
-    A chunk that `format_blocks` made is text already, its names checked.
+    A chunk that `format_blocks` made is bytes already, its names checked.
     """
     if not isinstance(table, EventTable):
         return iter(table)
@@ -198,59 +201,66 @@ def _text_blocks(table: EventTable | list[str]) -> Iterator[str]:
     return blocks()
 
 
-def format_blocks(table: EventTable) -> list[str]:
-    """Check the table's names, then format its event-file rows, in blocks of _FORMAT_ROWS rows.
+def format_blocks(table: EventTable) -> list[bytes]:
+    """Check the table's names, then format its event-file rows as bytes, in blocks of _FORMAT_ROWS rows.
 
     The formatting is numpy that releases the GIL, so the sampling
     threads of `mc.iter_chunks(config, format_blocks)` format their own
     chunks in parallel; `write_events` writes such formatted chunks as it
     writes tables.
     """
-    return list(_text_blocks(table))
+    return list(_row_blocks(table))
 
 
-def _event_chunks(tables: EventTable | Iterable[EventTable | list[str]]) -> Iterator[str]:
-    """Check the first table's names, then return an iterator over the event-file text.
+def _event_chunks(tables: EventTable | Iterable[EventTable | list[bytes]]) -> Iterator[bytes]:
+    """Check the first table's names, then return an iterator over the event file's bytes.
 
     `tables` is one EventTable or an iterable of EventTables or of their
-    `format_blocks` text, such as the chunks of `mc.iter_chunks`.  The
+    `format_blocks` bytes, such as the chunks of `mc.iter_chunks`.  The
     header comes first, then each table's rows in blocks, so a writer
-    need not hold the whole file, as text or as a table.  Each later
+    need not hold the whole file, as bytes or as a table.  Each later
     table's names are checked when it arrives.
     """
     tables = iter((tables,) if isinstance(tables, EventTable) else tables)
-    texts = map(_text_blocks, tables)  # no name holds a written table
-    first = next(texts, iter(()))
+    blocks = map(_row_blocks, tables)  # no name holds a written table
+    first = next(blocks, iter(()))
 
     def chunks():
-        yield EVENT_HEADER + "\n"
+        yield f"{EVENT_HEADER}\n".encode()
         yield from first
-        for text in texts:
-            yield from text
+        for rows in blocks:
+            yield from rows
 
     return chunks()
 
 
 def format_events(tables: EventTable | Iterable[EventTable]) -> str:
     """Event-file text of an EventTable or of an iterable of them."""
-    return "".join(_event_chunks(tables))
+    return b"".join(_event_chunks(tables)).decode()
 
 
-def write_events(path, tables: EventTable | Iterable[EventTable | list[str]]) -> None:
-    """Write an EventTable, or an iterable of them or of their `format_blocks` text, block by block.
+def write_events(path, tables: EventTable | Iterable[EventTable | list[bytes]]) -> None:
+    """Write an EventTable, or an iterable of them or of their `format_blocks` bytes, block by block.
 
-    `path` is a file path or an open text stream.  The names of the first
+    `path` is a file path, written as a binary file, or an open text
+    stream, whose `.buffer` takes the bytes; a text stream without one,
+    such as io.StringIO, takes them decoded.  The names of the first
     table are checked before anything is written; a write to a path that
     fails part way, for a bad name in a later table too, removes the
     partial file.
     """
     chunks = _event_chunks(tables)
     if hasattr(path, "write"):
-        path.writelines(chunks)
+        buffer = getattr(path, "buffer", None)
+        if buffer is None:
+            path.writelines(chunk.decode() for chunk in chunks)
+        else:
+            path.flush()  # what the stream holds comes first
+            buffer.writelines(chunks)
         return
     path = Path(path)
     try:
-        out = path.open("w", encoding="utf-8")
+        out = path.open("wb")
     except OSError as exc:
         raise EventFileError(f"cannot write event file {path}: {exc}") from None
     try:
@@ -322,16 +332,16 @@ def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: in
 # correctly rounded parse of np.loadtxt.  Each line is judged on its own:
 # a line outside this grammar, such as an exponent form (about 600 per 1M
 # pairs), or one without exactly five commas, goes through _parse_body.
-# characters per parsed slice, the reader's one unit of work: `analyze witness` of a 1M-pair
-# file on 2 threads peaked at 56 MB with 2^19 and at 72 MB with 2^20 (2.10 and 1.72 s; np.loadtxt
-# took 3.57 s and 67 MB)
-_PARSE_SLICE_BYTES = 1 << 19
+# bytes per parsed slice, the reader's one unit of work: `analyze witness` of a 1M-pair file on
+# 2 threads took 0.98 s and peaked at 49 MB with 2^20, and 1.16 s and 42 MB with 2^19 (the str
+# reader: 1.28 s and 50 MB with 2^19; np.loadtxt took 3.57 s and 67 MB)
+_PARSE_SLICE_BYTES = 1 << 20
+_READ_PAST = 1 << 12  # the read buffer's room past a slice, for the end of its last line
 _MAX_KEYS = 16  # distinct "role,channel" keys matched per slice; rows of later keys go through _parse_body
 _MAX_KEY_BYTES = 64
 _PAD_BEFORE, _PAD_AFTER = 24, _MAX_KEY_BYTES  # bytes around a slice's text that word reads may touch
-# _KEEP_LAST[k] keeps the last k of the 8 bytes in a little-endian word, _ZEROS_KEPT[k] the ASCII zeros there
+# _KEEP_LAST[k] keeps the last k of the 8 bytes in a little-endian word
 _KEEP_LAST = np.array([(2**64 - 1) & ~((1 << 8 * (8 - k)) - 1) for k in range(9)], np.uint64)
-_ZEROS_KEPT = _KEEP_LAST & np.uint64(0x3030303030303030)
 # by the length of a component without its sign: its decimals f, 0 for "D", and 14 outside the grammar
 _DECIMALS = np.array([14, 0, 14, *range(1, 14), 14, 14, 14, 14])
 _POW10_U64 = 10 ** np.arange(15, dtype=np.uint64)
@@ -341,91 +351,108 @@ _SIGNED_POW10 = np.concatenate([10.0 ** np.arange(15), -10.0 ** np.arange(15)]) 
 def _digits(words: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(value, ok) of the last `count` (0 to 8) bytes of each little-endian word read as decimal digits.
 
-    `words` is overwritten.  ok is whether those bytes are all digits:
-    with the ASCII zeros taken off, a digit byte is 0-9 and adding 0x76
-    sets no high bit, while the lowest other byte borrows or sets one.
-    The digits are then combined pairwise by multiplications (Lemire's
-    SWAR step).
+    `words` is overwritten and returned as the value; one more array of
+    its size is made.  ok is whether those bytes are all digits: xor 0x30
+    takes a digit byte to 0-9, where adding 0x76 sets no high bit, and
+    any other byte to a value that has one or gets one.  The digits are
+    then combined pairwise by multiplications (Lemire's SWAR step).
     """
-    x = words
-    x &= _KEEP_LAST[count]
-    x -= _ZEROS_KEPT[count]
-    ok = x + np.uint64(0x7676767676767676)
-    ok |= x
-    ok = ok & np.uint64(0x8080808080808080) == 0
-    pairs = x >> np.uint64(8)
+    x, kept = words, _KEEP_LAST[count]
+    x ^= np.uint64(0x3030303030303030)  # a digit's byte to its value
+    x &= kept
+    spare = np.add(x, np.uint64(0x7676767676767676), out=kept)
+    spare |= x
+    spare &= np.uint64(0x8080808080808080)
+    ok = spare == 0
+    np.right_shift(x, np.uint64(8), out=spare)
     x *= np.uint64(10)
-    x += pairs  # byte 2k + 1: the value of digits 2k and 2k + 1
-    pairs = x >> np.uint64(16)
-    pairs &= np.uint64(0x000000FF000000FF)
-    pairs *= np.uint64(1 + (10000 << 32))
+    x += spare  # byte 2k + 1: the value of digits 2k and 2k + 1
+    np.right_shift(x, np.uint64(16), out=spare)
+    spare &= np.uint64(0x000000FF000000FF)
+    spare *= np.uint64(1 + (10000 << 32))
     x &= np.uint64(0x000000FF000000FF)
     x *= np.uint64(100 + (1000000 << 32))
-    x += pairs
+    x += spare
     x >>= np.uint64(32)
     return x, ok
 
 
-def _parse_rows(text: str):
-    """(ids, n, key codes, keys, slow rows, slow lines, line count) of event-file lines.
+def _parse_rows(data: bytes):
+    """(ids, n, key codes, keys, slow rows, slow lines, line count) of a padded slice of event-file lines.
 
-    Each line is judged on its own.  An empty line is dropped but counted;
-    every other line is a row.  A row whose separators (its commas and
-    bytes below 0x20) are not exactly five commas and its line break, or
-    that lies outside the grammar this parser reads, is slow: its values
-    hold junk and must come from _parse_body, and the slow lines are the
-    text of these rows.  `keys` maps each (role, channel) found to its key code.  The
-    text holds no "\r": text mode reads every line break as "\n".
+    `data` holds whole lines, each ended by b"\n", between _PAD_BEFORE and
+    _PAD_AFTER bytes of padding.  Each line is judged on its own.  An
+    empty line is dropped but counted; every other line is a row.  A row
+    whose separators (its commas and bytes below 0x20) are not exactly
+    five commas and its line break, or that lies outside the grammar this
+    parser reads, is slow: its values hold junk and must come from
+    _parse_body, and the slow lines are the text of these rows.  `keys`
+    maps each (role, channel) found to its key code.  Each temporary is
+    dropped at its last use, and the components are read one at a time,
+    so the parse holds about two bytes per byte of `data` at its peak.
     """
-    end = "" if text.endswith("\n") else "\n"
-    data = ("0" * _PAD_BEFORE + text + end + "0" * _PAD_AFTER).encode("utf-8")
     buf = np.frombuffer(data, np.uint8)
     words = np.ndarray((buf.size - 7,), np.uint64, data, 0, (1,))  # words[i]: the bytes buf[i:i + 8]
-    lo = _PAD_BEFORE
-    body = buf[lo:-_PAD_AFTER]
-    separators = np.flatnonzero((body == ord(",")) | (body < 0x20))
-    separators += lo
+    # separators: xor 0x0C maps the comma to 0x20 and the bytes below 0x20 among themselves
+    separators = np.bitwise_xor(buf[_PAD_BEFORE:-_PAD_AFTER], np.uint8(0x0C))
+    separators = np.flatnonzero(np.less_equal(separators, np.uint8(0x20), out=separators.view(bool)))
+    separators += _PAD_BEFORE
     kind = buf[separators]
     breaks = np.flatnonzero(kind == ord("\n"))  # each line's break, as an index into separators
     lines = breaks.size
-    count = np.diff(breaks, prepend=-1)  # separators per line, its break included
-    start = np.concatenate([[lo], separators[breaks[:-1]] + 1])  # where each line starts
+    # read here: six separators, none of them a control byte but the line break
+    parsed = np.diff(breaks, prepend=-1) == 6
+    parsed[np.searchsorted(breaks, np.flatnonzero((kind != ord(",")) & (kind != ord("\n"))))] = False
+    start = np.concatenate([[_PAD_BEFORE], separators[breaks[:-1]] + 1])  # where each line starts
     full = start < separators[breaks]  # not an empty line
     if not full.all():
-        breaks, count, start = breaks[full], count[full], start[full]
-    # field k ends at the (5 - k)-th separator before the line break; a slow row's may lie in earlier lines
-    index = np.maximum(breaks + np.arange(-5, 1)[:, None], 0)
-    field_end = separators[index]
-    parsed = (count == 6) & (kind[index[:5]] == ord(",")).all(axis=0)
-    del separators, kind, breaks, count, index  # freed before the parse's temporaries: fewer page faults
-    rows = field_end.shape[1]
+        breaks, parsed, start = breaks[full], parsed[full], start[full]
+    del kind, full
+    # the ends of fields 0 and 2 to 5, the (5 - k)-th separator before the line break for field k;
+    # a slow row's may lie in earlier lines
+    id_end, *ends = (np.take(separators, breaks - back, mode="clip") for back in (5, 3, 2, 1, 0))
+    del separators, breaks
+    rows = start.size
     # id: 1 to 19 digits, so it fits a uint64
-    length = field_end[0] - start
+    length = id_end - start
     parsed &= (length >= 1) & (length <= 19)
     ids = np.zeros(rows, np.uint64)
     for word in range(-(-min(int(length.max(initial=0)), 19) // 8)):
-        value, ok = _digits(words[field_end[0] - 8 * word - 8],
-                            np.minimum(np.maximum(length - 8 * word, 0), 8))
-        ids += value * np.uint64(10 ** (8 * word))
+        value, ok = _digits(words[id_end - 8 * word - 8], np.clip(length - 8 * word, 0, 8))
+        value *= np.uint64(10 ** (8 * word))
+        ids += value
         parsed &= ok
-    # components: -?D(.D{1,13})?
-    first, last = field_end[2:5] + 1, field_end[3:6]
-    negative = buf[first] == ord("-")
-    first += negative
-    decimals = _DECIMALS[np.minimum(last - first, len(_DECIMALS) - 1)]
-    digit = buf[first] - np.uint8(ord("0"))
-    ok = (digit < 10) & (decimals < 14) & ((decimals == 0) | (buf[first + 1] == ord(".")))
-    # the last 8 decimals, and the up to 5 before them
-    (low, high), digits_ok = _digits(words[last - [[[8]], [[16]]]], [np.minimum(decimals, 8),
-                                                                       np.maximum(decimals - 8, 0)])
-    ok &= digits_ok[0] & digits_ok[1]
-    parsed &= ok[0] & ok[1] & ok[2]
-    mantissa = high * np.uint64(10**8) + low + digit * _POW10_U64[decimals]
+    del length
+    # components: -?D(.D{1,13})?, the integer mantissa of its integer digit, its last 8 decimals and
+    # the up to 5 before them, over an exact power of ten
     n = np.empty((rows, 3))
-    np.divide(mantissa.T, _SIGNED_POW10[decimals + 15 * negative].T, out=n)  # -0 for "-0"
+    for column, first, last in zip(range(3), ends, ends[1:]):
+        first = first + 1
+        negative = buf[first] == ord("-")
+        first += negative
+        decimals = np.take(_DECIMALS, last - first, mode="clip")
+        digit = buf[first] - np.uint8(ord("0"))
+        parsed &= digit < 10
+        parsed &= decimals < 14
+        first += 1
+        parsed &= (decimals == 0) | (buf[first] == ord("."))
+        del first
+        mantissa, ok = _digits(words[last - 16], np.maximum(decimals - 8, 0))
+        parsed &= ok
+        low, ok = _digits(words[last - 8], np.minimum(decimals, 8))
+        parsed &= ok
+        mantissa *= np.uint64(10**8)
+        mantissa += low
+        del low
+        mantissa += digit * _POW10_U64[decimals]
+        decimals += 15 * negative
+        np.divide(mantissa, _SIGNED_POW10[decimals], out=n[:, column])  # -0 for "-0"
+    key_end, line_end = ends[0], ends[-1]
+    del ends, negative, decimals, digit, mantissa, ok
     # keys "role,channel": each distinct key is compared word by word with every row
-    key_start = field_end[0] + 1
-    key_length = field_end[2] - key_start
+    key_start = id_end + 1
+    del id_end
+    key_length = key_end - key_start
     parsed &= key_length <= _MAX_KEY_BYTES
     code, keys = np.zeros(rows, np.intp), {}
     todo, found = parsed.copy(), {}  # found: key length -> its words in each row
@@ -434,27 +461,34 @@ def _parse_rows(text: str):
         size = int(key_length[row])
         if size not in found:  # words from the key's start, the last one ending at its end
             found[size] = [words[key_start + offset] for offset in [*range(0, size - 8, 8), size - 8]]
-            found[size][-1] = found[size][-1] & _KEEP_LAST[min(size, 8)]
+            found[size][-1] &= _KEEP_LAST[min(size, 8)]
         match = key_length == size
         for word in found[size]:
             match &= word == word[row]
-        name = buf[key_start[row]:field_end[2, row]].tobytes().decode("utf-8")
+        name = data[key_start[row]:key_end[row]].decode("utf-8")
         code[match] = keys.setdefault(tuple(name.split(",", 1)), len(keys))
         todo &= ~match
     slow = np.flatnonzero(todo | ~parsed).tolist()
-    slow_lines = [buf[start[i]:field_end[5, i]].tobytes().decode("utf-8") for i in slow]
+    slow_lines = [data[start[i]:line_end[i]].decode("utf-8") for i in slow]
     return ids, n, code, keys, slow, slow_lines, lines
 
 
-def _parse_slice(text: str) -> tuple[EventTable | None, int]:
-    """(table, line count) of event-file lines; the table is None if _parse_body rejects a line.
+def _parse_slice(data: bytes) -> tuple[EventTable | None, int]:
+    """(table, line count) of a slice that `_slices` cut; the table is None if _parse_body rejects a line.
 
-    The table is the one `EventTable.from_names` makes of `_parse_body`'s
-    rows: the same values, names in order of first appearance and code
-    dtypes.  The rows _parse_rows leaves go through one _parse_body call
-    and are spliced in by row index.
+    A slice that is not ASCII is decoded once, to raise UnicodeDecodeError
+    if it is not UTF-8; a slice that holds b"\r" reads its line breaks
+    as text mode's universal newlines do.  The table is the one
+    `EventTable.from_names` makes of `_parse_body`'s rows: the same
+    values, names in order of first appearance and code dtypes.  The rows
+    _parse_rows leaves go through one _parse_body call and are spliced in
+    by row index.
     """
-    ids, n, code, keys, slow, slow_lines, lines = _parse_rows(text)
+    if not data.isascii():
+        str(memoryview(data)[_PAD_BEFORE:], "utf-8")  # positions in an error count from the slice's start
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    ids, n, code, keys, slow, slow_lines, lines = _parse_rows(data)
     rows = len(ids)
     if slow_lines:
         try:
@@ -478,55 +512,91 @@ def _parse_slice(text: str) -> tuple[EventTable | None, int]:
     return EventTable(ids, role_of[code], channel_of[code], n, roles, channels), lines
 
 
-def _slices(f) -> Iterator[str]:
-    """Whole lines of `f` in slices: each ends at the first line break at or after its character
-    _PARSE_SLICE_BYTES, or at the end of the file."""
-    text = ""  # read but not yet returned
-    # at least as much as is held, so that a long line reads in linear time
-    while more := f.read(max(_PARSE_SLICE_BYTES, len(text))):
-        text += more
-        while cut := text.find("\n", _PARSE_SLICE_BYTES) + 1:
-            yield text[:cut]
-            text = text[cut:]
-    if text:
-        yield text
+def _line_end(data: bytearray, start: int, end: int) -> int:
+    """Where the first line break in data[start:end] ends: after b"\n", b"\r\n" or a lone b"\r".
+
+    0 if there is none, or if it is a b"\r" that ends data[:end], which
+    may be the first half of a b"\r\n".
+    """
+    newline = data.find(b"\n", start, end)
+    cr = data.find(b"\r", start, end if newline < 0 else newline)
+    if cr < 0:
+        return newline + 1
+    if cr + 1 == end:
+        return 0
+    return cr + 2 if data[cr + 1] == ord("\n") else cr + 1
 
 
-def _text_lines(text: str) -> list[str]:
-    """The lines of `text` as `readlines` returns them: split after each line break only."""
-    lines = [line + "\n" for line in text.split("\n")]
-    lines[-1] = lines[-1][:-1]
-    return lines if lines[-1] else lines[:-1]
+def _padded(lines) -> bytes:
+    """Whole lines as _parse_rows reads them: padding around them, and a line break after the last."""
+    end = b"" if lines[-1:] in (b"\n", b"\r") else b"\n"
+    return b"".join((b"0" * _PAD_BEFORE, lines, end, b"0" * _PAD_AFTER))
+
+
+def _slices(f) -> Iterator[bytes]:
+    """The first line of binary file `f`, then its other lines in slices, each `_padded`.
+
+    Each slice ends at the first line break at or after its byte
+    _PARSE_SLICE_BYTES, or at the end of the file, and never inside a
+    b"\r\n", so a file whose lines end in a lone b"\r" is cut as finely.
+    The file is read into one buffer, reused for every slice: a slice's
+    bytes are copied once, and the buffer grows only for a line longer
+    than itself.
+    """
+    buf, held, size = bytearray(_PARSE_SLICE_BYTES + _READ_PAST), 0, 0  # the first line is cut at its break
+    while True:
+        if held == len(buf):
+            buf += bytes(len(buf))
+        with memoryview(buf) as view:
+            if not (read := f.readinto(view[held:])):
+                break
+            held += read
+            start = 0
+            while cut := _line_end(buf, start + size, held):
+                yield _padded(view[start:cut])
+                start, size = cut, _PARSE_SLICE_BYTES
+            if start:
+                held -= start
+                view[:held] = view[start:start + held]
+    if held:
+        yield _padded(buf[:held])
+
+
+def _text_lines(data: bytes) -> list[str]:
+    """The lines of a `_padded` slice as text mode's `readlines` reads them."""
+    return io.TextIOWrapper(io.BytesIO(data[_PAD_BEFORE:-_PAD_AFTER]), encoding="utf-8").readlines()
 
 
 def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
     """Read an event file as a stream of EventTables, one per slice of lines.
 
+    The file is read as bytes, and each slice is parsed from its bytes.
     The header is checked first.  The lines are parsed in slices of about
-    _PARSE_SLICE_BYTES characters by _parse_slice on up to `workers`
-    threads (all CPUs when unset or 0, as for `SampleConfig.workers`): the
-    tables come in file order and are the same for any worker count.  A
-    slice with no records yields nothing.  Only a slice that fails is
-    searched for its first malformed or truncated line; the error names
-    that line's number in the file and the last good event id, which may
-    lie in an earlier slice.
+    _PARSE_SLICE_BYTES bytes by _parse_slice on up to `workers` threads
+    (all CPUs when unset or 0, as for `SampleConfig.workers`): the tables
+    come in file order and are the same for any worker count.  Line breaks
+    are b"\n", b"\r\n" or a lone b"\r", as in text mode.  A slice with no
+    records yields nothing.  Only a slice that fails is searched for its
+    first malformed or truncated line; the error names that line's number
+    in the file and the last good event id, which may lie in an earlier
+    slice.
     """
     path = Path(path)
 
-    def parse(text: str) -> tuple[str | None, EventTable | None, int]:
-        table, lines = _parse_slice(text)
-        return (text if table is None else None), table, lines  # the text only to locate an error
+    def parse(data: bytes) -> tuple[bytes | None, EventTable | None, int]:
+        table, lines = _parse_slice(data)
+        return (data if table is None else None), table, lines  # the bytes only to locate an error
 
     try:
-        with path.open(encoding="utf-8") as f:
-            if f.readline().strip() != EVENT_HEADER:
+        with path.open("rb") as f:
+            slices = _slices(f)
+            if str(next(slices, b"")[_PAD_BEFORE:-_PAD_AFTER], "utf-8").strip() != EVENT_HEADER:
                 raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
             line_no, last_good = 2, None
-            slices = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
-            threads = _pool_size(workers, os.cpu_count(), slices)
-            for text, table, lines in _ordered_map(parse, _slices(f), threads):
+            count = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
+            for data, table, lines in _ordered_map(parse, slices, _pool_size(workers, os.cpu_count(), count)):
                 if table is None:
-                    _raise_first_bad_line(path, _text_lines(text), line_no, last_good)
+                    _raise_first_bad_line(path, _text_lines(data), line_no, last_good)
                 line_no += lines
                 if len(table):
                     last_good = int(table.event_id[-1])
@@ -584,8 +654,7 @@ def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.nd
     event ids, and no id may appear more than once per role.
     """
     found: set[str] = set()
-    none_waiting = [(np.empty(0, np.uint64), np.empty((0, 3)))] * len(ROLE_PAIR)
-    carry = none_waiting
+    carry = [(np.empty(0, np.uint64), np.empty((0, 3)))] * len(ROLE_PAIR)
     firsts, lasts = [], []  # the first and last ids of the runs of consecutive matched ids
     for table in tables:
         if sum(ids.size for ids, _ in carry) > _MAX_CARRY_ROWS:
@@ -597,10 +666,13 @@ def iter_pairs(tables: Iterable[EventTable]) -> Iterator[tuple[np.ndarray, np.nd
         counts = np.bincount(table.role_code, minlength=len(table.roles))
         found.update(role for role, count in zip(table.roles, counts) if count)
         (id1, n1), (id2, n2) = (_sorted_side(table, role, c) for role, c in zip(ROLE_PAIR, carry))
-        # every row matched in place, as in a table that `simulate` wrote: the three searches
-        # of _match would cost 0.2 s and 24 MB on a 1M-pair table
-        if id1.size == id2.size and np.array_equal(id1, id2):
-            ids, matched, carry = id1, (n1, n2), none_waiting
+        # both sides in the same id order, as in a file that `simulate` wrote, where a slice may end
+        # between an event's two rows: the common prefix pairs in place and the longer side's tail
+        # waits; the three searches of _match would cost 0.2 s and 24 MB on a 1M-pair table
+        common = min(id1.size, id2.size)
+        if np.array_equal(id1[:common], id2[:common]):
+            ids, matched = id1[:common], (n1[:common], n2[:common])
+            carry = [(id1[common:], n1[common:]), (id2[common:], n2[common:])]
         else:
             i1, i2 = _match(id1, id2)
             ids, matched = id1[i1], (np.take(n1, i1, axis=0), np.take(n2, i2, axis=0))

@@ -142,7 +142,8 @@ class PairMoments:
             self.cross + other.cross,
         )
 
-    def _require_events(self) -> None:
+    def require_events(self) -> None:
+        """Raise ValueError if there are too few pairs for an estimate."""
         if self.count < _MIN_EVENTS:
             raise ValueError(f"need at least {_MIN_EVENTS} events, got {self.count}")
 
@@ -153,7 +154,7 @@ class PairMoments:
         1/3 - k into 1/3 + 3 E[n1.n2]; the error is the plug-in standard
         error of the sample mean.
         """
-        self._require_events()
+        self.require_events()
         value = 1.0 / 3.0 + 3.0 * self.dot_mean
         stderr = 3.0 * np.sqrt(self.dot_m2 / (self.count - 1)) / np.sqrt(self.count)
         return float(value), float(stderr)
@@ -168,7 +169,7 @@ class PairMoments:
         numbers presuppose the analyzing powers and are therefore not
         admissible inputs to a Bell test.
         """
-        self._require_events()
+        self.require_events()
         m = 9.0 * (self.cross / self.count)
         if model is not None:
             if model.k == 0.0:

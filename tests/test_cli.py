@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -206,6 +207,23 @@ class TestSimulate:
         assert code == 0 and ",cascade-nu,alpha=0.4>X:ppi-," in out
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "error: no parameter row for 'X'\n")
+
+    # digest: the bytes of the cascade run, the same as when each decay loaded the table
+    @pytest.mark.parametrize("decays, loads, digest", [
+        (("cascade", "--mu-hyperon", "Xi-", "--nu-hyperon", "Lambda"), 1,
+         "791c21421c9d3b1e19611b19e3e55d92f885c0fef0c08d62bde25810b81e3d49"),
+        (("cascade", "--mu-hyperon", "Xi-", "--nu-alpha", "0.5"), 1, None),
+        (("single", "--alpha", "0.5"), 0, None),
+    ])
+    def test_parameter_table_loaded_at_most_once(self, capsys, monkeypatch, decays, loads, digest):
+        from hyperon import params
+
+        calls = []
+        load = params.load_parameters
+        monkeypatch.setattr(params, "load_parameters", lambda path: calls.append(path) or load(path))
+        code, out, _ = run_cli(capsys, "--seed", "4", "simulate", *decays, "--events", "50")
+        assert code == 0 and len(calls) == loads
+        assert digest is None or hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "single", "--alpha", "0.5", "--pol", "nan,0,0"),

@@ -250,7 +250,7 @@ class TestEventFiles:
 
     def test_failed_write_removes_partial_file(self, tmp_path, monkeypatch):
         def failing_chunks(events):
-            yield dataio.EVENT_HEADER + "\n"
+            yield f"{dataio.EVENT_HEADER}\n".encode()
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(dataio, "_event_chunks", failing_chunks)
@@ -259,12 +259,27 @@ class TestEventFiles:
             write_events(path, event_table([0], ["single"], ["x"], [0.0, 0.0, 1.0]))
         assert not path.exists()
 
+    def test_non_ascii_names_round_trip(self, tmp_path):
+        table = event_table([0, 0, 1, 1], ["rôle-β", "pair-2"] * 2, ["Λ→pπ⁻", "Ξ", "x", "Λ→pπ⁻"],
+                            [[0.0, 0.6, 0.8]] * 4)
+        path = tmp_path / "events.csv"
+        write_events(path, table)
+        assert path.read_bytes() == format_events(table).encode("utf-8")
+        back = read_events(path)
+        assert (back.roles, back.channels) == (("rôle-β", "pair-2"), ("Λ→pπ⁻", "Ξ", "x"))
+        assert back.role.tolist() == table.role.tolist() and back.channel.tolist() == table.channel.tolist()
+        assert np.array_equal(back.n, table.n) and back.event_id.tolist() == [0, 0, 1, 1]
+
     def test_stream_matches_text(self):
         # 66,000 rows: more than one block of the writer
         table = generate(SampleConfig(seed=26, events=33_000, model=PairCorrelationModel(k=0.3)))
-        out = io.StringIO()
-        write_events(out, table)
-        texts = [out.getvalue(), format_events(table)]
+        out, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        write_events(out, table)  # decoded: a text stream without a buffer
+        binary.write("text before the events\n")
+        write_events(binary, table)  # the bytes to its buffer, after what the stream held
+        binary.flush()
+        texts = [out.getvalue(), format_events(table),
+                 binary.buffer.getvalue().decode().removeprefix("text before the events\n")]
         # digests, not the strings: a report that diffs two 66,000-line strings takes minutes
         digests = {(len(t), hashlib.sha256(t.encode()).hexdigest()) for t in texts}
         assert len(digests) == 1
@@ -440,7 +455,7 @@ class TestRowFormatter:
                 head = got.split("\n", 200_001)[1:-1]
                 for part in range(0, len(head), 50_000):
                     lines = [line + "\n" for line in head[part:part + 50_000]]
-                    parsed, count = dataio._parse_slice("".join(lines))
+                    parsed, count = dataio._parse_slice(dataio._padded("".join(lines).encode()))
                     assert count == len(lines)
                     assert_same_table(parsed, reference_table(lines))
             checked += x.size

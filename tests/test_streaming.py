@@ -1,6 +1,6 @@
 """Streamed event files: reading in slices, pairing, estimating and writing in small blocks.
 
-Each test shrinks the parse slice to a few hundred characters, or the
+Each test shrinks the parse slice to a few hundred bytes, or the
 sampling chunk to a few events, so that slice and chunk boundaries fall
 inside a handful of rows and every carry path runs.  The reader's tables
 are its slices, and the reports must not depend on where those fall: the
@@ -11,6 +11,7 @@ import hashlib
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ ROW = "{},pair-{},x,0,0,1\n"  # 17 bytes for a one-digit id
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
-    """Set the parse slice to `size` characters."""
+    """Set the parse slice to `size` bytes."""
     def set_size(size: int) -> None:
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", size)
     return set_size
@@ -117,13 +118,15 @@ class TestReadBlocks:
         cut = text.index(b"\n", len(text) - 200) + 1  # a line start well past the first 8 KiB
         path.write_bytes(text[:cut] + b"\xff" + text[cut:])
         small_blocks(300)
-        blocks = []
-        with pytest.raises(EventFileError, match="cannot read event file"):
-            for block in iter_events(path):
-                blocks.append(block)
-        assert blocks
-        assert main(["analyze", "witness", "--events", str(path)]) == 2
-        assert "cannot read event file" in capsys.readouterr().err
+        for workers in (1, 2):
+            blocks = []
+            with pytest.raises(EventFileError, match="cannot read event file"):
+                for block in iter_events(path, workers):
+                    blocks.append(block)
+            assert blocks
+            assert main(["--threads", str(workers), "analyze", "witness", "--events", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: cannot read event file {path}: ") and "Traceback" not in err
 
     def test_blank_block_yields_nothing(self, tmp_path, small_blocks):
         path = tmp_path / "events.csv"
@@ -131,6 +134,56 @@ class TestReadBlocks:
         small_blocks(10)
         assert [len(t) for t in iter_events(path)] == [1, 1]
         assert read_events(path).event_id.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("slice_bytes, read_past", [(1, 1), (40, 3), (700, 5), (1 << 19, 1 << 12)])
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_line_breaks_read_as_newlines(self, tmp_path, monkeypatch, slice_bytes, read_past, newline):
+        # every line break of the file, the header's too, as a lone \r or as \r\n: the tables of its
+        # \n copy, wherever a slice or a read ends, even between the two bytes of a \r\n
+        text = HEADER + "\n" + "".join(mixed_lines(120, 7)).replace("\r\n", "\n")
+        path, other = tmp_path / "n.csv", tmp_path / "other.csv"
+        path.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(dataio, "_READ_PAST", read_past)
+        want = drain(iter_events(path, 1))
+        assert want[1] is None and (len(want[0]) > 5 if slice_bytes < 1000 else len(want[0]) == 1)
+        # a lone \r keeps every byte offset, so the slices too; \r\n moves them
+        assert drain(iter_events(other, 1) if newline == "\r" else [read_events(other)]) == \
+            (want if newline == "\r" else drain([read_events(path)]))
+        # and the same error at the same line number
+        bad = text.replace("\n3,", "\n3;", 1)
+        path.write_bytes(bad.encode())
+        other.write_bytes(bad.replace("\n", newline).encode())
+        assert drain(iter_events(other, 2))[1] == drain(iter_events(path, 2))[1].replace("n.csv", "other.csv")
+
+    def test_slice_working_set(self, tmp_path, small_blocks):
+        # one 2**19-byte slice of a pair file, parsed on a fresh thread: its temporaries peak at a
+        # little over two bytes per byte of the slice, the table it returns included
+        path = tmp_path / "events.csv"
+        dataio.write_events(path, generate(SampleConfig(seed=13, events=10_000,
+                                                         model=PairCorrelationModel(k=0.46))))
+        small_blocks(1 << 19)
+        with path.open("rb") as f:
+            slices = dataio._slices(f)
+            next(slices)  # the header
+            data = next(slices)
+        assert 1 << 19 < len(data) < (1 << 19) + 200
+        peak = []
+
+        def parse():
+            tracemalloc.start()
+            try:
+                table, _ = dataio._parse_slice(data)
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(table) > 8000
+
+        thread = threading.Thread(target=parse)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and peak[0] <= 3.2 * len(data)
 
 
 def loadtxt_events(path, size: int):
@@ -411,6 +464,36 @@ class TestPairingOrders:
             assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
         assert sum(len(n1) for n1, _ in got) == 600
 
+    @pytest.mark.parametrize("cuts", [range(1, 1200, 2), range(7, 1200, 14)])
+    def test_cut_between_partners_in_every_table(self, monkeypatch, cuts):
+        # each table ends between an event's two rows: the common prefix pairs in place and one row
+        # waits, with no search
+        monkeypatch.setattr(dataio, "_match", None)
+        tables = row_slices(self.TABLE, list(cuts))
+        got = list(iter_pairs(tables))
+        for (g1, g2), (w1, w2) in zip(got, completed_pairs(tables), strict=True):
+            assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
+        assert sum(len(n1) for n1, _ in got) == 600
+
+    def test_in_order_file_needs_no_search(self, tmp_path, small_blocks, monkeypatch):
+        # slices of three rows end between partners and between events in turn
+        path = tmp_path / "events.csv"
+        path.write_text(HEADER + "\n" + "".join(ROW.format(i, j) for i in range(100, 400) for j in (1, 2)))
+        small_blocks(3 * 19 - 1)
+        want = [len(n1) for n1, _ in iter_pairs(iter_events(path))]
+        monkeypatch.setattr(dataio, "_match", None)
+        assert [len(n1) for n1, _ in iter_pairs(iter_events(path))] == want
+        assert want[:4] == [1, 2, 1, 2] and sum(want) == 300
+
+    @pytest.mark.parametrize("cut", [3, 4, 5])
+    def test_repeated_id_at_a_table_edge(self, cut):
+        # event 1 twice, its rows before, across and after the edge
+        ids = np.array([0, 0, 1, 1, 1, 1, 2, 2], np.uint64)
+        table = EventTable.from_names(ids, ["pair-1", "pair-2"] * 4, ["x"] * 8,
+                                      np.tile([0.0, 0.0, 1.0], (8, 1)))
+        with pytest.raises(EventFileError, match="^event id 1 appears more than once per pair role"):
+            list(iter_pairs(row_slices(table, [cut])))
+
     def test_in_order_tables_yield_fresh_arrays(self):
         # a matched side in place is still the caller's to keep: no view of a table's rows
         tables = row_slices(self.TABLE, [400])
@@ -435,7 +518,7 @@ class TestPairingErrorsThroughCli:
                     "data error: pair roles do not cover the same event ids\n"),
         "repeated": (pair_events(150, extra_rows=[ROW.format(3, 1), ROW.format(3, 2)]), 2,
                      "data error: event id 3 appears more than once per pair role\n"),
-        "too few": (pair_events(50), 1, "error: need at least 100 events, got 50\n"),
+        "too few": (pair_events(50), 2, "data error: need at least 100 events, got 50\n"),
         "roles before partner": (pair_events(150, ["150,single,x,0,0,1\n"], drop_rows={7}), 2,
                                  "data error: expected pair events with roles ('pair-1', 'pair-2'), "
                                  "found ['pair-1', 'pair-2', 'single']\n"),
@@ -558,8 +641,8 @@ class TestChunks:
             assert threads == {threading.get_ident()}
         else:
             assert threading.get_ident() not in threads
-        assert "".join(text for blocks in iter_chunks(config, dataio.format_blocks) for text in blocks) \
-            == format_events(generate(config))[len(HEADER) + 1:]
+        assert b"".join(block for blocks in iter_chunks(config, dataio.format_blocks) for block in blocks) \
+            == format_events(generate(config))[len(HEADER) + 1:].encode()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_error_drawing_items_follows_earlier_results(self, workers):
