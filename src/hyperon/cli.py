@@ -14,6 +14,7 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -64,9 +65,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _write_stdout(write, what: str) -> None:
+    """write(sys.stdout), then flush it; a failed write, as to a closed pipe, is a DataError."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # later flushes of stdout, such as the interpreter's at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise DataError(f"cannot write {what}: {exc}") from None
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _write_stdout(lambda stdout: stdout.write(text), "report")
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -186,15 +200,7 @@ def _cmd_simulate(args) -> None:
     # each chunk is formatted on the thread that sampled it, and written as it arrives
     chunks = mc.iter_chunks(config, dataio.format_blocks)
     if args.out is None or args.out == "-":
-        try:
-            dataio.write_events(sys.stdout, chunks)
-            sys.stdout.flush()
-        except OSError as exc:  # such as a closed pipe
-            # the interpreter flushes stdout again at exit; send that flush to devnull
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise DataError(f"cannot write event stream: {exc}") from None
+        _write_stdout(lambda stdout: dataio.write_events(stdout, chunks), "event stream")
     else:
         dataio.write_events(args.out, chunks)
         print(f"wrote {config.events * len(model.roles)} records to {args.out}", file=sys.stderr)
@@ -395,5 +401,27 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The `hyperon` script and `python -m hyperon.cli`: main(), then end the process at once.
+
+    Every report and event file is written and closed when main()
+    returns, so the process flushes stdout and stderr and leaves by
+    os._exit, skipping the interpreter's teardown (module finalisation
+    and the shutdown of numpy's BLAS threads).  argparse's exit after
+    --help leaves the same way.  An uncaught exception, or a flush that
+    fails, exits the normal way, which reports it.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -44,10 +44,14 @@ _EVENT_DTYPE = np.dtype(
 
 
 def _check_names(names, what: str) -> None:
-    """Reject a role or channel that would split an event-file field or line."""
+    """Reject a role or channel that would split an event-file field or line, or that UTF-8 cannot encode."""
     for name in names:
         if "," in name or "\n" in name or "\r" in name:
             raise EventFileError(f"{what} name {name!r} contains a comma or line break")
+        try:
+            name.encode()
+        except UnicodeEncodeError as exc:
+            raise EventFileError(f"{what} name {name!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
 # event-row formatting: each row is laid out in fixed-width uint32 words whose
@@ -533,10 +537,11 @@ def _padded(lines) -> bytes:
     return b"".join((b"0" * _PAD_BEFORE, lines, end, b"0" * _PAD_AFTER))
 
 
-def _slices(f) -> Iterator[bytes]:
-    """The first line of binary file `f`, then its other lines in slices, each `_padded`.
+def _slices(f) -> Iterator[tuple[int, bytes]]:
+    """The first line of binary file `f`, then its other lines in slices, each `_padded`, with its file offset.
 
-    Each slice ends at the first line break at or after its byte
+    Each item is (offset of the slice's first byte, padded slice).  Each
+    slice ends at the first line break at or after its byte
     _PARSE_SLICE_BYTES, or at the end of the file, and never inside a
     b"\r\n", so a file whose lines end in a lone b"\r" is cut as finely.
     The file is read into one buffer, reused for every slice: a slice's
@@ -544,6 +549,7 @@ def _slices(f) -> Iterator[bytes]:
     than itself.
     """
     buf, held, size = bytearray(_PARSE_SLICE_BYTES + _READ_PAST), 0, 0  # the first line is cut at its break
+    offset = 0  # of buf[0] in the file
     while True:
         if held == len(buf):
             buf += bytes(len(buf))
@@ -553,18 +559,26 @@ def _slices(f) -> Iterator[bytes]:
             held += read
             start = 0
             while cut := _line_end(buf, start + size, held):
-                yield _padded(view[start:cut])
+                yield offset + start, _padded(view[start:cut])
                 start, size = cut, _PARSE_SLICE_BYTES
             if start:
-                held -= start
+                offset, held = offset + start, held - start
                 view[:held] = view[start:start + held]
     if held:
-        yield _padded(buf[:held])
+        yield offset, _padded(buf[:held])
 
 
 def _text_lines(data: bytes) -> list[str]:
     """The lines of a `_padded` slice as text mode's `readlines` reads them."""
     return io.TextIOWrapper(io.BytesIO(data[_PAD_BEFORE:-_PAD_AFTER]), encoding="utf-8").readlines()
+
+
+def _decode_error_text(exc: UnicodeDecodeError, offset: int) -> str:
+    """str(exc), its positions counted from `offset` bytes before the start of exc.object."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
+             else f"bytes in position {start}-{end - 1}")
+    return f"{exc.encoding!r} codec can't decode {where}: {exc.reason}"
 
 
 def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
@@ -579,18 +593,23 @@ def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
     records yields nothing.  Only a slice that fails is searched for its
     first malformed or truncated line; the error names that line's number
     in the file and the last good event id, which may lie in an earlier
-    slice.
+    slice.  A byte that is not UTF-8 is named by its offset in the file.
     """
     path = Path(path)
 
-    def parse(data: bytes) -> tuple[bytes | None, EventTable | None, int]:
-        table, lines = _parse_slice(data)
+    def parse(item: tuple[int, bytes]) -> tuple[bytes | None, EventTable | None, int]:
+        offset, data = item
+        try:
+            table, lines = _parse_slice(data)
+        except UnicodeDecodeError as exc:
+            raise EventFileError(f"cannot read event file {path}: {_decode_error_text(exc, offset)}") from None
         return (data if table is None else None), table, lines  # the bytes only to locate an error
 
     try:
         with path.open("rb") as f:
             slices = _slices(f)
-            if str(next(slices, b"")[_PAD_BEFORE:-_PAD_AFTER], "utf-8").strip() != EVENT_HEADER:
+            _, header = next(slices, (0, b""))
+            if str(header[_PAD_BEFORE:-_PAD_AFTER], "utf-8").strip() != EVENT_HEADER:
                 raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
             line_no, last_good = 2, None
             count = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
@@ -601,7 +620,7 @@ def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
                 if len(table):
                     last_good = int(table.event_id[-1])
                     yield table
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a header that is not UTF-8: its positions are the file's
         raise EventFileError(f"cannot read event file {path}: {exc}") from None
 
 

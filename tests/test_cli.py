@@ -1,9 +1,11 @@
+import ast
 import csv
 import hashlib
 import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -315,6 +317,27 @@ class TestSimulate:
         proc.stderr.close()
         assert err.startswith("data error: cannot write event stream: ")
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ["table"], ["context", "--alpha", "0.75", "--alphabar", "0.75"], ["analyze", "witness", "--events"],
+    ], ids=["table", "context", "analyze"])
+    def test_closed_stdout_for_report_is_data_error(self, tmp_path, argv, unbuffered):
+        # a reader that has gone before the report is written; unbuffered, the write
+        # fails, and buffered, the flush after it
+        if argv[0] == "analyze":
+            events = tmp_path / "events.csv"
+            assert main(["simulate", "pair", "--k", "0.46", "--events", "200", "--out", str(events)]) == 0
+            argv = [*argv, str(events)]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = run_entry(*argv, unbuffered=unbuffered, stdout=write)
+        finally:
+            os.close(write)
+        assert result.returncode == 2
+        assert result.stderr.startswith("data error: cannot write report: ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestAnalyze:
@@ -713,6 +736,84 @@ class TestStartup:
         result = run_fresh(example)
         assert result.returncode == 0, result.stderr
         assert len(result.stdout.splitlines()) == 3
+
+
+class TestEntry:
+    """`python -m hyperon.cli`, which leaves by os._exit: the output and exit code of main()."""
+
+    BELL = ("bell", "--inequality", "I2", "--k", "0.46")
+
+    def test_report_to_stdout_and_out(self, capsys, tmp_path):
+        code, want, _ = run_cli(capsys, *self.BELL)
+        assert code == 0 and want.count("\n") == 2
+        result = run_entry(*self.BELL)
+        assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
+        out = tmp_path / "report.csv"
+        result = run_entry(*self.BELL, "--out", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_buffered_json_report(self, capsys):
+        # with PYTHONUNBUFFERED unset the report waits in stdout's buffer for the last flush
+        code, want, _ = run_cli(capsys, "--format", "json", "table")
+        assert code == 0
+        result = run_entry("--format", "json", "table", unbuffered=False)
+        assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bell", "--inequality", "I2", "--k", "2"], 1),
+        (["bell", "--inequality", "I5", "--threshold"], 1),
+        (["analyze", "witness", "--events", "missing.csv"], 2),
+    ], ids=["usage", "parser", "data"])
+    def test_error_exit_codes(self, capsys, tmp_path, argv, code):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        want = run_cli(capsys, *argv)
+        assert want[0] == code and want[2].count("\n") == 1
+        result = run_entry(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == want
+
+    @pytest.mark.parametrize("command", [(), ("simulate", "pair")])
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the text to the terminal's width
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        want = capsys.readouterr().out
+        result = run_entry(*command, "--help", unbuffered=False)
+        assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
+
+    def test_event_stream_matches_event_file(self, tmp_path):
+        argv = ("simulate", "pair", "--k", "0.46", "--events", "20000")
+        f = tmp_path / "f.csv"
+        result = run_entry(*argv, "--out", str(f))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", f"wrote 40000 records to {f}\n")
+        for unbuffered in (True, False):
+            g = tmp_path / "g.csv"
+            with g.open("wb") as stdout:
+                result = run_entry(*argv, "--out", "-", unbuffered=unbuffered, stdout=stdout)
+            assert (result.returncode, result.stderr) == (0, "")
+            assert g.read_bytes() == f.read_bytes()
+
+    def test_script_runs_the_main_block_entry(self):
+        # the `hyperon` script and `python -m hyperon.cli` call the same function
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        script = re.findall(r'^hyperon = "hyperon\.cli:(\w+)"$', pyproject, re.MULTILINE)
+        tree = ast.parse((Path(hyperon.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+        blocks = [node.body for node in tree.body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(script) == 1 and len(blocks) == 1
+        assert [ast.unparse(statement) for statement in blocks[0]] == [f"{script[0]}()"]
+
+
+def run_entry(*argv: str, unbuffered: bool = True, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run `python -m hyperon.cli *argv` in a fresh interpreter that imports hyperon from this tree.
+
+    `unbuffered` sets PYTHONUNBUFFERED, or unsets it, so that stdout is block-buffered.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    return subprocess.run([sys.executable, "-m", "hyperon.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:

@@ -233,7 +233,9 @@ class TestEventFiles:
         with pytest.raises(EventFileError, match="comma"):
             format_events(event_table([0], ["single"], ["a,b"], [0.0, 0.0, 1.0]))
 
-    @pytest.mark.parametrize("role, channel", [("single", "a,b"), ("single", "a\nb"), ("a,b", "x")])
+    @pytest.mark.parametrize("role, channel", [
+        ("single", "a,b"), ("single", "a\nb"), ("a,b", "x"), ("r\udcff", "x"), ("single", "\ud800x"),
+    ])
     def test_bad_name_leaves_no_file(self, tmp_path, role, channel):
         table = generate(SampleConfig(seed=25, events=10, model=SingleDecayModel(
             params=params_from_alpha_phi(0.5, 0.0))))
@@ -244,9 +246,12 @@ class TestEventFiles:
             n=table.n,
         )
         path = tmp_path / "events.csv"
-        with pytest.raises(EventFileError, match="contains a comma or line break"):
+        with pytest.raises(EventFileError) as err:
             write_events(path, table)
         assert not path.exists()
+        what, name = ("channel", channel) if role == "single" else ("role", role)
+        reason = "contains a comma or line break" if name.isascii() else "cannot be encoded as UTF-8"
+        assert str(err.value).startswith(f"{what} name {name!r} {reason}")
 
     def test_failed_write_removes_partial_file(self, tmp_path, monkeypatch):
         def failing_chunks(events):

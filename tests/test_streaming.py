@@ -8,6 +8,7 @@ pair moments merge in fixed groups of pairs.
 """
 
 import hashlib
+import itertools
 import re
 import sys
 import threading
@@ -115,18 +116,23 @@ class TestReadBlocks:
         table = generate(SampleConfig(seed=3, events=2000, model=PairCorrelationModel(k=0.46)))
         path = tmp_path / "events.csv"
         text = format_events(table).encode()
-        cut = text.index(b"\n", len(text) - 200) + 1  # a line start well past the first 8 KiB
-        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
         small_blocks(300)
-        for workers in (1, 2):
-            blocks = []
-            with pytest.raises(EventFileError, match="cannot read event file"):
-                for block in iter_events(path, workers):
-                    blocks.append(block)
-            assert blocks
-            assert main(["--threads", str(workers), "analyze", "witness", "--events", str(path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"data error: cannot read event file {path}: ") and "Traceback" not in err
+        # line starts in a middle slice and in the last one; an error's position is the
+        # byte's offset in the file, not in its slice
+        middle, last = (text.index(b"\n", at) + 1 for at in (len(text) // 2, len(text) - 200))
+        for cut, bad in itertools.product((middle, last), (b"\xff", b"\xe2\x82")):
+            where = (f"byte 0xff in position {cut}: invalid start byte" if bad == b"\xff"
+                     else f"bytes in position {cut}-{cut + 1}: invalid continuation byte")
+            path.write_bytes(text[:cut] + bad + text[cut:])
+            want = f"cannot read event file {path}: 'utf-8' codec can't decode {where}"
+            for workers in (1, 2):
+                blocks = []
+                with pytest.raises(EventFileError) as exc:
+                    for block in iter_events(path, workers):
+                        blocks.append(block)
+                assert blocks and str(exc.value) == want
+                assert main(["--threads", str(workers), "analyze", "witness", "--events", str(path)]) == 2
+                assert capsys.readouterr().err == f"data error: {want}\n"
 
     def test_blank_block_yields_nothing(self, tmp_path, small_blocks):
         path = tmp_path / "events.csv"
@@ -167,7 +173,7 @@ class TestReadBlocks:
         with path.open("rb") as f:
             slices = dataio._slices(f)
             next(slices)  # the header
-            data = next(slices)
+            _, data = next(slices)
         assert 1 << 19 < len(data) < (1 << 19) + 200
         peak = []
 
