@@ -388,6 +388,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv, defaults)
         if args.threads is not None and args.threads < 0:  # one message for every command
             raise UsageError(f"worker count must be non-negative, got {args.threads}")
+        if not 0 <= args.seed < 2**64:
+            raise UsageError("seed must fit in 64 bits")
         args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,12 +17,10 @@ re-exported here."""
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -278,9 +276,12 @@ def write_events(path, tables: EventTable | Iterable[EventTable | list[bytes]]) 
         raise
 
 
-def _is_unit(n: np.ndarray) -> bool:
-    """Whether every row of n is a unit vector to 1e-9; written so that a NaN component fails."""
-    return bool((np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-9).all())
+_NOT_UNIT = "direction is not unit length"
+
+
+def _is_unit(n: np.ndarray) -> np.ndarray:
+    """Whether each row of n is a unit vector to 1e-9; written so that a NaN component fails."""
+    return np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-9
 
 
 def _parse_body(lines: list[str]) -> np.ndarray:
@@ -293,38 +294,16 @@ def _parse_body(lines: list[str]) -> np.ndarray:
     if not lines:  # np.loadtxt would warn, and warning filters are not thread-safe
         return np.empty(0, _EVENT_DTYPE)
     rows = np.loadtxt(lines, dtype=_EVENT_DTYPE, delimiter=",", comments=None, ndmin=1)
-    if not _is_unit(rows["n"]):
-        raise ValueError("direction is not unit length")
+    if not _is_unit(rows["n"]).all():
+        raise ValueError(_NOT_UNIT)
     return rows
 
 
-def _raise_first_bad_line(path, lines: list[str], first_line: int, last_good: int | None) -> NoReturn:
-    """Raise EventFileError at the first of `lines` that _parse_body rejects.
-
-    `lines` start at file line `first_line`, and `last_good` is the last
-    event id before them.  Bisection: lines[:lo] parse, and the first bad
-    line lies in [lo, hi).  Each probe parses only lines[lo:mid], so the
-    search costs about two parses of the slice.
-    """
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            rows = _parse_body(lines[lo:mid])
-        except ValueError:
-            hi = mid
-            continue
-        lo = mid
-        if rows.size:
-            last_good = int(rows["event_id"][-1])
-    reason = "malformed line"
-    try:
-        _parse_body(lines[lo:lo + 1])
-    except ValueError as exc:
-        fields = lines[lo].count(",") + 1
-        reason = (f"expected 6 fields, got {fields}" if fields != 6
-                  else re.sub(r" at row \d+, column (\d+)\.?$", r" in field \1", str(exc)))
-    raise EventFileError(f"{path}:{first_line + lo}: {reason} (last good event id: {last_good})")
+def _line_error(line: str, exc: ValueError) -> str:
+    """The reason for the error `exc` that _parse_body raised at one event-file line."""
+    fields = line.count(",") + 1
+    return (f"expected 6 fields, got {fields}" if fields != 6
+            else re.sub(r" at row \d+, column (\d+)\.?$", r" in field \1", str(exc)))
 
 
 # event-row parsing: the text of a file is parsed as bytes, in slices of
@@ -382,18 +361,19 @@ def _digits(words: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _parse_rows(data: bytes):
-    """(ids, n, key codes, keys, slow rows, slow lines, line count) of a padded slice of event-file lines.
+    """(ids, n, key codes, keys, slow rows, slow lines, full) of a padded slice of event-file lines.
 
     `data` holds whole lines, each ended by b"\n", between _PAD_BEFORE and
     _PAD_AFTER bytes of padding.  Each line is judged on its own.  An
-    empty line is dropped but counted; every other line is a row.  A row
-    whose separators (its commas and bytes below 0x20) are not exactly
-    five commas and its line break, or that lies outside the grammar this
-    parser reads, is slow: its values hold junk and must come from
-    _parse_body, and the slow lines are the text of these rows.  `keys`
-    maps each (role, channel) found to its key code.  Each temporary is
-    dropped at its last use, and the components are read one at a time,
-    so the parse holds about two bytes per byte of `data` at its peak.
+    empty line is dropped; every other line is a row, and `full` marks
+    the lines that are rows.  A row whose separators (its commas and bytes
+    below 0x20) are not exactly five commas and its line break, or that
+    lies outside the grammar this parser reads, is slow: its values hold
+    junk and must come from _parse_body, and the slow lines are the text
+    of these rows.  `keys` maps each (role, channel) found to its key
+    code.  Each temporary is dropped at its last use, and the components
+    are read one at a time, so the parse holds about two bytes per byte of
+    `data` at its peak.
     """
     buf = np.frombuffer(data, np.uint8)
     words = np.ndarray((buf.size - 7,), np.uint64, data, 0, (1,))  # words[i]: the bytes buf[i:i + 8]
@@ -403,7 +383,6 @@ def _parse_rows(data: bytes):
     separators += _PAD_BEFORE
     kind = buf[separators]
     breaks = np.flatnonzero(kind == ord("\n"))  # each line's break, as an index into separators
-    lines = breaks.size
     # read here: six separators, none of them a control byte but the line break
     parsed = np.diff(breaks, prepend=-1) == 6
     parsed[np.searchsorted(breaks, np.flatnonzero((kind != ord(",")) & (kind != ord("\n"))))] = False
@@ -411,7 +390,7 @@ def _parse_rows(data: bytes):
     full = start < separators[breaks]  # not an empty line
     if not full.all():
         breaks, parsed, start = breaks[full], parsed[full], start[full]
-    del kind, full
+    del kind
     # the ends of fields 0 and 2 to 5, the (5 - k)-th separator before the line break for field k;
     # a slow row's may lie in earlier lines
     id_end, *ends = (np.take(separators, breaks - back, mode="clip") for back in (5, 3, 2, 1, 0))
@@ -474,11 +453,11 @@ def _parse_rows(data: bytes):
         todo &= ~match
     slow = np.flatnonzero(todo | ~parsed).tolist()
     slow_lines = [data[start[i]:line_end[i]].decode("utf-8") for i in slow]
-    return ids, n, code, keys, slow, slow_lines, lines
+    return ids, n, code, keys, slow, slow_lines, full
 
 
-def _parse_slice(data: bytes) -> tuple[EventTable | None, int]:
-    """(table, line count) of a slice that `_slices` cut; the table is None if _parse_body rejects a line.
+def _parse_slice(data: bytes) -> tuple[EventTable | tuple[int, str, int | None], int]:
+    """(table, line count) of a slice that `_slices` cut, or (bad line, line count) at a line it rejects.
 
     A slice that is not ASCII is decoded once, to raise UnicodeDecodeError
     if it is not UTF-8; a slice that holds b"\r" reads its line breaks
@@ -486,24 +465,40 @@ def _parse_slice(data: bytes) -> tuple[EventTable | None, int]:
     `EventTable.from_names` makes of `_parse_body`'s rows: the same
     values, names in order of first appearance and code dtypes.  The rows
     _parse_rows leaves go through one _parse_body call and are spliced in
-    by row index.
+    by row index; only if that call fails are they parsed one at a time,
+    up to the first bad one.  The bad line is the first line that
+    _parse_body rejects, or whose row of _parse_rows is not a unit
+    vector: (its index in the slice, empty lines counted, the reason, the
+    id of the row before it or None).
     """
     if not data.isascii():
         str(memoryview(data)[_PAD_BEFORE:], "utf-8")  # positions in an error count from the slice's start
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    ids, n, code, keys, slow, slow_lines, lines = _parse_rows(data)
-    rows = len(ids)
+    ids, n, code, keys, slow, slow_lines, full = _parse_rows(data)
+    rows = bad = len(ids)  # bad: the first bad row, or rows
+    reason = None
     if slow_lines:
         try:
             rest = _parse_body(slow_lines)
         except ValueError:
-            return None, lines
+            good = [np.empty(0, _EVENT_DTYPE)]
+            for row, line in zip(slow, slow_lines):
+                try:
+                    good.append(_parse_body([line]))
+                except ValueError as exc:
+                    bad, reason = row, _line_error(line, exc)
+                    break
+            rest = np.concatenate(good)
+            slow = slow[:rest.size]
         ids[slow], n[slow] = rest["event_id"], rest["n"]
         code[slow] = [keys.setdefault(key, len(keys))
                       for key in zip(rest["role"].tolist(), rest["channel"].tolist())]
-    if not _is_unit(n):
-        return None, lines
+    unit = _is_unit(n[:bad])
+    if not unit.all():
+        bad, reason = int(unit.argmin()), _NOT_UNIT
+    if reason is not None:
+        return (int(np.flatnonzero(full)[bad]), reason, int(ids[bad - 1]) if bad else None), full.size
     # names in order of first appearance
     first = np.full(len(keys), rows)
     np.minimum.at(first, code, np.arange(rows))
@@ -513,7 +508,7 @@ def _parse_slice(data: bytes) -> tuple[EventTable | None, int]:
     channels = tuple(dict.fromkeys(channel for _, channel in ordered))
     role_of = np.array([roles.index(role) for role, _ in names], _code_dtype(len(roles)))
     channel_of = np.array([channels.index(channel) for _, channel in names], _code_dtype(len(channels)))
-    return EventTable(ids, role_of[code], channel_of[code], n, roles, channels), lines
+    return EventTable(ids, role_of[code], channel_of[code], n, roles, channels), full.size
 
 
 def _line_end(data: bytearray, start: int, end: int) -> int:
@@ -568,11 +563,6 @@ def _slices(f) -> Iterator[tuple[int, bytes]]:
         yield offset, _padded(buf[:held])
 
 
-def _text_lines(data: bytes) -> list[str]:
-    """The lines of a `_padded` slice as text mode's `readlines` reads them."""
-    return io.TextIOWrapper(io.BytesIO(data[_PAD_BEFORE:-_PAD_AFTER]), encoding="utf-8").readlines()
-
-
 def _decode_error_text(exc: UnicodeDecodeError, offset: int) -> str:
     """str(exc), its positions counted from `offset` bytes before the start of exc.object."""
     start, end = offset + exc.start, offset + exc.end
@@ -590,20 +580,19 @@ def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
     (all CPUs when unset or 0, as for `SampleConfig.workers`): the tables
     come in file order and are the same for any worker count.  Line breaks
     are b"\n", b"\r\n" or a lone b"\r", as in text mode.  A slice with no
-    records yields nothing.  Only a slice that fails is searched for its
-    first malformed or truncated line; the error names that line's number
-    in the file and the last good event id, which may lie in an earlier
-    slice.  A byte that is not UTF-8 is named by its offset in the file.
+    records yields nothing.  A slice that fails names its first malformed
+    or truncated line, and the error gives that line's number in the file
+    and the last good event id, which may lie in an earlier slice.  A byte
+    that is not UTF-8 is named by its offset in the file.
     """
     path = Path(path)
 
-    def parse(item: tuple[int, bytes]) -> tuple[bytes | None, EventTable | None, int]:
+    def parse(item: tuple[int, bytes]) -> tuple[EventTable | tuple[int, str, int | None], int]:
         offset, data = item
         try:
-            table, lines = _parse_slice(data)
+            return _parse_slice(data)
         except UnicodeDecodeError as exc:
             raise EventFileError(f"cannot read event file {path}: {_decode_error_text(exc, offset)}") from None
-        return (data if table is None else None), table, lines  # the bytes only to locate an error
 
     try:
         with path.open("rb") as f:
@@ -613,9 +602,11 @@ def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
                 raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
             line_no, last_good = 2, None
             count = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
-            for data, table, lines in _ordered_map(parse, slices, _pool_size(workers, os.cpu_count(), count)):
-                if table is None:
-                    _raise_first_bad_line(path, _text_lines(data), line_no, last_good)
+            for table, lines in _ordered_map(parse, slices, _pool_size(workers, os.cpu_count(), count)):
+                if isinstance(table, tuple):
+                    bad, reason, before = table
+                    raise EventFileError(f"{path}:{line_no + bad}: {reason} (last good event id: "
+                                         f"{last_good if before is None else before})")
                 line_no += lines
                 if len(table):
                     last_good = int(table.event_id[-1])

@@ -38,6 +38,9 @@ class SpinState:
     length: float = 1.0
 
     def __post_init__(self):
+        for name, angle in (("theta", self.theta), ("phi", self.phi)):
+            if not np.isfinite(angle):
+                raise ValueError(f"{name} = {angle} is not finite")
         if not 0.0 <= self.length <= 1.0:
             raise ValueError(f"|s| = {self.length} outside [0, 1]")
 

@@ -107,6 +107,18 @@ class TestComplementarity:
         assert code == 1 and out == ""
         assert err == "error: the fringe scan takes at most 65536 points, got 1000000000000000\n"
 
+    @pytest.mark.parametrize("angles, message", [
+        (("--theta", "inf"), "theta = inf is not finite"),
+        (("--theta", "1", "--phi", "inf"), "phi = inf is not finite"),
+        (("--theta=-inf", "--phi", "1"), "theta = -inf is not finite"),
+        (("--theta", "1", "--phi", "nan"), "phi = nan is not finite"),
+    ])
+    def test_non_finite_angle_exit_1(self, angles, message):
+        # a fresh process, so that a numpy RuntimeWarning would reach its stderr
+        result = run_entry("complementarity", *angles)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
 
 class TestSimulate:
     def test_pair_determinism(self, capsys, tmp_path):
@@ -156,6 +168,16 @@ class TestSimulate:
             assert code == 1
             assert err == "usage error: worker count must be non-negative, got -1\n"
             assert out == "" and not f.exists()
+
+    def test_seed_out_of_range_exit_1(self, capsys, tmp_path):
+        # one message from every command, whether it reads the seed or not
+        f = tmp_path / "never.csv"
+        for argv in (("simulate", "pair", "--k", "0.2", "--events", "10"), ("table",)):
+            for seed in ("-5", str(2**64)):
+                code, out, err = run_cli(capsys, "--seed", seed, *argv, "--out", str(f))
+                assert code == 1
+                assert err == "usage error: seed must fit in 64 bits\n"
+                assert out == "" and not f.exists()
 
     @pytest.mark.parametrize("kind, flag, value", [
         *(("pair", f"--{prefix}{key}", value) for prefix in ("", "mu-", "nu-")
@@ -477,6 +499,17 @@ class TestBell:
     def test_missing_k(self, capsys):
         code, _, _ = run_cli(capsys, "bell", "--inequality", "I2")
         assert code == 1
+
+    @pytest.mark.parametrize("goal", [("--k", "0.5"), ("--threshold",)])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
+    def test_seed_out_of_range_exit_1(self, capsys, goal, seed):
+        code, out, err = run_cli(capsys, "bell", "--inequality", "I3", *goal, "--seed", seed)
+        assert code == 1 and out == ""
+        assert err == "usage error: seed must fit in 64 bits\n"
+
+    def test_largest_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--seed", str(2**64 - 1))
+        assert code == 0 and parse_csv(out)[0]["inequality"] == "I2"
 
     def test_threshold_refuses_k(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--k", "0.46")

@@ -456,7 +456,7 @@ class TestRowFormatter:
             # the first 200,000 rows parsed back, against _parse_body; the unit check, which both
             # share, is off
             with monkeypatch.context() as patch:
-                patch.setattr(dataio, "_is_unit", lambda n: True)
+                patch.setattr(dataio, "_is_unit", lambda n: np.ones(len(n), bool))
                 head = got.split("\n", 200_001)[1:-1]
                 for part in range(0, len(head), 50_000):
                     lines = [line + "\n" for line in head[part:part + 50_000]]
@@ -487,15 +487,24 @@ class TestRowFormatter:
 
 
 def parent_read(path) -> EventTable:
-    """An event file of one block read as the np.loadtxt reader did: `_parse_body`, `from_names`, and
-    `_raise_first_bad_line` at a line it rejects."""
+    """An event file of one block read as the np.loadtxt reader did: `_parse_body` and `from_names`,
+    and where that fails, `_parse_body` of one line at a time up to the first line it rejects."""
     with open(path, encoding="utf-8") as f:
         f.readline()
         lines = f.readlines()
     try:
         return reference_table(lines)
     except ValueError:
-        dataio._raise_first_bad_line(path, lines, 2, None)
+        last_good = None
+        for line_no, line in enumerate(lines, 2):
+            try:
+                rows = dataio._parse_body([line])
+            except ValueError as exc:
+                raise EventFileError(f"{path}:{line_no}: {dataio._line_error(line, exc)} "
+                                     f"(last good event id: {last_good})") from None
+            if rows.size:
+                last_good = int(rows["event_id"][-1])
+        raise
 
 
 ROWS = "0,pair-1,x,0.6,0,0.8\n0,pair-2,x,-0.6,0,-0.8\n"

@@ -118,6 +118,13 @@ class TestFringe:
         with pytest.raises(ValueError, match="axis"):
             fringe(InterferometerConfig(), SpinState(0.1, 0.2), "w", +1)
 
+    @pytest.mark.parametrize("theta, phi, name", [
+        (np.inf, 0.0, "theta"), (np.nan, 0.0, "theta"), (0.4, -np.inf, "phi"), (0.4, np.nan, "phi"),
+    ])
+    def test_non_finite_angle(self, theta, phi, name):
+        with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+            SpinState(theta, phi)
+
 
 class TestAsymmetric:
     def test_single_arm_constant(self):

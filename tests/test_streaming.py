@@ -193,8 +193,8 @@ class TestReadBlocks:
 
 
 def loadtxt_events(path, size: int):
-    """The np.loadtxt reader: `_parse_body` per `readlines(size)` block, `from_names`, and
-    `_raise_first_bad_line` in the first block it rejects."""
+    """The np.loadtxt reader: `_parse_body` per `readlines(size)` block and `from_names`, and in the
+    first block it rejects, `_parse_body` of one line at a time up to the first line it rejects."""
     with open(path, encoding="utf-8") as f:
         f.readline()
         line_no, last_good = 2, None
@@ -202,7 +202,16 @@ def loadtxt_events(path, size: int):
             try:
                 rows = dataio._parse_body(lines)
             except ValueError:
-                dataio._raise_first_bad_line(path, lines, line_no, last_good)
+                for line in lines:
+                    try:
+                        rows = dataio._parse_body([line])
+                    except ValueError as exc:
+                        raise EventFileError(f"{path}:{line_no}: {dataio._line_error(line, exc)} "
+                                             f"(last good event id: {last_good})") from None
+                    line_no += 1
+                    if rows.size:
+                        last_good = int(rows["event_id"][-1])
+                raise
             line_no += len(lines)
             if rows.size:
                 last_good = int(rows["event_id"][-1])
@@ -271,6 +280,61 @@ class TestByteReader:
         last_good = (bad_line - 1) // 2 if bad_line else None
         assert drain(iter_events(path, 2))[1] == drain(loadtxt_events(path, 700))[1] == \
             f"{path}:{line_no}: expected 6 fields, got 5 (last good event id: {last_good})"
+
+    # a row of the byte parser's grammar that is not a unit vector; a short line, which goes through
+    # _parse_body; and a good line that does too, whose id and direction the byte parser misreads
+    NOT_UNIT, SHORT = "{},pair-1,x,0.6,0.6,0.6\n", "{},pair-1,x,1e0,0\n"
+    SLOW_GOOD = "+{},pair-1,x,0.6,0,8e-1\n"
+
+    def first_error(self, tmp_path, monkeypatch, lines, slice_bytes, workers) -> str:
+        """The error of a file of `lines` from iter_events, the same as the np.loadtxt reader's."""
+        path = tmp_path / "events.csv"
+        path.write_bytes((HEADER + "\n" + "".join(lines)).encode())
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
+        got = drain(iter_events(path, workers))[1]
+        assert got == drain(loadtxt_events(path, 1 << 18))[1]
+        return got.removeprefix(f"{path}:")
+
+    @pytest.mark.parametrize("slice_bytes", [1, 120, 1 << 12, 1 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("first", ["not unit", "short"])
+    def test_earlier_of_fast_and_slow_bad_lines(self, tmp_path, monkeypatch, slice_bytes, workers, first):
+        # a row that only the unit check rejects and a line that _parse_body rejects, in one slice
+        # unless the slices are small: the earlier one is named, whichever parser judged it
+        lines = [ROW.format(i, 1) for i in range(40)]
+        earlier, later = (self.NOT_UNIT, self.SHORT) if first == "not unit" else (self.SHORT, self.NOT_UNIT)
+        lines[10], lines[25] = earlier.format(10), later.format(25)
+        reason = "direction is not unit length" if first == "not unit" else "expected 6 fields, got 5"
+        assert self.first_error(tmp_path, monkeypatch, lines, slice_bytes, workers) == \
+            f"12: {reason} (last good event id: 9)"
+
+    @pytest.mark.parametrize("slice_bytes", [1, 120, 1 << 12, 1 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_last_good_id_from_a_slow_row(self, tmp_path, monkeypatch, slice_bytes, workers):
+        # the slow lines fail as a batch; the good ones before the bad one are spliced in, so the
+        # last good id is the slow row's, as _parse_body read it
+        lines = [ROW.format(i, 1) for i in range(40)]
+        lines[5] = self.SLOW_GOOD.format(5)
+        lines[20] = self.SLOW_GOOD.format(2**64 - 1)
+        lines[21] = self.SHORT.format(21)
+        lines[30] = self.SHORT.format(30)
+        assert self.first_error(tmp_path, monkeypatch, lines, slice_bytes, workers) == \
+            f"23: expected 6 fields, got 5 (last good event id: {2**64 - 1})"
+
+    @pytest.mark.parametrize("slice_bytes", [1, 120, 1 << 12, 1 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", [NOT_UNIT, SHORT])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_empty_lines_before_bad_line(self, tmp_path, monkeypatch, slice_bytes, workers, bad, newline):
+        # empty lines count toward the line number, at the file's start and just before the bad line
+        lines = [ROW.format(i, 1) for i in range(40)]
+        lines[0] = "\n\n" + lines[0]
+        lines[15] = "\n\n\n" + bad.format(15)
+        lines = [line.replace("\n", newline) for line in lines]
+        reason = "direction is not unit length" if bad == self.NOT_UNIT else "expected 6 fields, got 5"
+        assert self.first_error(tmp_path, monkeypatch, lines, slice_bytes, workers) == \
+            f"22: {reason} (last good event id: 14)"
 
     def test_more_threads_than_cores_keep_order(self, tmp_path, monkeypatch):
         # eight parsing threads on small slices, switching often: the tables of one thread
