@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -28,6 +29,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any negative number float() reads, -1e-3 and -inf too, is the value of the flag before it
+        self._negative_number_matcher = re.compile(
+            r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
 
@@ -129,8 +136,6 @@ def _cmd_table(args) -> None:
                 "predictability": p.predictability,
             }
         )
-    if not rows:
-        raise DataError("parameter table is empty")
     _emit(rows, args)
 
 

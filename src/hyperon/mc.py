@@ -1,20 +1,20 @@
 """Deterministic Monte Carlo sampling of decay directions.
 
 Every density that appears (single decay, singlet pair, two-step cascade)
-is linear in the cosine of an angle to some axis, so all sampling is exact
-inverse-CDF: solve the quadratic CDF for the cosine and draw the azimuth
-uniformly.  No rejection, no clamping.
+is (1 + v.n)/(4 pi) for some axis v with |v| <= 1, and every decay is
+sampled as the paper reads it, a measurement along one of two axes +-n:
+a uniform direction n, kept with probability (1 + v.n)/2, else negated.
+That is exact, with three uniforms per decay and no special axis.
 
-Reproducibility contract: event i consumes exactly one 4-word Philox
-counter block keyed by the master seed, so the event stream is bit
+Reproducibility contract: event i consumes ceil(3 len(roles) / 4) 4-word
+Philox counter blocks keyed by the master seed, so the event stream is bit
 identical for any worker count or chunking.  `iter_chunks` partitions the
 event range into fixed-size chunks, samples them on a bounded thread pool
 and yields them in event order; `generate` samples the same chunks on the
 same pool, each thread writing its chunk straight into the chunk's rows of
-one preallocated table.  Every kernel step writes with `out=` into a
-workspace that the call allocates: a call of `directions_from_linear_density`
-with one axis per row holds 16 x 16,384 x 8 B (2.1 MB) on its sampling
-thread, a call with a constant axis 6 x 16,384 x 8 B.
+one preallocated table.  Every kernel step writes with `out=` into one of
+five workspaces that the call allocates, 5 x 16,384 x 8 B (655 KB) on its
+sampling thread.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .cascade import _conditional_axes
 from .decay import DecayParameters
 from .sphere import require_polarization
 
-DRAWS_PER_EVENT = 4  # one Philox counter block
 _STREAM_CONSTANT = 0x9E3779B97F4A7C15
 # each chunk in flight holds its directions and formatted text: `simulate pair` of 1M events
 # on 2 threads peaked anywhere in 78-94 MB with 1 << 16 and in 52-55 MB with 1 << 14
@@ -151,7 +150,7 @@ class SingleDecayModel:
 
     def kernel(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n = np.empty((u.shape[0], 1, 3)) if out is None else out
-        directions_from_linear_density(self.params.alpha * self.polarization, u[:, 0], u[:, 1], out=n[:, 0])
+        directions_from_linear_density(self.params.alpha * self.polarization, *u[:, :3].T, out=n[:, 0])
         return n
 
 
@@ -169,9 +168,9 @@ class PairCorrelationModel:
 
     def kernel(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n = np.empty((u.shape[0], 2, 3)) if out is None else out
-        directions_from_linear_density(np.zeros(3), u[:, 0], u[:, 1], out=n[:, 0])
+        directions_from_linear_density(np.zeros(3), *u[:, :3].T, out=n[:, 0])
         axes = np.multiply(-self.k, n[:, 0].T, out=np.empty((3, u.shape[0])))
-        directions_from_linear_density(axes.T, u[:, 2], u[:, 3], out=n[:, 1])
+        directions_from_linear_density(axes.T, *u[:, 3:6].T, out=n[:, 1])
         return n
 
 
@@ -191,9 +190,9 @@ class CascadeDecayModel:
     def kernel(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         s, mu, nu = self.polarization, self.mu, self.nu
         n = np.empty((u.shape[0], 2, 3)) if out is None else out
-        directions_from_linear_density(mu.alpha * s, u[:, 0], u[:, 1], out=n[:, 0])
+        directions_from_linear_density(mu.alpha * s, *u[:, :3].T, out=n[:, 0])
         axes = _conditional_axes(mu, nu, s, n[:, 0], out=np.empty((3, u.shape[0])).T)
-        directions_from_linear_density(axes, u[:, 2], u[:, 3], out=n[:, 1])
+        directions_from_linear_density(axes, *u[:, 3:6].T, out=n[:, 1])
         return n
 
 
@@ -218,130 +217,75 @@ class SampleConfig:
 # sampling kernels (vectorized over events)
 
 
-def _frames(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Components (e1, e2) of unit vectors orthogonal to the unit vectors (x, y, z) and to each other.
-
-    The branchless orthonormal basis of Duff et al., "Building an
-    Orthonormal Basis, Revisited", JCGT 6(1), 2017: |sign + z| >= 1, so no
-    axis needs a special case, and no product needs normalizing.  Every
-    step writes into one of six arrays of len(x), which end as e1 and e2.
-    """
-    out = [np.empty(x.size) for _ in range(6)]
-    e1x, sign, e1z, b, h, t = out  # e2x is b; sign, h and t end as e1y, e2y and e2z
-    np.copysign(1.0, z, out=sign)
-    np.add(sign, z, out=h)
-    np.divide(-1.0, h, out=h)
-    np.multiply(x, y, out=b)
-    np.multiply(b, h, out=b)
-    np.multiply(sign, x, out=e1x)
-    np.multiply(e1x, x, out=e1x)
-    np.multiply(e1x, h, out=e1x)
-    np.add(1.0, e1x, out=e1x)
-    np.negative(sign, out=e1z)
-    np.multiply(e1z, x, out=e1z)
-    np.multiply(y, y, out=t)
-    np.multiply(t, h, out=t)
-    np.add(sign, t, out=h)
-    np.multiply(sign, b, out=sign)
-    np.negative(y, out=t)
-    return out[:3], out[3:]
-
-
 def directions_from_linear_density(
-    vectors: np.ndarray, u_cos: np.ndarray, u_phi: np.ndarray, out: np.ndarray | None = None
+    vectors: np.ndarray, u_cos: np.ndarray, u_phi: np.ndarray, u_keep: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw one direction per row of the uniforms from the density (1 + v.n)/(4 pi).
 
-    `vectors` is either one vector v of shape (3,) that holds for every row,
-    whose |v|, axis and frame are then computed once and broadcast, or one
-    row v per draw.  |v| <= 1; v = 0 gives uniform directions about the z
-    axis.  The directions are written into `out` of shape (rows, 3), which
-    may be a strided view, and `out` is returned; without it, a new array.
+    The decay read as a two-axis measurement: n is uniform on the sphere
+    (cos theta = 2 u_cos - 1, azimuth 2 pi u_phi) and is kept with
+    probability (1 + v.n)/2, else negated, so the density at n is
+    (1 + v.n)/(8 pi) + (1 - v.(-n))/(8 pi) = (1 + v.n)/(4 pi).  The sign
+    is that of v.n - (2 u_keep - 1).
 
-    Each step writes with `out=` into one of 16 arrays that the call
-    allocates first, and only the last addition of each component writes
-    into `out`: |v| and the unit axis (4) and the frame (6) have one entry
-    per row of `vectors`, so a constant v does no per-draw frame work, and
-    the per-draw values (6) one per draw.  They are separate allocations,
-    each the size of one per-operation temporary: one 2 MB block of all 16
-    at 16,384 draws raised glibc's dynamic mmap threshold, and with it the
-    heap that each `simulate` thread keeps.
+    `vectors` is either one vector v of shape (3,) that holds for every
+    row or one row v per draw; |v| <= 1.  The directions are written into
+    `out` of shape (rows, 3), which may be a strided view, and `out` is
+    returned; without it, a new array.  Each step writes with `out=` into
+    one of five arrays of one entry per draw, and each column of `out` is
+    written once, as a component times the sign.
     """
     x, y, z = np.atleast_2d(np.asarray(vectors, dtype=float)).T
-    (count,) = np.broadcast_shapes(x.shape, np.shape(u_cos), np.shape(u_phi))
+    (count,) = np.broadcast_shapes(x.shape, np.shape(u_cos), np.shape(u_phi), np.shape(u_keep))
     out = np.empty((count, 3)) if out is None else out
-    a, *axis = (np.empty(x.size) for _ in range(4))
-    cos, sin, cos_psi, sin_psi, t, v = (np.empty(count) for _ in range(6))
-
-    np.multiply(x, x, out=a)
-    np.multiply(y, y, out=axis[0])
-    np.add(a, axis[0], out=a)
-    np.multiply(z, z, out=axis[0])
-    np.add(a, axis[0], out=a)
-    np.sqrt(a, out=a)
-    top = a.max(initial=0.0)
+    top = np.sqrt(np.max((x * x + y * y) + z * z, initial=0.0))
     if not top <= 1.0 + 1e-9:  # written so that NaN fails
         raise ValueError(f"direction density axis longer than 1: max |v| = {top:.6g}")
-    np.minimum(a, 1.0, out=a)
-    zero = a == 0.0 if a.min(initial=1.0) == 0.0 else None  # the +z axis, also for signed zeros
-    scale = a if zero is None else np.where(zero, 1.0, a)
-    for c, plus_z, dst in zip((x, y, z), (0.0, 0.0, 1.0), axis):
-        np.divide(c, scale, out=dst)
-        if zero is not None:
-            np.copyto(dst, plus_z, where=zero)
-    e1, e2 = _frames(*axis)
 
-    # inverse CDF of the cosine's density (1 + a c)/2 on [-1, 1]: the root (4u + a - 2) /
-    # (1 + sqrt((1-a)^2 + 4 a u)), a form with no cancellation as a -> 0
-    disc, term = sin_psi, cos_psi[:x.size]
-    np.multiply(4.0, a, out=term)
-    np.multiply(term, u_cos, out=disc)
-    np.subtract(1.0, a, out=term)
-    np.square(term, out=term)
-    np.add(term, disc, out=disc)
-    np.sqrt(disc, out=disc)
-    np.add(1.0, disc, out=disc)
-    np.multiply(4.0, u_cos, out=cos)
-    np.add(cos, a, out=cos)
-    np.subtract(cos, 2.0, out=cos)
-    np.divide(cos, disc, out=cos)
-    np.square(cos, out=sin)
+    cos, sin, nx, ny, sign = (np.empty(count) for _ in range(5))
+    np.multiply(2.0, u_cos, out=cos)
+    np.subtract(cos, 1.0, out=cos)
+    np.multiply(cos, cos, out=sin)
     np.subtract(1.0, sin, out=sin)
-    np.maximum(sin, 0.0, out=sin)
     np.sqrt(sin, out=sin)
-    np.multiply(2.0 * np.pi, u_phi, out=sin_psi)  # psi
-    np.cos(sin_psi, out=cos_psi)
-    np.sin(sin_psi, out=sin_psi)
-
-    # out[:, i] = cos * axis[i] + sin * (cos_psi * e1[i] + sin_psi * e2[i])
-    for i in range(3):
-        np.multiply(cos_psi, e1[i], out=t)
-        np.multiply(sin_psi, e2[i], out=v)
-        np.add(t, v, out=t)
-        np.multiply(sin, t, out=t)
-        np.multiply(cos, axis[i], out=v)
-        np.add(v, t, out=out[:, i])
+    np.multiply(2.0 * np.pi, u_phi, out=sign)  # the azimuth
+    np.cos(sign, out=nx)
+    np.sin(sign, out=ny)
+    np.multiply(nx, sin, out=nx)
+    np.multiply(ny, sin, out=ny)
+    np.multiply(x, nx, out=sign)  # v.n
+    np.multiply(y, ny, out=sin)
+    np.add(sign, sin, out=sign)
+    np.multiply(z, cos, out=sin)
+    np.add(sign, sin, out=sign)
+    np.multiply(2.0, u_keep, out=sin)
+    np.subtract(sin, 1.0, out=sin)
+    np.subtract(sign, sin, out=sign)
+    np.copysign(1.0, sign, out=sign)
+    for i, component in enumerate((nx, ny, cos)):
+        np.multiply(component, sign, out=out[:, i])
     return out
 
 
 def sample_single(params: DecayParameters, s, stream) -> np.ndarray:
-    """One daughter direction from (1/4pi)(1 + alpha s.n): SingleDecayModel's kernel on 2 draws."""
+    """One daughter direction from (1/4pi)(1 + alpha s.n): SingleDecayModel's kernel on 3 draws."""
     model = SingleDecayModel(params, require_polarization(s, "s"))
-    return model.kernel(stream.random(2)[None])[0, 0]
+    return model.kernel(stream.random(3)[None])[0, 0]
 
 
 def sample_pair(k: float, stream) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n1, n2) from (1 - k n1.n2)/(4 pi)^2: PairCorrelationModel's kernel on 4 draws."""
-    n1, n2 = PairCorrelationModel(k).kernel(stream.random(4)[None])[0]
+    """Directions (n1, n2) from (1 - k n1.n2)/(4 pi)^2: PairCorrelationModel's kernel on 6 draws."""
+    n1, n2 = PairCorrelationModel(k).kernel(stream.random(6)[None])[0]
     return n1, n2
 
 
 def sample_cascade(
     mu: DecayParameters, nu: DecayParameters, s, stream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n_mu, n_nu), n_nu from its exact conditional: CascadeDecayModel's kernel on 4 draws."""
+    """Directions (n_mu, n_nu), n_nu from its exact conditional: CascadeDecayModel's kernel on 6 draws."""
     model = CascadeDecayModel(mu, nu, require_polarization(s, "s"))
-    n_mu, n_nu = model.kernel(stream.random(4)[None])[0]
+    n_mu, n_nu = model.kernel(stream.random(6)[None])[0]
     return n_mu, n_nu
 
 
@@ -349,11 +293,11 @@ def sample_cascade(
 # counter-based bulk generation
 
 
-def _event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform doubles of shape (count, 4): event i's block for i in [start, start+count)."""
+def _event_uniforms(seed: int, start: int, count: int, blocks: int) -> np.ndarray:
+    """Uniform doubles of shape (count, 4 * blocks): the 4-word Philox blocks of events start .. start+count-1."""
     bitgen = np.random.Philox(key=np.array([seed, _STREAM_CONSTANT], dtype=np.uint64))
-    bitgen.advance(start)  # one 4-word counter block per event
-    return np.random.Generator(bitgen).random(4 * count).reshape(count, 4)
+    bitgen.advance(start * blocks)
+    return np.random.Generator(bitgen).random(4 * blocks * count).reshape(count, 4 * blocks)
 
 
 def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
@@ -420,7 +364,8 @@ def _table(model, first_id: int, n: np.ndarray) -> EventTable:
 
 def _sample(config: SampleConfig, start: int, out: np.ndarray) -> None:
     """Write the directions of events start, start + 1, ... into `out` of shape (events, len(roles), 3)."""
-    config.model.kernel(_event_uniforms(config.seed, start, out.shape[0]), out=out)
+    blocks = -(-3 * len(config.model.roles) // 4)  # three uniforms per decay, four per block
+    config.model.kernel(_event_uniforms(config.seed, start, out.shape[0], blocks), out=out)
 
 
 def _map_chunks(config: SampleConfig, func: Callable[[int], _T]) -> Iterator[_T]:
@@ -434,8 +379,9 @@ def iter_chunks(
 ) -> Iterator[EventTable | _T]:
     """The configured events as one EventTable per _CHUNK events, in id order.
 
-    Each model's `kernel` maps uniforms of shape (events, 4) to directions
-    of shape (events, len(roles), 3); pair and cascade models emit two rows
+    Each model's `kernel` maps uniforms of shape (events, 4 x blocks) to
+    directions of shape (events, len(roles), 3), three uniforms per decay;
+    pair and cascade models emit two rows
     per event id, in the fixed role order.  Chunks are sampled on up to
     `_pool_size` threads with at most two chunks per thread in flight, so
     memory stays bounded for any event count.  With `apply`, each chunk's
@@ -459,8 +405,8 @@ def generate(config: SampleConfig) -> EventTable:
     The table holds events * len(roles) rows sorted by id.  Each sampling
     thread writes a chunk straight into the chunk's rows of the table, so
     no chunk is copied or tabled on its own; while it samples, a thread
-    holds the chunk's 4 x 16,384 uniforms and at most 16 x 16,384 doubles
-    (2.1 MB) of kernel workspace.
+    holds the chunk's uniforms (at most 8 x 16,384) and 5 x 16,384 doubles
+    (655 KB) of kernel workspace.
     """
     n = np.empty((config.events, len(config.model.roles), 3))
     for _ in _map_chunks(config, lambda start: _sample(config, start, n[start:start + _CHUNK])):

@@ -7,7 +7,6 @@ magnitude tables."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,8 +15,6 @@ import numpy as np
 
 from .decay import DecayParameters, params_from_alpha_phi
 from .errors import ParameterFileError
-
-log = logging.getLogger(__name__)
 
 PARAMETER_COLUMNS = ("parent", "quarks", "channel", "branching", "alpha", "phi_over_pi", "gamma_sign", "note")
 
@@ -88,7 +85,7 @@ def _parse_row(fields: list[str], line_no: int, path) -> ParameterRow:
 
 
 def load_parameters(path) -> ParameterTable:
-    """Read and validate a parameter file; errors carry the offending line."""
+    """Read and validate a parameter file; errors carry the offending line, and no data rows is an error."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -101,7 +98,7 @@ def load_parameters(path) -> ParameterTable:
             continue
         rows.append(_parse_row(stripped.split(","), line_no, path))
     if not rows:
-        log.warning("parameter file %s contains no data rows", path)
+        raise ParameterFileError(f"parameter file {path} contains no data rows")
     return ParameterTable(rows=tuple(rows))
 
 

@@ -27,7 +27,8 @@ def require_polarization(s, name: str = "polarization") -> np.ndarray:
     s = np.array(s, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {s.shape}")
-    norm = np.linalg.norm(s)
+    with np.errstate(over="ignore"):  # an overlong s overflows to inf, which the check refuses
+        norm = np.linalg.norm(s)
     if not norm <= 1.0 + 1e-12:  # written so that NaN fails
         raise ValueError(f"|{name}| exceeds 1 (got {norm:.6g})")
     s.setflags(write=False)

@@ -38,6 +38,15 @@ class TestTable:
         assert abs(float(lam["predictability"]) - 0.762) <= 0.012
         assert abs(float(lam["chi_sp_over_pi"]) - (-0.043)) <= 0.023
 
+    @pytest.mark.parametrize("argv", [
+        ("table",), ("simulate", "single", "--hyperon", "Lambda", "--events", "10"),
+    ], ids=["table", "simulate"])
+    def test_empty_parameter_file_is_one_line_data_error(self, capsys, tmp_path, argv):
+        f = tmp_path / "empty.csv"
+        f.write_text("# only comments\n")
+        code, out, err = run_cli(capsys, *argv, "--params", str(f))
+        assert (code, out, err) == (2, "", f"data error: parameter file {f} contains no data rows\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "table", "--params", "/no/such/file.csv")
         assert code == 2
@@ -233,9 +242,11 @@ class TestSimulate:
         assert (code, out, err) == (1, "", "error: no parameter row for 'X'\n")
 
     # digest: the bytes of the cascade run, the same as when each decay loaded the table
+    # (0.2.x, before the keep-or-negate kernel:
+    # 791c21421c9d3b1e19611b19e3e55d92f885c0fef0c08d62bde25810b81e3d49)
     @pytest.mark.parametrize("decays, loads, digest", [
         (("cascade", "--mu-hyperon", "Xi-", "--nu-hyperon", "Lambda"), 1,
-         "791c21421c9d3b1e19611b19e3e55d92f885c0fef0c08d62bde25810b81e3d49"),
+         "03abddfb7abda906e5efb3b294a6a9d67fa3a73fad7bc457422ddad9401c3126"),
         (("cascade", "--mu-hyperon", "Xi-", "--nu-alpha", "0.5"), 1, None),
         (("single", "--alpha", "0.5"), 0, None),
     ])
@@ -282,6 +293,17 @@ class TestSimulate:
         )
         assert result.returncode == 1 and result.stdout == ""
         assert result.stderr == "error: phi = inf is not finite\n"
+
+    def test_overflowing_polarization_is_one_line_error(self):
+        # |s| overflows to inf: the refusal alone, and no numpy warning, even with warnings as errors
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hyperon.cli", "simulate", "single", "--alpha", "0.5",
+             "--pol=-1e308,0,0", "--events", "10"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: |polarization| exceeds 1 (got inf)\n"
 
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", "10",
@@ -535,6 +557,27 @@ class TestContext:
         assert abs(float(row["equal_alpha_formula_root"]) - 0.9161) < 1e-3
 
 
+class TestNegativeValues:
+    # argparse takes only plain decimals such as -0.1 for negative numbers; every
+    # negative number that float() reads is the value of the flag before it
+    @pytest.mark.parametrize("argv, code, err", [
+        (("context", "--alpha", "-1e-1", "--alphabar", "1"), 0, ""),
+        (("simulate", "single", "--alpha", "-.5E0", "--events", "2"), 0, ""),
+        (("bell", "--inequality", "I2", "--k", "-1e-3"), 1, "usage error: --k must lie in [0, 1], got -0.001\n"),
+        (("complementarity", "--theta", "-inf"), 1, "error: theta = -inf is not finite\n"),
+        (("context", "--alpha", "-NaN", "--alphabar", "1"), 1, "error: analyzing powers must lie in [-1, 1]\n"),
+    ], ids=["exponent", "dot-exponent", "exponent-refused", "-inf", "-nan"])
+    def test_number_is_a_value(self, capsys, argv, code, err):
+        got = run_cli(capsys, *argv)
+        assert got[0] == code and got[2] == err
+        assert (got[1] != "") == (code == 0)
+
+    @pytest.mark.parametrize("word", ["--bogus", "-bogus", "-1e"])
+    def test_other_dash_words_still_refused(self, capsys, word):
+        code, out, err = run_cli(capsys, "context", "--alpha", "1", "--alphabar", "1", word)
+        assert (code, out, err) == (1, "", f"usage error: unrecognized arguments: {word}\n")
+
+
 class TestDeterminism:
     def test_reports_identical_across_runs(self, capsys):
         outputs = set()
@@ -695,7 +738,7 @@ class TestStartup:
         "table": (
             {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.params",
              "hyperon.decay", "hyperon.sphere"},
-            {"logging"},
+            set(),
         ),
     }
 

@@ -1,6 +1,6 @@
 import hashlib
 import io
-import logging
+import re
 import warnings
 
 import numpy as np
@@ -95,13 +95,11 @@ class TestLoadParameters:
         with pytest.raises(ParameterFileError, match="gamma_sign"):
             load_parameters(f)
 
-    def test_empty_file_warns(self, tmp_path, caplog):
+    def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "empty.csv"
         f.write_text("# only comments\n")
-        with caplog.at_level(logging.WARNING):
-            table = load_parameters(f)
-        assert len(table) == 0
-        assert "no data rows" in caplog.text
+        with pytest.raises(ParameterFileError, match=f"parameter file {re.escape(str(f))} contains no data rows"):
+            load_parameters(f)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParameterFileError, match="missing.csv"):
@@ -590,7 +588,14 @@ class TestRowParser:
                 assert not good or got == int(digits or b"0")
 
 
-# The stream changed in 0.2.0: the direction kernel's frames became Duff et
+# The stream changed in 0.3.0: each decay is a uniform direction kept or
+# negated, three uniforms per decay and two Philox blocks per pair or cascade
+# event, in place of the inverse CDF in a frame about the axis.  The 0.2.x
+# files hashed to
+#   single  2562498fea058a9b510c929f1992ebec5253c1fd5fb3a6af18bc1a63d57445f4
+#   pair    50d05edd6c1a724d571dce3c31ebf8d6812624e980f89ed58796c0404b424ba3
+#   cascade ac5cc6dcf837a8a26c9f19eff25d1dc44bf7f9d06cb14b5146c5a1635f166905
+# It changed in 0.2.0 as well: the direction kernel's frames became Duff et
 # al.'s branchless basis, and the cascade's n_mu.s an elementwise three-term
 # sum in place of a BLAS product, which moves the last bits of the sampled
 # directions.  The 0.1.0 files hashed to
@@ -599,11 +604,11 @@ class TestRowParser:
 #   cascade 029f36593b9d5905c033a497f7ea8b6f08620046c1034744b538a94c09f689b5
 GOLDEN_EVENT_FILES = {
     ("single", "--hyperon", "Lambda", "--pol", "0,0,1"):
-        "2562498fea058a9b510c929f1992ebec5253c1fd5fb3a6af18bc1a63d57445f4",
+        "9f4f219ad409b8ff03a5b1a7e1f6ec266106cf89111e73220f9e122c459c53e6",
     ("pair", "--k", "0.46"):
-        "50d05edd6c1a724d571dce3c31ebf8d6812624e980f89ed58796c0404b424ba3",
+        "e24f16e8ce4c2960e4a60035b3de97467e9d101aff0e3591da1f528c01270a4a",
     ("cascade", "--mu-hyperon", "Xi-", "--nu-hyperon", "Lambda"):
-        "ac5cc6dcf837a8a26c9f19eff25d1dc44bf7f9d06cb14b5146c5a1635f166905",
+        "3d7340d6db81d67b2d6e715364be995c066c8f335e523c324653c363205c4876",
 }
 
 

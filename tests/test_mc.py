@@ -8,13 +8,11 @@ from hyperon import mc
 from hyperon.cascade import cascade_tau
 from hyperon.decay import DecayAmplitudes, params_from_alpha_phi, params_from_amplitudes
 from hyperon.mc import (
-    DRAWS_PER_EVENT,
     CascadeDecayModel,
     PairCorrelationModel,
     SampleConfig,
     SingleDecayModel,
     _STREAM_CONSTANT,
-    _frames,
     _pool_size,
     directions_from_linear_density,
     generate,
@@ -27,9 +25,10 @@ from hyperon.sphere import sphere_quadrature
 LAMBDA = params_from_alpha_phi(0.642, -0.036111111 * np.pi)
 
 
-def stream_at(seed, event_index=0):
+def stream_at(seed, block=0):
+    """The event stream of `seed` from its 4-word Philox block `block` on."""
     bitgen = np.random.Philox(key=np.array([seed, _STREAM_CONSTANT], dtype=np.uint64))
-    bitgen.advance(event_index)
+    bitgen.advance(block)
     return np.random.Generator(bitgen)
 
 
@@ -47,7 +46,7 @@ class TestKernels:
             axis = np.tile([0.0, 0.0, 1.0], (u.size, 1)) * abs(a)
             if a < 0:
                 axis = -axis
-            n = directions_from_linear_density(axis, u, rng.random(u.size))
+            n = directions_from_linear_density(axis, u, rng.random(u.size), rng.random(u.size))
             c = n[:, 2] * np.sign(a) if a != 0 else n[:, 2]
             cdf = lambda x, a=abs(a): (x + 1.0) / 2.0 + a * (x**2 - 1.0) / 4.0
             d = stats.kstest(c, cdf).pvalue
@@ -55,64 +54,43 @@ class TestKernels:
 
     def test_zero_axis_is_uniform(self):
         rng = np.random.default_rng(61)
-        n = directions_from_linear_density(np.zeros((100_000, 3)), rng.random(100_000), rng.random(100_000))
+        u = rng.random((3, 100_000))
+        n = directions_from_linear_density(np.zeros((100_000, 3)), *u)
         assert np.max(np.abs(n.mean(axis=0))) < 5.0 / np.sqrt(n.shape[0])
 
     @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [0.0, 0.6, -0.8]])
     def test_one_vector_matches_one_row_per_draw(self, v):
-        rng = np.random.default_rng(62)
-        u_cos, u_phi = rng.random(1000), rng.random(1000)
+        u = np.random.default_rng(62).random((3, 1000))
         rows = np.tile(v, (1000, 1))
         assert np.array_equal(
-            directions_from_linear_density(np.array(v), u_cos, u_phi),
-            directions_from_linear_density(rows, u_cos, u_phi),
+            directions_from_linear_density(np.array(v), *u),
+            directions_from_linear_density(rows, *u),
         )
 
-    def test_frames_orthonormal(self):
-        rng = np.random.default_rng(63)
-        axes = rng.normal(size=(1_000_000, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        t = np.sqrt(1e-9 * (2.0 - 1e-9))  # the rows below within 1e-9 of -z have unit length
-        edges = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [1, 0, -0.0], [0, -1, -0.0],
-                 [t, 0, -(1 - 1e-9)], [0, t, -(1 - 1e-9)]]
-        axes = np.vstack([axes, edges])
-        e1, e2 = (np.stack(e, axis=1) for e in _frames(*axes.T))
-        dot = lambda p, q: np.einsum("ij,ij->i", p, q)
-        for err in (dot(e1, e1) - 1, dot(e2, e2) - 1, dot(e1, e2), dot(e1, axes), dot(e2, axes)):
-            assert np.max(np.abs(err)) <= 1e-15
-
-    def test_signed_zero_axis_is_plus_z(self):
-        u_cos, u_phi = np.array([0.3, 0.7]), np.array([0.2, 0.9])
-        plus = directions_from_linear_density(np.zeros(3), u_cos, u_phi)
-        for v in ([0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]):
-            n = directions_from_linear_density(np.array(v), u_cos, u_phi)
-            assert np.array_equal(n, plus) and np.array_equal(np.signbit(n), np.signbit(plus))
+    def test_unit_length(self):
+        # an event file needs |n| within 1e-9 of 1; the kernel's own rounding is a few ulp
+        u = np.random.default_rng(63).random((3, 1_000_000))
+        n = directions_from_linear_density(np.array([0.3, -0.2, 0.5]), *u)
+        assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 1e-15
 
     def test_overlong_axis_rejected(self):
+        u = np.array([0.5])
         with pytest.raises(ValueError, match="longer than 1"):
-            directions_from_linear_density(np.array([[0.0, 0.0, 1.5]]), np.array([0.5]), np.array([0.5]))
+            directions_from_linear_density(np.array([[0.0, 0.0, 1.5]]), u, u, u)
 
 
-def reference_directions(vectors, u_cos, u_phi):
+def reference_directions(vectors, u_cos, u_phi, u_keep):
     """The direction kernel as one expression per step, with fresh arrays: the bits to match."""
     x, y, z = np.atleast_2d(np.asarray(vectors, dtype=float)).T
     a = np.sqrt((x * x + y * y) + z * z)
     if not np.all(a <= 1.0 + 1e-9):
         raise ValueError(f"direction density axis longer than 1: max |v| = {a.max():.6g}")
-    a = np.minimum(a, 1.0)
-    zero = a == 0.0
-    scale = np.where(zero, 1.0, a)
-    axis = tuple(np.where(zero, plus_z, c / scale) for c, plus_z in ((x, 0.0), (y, 0.0), (z, 1.0)))
-    cos = (4.0 * u_cos + a - 2.0) / (1.0 + np.sqrt((1.0 - a) ** 2 + 4.0 * a * u_cos))
-    sin = np.sqrt(np.maximum(1.0 - cos**2, 0.0))
+    cos = 2.0 * u_cos - 1.0
+    sin = np.sqrt(1.0 - cos * cos)
     psi = 2.0 * np.pi * u_phi
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    sign = np.copysign(1.0, axis[2])
-    h = -1.0 / (sign + axis[2])
-    b = axis[0] * axis[1] * h
-    e1 = (1.0 + sign * axis[0] * axis[0] * h, sign * b, -sign * axis[0])
-    e2 = (b, sign + axis[1] * axis[1] * h, -axis[1])
-    return np.stack([cos * axis[i] + sin * (cos_psi * e1[i] + sin_psi * e2[i]) for i in range(3)], axis=1)
+    n = (np.cos(psi) * sin, np.sin(psi) * sin, cos)
+    sign = np.copysign(1.0, ((x * n[0] + y * n[1]) + z * n[2]) - (2.0 * u_keep - 1.0))
+    return np.stack([c * sign for c in n], axis=1)
 
 
 def same_bits(a, b) -> bool:
@@ -121,11 +99,11 @@ def same_bits(a, b) -> bool:
 
 
 EDGE_AXES = [
-    [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0],  # signed zeros: +z
-    [1e-200, 0.0, -1e-200],  # |v| underflows to 0: +z as well
+    [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0],  # signed zeros
+    [1e-200, 0.0, -1e-200],  # |v| underflows to 0
     [0.0, 0.0, -1.0], [0.0, 0.0, -0.5], [0.0, -0.0, -0.3], [1e-9, 0.0, -1.0 + 1e-12],  # about -z
     [0.0, 0.0, 1.0], [0.6, 0.0, -0.8], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],  # |v| = 1
-    [0.0, 0.0, 1.0 + 5e-10], [-(1.0 + 5e-10), 0.0, 0.0],  # clamped to 1
+    [0.0, 0.0, 1.0 + 5e-10], [-(1.0 + 5e-10), 0.0, 0.0],  # within the 1e-9 tolerance of 1
     [0.3, -0.2, 0.5], [-0.1, 0.7, 0.05],
 ]
 
@@ -133,48 +111,54 @@ EDGE_AXES = [
 class TestKernelInPlace:
     def uniforms(self, count, seed=64):
         u = np.random.default_rng(seed).random((count, 4))
-        return u[:, 0], u[:, 1]  # strided columns, as the models pass them
+        return u[:, 0], u[:, 1], u[:, 2]  # strided columns, as the models pass them
 
     def test_rows_match_reference(self):
         rng = np.random.default_rng(65)
         rows = rng.normal(size=(5000, 3))
         rows *= rng.random((5000, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
         rows = np.vstack([rows, np.repeat(EDGE_AXES, 50, axis=0)])
-        u_cos, u_phi = self.uniforms(len(rows))
-        assert same_bits(directions_from_linear_density(rows, u_cos, u_phi),
-                         reference_directions(rows, u_cos, u_phi))
+        u = self.uniforms(len(rows))
+        assert same_bits(directions_from_linear_density(rows, *u), reference_directions(rows, *u))
 
     @pytest.mark.parametrize("v", EDGE_AXES)
     def test_constant_axis_matches_reference(self, v):
-        u_cos, u_phi = self.uniforms(777)
-        got = directions_from_linear_density(np.array(v), u_cos, u_phi)
-        assert same_bits(got, reference_directions(np.array(v), u_cos, u_phi))
-        assert same_bits(got, directions_from_linear_density(np.tile(v, (777, 1)), u_cos, u_phi))
+        u = self.uniforms(777)
+        got = directions_from_linear_density(np.array(v), *u)
+        assert same_bits(got, reference_directions(np.array(v), *u))
+        assert same_bits(got, directions_from_linear_density(np.tile(v, (777, 1)), *u))
+
+    def test_keep_threshold_tie(self):
+        # v = 0 and u_keep = 1/2 make v.n - (2 u_keep - 1) a zero, whose sign decides:
+        # n in the first octant is kept for v = +0 and negated for v = -0
+        u = (np.array([0.75]), np.array([0.1]), np.array([0.5]))
+        kept = directions_from_linear_density(np.zeros(3), *u)
+        negated = directions_from_linear_density(np.full(3, -0.0), *u)
+        assert np.all(kept > 0) and same_bits(negated, -kept)
 
     def test_strided_out_is_filled_and_returned(self):
         rows = np.random.default_rng(66).normal(size=(300, 3))
         rows /= 2.0 * np.linalg.norm(rows, axis=1, keepdims=True)
-        u_cos, u_phi = self.uniforms(300)
+        u = self.uniforms(300)
         for vectors in (rows, rows[0]):
             n = np.full((300, 2, 3), 7.0)
             second = n[:, 1]
-            assert directions_from_linear_density(vectors, u_cos, u_phi, out=second) is second
-            assert same_bits(second, reference_directions(vectors, u_cos, u_phi))
+            assert directions_from_linear_density(vectors, *u, out=second) is second
+            assert same_bits(second, reference_directions(vectors, *u))
             assert np.all(n[:, 0] == 7.0)
-            assert same_bits(directions_from_linear_density(vectors, u_cos, u_phi), n[:, 1])
+            assert same_bits(directions_from_linear_density(vectors, *u), n[:, 1])
 
     def test_out_none_returns_new_rows(self):
-        u_cos, u_phi = self.uniforms(10)
-        n = directions_from_linear_density(np.zeros(3), u_cos, u_phi)
+        n = directions_from_linear_density(np.zeros(3), *self.uniforms(10))
         assert n.shape == (10, 3) and n.flags.c_contiguous
 
     @pytest.mark.parametrize("vectors", [np.zeros((0, 3)), np.array([0.0, 0.0, 0.5])],
                              ids=["rows", "constant"])
     def test_zero_rows(self, vectors):
         empty = np.empty(0)
-        got = directions_from_linear_density(vectors, empty, empty)
+        got = directions_from_linear_density(vectors, empty, empty, empty)
         assert got.shape == (0, 3)
-        assert same_bits(got, reference_directions(vectors, empty, empty))
+        assert same_bits(got, reference_directions(vectors, empty, empty, empty))
 
     @pytest.mark.parametrize("bad", [
         [0.0, 0.0, 1.5], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 1.0 + 2e-9],
@@ -185,9 +169,9 @@ class TestKernelInPlace:
         vectors = np.array(bad) if shape != "rows" else np.array([[0.0, 0.0, 0.5]] * 3 + [bad])
         u = np.full(count, 0.5)
         with pytest.raises(ValueError) as want:
-            reference_directions(vectors, u, u)
+            reference_directions(vectors, u, u, u)
         with pytest.raises(ValueError) as got:
-            directions_from_linear_density(vectors, u, u)
+            directions_from_linear_density(vectors, u, u, u)
         assert str(got.value) == str(want.value)
 
 
@@ -203,6 +187,15 @@ class TestSingleSampler:
         model = SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.0, 1.0])
         table = generate(SampleConfig(seed=4, events=1_000_000, model=model))
         assert abs(table.n[:, 2].mean() - 0.642 / 3.0) < 0.003
+
+    def test_cosine_to_polarization_cdf(self):
+        # the cosine c of n to s has the density (1 + alpha |s| c)/2 on [-1, 1]
+        s = np.array([0.3, -0.2, 0.6])
+        model = SingleDecayModel(params=LAMBDA, polarization=s)
+        table = generate(SampleConfig(seed=19, events=200_000, model=model))
+        a = LAMBDA.alpha * np.linalg.norm(s)
+        cdf = lambda c: (c + 1.0) / 2.0 + a * (c**2 - 1.0) / 4.0
+        assert stats.kstest(table.n @ (s / np.linalg.norm(s)), cdf).pvalue > 0.01
 
     def test_scalar_sampler_matches_generate(self):
         model = SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5])
@@ -245,6 +238,16 @@ class TestPairSampler:
         cdf = lambda c: (c + 1.0) / 2.0 - k * (c**2 - 1.0) / 4.0
         assert stats.kstest(dots, cdf).pvalue > 0.01
 
+    @pytest.mark.parametrize("k", [0.46, -0.9])
+    def test_dot_cdf(self, k):
+        # x = n1.n2 has the density (1 - k x)/2 on [-1, 1]
+        table = generate(SampleConfig(seed=18, events=200_000, model=PairCorrelationModel(k=k)))
+        dots = np.einsum(
+            "ij,ij->i", table.directions_by_role("pair-1"), table.directions_by_role("pair-2")
+        )
+        cdf = lambda x: (x + 1.0) / 2.0 - k * (x**2 - 1.0) / 4.0
+        assert stats.kstest(dots, cdf).pvalue > 0.01
+
     def test_azimuth_uniformity(self):
         table = generate(SampleConfig(seed=15, events=100_000, model=PairCorrelationModel(k=0.46)))
         n1 = table.directions_by_role("pair-1")
@@ -254,7 +257,7 @@ class TestPairSampler:
         model = PairCorrelationModel(k=0.46)
         table = generate(SampleConfig(seed=10, events=16, model=model))
         for i in range(16):
-            n1, n2 = sample_pair(0.46, stream_at(10, i))
+            n1, n2 = sample_pair(0.46, stream_at(10, 2 * i))
             assert np.array_equal(n1, table.n[2 * i])
             assert np.array_equal(n2, table.n[2 * i + 1])
 
@@ -323,7 +326,7 @@ class TestCascadeSampler:
         model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=[0.1, 0.2, 0.3])
         table = generate(SampleConfig(seed=14, events=8, model=model))
         for i in range(8):
-            n_mu, n_nu = sample_cascade(mu, LAMBDA, [0.1, 0.2, 0.3], stream_at(14, i))
+            n_mu, n_nu = sample_cascade(mu, LAMBDA, [0.1, 0.2, 0.3], stream_at(14, 2 * i))
             assert np.array_equal(n_mu, table.n[2 * i])
             assert np.array_equal(n_nu, table.n[2 * i + 1])
 
@@ -335,7 +338,7 @@ class TestCascadeSampler:
         model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=s)
         table = generate(SampleConfig(seed=14, events=300, model=model))
         for i in range(300):
-            assert np.array_equal(np.array(sample_cascade(mu, LAMBDA, s, stream_at(14, i))),
+            assert np.array_equal(np.array(sample_cascade(mu, LAMBDA, s, stream_at(14, 2 * i))),
                                   table.n[2 * i:2 * i + 2])
         for seed in range(100):
             one = generate(SampleConfig(seed=seed, events=1, model=model))
@@ -365,12 +368,16 @@ class TestGenerate:
         assert np.array_equal(generate(config).n, default.n)
 
     # sha256 over event_id, role_code, channel_code and n of 3,123 events of seed 16 sampled in
-    # 1,000-event chunks, as the element-wise expression kernel gave them
+    # 1,000-event chunks by the keep-or-negate kernel (0.3.0).  The inverse-CDF kernel of
+    # 0.2.x gave single df6a3e6b9f87f8c901e773fe37d76ff3c6bb9db5d8cca5b6053fc7be0fe96ee3,
+    # pair 7727f3c24286339f0003b28a56e55b2da9d51bd19656eaf43edfaed4232a1fc3,
+    # pair-k0 dee0be29a01b3bc349c2c83d253decc7698bf56e824683fd48a5b775566a9a0f and
+    # cascade 1aa092e54f2d57f9fb8a42a383c8abe524afb7873c95d9cca377e74350c59cfb
     DIGESTS = {
-        "single": "df6a3e6b9f87f8c901e773fe37d76ff3c6bb9db5d8cca5b6053fc7be0fe96ee3",
-        "pair": "7727f3c24286339f0003b28a56e55b2da9d51bd19656eaf43edfaed4232a1fc3",
-        "pair-k0": "dee0be29a01b3bc349c2c83d253decc7698bf56e824683fd48a5b775566a9a0f",
-        "cascade": "1aa092e54f2d57f9fb8a42a383c8abe524afb7873c95d9cca377e74350c59cfb",
+        "single": "d732e2bec4979f31ea7c13c4555eb96eb9bf8952333e33cdc29d43b10744b6b4",
+        "pair": "c3f9bb45fa01efbc98afecea4179b05c0b02c51c83004a95903fa28b00c2b7e4",
+        "pair-k0": "991553f5f810c5ef0214d8648a49c55c0cdc32b58f8a8a84bf8d282386aa6602",
+        "cascade": "5af13c14d51ce4aa719fbc0593447fd6501e65486a068bf9c5706726c7c982c3",
     }
     MODELS = {
         "single": SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5]),
@@ -439,8 +446,15 @@ class TestGenerate:
         assert model.polarization[2] == 0.5 and not model.polarization.flags.writeable
         assert s.flags.writeable
 
-    def test_draw_budget(self):
-        assert DRAWS_PER_EVENT == 4
+    def test_draw_budget(self, monkeypatch):
+        # three uniforms per decay in 4-word Philox blocks: one block for a single decay, two otherwise
+        blocks = []
+        uniforms = mc._event_uniforms
+        monkeypatch.setattr(mc, "_event_uniforms",
+                            lambda seed, start, count, b: blocks.append(b) or uniforms(seed, start, count, b))
+        for name in ("single", "pair", "cascade"):
+            generate(SampleConfig(seed=1, events=10, model=self.MODELS[name]))
+        assert blocks == [1, 2, 2]
 
     @pytest.mark.parametrize("s", [[0.1, 0.2], [[0.0, 0.0, 0.5]], 0.5])
     def test_wrong_shaped_polarization_rejected(self, s):
@@ -461,5 +475,6 @@ class TestGenerate:
             PairCorrelationModel(k=bad)
         with pytest.raises(ValueError, match=r"\|k\| exceeds 1"):
             sample_pair(bad, stream_at(1))
+        u = np.array([0.5])
         with pytest.raises(ValueError, match="longer than 1"):
-            directions_from_linear_density(np.array([bad, 0.0, 0.0]), np.array([0.5]), np.array([0.5]))
+            directions_from_linear_density(np.array([bad, 0.0, 0.0]), u, u, u)

@@ -661,9 +661,9 @@ class TestChunks:
         started = []
         uniforms = mc._event_uniforms
 
-        def counting(seed, start, count):
+        def counting(seed, start, count, blocks):
             started.append(start)
-            return uniforms(seed, start, count)
+            return uniforms(seed, start, count, blocks)
 
         monkeypatch.setattr(mc, "_event_uniforms", counting)
         config = SampleConfig(seed=2, events=200, model=PairCorrelationModel(k=0.2), workers=workers)
@@ -769,10 +769,10 @@ def test_worker_error_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(mc, "_CHUNK", 5)
     uniforms = mc._event_uniforms
 
-    def failing(seed, start, count):
+    def failing(seed, start, count, blocks):
         if start == 40:
             raise MemoryError("no room for the chunk")
-        return uniforms(seed, start, count)
+        return uniforms(seed, start, count, blocks)
 
     monkeypatch.setattr(mc, "_event_uniforms", failing)
     path = tmp_path / "events.csv"
