@@ -265,24 +265,14 @@ def _cmd_bell(args) -> None:
 
     spec = inequalities.inequality(args.inequality)
     if args.threshold:
-        k_star = inequalities.threshold(spec, seed=args.seed)
-        _emit([{"inequality": spec.name, "threshold": k_star}], args)
+        _emit([{"inequality": spec.name, "threshold": inequalities.threshold(spec)}], args)
         return
     if not 0.0 <= args.k <= 1.0:
         raise UsageError(f"--k must lie in [0, 1], got {args.k}")
-    value, settings = inequalities.maximize(spec, inequalities.ProbModel(args.k), seed=args.seed)
-    _emit(
-        [
-            {
-                "inequality": spec.name,
-                "k": args.k,
-                "max_value": value,
-                "verdict": "violation" if value > 0.0 else "no violation possible",
-                "settings": _settings_string(settings),
-            }
-        ],
-        args,
-    )
+    value, settings = inequalities.maximize(spec, inequalities.ProbModel(args.k))
+    verdict = "violation" if value > 0.0 else "no violation possible"
+    _emit([{"inequality": spec.name, "k": args.k, "max_value": value, "verdict": verdict,
+            "settings": _settings_string(settings)}], args)
 
 
 def _cmd_context(args) -> None:
@@ -320,7 +310,7 @@ def build_parser() -> _Parser:
     # defaults in as the starting namespace
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     # every command accepts them; one that does not use --seed or --threads ignores it
-    common.add_argument("--seed", type=int, help="master seed (64-bit; simulate and bell)")
+    common.add_argument("--seed", type=int, help="master seed (64-bit; simulate)")
     common.add_argument("--threads", type=int,
                         help="worker threads of simulate and analyze (default all CPUs, "
                              "never more than CPUs)")

@@ -6,7 +6,7 @@ Under local realism each expression is bounded by 0.  Each expression is
 c0 - k/4 sum c_ij a_i.b_j, linear in k at fixed settings, so the optimal
 settings do not depend on k, the maximum is c0 + k S/4 with S the maximal
 correlation sum, and the violation threshold k* = -4 c0 / S is exact: S
-comes from a see-saw over unit vectors, with no search over k.
+comes from a see-saw that its semidefinite dual bound proves maximal.
 
 Raw (k-scaled) probabilities are the only admissible inputs here: dividing
 out the analyzing powers presupposes quantum mechanics and is confined to
@@ -43,6 +43,8 @@ class InequalitySpec:
         if joint.shape != (sa.size, sb.size):
             raise ValueError("coefficient table shapes are inconsistent")
         for name, arr in (("joint", joint), ("singles_a", sa), ("singles_b", sb)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} coefficients must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -139,9 +141,9 @@ def evaluate(spec: InequalitySpec, settings: BellSettings, model: ProbModel) -> 
     return _constant(spec) - model.k * float((spec.joint * dots).sum()) / 4.0
 
 
-_SEESAW_RTOL = 1e-15
 _SEESAW_MAX_SWEEPS = 10_000
-_SEESAW_STARTS = 32
+_SEESAW_STARTS = 4
+_CERTIFY_RTOL = 1e-12
 
 
 def _unit_or_keep(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -150,49 +152,59 @@ def _unit_or_keep(target: np.ndarray, previous: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, target / np.where(norms > 0.0, norms, 1.0), previous)
 
 
-def _correlation_max(spec: InequalitySpec, seed: int = 0) -> tuple[float, np.ndarray, np.ndarray]:
-    """S = max sum_ij c_ij a_i.b_j over unit vectors in R^3, with its argmax (a, b).
+def _certificate(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The value sum_ij c_ij a_i.b_j at settings (a, b), and a bound U on its maximum.
+
+    With y the half-norms of the fields on each a_i and b_j and
+    W = [[0, C], [C^T, 0]]/2, U = sum(y) + n max(0, -lambda_min(Diag(y) - W))
+    bounds the value over unit vectors in any dimension, and meets it at a
+    maximum (semidefinite duality: Tsirelson 1980; Wehner, PRA 73, 022110).
+    """
+    n_a = c.shape[0]
+    y = np.concatenate([np.linalg.norm(c @ b, axis=1), np.linalg.norm(c.T @ a, axis=1)]) / 2.0
+    w = np.block([[np.zeros((n_a, n_a)), c], [c.T, np.zeros((y.size - n_a,) * 2)]]) / 2.0
+    bound = y.sum() + y.size * max(0.0, -np.linalg.eigvalsh(np.diag(y) - w)[0])
+    return float(np.vdot(a, c @ b)), float(bound)
+
+
+def _correlation_max(spec: InequalitySpec) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """S = max sum_ij c_ij a_i.b_j over unit vectors in R^3: (S, its bound U, a, b).
 
     See-saw of Liang & Doherty (PRA 75, 042103): with b fixed the best a_i
     is unit(sum_j c_ij b_j), and with a fixed the best b_j is
-    unit(sum_i c_ij a_i), so no sweep lowers the value.  All starts run at
-    once in (_SEESAW_STARTS, n, 3) arrays until no start gains more than
-    _SEESAW_RTOL of its value in a sweep (a few ulps, the rounding noise of
-    a converged sweep); the first start attaining the best value wins.
+    unit(sum_i c_ij a_i), so no sweep lowers the value.  Start s, drawn
+    from default_rng(s), sweeps until U - S <= _CERTIFY_RTOL S proves S,
+    or passes after _SEESAW_MAX_SWEEPS to the next; if none of the
+    _SEESAW_STARTS certifies, the best value wins.
     """
-    c = spec.joint
-    rng = np.random.default_rng(seed)
-    starts = rng.normal(size=(_SEESAW_STARTS, spec.n_a + spec.n_b, 3))
-    starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
-    a, b = starts[:, : spec.n_a], starts[:, spec.n_a :]
-    value = np.full(_SEESAW_STARTS, -np.inf)
-    for _ in range(_SEESAW_MAX_SWEEPS):
-        a = _unit_or_keep(c @ b, a)
-        field = c.T @ a
-        b = _unit_or_keep(field, b)
-        new = np.einsum("sjk,sjk->s", field, b)
-        converged = np.all(new - value <= _SEESAW_RTOL * np.abs(new))
-        value = new
-        if converged:
-            break
-    best = int(np.argmax(value))
-    return float(value[best]), a[best], b[best]
+    c, runs = spec.joint, []
+    for start in range(_SEESAW_STARTS):
+        v = np.random.default_rng(start).normal(size=(spec.n_a + spec.n_b, 3))
+        a, b = np.split(v / np.linalg.norm(v, axis=1, keepdims=True), [spec.n_a])
+        for _ in range(_SEESAW_MAX_SWEEPS):
+            a = _unit_or_keep(c @ b, a)
+            b = _unit_or_keep(c.T @ a, b)
+            value, bound = _certificate(c, a, b)
+            if bound - value <= _CERTIFY_RTOL * value:
+                return value, bound, a, b
+        runs.append((value, bound, a, b))
+    return max(runs, key=lambda run: run[0])
 
 
-def maximize(spec: InequalitySpec, model: ProbModel, seed: int = 0) -> tuple[float, BellSettings]:
+def maximize(spec: InequalitySpec, model: ProbModel) -> tuple[float, BellSettings]:
     """Maximize the expression over all measurement directions.
 
     The expression is c0 - k/4 sum c_ij a_i.b_j, so its maximum is
     c0 + k S/4 at a = a*, b = -b* where (a*, b*) attains the correlation
-    maximum S (batched see-saw, deterministic for a fixed seed).  The
-    returned value is `evaluate` at the returned settings.
+    maximum S (see-saw from fixed starts, certified by its dual bound).
+    The returned value is `evaluate` at the returned settings.
     """
-    _, a, b = _correlation_max(spec, seed)
+    _, _, a, b = _correlation_max(spec)
     settings = BellSettings(a=a, b=-b)
     return evaluate(spec, settings, model), settings
 
 
-def threshold(spec: InequalitySpec, seed: int = 0) -> float:
+def threshold(spec: InequalitySpec) -> float:
     """Exact smallest k in [0, 1] where the maximal value reaches zero.
 
     The maximum is c0 + k g with g = S/4 >= 0, linear in k, so the
@@ -200,7 +212,7 @@ def threshold(spec: InequalitySpec, seed: int = 0) -> float:
     never changes sign on [0, 1] (c0 > 0 or c0 + g <= 0).
     """
     c0 = _constant(spec)
-    g = _correlation_max(spec, seed)[0] / 4.0
+    g = _correlation_max(spec)[0] / 4.0
     if c0 > 0.0 or c0 + g <= 0.0:
         raise ValueError(
             f"no violation threshold for {spec.name} on [0, 1]: "

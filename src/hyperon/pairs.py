@@ -174,7 +174,10 @@ class PairMoments:
         if model is not None:
             if model.k == 0.0:
                 raise ValueError("renormalization requires a model with nonzero analyzing powers")
-            m = m / model.k
+            with np.errstate(over="ignore"):  # a k near the underflow limit overflows, refused below
+                m = m / model.k
+            if not np.isfinite(m).all():
+                raise ValueError(f"renormalization by k = {model.k:.6g} overflows")
         return m
 
 

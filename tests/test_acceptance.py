@@ -188,17 +188,17 @@ def test_criterion_6_threshold_consistency():
 
 def test_criterion_7_chsh():
     start = time.perf_counter()
-    top, _ = maximize(I2, ProbModel(1.0), seed=11)
+    top, _ = maximize(I2, ProbModel(1.0))
     assert abs(top - (np.sqrt(2.0) - 1.0) / 2.0) < 1e-5
-    at_k, _ = maximize(I2, ProbModel(0.46), seed=11)
+    at_k, _ = maximize(I2, ProbModel(0.46))
     assert at_k < 0.0
-    k_star = threshold(I2, seed=11)
+    k_star = threshold(I2)
     assert abs(k_star - 0.7071) <= 0.001
     elapsed_i2 = time.perf_counter() - start
     assert elapsed_i2 < 30.0, f"I2 optimization took {elapsed_i2:.1f} s"
     for spec in (I3, I4):
         start = time.perf_counter()
-        maximize(spec, ProbModel(1.0), seed=11)
+        maximize(spec, ProbModel(1.0))
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"{spec.name} optimization took {elapsed:.1f} s"
     _passed(7, f"CHSH max, negativity at 0.46, threshold {k_star:.4f} = 0.7071 +- 0.001")

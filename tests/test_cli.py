@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -533,6 +534,14 @@ class TestBell:
         code, out, _ = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--seed", str(2**64 - 1))
         assert code == 0 and parse_csv(out)[0]["inequality"] == "I2"
 
+    @pytest.mark.parametrize("goal", [("--k", "0.46"), ("--threshold",)])
+    @pytest.mark.parametrize("inequality", ["I2", "I3", "I4"])
+    def test_report_independent_of_seed(self, capsys, inequality, goal):
+        # the see-saw runs from fixed starts, so --seed changes nothing, settings included
+        outs = {run_cli(capsys, "--seed", seed, "bell", "--inequality", inequality, *goal)
+                for seed in ("1", "2", str(2**64 - 1))}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
+
     def test_threshold_refuses_k(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--k", "0.46")
         assert code == 1 and out == ""
@@ -576,6 +585,55 @@ class TestNegativeValues:
     def test_other_dash_words_still_refused(self, capsys, word):
         code, out, err = run_cli(capsys, "context", "--alpha", "1", "--alphabar", "1", word)
         assert (code, out, err) == (1, "", f"usage error: unrecognized arguments: {word}\n")
+
+
+class TestBadNumbers:
+    """Every numeric flag, given an edge value or a non-number, reports or fails in one line.
+
+    Each command line below is valid; the flag is appended after it, so its value is the one
+    that counts.  A value that fails gives exit code 1 or 2, exactly one stderr line naming the
+    kind of error, and no file at --out; none may raise, or warn (warnings are errors here).
+    """
+
+    VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "1e-320", "", "x"]
+    COMMANDS = {
+        "bell": (("bell", "--inequality", "I3", "--k", "0.5"), ("--k", "--seed", "--threads")),
+        "context": (("context", "--alpha", "0.5", "--alphabar", "0.5"), ("--alpha", "--alphabar")),
+        "complementarity": (("complementarity", "--theta", "1"), ("--theta", "--phi", "--points")),
+        "pair": (("simulate", "pair", "--k", "0.5", "--events", "1000"),
+                 ("--k", "--events", "--seed", "--threads")),
+        "single": (("simulate", "single", "--alpha", "0.5", "--events", "1000"),
+                   ("--alpha", "--phi-over-pi", "--pol", "--events")),
+        "cascade": (("simulate", "cascade", "--mu-alpha", "0.5", "--nu-alpha", "-0.5", "--events", "1000"),
+                    ("--mu-alpha", "--nu-alpha", "--mu-phi-over-pi", "--nu-phi-over-pi", "--pol")),
+        "correlations": (("analyze", "correlations", "--events", "{events}", "--renormalize",
+                          "--alpha", "0.6", "--alphabar", "0.7"), ("--alpha", "--alphabar", "--threads")),
+    }
+
+    @pytest.fixture(scope="class")
+    def events(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("bad-numbers") / "pairs.csv"
+        assert main(["simulate", "pair", "--k", "0.46", "--events", "1000", "--out", str(f)]) == 0
+        return f
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in COMMANDS.items() for flag in flags
+    ])
+    def test_exit_code_one_line_no_file(self, capsys, tmp_path, events, command, flag, value):
+        argv, _ = self.COMMANDS[command]
+        out = tmp_path / "out.csv"
+        argv = [a.format(events=events) for a in argv]
+        argv += [flag, f"{value},0,0" if flag == "--pol" else value, "--out", str(out)]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert err.count("\n") == 1 and err.startswith(("usage error: ", "error: ", "data error: "))
+            assert not out.exists()
 
 
 class TestDeterminism:

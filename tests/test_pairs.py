@@ -194,6 +194,13 @@ class TestEstimators:
         with pytest.raises(ValueError, match="renormalization"):
             correlation_estimate(n1, n2, model=zero)
 
+    def test_renormalize_by_subnormal_k_refused(self):
+        # 9 mean(n1_i n2_j) / k overflows for k = 1e-320, so no inf reaches the report
+        n1, n2 = pair_samples(0.2, 1000, seed=10)
+        tiny = PairModel(alpha_L=1e-320, alpha_Lbar=1.0)
+        with pytest.raises(ValueError, match="renormalization by k = 9.99989e-321 overflows"):
+            correlation_estimate(n1, n2, model=tiny)
+
 
 class TestSimplex:
     def test_shrink(self):
