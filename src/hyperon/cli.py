@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
+import numbers
 import os
 import re
 import sys
 from pathlib import Path
 from typing import NoReturn
-
-import numpy as np
 
 from .errors import DataError
 
@@ -44,7 +44,7 @@ def _fmt(value):
         return value
     if isinstance(value, float):
         return float(f"{value:.6g}")
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy registers its integers here
         return int(value)
     return value
 
@@ -104,19 +104,20 @@ def _load_table(args):
     return params.load_bundled_parameters()
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str) -> list[float]:
     try:
-        v = np.array([float(x) for x in text.split(",")])
+        v = [float(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse vector {text!r}; expected x,y,z") from None
-    if v.shape != (3,):
+    if len(v) != 3:
         raise UsageError(f"expected 3 components in {text!r}")
     return v
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each command is a fresh process, so each handler
-# imports the modules it runs and no command pays for another's
+# imports the modules it runs, numpy among them, and no command pays for
+# another's; --help and usage errors exit before any of them loads
 
 
 def _cmd_table(args) -> None:
@@ -131,7 +132,7 @@ def _cmd_table(args) -> None:
                 "parent": row.parent,
                 "channel": row.channel,
                 "branching": row.branching,
-                "chi_sp_over_pi": chi_sp_mod_pi(p) / np.pi,
+                "chi_sp_over_pi": chi_sp_mod_pi(p) / math.pi,
                 "visibility": p.visibility,
                 "predictability": p.predictability,
             }
@@ -140,6 +141,8 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_complementarity(args) -> None:
+    import numpy as np
+
     from .interferometer import SpinState, fringe_visibility, path_predictability
 
     state = SpinState(theta=args.theta, phi=args.phi)
@@ -173,7 +176,7 @@ def _resolve_params(args, table, prefix: str = ""):
         return row.params(), f"{row.parent}:{row.channel.replace(' ', '')}"
     if channel is not None:
         raise UsageError(f"--{prefix}channel applies only with --{prefix}hyperon")
-    return params_from_alpha_phi(alpha, (phi_over_pi or 0.0) * np.pi), f"alpha={alpha:g}"
+    return params_from_alpha_phi(alpha, (phi_over_pi or 0.0) * math.pi), f"alpha={alpha:g}"
 
 
 def _cmd_simulate(args) -> None:
@@ -187,7 +190,7 @@ def _cmd_simulate(args) -> None:
         if args.params is not None and all(getattr(args, f"{p}hyperon".replace("-", "_")) is None
                                            for p in prefixes):
             raise UsageError("--params applies only with " + " or ".join(f"--{p}hyperon" for p in prefixes))
-        pol = np.zeros(3) if args.pol is None else _parse_vector(args.pol)
+        pol = (0.0, 0.0, 0.0) if args.pol is None else _parse_vector(args.pol)
         table = functools.cache(functools.partial(_load_table, args))  # loaded once, if a decay looks it up
         decays = [_resolve_params(args, table, prefix) for prefix in prefixes]
         if args.kind == "single":
@@ -401,13 +404,19 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """The `hyperon` script and `python -m hyperon.cli`: main(), then end the process at once.
 
+    Before main(), and so before any command loads numpy, OpenBLAS is
+    held to one thread unless OPENBLAS_NUM_THREADS is already set: no
+    command does threaded BLAS work, and OpenBLAS's default of a thread
+    per core cost each process 60-75 ms of CPU on a 2-core host.
+    main() called in-process leaves the environment alone.
+
     Every report and event file is written and closed when main()
     returns, so the process flushes stdout and stderr and leaves by
-    os._exit, skipping the interpreter's teardown (module finalisation
-    and the shutdown of numpy's BLAS threads).  argparse's exit after
-    --help leaves the same way.  An uncaught exception, or a flush that
-    fails, exits the normal way, which reports it.
+    os._exit, skipping the interpreter's teardown.  argparse's exit
+    after --help leaves the same way.  An uncaught exception, or a flush
+    that fails, exits the normal way, which reports it.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
     except SystemExit as exc:

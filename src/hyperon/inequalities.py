@@ -47,6 +47,11 @@ class InequalitySpec:
                 raise ValueError(f"{name} coefficients must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # no product the see-saw or its certificate forms exceeds (sum |c|)^2
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf, which the check refuses
+            scale = sum(np.abs(arr).sum() for arr in (joint, sa, sb)) ** 2
+        if not np.isfinite(scale):
+            raise ValueError("coefficients too large: the square of the sum of their magnitudes overflows")
 
     @property
     def n_a(self) -> int:

@@ -779,6 +779,55 @@ class TestStartup:
         result = run_fresh(code)
         assert result.returncode == 0, result.stderr
 
+    # a fresh interpreter that has not imported numpy, so numpy loaded by the CLI shows; the
+    # command that runs is the control
+    @pytest.mark.parametrize("argv, code, numpy_loaded", [
+        (None, None, False),
+        (["--help"], 0, False),
+        (["bell"], 1, False),
+        (["--seed", "-1", "context", "--alpha", "1", "--alphabar", "1"], 1, False),
+        (["context", "--alpha", "1", "--alphabar", "1"], 0, True),
+    ], ids=["build_parser", "help", "bell-without-inequality", "negative-seed", "command"])
+    def test_numpy_loads_only_when_a_command_runs(self, argv, code, numpy_loaded):
+        call = "hyperon.cli.build_parser()\ncode = None\n" if argv is None else (
+            "try:\n"
+            f"    code = hyperon.cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+        )
+        result = run_fresh(
+            "import sys, hyperon.cli\n" + call
+            + "print(code, any(m.split('.')[0] == 'numpy' for m in sys.modules), file=sys.stderr)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == f"{code} {numpy_loaded}"
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
+    def test_run_pins_openblas_unless_set(self, preset, want):
+        # run() sets the variable before main(), so before any command loads numpy
+        result = run_fresh(
+            "import os, sys, hyperon.cli\n"
+            "def main():\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+            "    return 0\n"
+            "hyperon.cli.main = main\n"
+            "hyperon.cli.run()\n",
+            OPENBLAS_NUM_THREADS=preset,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, f"{want} False\n", "")
+
+    def test_main_leaves_the_environment_alone(self):
+        result = run_fresh(
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import hyperon.cli\n"
+            "code = hyperon.cli.main(['bell', '--inequality', 'I2', '--threshold'])\n"
+            "print(code, dict(os.environ) == before)\n",
+            OPENBLAS_NUM_THREADS=None,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 True"
+
     # the hyperon modules each command loads, and which of these standard
     # modules it loads beyond what numpy and argparse load
     STDLIB = ("concurrent.futures", "logging", "json")
@@ -906,6 +955,25 @@ class TestEntry:
         result = run_entry(*argv)
         assert (result.returncode, result.stdout, result.stderr) == want
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--seed", "-1", "simulate", "pair", "--k", "0.5", "--events", "10"], 1),
+        (["complementarity", "--theta", "nan"], 1),
+        (["context", "--alpha", "x", "--alphabar", "1"], 1),
+        (["table", "--params", "missing.csv"], 2),
+        (["analyze", "witness", "--events", "missing.csv"], 2),
+        (["simulate", "single", "--alpha", "0.5", "--pol=1,2", "--events", "10"], 1),
+    ], ids=["seed", "theta", "alpha", "params", "events", "pol"])
+    def test_bad_input_is_one_line(self, capsys, tmp_path, argv, code):
+        # numpy warnings are errors in the child too; the report or event file never appears
+        out = tmp_path / "f.csv"
+        argv = [str(tmp_path / a) if a == "missing.csv" else a for a in argv] + ["--out", str(out)]
+        want = run_cli(capsys, *argv)
+        result = run_entry(*argv, options=("-W", "error"))
+        assert (result.returncode, result.stdout, result.stderr) == want
+        assert want[0] == code and want[2].count("\n") == 1
+        assert want[2].startswith(("usage error: ", "error: ", "data error: "))
+        assert "Traceback" not in result.stderr and not out.exists()
+
     @pytest.mark.parametrize("command", [(), ("simulate", "pair")])
     def test_help(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the text to the terminal's width
@@ -938,20 +1006,25 @@ class TestEntry:
         assert [ast.unparse(statement) for statement in blocks[0]] == [f"{script[0]}()"]
 
 
-def run_entry(*argv: str, unbuffered: bool = True, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    """Run `python -m hyperon.cli *argv` in a fresh interpreter that imports hyperon from this tree.
+def run_entry(*argv: str, unbuffered: bool = True, stdout=subprocess.PIPE,
+              options: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run `python *options -m hyperon.cli *argv` in a fresh interpreter that imports hyperon from this tree.
 
     `unbuffered` sets PYTHONUNBUFFERED, or unsets it, so that stdout is block-buffered.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]), PYTHONUNBUFFERED="1")
     if not unbuffered:
         del env["PYTHONUNBUFFERED"]
-    return subprocess.run([sys.executable, "-m", "hyperon.cli", *argv], env=env, stdout=stdout,
+    return subprocess.run([sys.executable, *options, "-m", "hyperon.cli", *argv], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=60)
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports hyperon from this tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+def run_fresh(code: str, **environ: str | None) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports hyperon from this tree.
+
+    `environ` sets variables of its environment, or unsets those given as None.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]), **environ)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)

@@ -217,6 +217,24 @@ class TestCertificate:
         with pytest.raises(ValueError, match=f"{array} coefficients must be finite"):
             InequalitySpec("bad", **coefficients)
 
+    @pytest.mark.parametrize("big", [1e155, 1e308])
+    @pytest.mark.parametrize("array", ["joint", "singles_a", "singles_b"])
+    def test_overflowing_coefficients_rejected(self, array, big):
+        # finite, but the see-saw's products would overflow (warnings are errors here)
+        coefficients = {"joint": np.array([[1.0, 1.0], [1.0, -1.0]]),
+                        "singles_a": np.array([-1.0, 0.0]), "singles_b": np.array([-1.0, 0.0])}
+        coefficients[array].flat[0] = big
+        with pytest.raises(ValueError, match="coefficients too large"):
+            InequalitySpec("big", **coefficients)
+
+    def test_large_coefficients_keep_the_threshold(self):
+        # k* = -4 c0 / S does not change when every coefficient is scaled
+        scaled = InequalitySpec("I2e150", joint=1e150 * I2.joint, singles_a=1e150 * I2.singles_a,
+                                singles_b=1e150 * I2.singles_b)
+        value, bound, _, _ = inequalities._correlation_max(scaled)
+        assert 0.0 <= bound - value <= 1e-12 * value
+        assert threshold(scaled) == pytest.approx(CLOSED_FORM_THRESHOLD["I2"], rel=1e-12)
+
 
 class TestThreshold:
     def test_chsh_threshold_is_inverse_sqrt2(self):
