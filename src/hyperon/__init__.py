@@ -12,7 +12,7 @@ no submodule and each CLI command loads only the modules it runs.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 _EXPORTS = {
     "qcore": (
@@ -31,13 +31,11 @@ _EXPORTS = {
     ),
     "decay": (
         "DecayAmplitudes",
-        "DecayParameters",
         "KrausPair",
         "amplitudes_from_params",
         "angular_pdf",
         "kraus_decompose",
         "kraus_operators",
-        "params_from_alpha_phi",
         "params_from_amplitudes",
         "transition_matrix",
     ),
@@ -67,7 +65,14 @@ _EXPORTS = {
         "sample_pair",
         "sample_single",
     ),
-    "params": ("ParameterRow", "ParameterTable", "load_bundled_parameters", "load_parameters"),
+    "params": (
+        "DecayParameters",
+        "ParameterRow",
+        "ParameterTable",
+        "load_bundled_parameters",
+        "load_parameters",
+        "params_from_alpha_phi",
+    ),
     "dataio": ("read_events", "write_events"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

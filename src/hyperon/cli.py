@@ -116,12 +116,13 @@ def _parse_vector(text: str) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each command is a fresh process, so each handler
-# imports the modules it runs, numpy among them, and no command pays for
-# another's; --help and usage errors exit before any of them loads
+# imports the modules it runs, and no command pays for another's; --help
+# and usage errors exit before any of them loads.  bell, table and context
+# are scalar work and never load numpy
 
 
 def _cmd_table(args) -> None:
-    from .decay import chi_sp_mod_pi
+    from .params import chi_sp_mod_pi
 
     table = _load_table(args)
     rows = []
@@ -163,7 +164,7 @@ def _resolve_params(args, table, prefix: str = ""):
 
     `table()` returns the parameter table that --{prefix}hyperon looks up.
     """
-    from .decay import params_from_alpha_phi
+    from .params import params_from_alpha_phi
 
     name, channel, alpha, phi_over_pi = (
         getattr(args, (prefix + key).replace("-", "_"))
@@ -272,8 +273,13 @@ def _cmd_bell(args) -> None:
         return
     if not 0.0 <= args.k <= 1.0:
         raise UsageError(f"--k must lie in [0, 1], got {args.k}")
-    value, settings = inequalities.maximize(spec, inequalities.ProbModel(args.k))
-    verdict = "violation" if value > 0.0 else "no violation possible"
+    model = inequalities.ProbModel(args.k)
+    value, settings = inequalities.maximize(spec, model)
+    # "no violation possible" needs the certified bound; an attained value above 0 is a violation
+    if inequalities.certified_bound(spec, settings, model) <= 0.0:
+        verdict = "no violation possible"
+    else:
+        verdict = "violation" if value > 0.0 else "undecided"
     _emit([{"inequality": spec.name, "k": args.k, "max_value": value, "verdict": verdict,
             "settings": _settings_string(settings)}], args)
 

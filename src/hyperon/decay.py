@@ -6,7 +6,8 @@ amplitudes acts on the parent spin through the transition matrix
 same process, viewed as an open channel, is a two-outcome incomplete spin
 measurement: with probability ``(1 +/- alpha)/2`` the spin is projected
 along ``+/- n``.  This module holds the amplitude <-> parameter
-conversions, the Kraus decomposition and the normalized angular density.
+conversions, the Kraus decomposition and the normalized angular density;
+`DecayParameters` and its scalar conversions live in `params`.
 
 Phase conventions: ``alpha + i beta`` has phase ``chi_SP`` (the S-P phase
 shift), and ``beta + i gamma`` has phase ``pi/2 - phi``.  `DecayParameters`
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import (  # chi_sp_mod_pi, params_from_alpha_phi: re-exported
+    _PARAM_TOL, DecayParameters, chi_sp_mod_pi, params_from_alpha_phi)
 from .qcore import PAULI, as_density, pauli_dot
 from .sphere import require_polarization, require_unit
-
-_PARAM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,90 +43,12 @@ class DecayAmplitudes:
         return abs(self.S) ** 2 + abs(self.P) ** 2
 
 
-@dataclass(frozen=True)
-class DecayParameters:
-    """Asymmetry parameters (alpha, beta, gamma) and their information-theoretic face.
-
-    alpha = 2 Re(S* P) / (|S|^2 + |P|^2)
-    beta  = 2 Im(S* P) / (|S|^2 + |P|^2) = sqrt(1 - alpha^2) sin(phi)
-    gamma = (|S|^2 - |P|^2) / (|S|^2 + |P|^2) = sqrt(1 - alpha^2) cos(phi)
-    visibility = sqrt(alpha^2 + beta^2), predictability = |gamma|,
-    chi_sp = atan2(beta, alpha).
-
-    Only (alpha, beta, gamma) are stored; the rest are computed from them.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        err = self.alpha * self.alpha + self.beta * self.beta + self.gamma * self.gamma - 1.0
-        if not abs(err) <= _PARAM_TOL:  # written so that NaN fails
-            raise ValueError(f"inconsistent decay parameters: alpha^2+beta^2+gamma^2 = 1 off by {err:.3e}")
-
-    @property
-    def phi(self) -> float:
-        return float(np.arctan2(self.beta, self.gamma))
-
-    @property
-    def chi_sp(self) -> float:
-        return float(np.arctan2(self.beta, self.alpha))
-
-    @property
-    def visibility(self) -> float:
-        return float(np.hypot(self.alpha, self.beta))
-
-    @property
-    def predictability(self) -> float:
-        return abs(self.gamma)
-
-
-def chi_sp_mod_pi(params: DecayParameters) -> float:
-    """S-P phase shift folded into (-pi/2, pi/2], the convention of published tables.
-
-    Tables report |alpha| together with a principal-branch phase; the fold
-    keeps tan(chi) = beta/alpha while dropping the overall amplitude sign.
-    """
-    chi = params.chi_sp
-    if chi > np.pi / 2:
-        chi -= np.pi
-    elif chi <= -np.pi / 2:
-        chi += np.pi
-    return chi
-
-
 def params_from_amplitudes(a: DecayAmplitudes) -> DecayParameters:
     """Standard decay parameters (alpha, beta, gamma, ...) from (S, P)."""
     n = a.norm_sq
     sp = np.conj(a.S) * a.P
     gamma = (abs(a.S) ** 2 - abs(a.P) ** 2) / n
     return DecayParameters(float(2.0 * sp.real / n), float(2.0 * sp.imag / n), float(gamma))
-
-
-def params_from_alpha_phi(alpha: float, phi: float, gamma_sign: int | None = None) -> DecayParameters:
-    """Parameters from the measured pair (alpha, phi).
-
-    ``gamma_sign`` (+1 or -1), when given, must agree with the sign of
-    cos(phi); it is carried by parameter files as an explicit cross-check
-    since gamma's sign is not recoverable from visibility/predictability
-    magnitudes alone.
-    """
-    if not abs(alpha) <= 1.0:  # written so that NaN fails
-        raise ValueError(f"|alpha| = {abs(alpha)} exceeds 1")
-    if not np.isfinite(phi):
-        raise ValueError(f"phi = {phi} is not finite")
-    r = np.sqrt(1.0 - alpha * alpha)
-    beta = r * np.sin(phi)
-    gamma = r * np.cos(phi)
-    if gamma_sign is not None:
-        if gamma_sign not in (1, -1):
-            raise ValueError("gamma_sign must be +1 or -1")
-        if gamma != 0.0 and np.sign(gamma) != gamma_sign:
-            raise ValueError(
-                f"gamma_sign {gamma_sign:+d} contradicts cos(phi) = {np.cos(phi):.6g}"
-            )
-    return DecayParameters(float(alpha), float(beta), float(gamma))
 
 
 def amplitudes_from_params(p: DecayParameters) -> DecayAmplitudes:

@@ -542,6 +542,31 @@ class TestBell:
                 for seed in ("1", "2", str(2**64 - 1))}
         assert len(outs) == 1 and next(iter(outs))[0] == 0
 
+    # the verdict of every (inequality, k) that CI runs, as before the certified bound decided it
+    @pytest.mark.parametrize("inequality, k, verdict", [
+        *((name, k, "no violation possible") for name in ("I2", "I3", "I4") for k in ("0", "0.46", "0.7071")),
+        *((name, k, "violation") for name in ("I2", "I3", "I4") for k in ("0.9", "1")),
+    ])
+    def test_verdict(self, capsys, inequality, k, verdict):
+        code, out, _ = run_cli(capsys, "bell", "--inequality", inequality, "--k", k)
+        assert code == 0 and parse_csv(out)[0]["verdict"] == verdict
+
+    @pytest.mark.parametrize("k, verdict", [("0.46", "undecided"), ("1", "violation")])
+    def test_no_proof_is_undecided(self, capsys, monkeypatch, k, verdict):
+        # "no violation possible" needs the bound; a certificate that proves nothing leaves a
+        # value below 0 undecided, and a value above 0 is a violation whatever the bound
+        from hyperon import inequalities
+
+        certificate = inequalities._certificate
+
+        def never_certifies(c, a, b):
+            value, _ = certificate(c, a, b)
+            return value, value + 10.0
+
+        monkeypatch.setattr(inequalities, "_certificate", never_certifies)
+        code, out, _ = run_cli(capsys, "bell", "--inequality", "I2", "--k", k)
+        assert code == 0 and parse_csv(out)[0]["verdict"] == verdict
+
     def test_threshold_refuses_k(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--inequality", "I2", "--threshold", "--k", "0.46")
         assert code == 1 and out == ""
@@ -653,6 +678,145 @@ class TestDeterminism:
                               "--alphabar", "0.5")
         assert code == 0 and code2 == 0
         assert f.read_text() == out
+
+
+class TestPinnedReports:
+    """Reports pinned digit for digit: their arithmetic may be rewritten, their output may not."""
+
+    THRESHOLD_CSV = {"I2": "inequality,threshold\nI2,0.707107\n", "I3": "inequality,threshold\nI3,0.8\n",
+                     "I4": "inequality,threshold\nI4,0.899954\n"}
+    THRESHOLD_JSON = {
+        "I2": '[\n  {\n    "inequality": "I2",\n    "threshold": 0.707107\n  }\n]\n',
+        "I3": '[\n  {\n    "inequality": "I3",\n    "threshold": 0.8\n  }\n]\n',
+        "I4": '[\n  {\n    "inequality": "I4",\n    "threshold": 0.899954\n  }\n]\n',
+    }
+    TABLE_CSV = """\
+parent,channel,branching,chi_sp_over_pi,visibility,predictability
+Lambda,p pi-,0.639,-0.0427737,0.64784,0.761776
+Lambda,n pi0,0.358,-0.0418846,0.655668,0.755049
+Lambdabar,pbar pi+,0.639,0.0355904,0.714461,0.699675
+Sigma-,n pi-,0.998,-0.380943,0.186114,0.982528
+Sigma+,p pi0,0.516,-0.037813,0.986956,0.160992
+Sigma+,n pi+,0.483,0.406354,0.234506,0.972115
+Xi0,Lambda pi0,0.995,0.216065,0.521626,0.853174
+Xi-,Lambda pi-,0.998,0.0226012,0.459157,0.888355
+"""
+    TABLE_JSON = """\
+[
+  {
+    "parent": "Lambda",
+    "channel": "p pi-",
+    "branching": 0.639,
+    "chi_sp_over_pi": -0.0427737,
+    "visibility": 0.64784,
+    "predictability": 0.761776
+  },
+  {
+    "parent": "Lambda",
+    "channel": "n pi0",
+    "branching": 0.358,
+    "chi_sp_over_pi": -0.0418846,
+    "visibility": 0.655668,
+    "predictability": 0.755049
+  },
+  {
+    "parent": "Lambdabar",
+    "channel": "pbar pi+",
+    "branching": 0.639,
+    "chi_sp_over_pi": 0.0355904,
+    "visibility": 0.714461,
+    "predictability": 0.699675
+  },
+  {
+    "parent": "Sigma-",
+    "channel": "n pi-",
+    "branching": 0.998,
+    "chi_sp_over_pi": -0.380943,
+    "visibility": 0.186114,
+    "predictability": 0.982528
+  },
+  {
+    "parent": "Sigma+",
+    "channel": "p pi0",
+    "branching": 0.516,
+    "chi_sp_over_pi": -0.037813,
+    "visibility": 0.986956,
+    "predictability": 0.160992
+  },
+  {
+    "parent": "Sigma+",
+    "channel": "n pi+",
+    "branching": 0.483,
+    "chi_sp_over_pi": 0.406354,
+    "visibility": 0.234506,
+    "predictability": 0.972115
+  },
+  {
+    "parent": "Xi0",
+    "channel": "Lambda pi0",
+    "branching": 0.995,
+    "chi_sp_over_pi": 0.216065,
+    "visibility": 0.521626,
+    "predictability": 0.853174
+  },
+  {
+    "parent": "Xi-",
+    "channel": "Lambda pi-",
+    "branching": 0.998,
+    "chi_sp_over_pi": 0.0226012,
+    "visibility": 0.459157,
+    "predictability": 0.888355
+  }
+]
+"""
+    CONTEXT_CSV = (
+        "alpha,alphabar,value,classical_bound,verdict,equal_alpha_formula_root,"
+        "published_equal_alpha_claim,claim_consistent_with_formula\n"
+        "0.75,0.75,1.62158,4,no violation,0.916126,0.88,false\n"
+    )
+    CONTEXT_JSON = """\
+[
+  {
+    "alpha": 0.75,
+    "alphabar": 0.75,
+    "value": 1.62158,
+    "classical_bound": 4.0,
+    "verdict": "no violation",
+    "equal_alpha_formula_root": 0.916126,
+    "published_equal_alpha_claim": 0.88,
+    "claim_consistent_with_formula": false
+  }
+]
+"""
+    # inequality, k, max_value and verdict; the settings column is the see-saw's own choice
+    MAXIMUM = {"I2": "I2,0.46,-0.174731,no violation possible",
+               "I3": "I3,0.46,-0.425,no violation possible",
+               "I4": "I4,0.46,-0.85551,no violation possible"}
+
+    @pytest.mark.parametrize("inequality", ["I2", "I3", "I4"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_threshold(self, capsys, fmt, inequality):
+        code, out, _ = run_cli(capsys, "--format", fmt, "bell", "--inequality", inequality, "--threshold")
+        pinned = self.THRESHOLD_CSV if fmt == "csv" else self.THRESHOLD_JSON
+        assert (code, out) == (0, pinned[inequality])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table(self, capsys, monkeypatch, fmt):
+        monkeypatch.delenv("HYPERON_PARAMS", raising=False)
+        code, out, _ = run_cli(capsys, "--format", fmt, "table")
+        assert (code, out) == (0, self.TABLE_CSV if fmt == "csv" else self.TABLE_JSON)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_context(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "--format", fmt, "context", "--alpha", "0.75", "--alphabar", "0.75")
+        assert (code, out) == (0, self.CONTEXT_CSV if fmt == "csv" else self.CONTEXT_JSON)
+
+    @pytest.mark.parametrize("inequality", ["I2", "I3", "I4"])
+    def test_maximum(self, capsys, inequality):
+        code, out, _ = run_cli(capsys, "bell", "--inequality", inequality, "--k", "0.46")
+        header, row = out.splitlines()
+        assert code == 0 and header == "inequality,k,max_value,verdict,settings"
+        assert row.rsplit(",", 1)[0] == self.MAXIMUM[inequality]
 
 
 class TestGlobalFlags:
@@ -779,15 +943,21 @@ class TestStartup:
         result = run_fresh(code)
         assert result.returncode == 0, result.stderr
 
-    # a fresh interpreter that has not imported numpy, so numpy loaded by the CLI shows; the
-    # command that runs is the control
+    # a fresh interpreter that has not imported numpy, so numpy loaded by the CLI shows: the
+    # reports of bell, table and context are scalar work and load none; complementarity's
+    # fringe fit is the control that does
     @pytest.mark.parametrize("argv, code, numpy_loaded", [
         (None, None, False),
         (["--help"], 0, False),
         (["bell"], 1, False),
         (["--seed", "-1", "context", "--alpha", "1", "--alphabar", "1"], 1, False),
-        (["context", "--alpha", "1", "--alphabar", "1"], 0, True),
-    ], ids=["build_parser", "help", "bell-without-inequality", "negative-seed", "command"])
+        (["bell", "--inequality", "I4", "--threshold"], 0, False),
+        (["bell", "--inequality", "I2", "--k", "0.46"], 0, False),
+        (["table"], 0, False),
+        (["context", "--alpha", "1", "--alphabar", "1"], 0, False),
+        (["complementarity", "--theta", "1.0472"], 0, True),
+    ], ids=["build_parser", "help", "bell-without-inequality", "negative-seed", "bell-threshold",
+            "bell-k", "table", "context", "command"])
     def test_numpy_loads_only_when_a_command_runs(self, argv, code, numpy_loaded):
         call = "hyperon.cli.build_parser()\ncode = None\n" if argv is None else (
             "try:\n"
@@ -831,7 +1001,7 @@ class TestStartup:
     # the hyperon modules each command loads, and which of these standard
     # modules it loads beyond what numpy and argparse load
     STDLIB = ("concurrent.futures", "logging", "json")
-    BELL = {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.inequalities"}
+    BELL = {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.inequalities"}
     LOADS = {
         "bell --inequality I3 --threshold": (BELL, set()),
         "bell --inequality I2 --k 0.46": (BELL, set()),
@@ -841,12 +1011,8 @@ class TestStartup:
             {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.interferometer"},
             set(),
         ),
-        # the parameter reader, with no event-file or sampling module
-        "table": (
-            {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.params",
-             "hyperon.decay", "hyperon.sphere"},
-            set(),
-        ),
+        # the parameter reader, with no event-file, sampling or operator module
+        "table": ({"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.params"}, set()),
     }
 
     @pytest.mark.parametrize("argv", list(LOADS))

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -86,11 +89,11 @@ class TestEvaluate:
         for spec in (I2, I3, I4):
             settings = random_settings(rng, spec)
             manual = sum(
-                spec.joint[i, j] * prob_joint(model, settings.a[i], settings.b[j])
+                spec.joint[i][j] * prob_joint(model, settings.a[i], settings.b[j])
                 for i in range(spec.n_a)
                 for j in range(spec.n_b)
             )
-            manual += 0.5 * (spec.singles_a.sum() + spec.singles_b.sum())  # singles are 1/2
+            manual += 0.5 * (sum(spec.singles_a) + sum(spec.singles_b))  # singles are 1/2
             assert abs(evaluate(spec, settings, model) - manual) < 1e-12
 
     def test_correlations_collapse_at_k_zero(self):
@@ -208,6 +211,47 @@ class TestCertificate:
             assert value < top[spec.name] - 1e-3
             assert bound - value > 1e-3 * value
 
+    def test_stalled_starts_pass_uncertified(self, monkeypatch):
+        # with a certificate that never proves anything, each start sweeps until its vectors stop
+        # moving and passes to the next, far short of the sweep cap; the best value still wins
+        certificate = inequalities._certificate
+
+        def never_certifies(c, a, b):
+            value, _ = certificate(c, a, b)
+            return value, value + 1.0
+
+        monkeypatch.setattr(inequalities, "_certificate", never_certifies)
+        t0 = time.perf_counter()
+        value, bound, a, b = inequalities._correlation_max(I4)
+        assert time.perf_counter() - t0 < 0.5
+        assert abs(value - 11.0 / math.sqrt(2.0)) <= 1e-12 * value
+        assert bound == value + 1.0
+        assert certificate(I4.joint, a, b)[0] == value
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_jacobi_matches_lapack(self, n):
+        # the smallest eigenvalue of symmetric matrices of the certificate's sizes, to rounding
+        rng = np.random.default_rng(61 + n)
+        for _ in range(50):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            want = np.linalg.eigvalsh(m)[0]
+            got = inequalities._min_eigenvalue(m.tolist())
+            assert abs(got - want) <= 1e-13 * np.abs(m).sum()
+
+    @pytest.mark.parametrize("spec", [I2, I3, I4], ids=lambda spec: spec.name)
+    def test_certified_bound_holds_the_maximum(self, spec):
+        # c0 + k U/4 is above the attained maximum by no more than the certificate's slack
+        # at the optimal settings, and above every value at other settings too
+        rng = np.random.default_rng(62)
+        for k in (0.0, 0.46, 1.0):
+            model = ProbModel(k)
+            value, settings = maximize(spec, model)
+            bound = inequalities.certified_bound(spec, settings, model)
+            assert value <= bound <= value + 1e-12 * max(1.0, abs(value))
+            other = random_settings(rng, spec)
+            assert evaluate(spec, other, model) <= inequalities.certified_bound(spec, other, model)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("array", ["joint", "singles_a", "singles_b"])
     def test_non_finite_coefficient_rejected(self, array, bad):
@@ -229,8 +273,9 @@ class TestCertificate:
 
     def test_large_coefficients_keep_the_threshold(self):
         # k* = -4 c0 / S does not change when every coefficient is scaled
-        scaled = InequalitySpec("I2e150", joint=1e150 * I2.joint, singles_a=1e150 * I2.singles_a,
-                                singles_b=1e150 * I2.singles_b)
+        scaled = InequalitySpec("I2e150", joint=1e150 * np.asarray(I2.joint),
+                                singles_a=1e150 * np.asarray(I2.singles_a),
+                                singles_b=1e150 * np.asarray(I2.singles_b))
         value, bound, _, _ = inequalities._correlation_max(scaled)
         assert 0.0 <= bound - value <= 1e-12 * value
         assert threshold(scaled) == pytest.approx(CLOSED_FORM_THRESHOLD["I2"], rel=1e-12)
