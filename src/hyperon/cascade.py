@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import DecayParameters
+from .params import DecayParameters
 from .sphere import require_polarization, require_unit
 
 FOUR_PI_SQ = (4.0 * np.pi) ** 2

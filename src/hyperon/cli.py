@@ -231,7 +231,8 @@ def _pair_moments(args):
 def _cmd_witness(args) -> None:
     moments = _pair_moments(args)
     value, stderr = moments.witness()
-    verdict = "entangled" if value < 0.0 else "not detected"
+    # significance, not a sign: a separable sample reads below 0 about half the time
+    verdict = "entangled" if value + 3.0 * stderr < 0.0 else "not detected"
     _emit([{"n_pairs": moments.count, "witness": value, "stderr": stderr, "verdict": verdict}], args)
 
 
@@ -364,9 +365,13 @@ def build_parser() -> _Parser:
 
     whats = command(sub, "analyze", "estimate pair observables from an event file").add_subparsers(
         dest="what", required=True)
-    for what, summary, func in (("witness", "entanglement witness", _cmd_witness),
-                                ("correlations", "spin correlation matrix", _cmd_correlations)):
+    for what, summary, func in (
+            ("witness", "entanglement witness; the verdict is 'entangled' only when the witness lies "
+                        "more than 3 standard errors below 0 (witness + 3 stderr < 0), else "
+                        "'not detected'", _cmd_witness),
+            ("correlations", "spin correlation matrix", _cmd_correlations)):
         p = command(whats, what, summary, func)
+        p.description = summary
         p.add_argument("--events", required=True, help="event file path")
     p.add_argument("--renormalize", action="store_true")  # p: correlations, the last kind
     p.add_argument("--alpha", type=float)

@@ -4,17 +4,20 @@ Every density that appears (single decay, singlet pair, two-step cascade)
 is (1 + v.n)/(4 pi) for some axis v with |v| <= 1, and every decay is
 sampled as the paper reads it, a measurement along one of two axes +-n:
 a uniform direction n, kept with probability (1 + v.n)/2, else negated.
-That is exact, with three uniforms per decay and no special axis.
+That is exact, with three uniforms per decay, one cosine and no special
+axis: the azimuth lies on [-pi, pi) and its sine is taken from its cosine.
 
-Reproducibility contract: event i consumes ceil(3 len(roles) / 4) 4-word
-Philox counter blocks keyed by the master seed, so the event stream is bit
-identical for any worker count or chunking.  `iter_chunks` partitions the
-event range into fixed-size chunks, samples them on a bounded thread pool
-and yields them in event order; `generate` samples the same chunks on the
-same pool, each thread writing its chunk straight into the chunk's rows of
-one preallocated table.  Every kernel step writes with `out=` into one of
-five workspaces that the call allocates, 5 x 16,384 x 8 B (655 KB) on its
-sampling thread.
+Reproducibility contract: one PCG64 stream seeded by the master seed, of
+which event i takes the 3 len(roles) consecutive doubles from draw
+3 len(roles) i on; a chunk advances the stream to its first event in
+O(log n) steps, so the event stream is bit identical for any worker count
+or chunking.  `iter_chunks` partitions the event range into fixed-size
+chunks, samples them on a bounded thread pool and yields them in event
+order; `generate` samples the same chunks on the same pool, each thread
+writing its chunk straight into the chunk's rows of one preallocated
+table.  Every kernel step writes with `out=` into one of five workspaces
+that the call allocates, 5 x 16,384 x 8 B (655 KB) on its sampling
+thread.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ from typing import ClassVar, TypeVar
 import numpy as np
 
 from .cascade import _conditional_axes
-from .decay import DecayParameters
+from .params import DecayParameters
 from .sphere import require_polarization
 
-_STREAM_CONSTANT = 0x9E3779B97F4A7C15
 # each chunk in flight holds its directions and formatted text: `simulate pair` of 1M events
 # on 2 threads peaked anywhere in 78-94 MB with 1 << 16 and in 52-55 MB with 1 << 14
 _CHUNK = 1 << 14
@@ -224,10 +226,13 @@ def directions_from_linear_density(
     """Draw one direction per row of the uniforms from the density (1 + v.n)/(4 pi).
 
     The decay read as a two-axis measurement: n is uniform on the sphere
-    (cos theta = 2 u_cos - 1, azimuth 2 pi u_phi) and is kept with
-    probability (1 + v.n)/2, else negated, so the density at n is
-    (1 + v.n)/(8 pi) + (1 - v.(-n))/(8 pi) = (1 + v.n)/(4 pi).  The sign
-    is that of v.n - (2 u_keep - 1).
+    (cos theta = 2 u_cos - 1, azimuth phi = 2 pi u_phi - pi on [-pi, pi))
+    and is kept with probability (1 + v.n)/2, else negated, so the density
+    at n is (1 + v.n)/(8 pi) + (1 - v.(-n))/(8 pi) = (1 + v.n)/(4 pi).  The
+    sign is that of v.n - (2 u_keep - 1).  Both sines come from their
+    cosines, sin theta = sqrt(1 - cos^2 theta) and
+    sin phi = copysign(sqrt(1 - cos^2 phi), phi), so a decay costs one
+    trigonometric call.
 
     `vectors` is either one vector v of shape (3,) that holds for every
     row or one row v per draw; |v| <= 1.  The directions are written into
@@ -250,8 +255,12 @@ def directions_from_linear_density(
     np.subtract(1.0, sin, out=sin)
     np.sqrt(sin, out=sin)
     np.multiply(2.0 * np.pi, u_phi, out=sign)  # the azimuth
+    np.subtract(sign, np.pi, out=sign)
     np.cos(sign, out=nx)
-    np.sin(sign, out=ny)
+    np.multiply(nx, nx, out=ny)
+    np.subtract(1.0, ny, out=ny)
+    np.sqrt(ny, out=ny)
+    np.copysign(ny, sign, out=ny)
     np.multiply(nx, sin, out=nx)
     np.multiply(ny, sin, out=ny)
     np.multiply(x, nx, out=sign)  # v.n
@@ -269,13 +278,23 @@ def directions_from_linear_density(
 
 
 def sample_single(params: DecayParameters, s, stream) -> np.ndarray:
-    """One daughter direction from (1/4pi)(1 + alpha s.n): SingleDecayModel's kernel on 3 draws."""
+    """One daughter direction from (1/4pi)(1 + alpha s.n): SingleDecayModel's kernel on 3 draws.
+
+    `stream` is a numpy Generator; the next three doubles are (u_cos, u_phi,
+    u_keep) of `directions_from_linear_density`, azimuth on [-pi, pi) and its
+    sine from its cosine.  Event i of `generate` is this call on
+    Generator(PCG64(seed)) advanced by 3 i draws.
+    """
     model = SingleDecayModel(params, require_polarization(s, "s"))
     return model.kernel(stream.random(3)[None])[0, 0]
 
 
 def sample_pair(k: float, stream) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n1, n2) from (1 - k n1.n2)/(4 pi)^2: PairCorrelationModel's kernel on 6 draws."""
+    """Directions (n1, n2) from (1 - k n1.n2)/(4 pi)^2: PairCorrelationModel's kernel on 6 draws.
+
+    Three draws per decay, as in `sample_single`; event i of `generate` is
+    this call on Generator(PCG64(seed)) advanced by 6 i draws.
+    """
     n1, n2 = PairCorrelationModel(k).kernel(stream.random(6)[None])[0]
     return n1, n2
 
@@ -283,21 +302,25 @@ def sample_pair(k: float, stream) -> tuple[np.ndarray, np.ndarray]:
 def sample_cascade(
     mu: DecayParameters, nu: DecayParameters, s, stream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n_mu, n_nu), n_nu from its exact conditional: CascadeDecayModel's kernel on 6 draws."""
+    """Directions (n_mu, n_nu), n_nu from its exact conditional: CascadeDecayModel's kernel on 6 draws.
+
+    Three draws per decay, as in `sample_single`; event i of `generate` is
+    this call on Generator(PCG64(seed)) advanced by 6 i draws.
+    """
     model = CascadeDecayModel(mu, nu, require_polarization(s, "s"))
     n_mu, n_nu = model.kernel(stream.random(6)[None])[0]
     return n_mu, n_nu
 
 
 # ---------------------------------------------------------------------------
-# counter-based bulk generation
+# bulk generation from one seekable stream
 
 
-def _event_uniforms(seed: int, start: int, count: int, blocks: int) -> np.ndarray:
-    """Uniform doubles of shape (count, 4 * blocks): the 4-word Philox blocks of events start .. start+count-1."""
-    bitgen = np.random.Philox(key=np.array([seed, _STREAM_CONSTANT], dtype=np.uint64))
-    bitgen.advance(start * blocks)
-    return np.random.Generator(bitgen).random(4 * blocks * count).reshape(count, 4 * blocks)
+def _event_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
+    """Uniform doubles of shape (count, draws): row i holds the doubles of event start + i."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(start * draws)
+    return np.random.Generator(bitgen).random(draws * count).reshape(count, draws)
 
 
 def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
@@ -364,8 +387,8 @@ def _table(model, first_id: int, n: np.ndarray) -> EventTable:
 
 def _sample(config: SampleConfig, start: int, out: np.ndarray) -> None:
     """Write the directions of events start, start + 1, ... into `out` of shape (events, len(roles), 3)."""
-    blocks = -(-3 * len(config.model.roles) // 4)  # three uniforms per decay, four per block
-    config.model.kernel(_event_uniforms(config.seed, start, out.shape[0], blocks), out=out)
+    draws = 3 * len(config.model.roles)  # three uniforms per decay
+    config.model.kernel(_event_uniforms(config.seed, start, out.shape[0], draws), out=out)
 
 
 def _map_chunks(config: SampleConfig, func: Callable[[int], _T]) -> Iterator[_T]:
@@ -379,12 +402,12 @@ def iter_chunks(
 ) -> Iterator[EventTable | _T]:
     """The configured events as one EventTable per _CHUNK events, in id order.
 
-    Each model's `kernel` maps uniforms of shape (events, 4 x blocks) to
-    directions of shape (events, len(roles), 3), three uniforms per decay;
-    pair and cascade models emit two rows
-    per event id, in the fixed role order.  Chunks are sampled on up to
-    `_pool_size` threads with at most two chunks per thread in flight, so
-    memory stays bounded for any event count.  With `apply`, each chunk's
+    Each model's `kernel` maps uniforms of shape (events, 3 x len(roles))
+    to directions of shape (events, len(roles), 3), three uniforms per
+    decay; pair and cascade models emit two rows per event id, in the
+    fixed role order.  Chunks are sampled on up to `_pool_size` threads
+    with at most two chunks per thread in flight, so memory stays bounded
+    for any event count.  With `apply`, each chunk's
     table is passed to it on the thread that sampled the chunk, and its
     results are yielded in place of the tables.
     """
@@ -405,7 +428,7 @@ def generate(config: SampleConfig) -> EventTable:
     The table holds events * len(roles) rows sorted by id.  Each sampling
     thread writes a chunk straight into the chunk's rows of the table, so
     no chunk is copied or tabled on its own; while it samples, a thread
-    holds the chunk's uniforms (at most 8 x 16,384) and 5 x 16,384 doubles
+    holds the chunk's uniforms (at most 6 x 16,384) and 5 x 16,384 doubles
     (655 KB) of kernel workspace.
     """
     n = np.empty((config.events, len(config.model.roles), 3))

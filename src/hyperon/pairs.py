@@ -97,13 +97,7 @@ class PairMoments:
     def of(cls, n1, n2) -> PairMoments:
         """Moments of one block of matching (N, 3) direction arrays."""
         n1, n2 = _directions(n1, n2)
-        if n1.shape[0] == 0:
-            return cls()
-        dots = np.einsum("ij,ij->i", n1, n2)
-        mean = dots.mean()
-        # einsum sums in the order of the (N, 3, 3) product's mean, without that temporary
-        return cls(dots.size, float(mean), float(((dots - mean) ** 2).sum()),
-                   np.einsum("ij,ik->jk", n1, n2))
+        return cls(*_dot_moments(n1, n2), _cross_moment(n1, n2))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PairMoments:
@@ -189,14 +183,36 @@ def _directions(n1, n2) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
+def _dot_moments(n1: np.ndarray, n2: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of n1.n2 over a block."""
+    if not len(n1):
+        return 0, 0.0, 0.0
+    dots = np.einsum("ij,ij->i", n1, n2)
+    mean = dots.mean()
+    return dots.size, float(mean), float(((dots - mean) ** 2).sum())
+
+
+def _cross_moment(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """The sum of n1 n2^T over a block."""
+    # einsum sums in the order of the (N, 3, 3) product's mean, without that temporary
+    return np.einsum("ij,ik->jk", n1, n2)
+
+
 def witness_estimate(n1, n2) -> tuple[float, float]:
-    """Witness estimate and its standard error from paired direction samples (`PairMoments.witness`)."""
-    return PairMoments.of(n1, n2).witness()
+    """Witness estimate and its standard error from paired direction samples (`PairMoments.witness`).
+
+    Only the moments of n1.n2 are computed; the cross moment stays zero.
+    """
+    return PairMoments(*_dot_moments(*_directions(n1, n2))).witness()
 
 
 def correlation_estimate(n1, n2, model: PairModel | None = None) -> np.ndarray:
-    """Spin-correlation matrix estimate from direction samples (`PairMoments.correlations`)."""
-    return PairMoments.of(n1, n2).correlations(model)
+    """Spin-correlation matrix estimate from direction samples (`PairMoments.correlations`).
+
+    Only the cross moment is computed; the moments of n1.n2 stay zero.
+    """
+    n1, n2 = _directions(n1, n2)
+    return PairMoments(len(n1), cross=_cross_moment(n1, n2)).correlations(model)
 
 
 @dataclass(frozen=True)

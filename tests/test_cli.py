@@ -243,11 +243,13 @@ class TestSimulate:
         assert (code, out, err) == (1, "", "error: no parameter row for 'X'\n")
 
     # digest: the bytes of the cascade run, the same as when each decay loaded the table
-    # (0.2.x, before the keep-or-negate kernel:
+    # (0.3.0-0.5.x, before the PCG64 stream:
+    # 03abddfb7abda906e5efb3b294a6a9d67fa3a73fad7bc457422ddad9401c3126;
+    # 0.2.x, before the keep-or-negate kernel:
     # 791c21421c9d3b1e19611b19e3e55d92f885c0fef0c08d62bde25810b81e3d49)
     @pytest.mark.parametrize("decays, loads, digest", [
         (("cascade", "--mu-hyperon", "Xi-", "--nu-hyperon", "Lambda"), 1,
-         "03abddfb7abda906e5efb3b294a6a9d67fa3a73fad7bc457422ddad9401c3126"),
+         "aac451b901c6aa179ba0f5efbadb77e556f3d6e5c5b3a53bc033f1a476e04ed5"),
         (("cascade", "--mu-hyperon", "Xi-", "--nu-alpha", "0.5"), 1, None),
         (("single", "--alpha", "0.5"), 0, None),
     ])
@@ -399,6 +401,31 @@ class TestAnalyze:
         row = parse_csv(out)[0]
         assert row["verdict"] == "entangled"
         assert abs(float(row["witness"]) - (1.0 / 3.0 - 0.46)) < 0.02
+
+    @staticmethod
+    def verdict_in_memory(capsys, monkeypatch, seed, k, pairs):
+        """The verdict of `analyze witness` on the pairs of `simulate pair --seed seed`, kept in memory."""
+        from hyperon import cli, mc, pairs as pair_stats
+
+        config = mc.SampleConfig(seed=seed, events=pairs, model=mc.PairCorrelationModel(k=k), workers=1)
+        table = mc.generate(config)
+        moments = pair_stats.PairMoments.of(table.directions_by_role("pair-1"),
+                                            table.directions_by_role("pair-2"))
+        monkeypatch.setattr(cli, "_pair_moments", lambda args: moments)
+        code, out, _ = run_cli(capsys, "analyze", "witness", "--events", "unread.csv")
+        assert code == 0
+        return parse_csv(out)[0]["verdict"]
+
+    def test_witness_at_separable_edge_rarely_entangled(self, capsys, monkeypatch):
+        # k = 1/3 is the separable edge, witness 0: a verdict on the sign alone says "entangled"
+        # for about half the seeds, the 3-standard-error rule for about 0.13%, 0.5 of 400
+        verdicts = [self.verdict_in_memory(capsys, monkeypatch, seed, 1.0 / 3.0, 200) for seed in range(400)]
+        assert verdicts.count("entangled") <= 4
+        assert set(verdicts) <= {"entangled", "not detected"}
+
+    def test_witness_entangled_at_a_million_pairs(self, capsys, monkeypatch):
+        # witness 1/3 - 0.46 = -0.127 against a standard error of about 0.0017
+        assert self.verdict_in_memory(capsys, monkeypatch, 11, 0.46, 1_000_000) == "entangled"
 
     def test_witness_below_threshold(self, capsys, tmp_path):
         f = tmp_path / "weak.csv"

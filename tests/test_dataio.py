@@ -588,9 +588,16 @@ class TestRowParser:
                 assert not good or got == int(digits or b"0")
 
 
-# The stream changed in 0.3.0: each decay is a uniform direction kept or
-# negated, three uniforms per decay and two Philox blocks per pair or cascade
-# event, in place of the inverse CDF in a frame about the axis.  The 0.2.x
+# The stream changed in 0.6.0: event i takes the 3 x roles doubles from draw
+# 3 x roles x i of one PCG64 stream, in place of 4-word Philox blocks, and the
+# azimuth lies on [-pi, pi) with its sine taken from its cosine.  The 0.3.0-0.5.x
+# files hashed to
+#   single  9f4f219ad409b8ff03a5b1a7e1f6ec266106cf89111e73220f9e122c459c53e6
+#   pair    e24f16e8ce4c2960e4a60035b3de97467e9d101aff0e3591da1f528c01270a4a
+#   cascade 3d7340d6db81d67b2d6e715364be995c066c8f335e523c324653c363205c4876
+# It changed in 0.3.0: each decay is a uniform direction kept or negated,
+# three uniforms per decay and two Philox blocks per pair or cascade event,
+# in place of the inverse CDF in a frame about the axis.  The 0.2.x
 # files hashed to
 #   single  2562498fea058a9b510c929f1992ebec5253c1fd5fb3a6af18bc1a63d57445f4
 #   pair    50d05edd6c1a724d571dce3c31ebf8d6812624e980f89ed58796c0404b424ba3
@@ -604,11 +611,11 @@ class TestRowParser:
 #   cascade 029f36593b9d5905c033a497f7ea8b6f08620046c1034744b538a94c09f689b5
 GOLDEN_EVENT_FILES = {
     ("single", "--hyperon", "Lambda", "--pol", "0,0,1"):
-        "9f4f219ad409b8ff03a5b1a7e1f6ec266106cf89111e73220f9e122c459c53e6",
+        "7838b31a29e50a39e9cafbc45f108c1dddf3193a0e641326837c9c34ab5bf078",
     ("pair", "--k", "0.46"):
-        "e24f16e8ce4c2960e4a60035b3de97467e9d101aff0e3591da1f528c01270a4a",
+        "6478bff36aed52aadb5a9e3d5e61636caf6d2289e136939a8164223e427d6f43",
     ("cascade", "--mu-hyperon", "Xi-", "--nu-hyperon", "Lambda"):
-        "3d7340d6db81d67b2d6e715364be995c066c8f335e523c324653c363205c4876",
+        "051b75000e763812c5278fc971aee84f1c25279ea76377141bc8c35672ad6cdf",
 }
 
 

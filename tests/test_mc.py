@@ -12,7 +12,6 @@ from hyperon.mc import (
     PairCorrelationModel,
     SampleConfig,
     SingleDecayModel,
-    _STREAM_CONSTANT,
     _pool_size,
     directions_from_linear_density,
     generate,
@@ -25,10 +24,10 @@ from hyperon.sphere import sphere_quadrature
 LAMBDA = params_from_alpha_phi(0.642, -0.036111111 * np.pi)
 
 
-def stream_at(seed, block=0):
-    """The event stream of `seed` from its 4-word Philox block `block` on."""
-    bitgen = np.random.Philox(key=np.array([seed, _STREAM_CONSTANT], dtype=np.uint64))
-    bitgen.advance(block)
+def stream_at(seed, event=0, draws=3):
+    """The event stream of `seed` from event `event` on, `draws` doubles per event (3 per decay)."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(draws * event)
     return np.random.Generator(bitgen)
 
 
@@ -73,6 +72,23 @@ class TestKernels:
         n = directions_from_linear_density(np.array([0.3, -0.2, 0.5]), *u)
         assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 1e-15
 
+    def test_azimuth_from_one_cosine(self):
+        # sin phi is taken from cos phi: on a dense u_phi grid, with phi -> 0 (u_phi -> 1/2) and
+        # phi -> -pi, pi (u_phi -> 0, 1), n stays unit to 1e-15 and within 2e-8 of the direction
+        # built with np.cos and np.sin; the worst case, about 1.1e-8, is where cos phi rounds to +-1
+        offsets = np.logspace(-17, -1, 4000)
+        u_phi = np.concatenate([np.linspace(0.0, 1.0, 1_000_000, endpoint=False), [0.5], offsets,
+                                0.5 - offsets, 0.5 + offsets, 1.0 - offsets[offsets > 1e-16]])
+        u_cos = np.random.default_rng(67).random(u_phi.size)
+        n = directions_from_linear_density(np.zeros(3), u_cos, u_phi, np.full(u_phi.size, 0.25))  # all kept
+        assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 1e-15
+        cos = 2.0 * u_cos - 1.0
+        sin = np.sqrt(1.0 - cos * cos)
+        phi = 2.0 * np.pi * u_phi - np.pi
+        assert np.all((phi >= -np.pi) & (phi < np.pi))
+        trig = np.stack([np.cos(phi) * sin, np.sin(phi) * sin, cos], axis=1)
+        assert np.max(np.abs(n - trig)) <= 2e-8
+
     def test_overlong_axis_rejected(self):
         u = np.array([0.5])
         with pytest.raises(ValueError, match="longer than 1"):
@@ -87,8 +103,9 @@ def reference_directions(vectors, u_cos, u_phi, u_keep):
         raise ValueError(f"direction density axis longer than 1: max |v| = {a.max():.6g}")
     cos = 2.0 * u_cos - 1.0
     sin = np.sqrt(1.0 - cos * cos)
-    psi = 2.0 * np.pi * u_phi
-    n = (np.cos(psi) * sin, np.sin(psi) * sin, cos)
+    psi = 2.0 * np.pi * u_phi - np.pi
+    cos_psi = np.cos(psi)
+    n = (cos_psi * sin, np.copysign(np.sqrt(1.0 - cos_psi * cos_psi), psi) * sin, cos)
     sign = np.copysign(1.0, ((x * n[0] + y * n[1]) + z * n[2]) - (2.0 * u_keep - 1.0))
     return np.stack([c * sign for c in n], axis=1)
 
@@ -131,7 +148,7 @@ class TestKernelInPlace:
     def test_keep_threshold_tie(self):
         # v = 0 and u_keep = 1/2 make v.n - (2 u_keep - 1) a zero, whose sign decides:
         # n in the first octant is kept for v = +0 and negated for v = -0
-        u = (np.array([0.75]), np.array([0.1]), np.array([0.5]))
+        u = (np.array([0.75]), np.array([0.6]), np.array([0.5]))  # azimuth 0.2 pi
         kept = directions_from_linear_density(np.zeros(3), *u)
         negated = directions_from_linear_density(np.full(3, -0.0), *u)
         assert np.all(kept > 0) and same_bits(negated, -kept)
@@ -209,8 +226,10 @@ class TestSingleSampler:
         assert np.array_equal(np.array(first), np.array(again))
 
     def test_azimuth_uniformity(self):
+        # seed 6 since 0.6.0: seed 5 of the PCG64 stream reads p = 0.0006, one of the 1% of
+        # seeds below 0.01 (the statistic over 6,000 seeds and 2e8 events of seed 5: CHANGES.md)
         model = SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.0, 1.0])
-        table = generate(SampleConfig(seed=5, events=100_000, model=model))
+        table = generate(SampleConfig(seed=6, events=100_000, model=model))
         assert azimuth_chi2_pvalue(np.arctan2(table.n[:, 1], table.n[:, 0])) > 0.01
 
 
@@ -238,10 +257,12 @@ class TestPairSampler:
         cdf = lambda c: (c + 1.0) / 2.0 - k * (c**2 - 1.0) / 4.0
         assert stats.kstest(dots, cdf).pvalue > 0.01
 
-    @pytest.mark.parametrize("k", [0.46, -0.9])
-    def test_dot_cdf(self, k):
+    # k = 0.46 at seed 19 since 0.6.0: seed 18 of the PCG64 stream reads p = 0.004, one of the
+    # 1% of seeds below 0.01 (the statistic over 6,000 seeds and 2e8 events of seed 18: CHANGES.md)
+    @pytest.mark.parametrize("k, seed", [(0.46, 19), (-0.9, 18)], ids=["0.46", "-0.9"])
+    def test_dot_cdf(self, k, seed):
         # x = n1.n2 has the density (1 - k x)/2 on [-1, 1]
-        table = generate(SampleConfig(seed=18, events=200_000, model=PairCorrelationModel(k=k)))
+        table = generate(SampleConfig(seed=seed, events=200_000, model=PairCorrelationModel(k=k)))
         dots = np.einsum(
             "ij,ij->i", table.directions_by_role("pair-1"), table.directions_by_role("pair-2")
         )
@@ -257,7 +278,7 @@ class TestPairSampler:
         model = PairCorrelationModel(k=0.46)
         table = generate(SampleConfig(seed=10, events=16, model=model))
         for i in range(16):
-            n1, n2 = sample_pair(0.46, stream_at(10, 2 * i))
+            n1, n2 = sample_pair(0.46, stream_at(10, i, 6))
             assert np.array_equal(n1, table.n[2 * i])
             assert np.array_equal(n2, table.n[2 * i + 1])
 
@@ -326,7 +347,7 @@ class TestCascadeSampler:
         model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=[0.1, 0.2, 0.3])
         table = generate(SampleConfig(seed=14, events=8, model=model))
         for i in range(8):
-            n_mu, n_nu = sample_cascade(mu, LAMBDA, [0.1, 0.2, 0.3], stream_at(14, 2 * i))
+            n_mu, n_nu = sample_cascade(mu, LAMBDA, [0.1, 0.2, 0.3], stream_at(14, i, 6))
             assert np.array_equal(n_mu, table.n[2 * i])
             assert np.array_equal(n_nu, table.n[2 * i + 1])
 
@@ -338,7 +359,7 @@ class TestCascadeSampler:
         model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=s)
         table = generate(SampleConfig(seed=14, events=300, model=model))
         for i in range(300):
-            assert np.array_equal(np.array(sample_cascade(mu, LAMBDA, s, stream_at(14, 2 * i))),
+            assert np.array_equal(np.array(sample_cascade(mu, LAMBDA, s, stream_at(14, i, 6))),
                                   table.n[2 * i:2 * i + 2])
         for seed in range(100):
             one = generate(SampleConfig(seed=seed, events=1, model=model))
@@ -368,16 +389,22 @@ class TestGenerate:
         assert np.array_equal(generate(config).n, default.n)
 
     # sha256 over event_id, role_code, channel_code and n of 3,123 events of seed 16 sampled in
-    # 1,000-event chunks by the keep-or-negate kernel (0.3.0).  The inverse-CDF kernel of
-    # 0.2.x gave single df6a3e6b9f87f8c901e773fe37d76ff3c6bb9db5d8cca5b6053fc7be0fe96ee3,
+    # 1,000-event chunks from one PCG64 stream, azimuth on [-pi, pi) (0.6.0).  The Philox
+    # blocks and two-trig azimuth of 0.3.0-0.5.x gave
+    # single d732e2bec4979f31ea7c13c4555eb96eb9bf8952333e33cdc29d43b10744b6b4,
+    # pair c3f9bb45fa01efbc98afecea4179b05c0b02c51c83004a95903fa28b00c2b7e4,
+    # pair-k0 991553f5f810c5ef0214d8648a49c55c0cdc32b58f8a8a84bf8d282386aa6602 and
+    # cascade 5af13c14d51ce4aa719fbc0593447fd6501e65486a068bf9c5706726c7c982c3.
+    # The inverse-CDF kernel of 0.2.x gave
+    # single df6a3e6b9f87f8c901e773fe37d76ff3c6bb9db5d8cca5b6053fc7be0fe96ee3,
     # pair 7727f3c24286339f0003b28a56e55b2da9d51bd19656eaf43edfaed4232a1fc3,
     # pair-k0 dee0be29a01b3bc349c2c83d253decc7698bf56e824683fd48a5b775566a9a0f and
     # cascade 1aa092e54f2d57f9fb8a42a383c8abe524afb7873c95d9cca377e74350c59cfb
     DIGESTS = {
-        "single": "d732e2bec4979f31ea7c13c4555eb96eb9bf8952333e33cdc29d43b10744b6b4",
-        "pair": "c3f9bb45fa01efbc98afecea4179b05c0b02c51c83004a95903fa28b00c2b7e4",
-        "pair-k0": "991553f5f810c5ef0214d8648a49c55c0cdc32b58f8a8a84bf8d282386aa6602",
-        "cascade": "5af13c14d51ce4aa719fbc0593447fd6501e65486a068bf9c5706726c7c982c3",
+        "single": "b9396d46864954994f2d6f2e970df6103b46392243435e8162eb5c5f8c4172f5",
+        "pair": "987b7e9c648ad9bc04af8f654cd3b309722caa0053e039f870e39b70eebf3e1f",
+        "pair-k0": "77676a3dd7d46526f9fd84729d509977e1e9905f03fa32acb8d8a40ba5b22242",
+        "cascade": "77ac35f47cfe6d1f3d8c86cdb37d93a6fcf166ee8fe9e246519b3e93f5cbea9c",
     }
     MODELS = {
         "single": SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5]),
@@ -447,14 +474,14 @@ class TestGenerate:
         assert s.flags.writeable
 
     def test_draw_budget(self, monkeypatch):
-        # three uniforms per decay in 4-word Philox blocks: one block for a single decay, two otherwise
-        blocks = []
+        # three uniforms per decay and no padding: 3 draws for a single decay, 6 otherwise
+        draws = []
         uniforms = mc._event_uniforms
         monkeypatch.setattr(mc, "_event_uniforms",
-                            lambda seed, start, count, b: blocks.append(b) or uniforms(seed, start, count, b))
+                            lambda seed, start, count, d: draws.append(d) or uniforms(seed, start, count, d))
         for name in ("single", "pair", "cascade"):
             generate(SampleConfig(seed=1, events=10, model=self.MODELS[name]))
-        assert blocks == [1, 2, 2]
+        assert draws == [3, 6, 6]
 
     @pytest.mark.parametrize("s", [[0.1, 0.2], [[0.0, 0.0, 0.5]], 0.5])
     def test_wrong_shaped_polarization_rejected(self, s):
