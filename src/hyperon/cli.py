@@ -117,8 +117,8 @@ def _parse_vector(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each command is a fresh process, so each handler
 # imports the modules it runs, and no command pays for another's; --help
-# and usage errors exit before any of them loads.  bell, table and context
-# are scalar work and never load numpy
+# and usage errors exit before any of them loads.  bell, table, context and
+# complementarity are scalar work and never load numpy
 
 
 def _cmd_table(args) -> None:
@@ -142,19 +142,18 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_complementarity(args) -> None:
-    import numpy as np
-
     from .interferometer import SpinState, fringe_visibility, path_predictability
 
     state = SpinState(theta=args.theta, phi=args.phi)
     fitted = fringe_visibility(state, n_points=args.points)
+    predictability = path_predictability(state)
     row = {
         "theta": args.theta,
         "phi": args.phi,
         "fitted_visibility": fitted,
-        "analytic_visibility": abs(np.sin(args.theta)),
-        "predictability": path_predictability(state),
-        "vsq_plus_psq": fitted**2 + path_predictability(state) ** 2,
+        "analytic_visibility": abs(math.sin(args.theta)),
+        "predictability": predictability,
+        "vsq_plus_psq": fitted**2 + predictability**2,
     }
     _emit([row], args)
 
@@ -218,9 +217,10 @@ def _cmd_simulate(args) -> None:
 def _pair_moments(args):
     from . import dataio, pairs
 
-    # read, pair and estimate block by block, never holding the whole file
+    # read, pair and estimate block by block, never holding the whole file; fold only the moments printed
     blocks = dataio.iter_events(args.events, args.threads)
-    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks))
+    moments = pairs.PairMoments.from_blocks(dataio.iter_pairs(blocks), dots=args.what == "witness",
+                                            cross=args.what == "correlations")
     try:
         moments.require_events()
     except ValueError as exc:  # too few pairs is a fault of the file

@@ -2,9 +2,12 @@
 
 The symmetric device is ``U_IF = U_BS U_phase(chi) U_BS`` with
 ``U_BS = exp(-i pi sigma_y / 4)`` and ``U_phase(chi) = exp(-i chi sigma_x / 2)``.
-Transverse measurements after the device show fringes with visibility
-sin(theta) of the initial spin; the longitudinal measurement gives the
-path probabilities with predictability |cos(theta)|.
+On the Bloch vector s these are rotations, about y by pi/2 and about x by
+chi, so the device turns s into
+``s' = (s_y sin chi - s_x cos chi, s_y cos chi + s_x sin chi, -s_z)``, and
+the port (I +/- sigma_axis)/2 reads (1 +/- s'_axis)/2.  Transverse ports
+show fringes with visibility sin(theta) of the initial spin; the z port
+gives the path probabilities with predictability |cos(theta)|.
 
 The asymmetric generalization replaces the 50:50 splitting with
 ``|Ta|^2 : |Tb|^2``, which models a weak decay: the fringe contrast becomes
@@ -13,19 +16,16 @@ as the azimuth of the analyzing direction.  Convention adopted here:
 ``n(0, chi_SP) = (cos chi_SP, sin chi_SP, 0)``, the unit vector in the x-y
 plane with azimuth chi_SP.  This reproduces the cos(phi + chi)-type fringe
 shift and is validated against the generic two-amplitude intensity in the
-test suite.
+test suite.  numpy and `qcore` load only in the functions that use matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .qcore import DensityMatrix, as_density, complementarity_of, pauli_dot
-
 _AXES = {"x": 0, "y": 1, "z": 2}
-# the fringe scan costs about 190 us per point, so 2^16 points take about 12 s
+# the scan is a few scalar operations a point, about 40 ms for 2^16 points; the cap refuses a larger grid
 _MAX_FRINGE_POINTS = 65_536
 
 
@@ -39,19 +39,20 @@ class SpinState:
 
     def __post_init__(self):
         for name, angle in (("theta", self.theta), ("phi", self.phi)):
-            if not np.isfinite(angle):
+            if not math.isfinite(angle):
                 raise ValueError(f"{name} = {angle} is not finite")
         if not 0.0 <= self.length <= 1.0:
             raise ValueError(f"|s| = {self.length} outside [0, 1]")
 
-    def bloch(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return self.length * np.array(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)]
-        )
+    def bloch(self) -> tuple[float, float, float]:
+        st = math.sin(self.theta)
+        return (self.length * (st * math.cos(self.phi)), self.length * (st * math.sin(self.phi)),
+                self.length * math.cos(self.theta))
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix((np.eye(2, dtype=complex) + pauli_dot(self.bloch())) / 2.0)
+    def density(self):  # a qcore.DensityMatrix
+        from .qcore import BlochVector, bloch_compose
+
+        return bloch_compose(BlochVector(2, self.bloch()))
 
 
 @dataclass(frozen=True)
@@ -69,70 +70,58 @@ class InterferometerConfig:
 
     def arm_norms(self) -> tuple[float, float]:
         """(||Ta||, ||Tb||) from the splitting ratio."""
-        return np.sqrt(self.splitting[0]), np.sqrt(self.splitting[1])
+        return math.sqrt(self.splitting[0]), math.sqrt(self.splitting[1])
 
 
-def beam_splitter() -> np.ndarray:
-    """exp(-i pi sigma_y / 4) in closed form."""
-    c = 1.0 / np.sqrt(2.0)
-    return np.array([[c, -c], [c, c]], dtype=complex)
+def _device(s, chi: float) -> tuple[float, float, float]:
+    """The Bloch vector s turned by U_IF(chi); the rotation is a half turn, so its own transpose."""
+    sx, sy, sz = s
+    c, si = math.cos(chi), math.sin(chi)
+    return sy * si - sx * c, sy * c + sx * si, -sz
 
 
-def phase_plate(chi: float) -> np.ndarray:
-    """exp(-i chi sigma_x / 2) in closed form."""
-    c, s = np.cos(chi / 2.0), np.sin(chi / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def evolve(cfg: InterferometerConfig, rho):
+    """U_IF rho U_IF^dag for a qubit state, as its Bloch vector turned by the device."""
+    from .qcore import BlochVector, bloch_compose, bloch_expand
 
-
-def interferometer_unitary(chi: float) -> np.ndarray:
-    u_bs = beam_splitter()
-    return u_bs @ phase_plate(chi) @ u_bs
-
-
-def evolve(cfg: InterferometerConfig, rho) -> DensityMatrix:
-    """U_IF rho U_IF^dag for a qubit state."""
-    rho = as_density(rho)
-    if rho.dim != 2:
-        raise ValueError(f"interferometer acts on qubits, got dimension {rho.dim}")
-    u = interferometer_unitary(cfg.chi)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    b = bloch_expand(rho)
+    if b.dim != 2:
+        raise ValueError(f"interferometer acts on qubits, got dimension {b.dim}")
+    return bloch_compose(BlochVector(2, _device(b.components, cfg.chi)))
 
 
 def fringe(cfg: InterferometerConfig, state: SpinState, axis: str, sign: int) -> float:
-    """Detection probability Tr[(I +/- sigma_axis)/2 * U rho U^dag].
-
-    Transverse axes (x, y) show the interference fringes; the z axis gives
-    the upper/lower path probability.
-    """
+    """Detection probability Tr[(I +/- sigma_axis)/2 * U rho U^dag]; fringes on x and y, paths on z."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    rho_f = evolve(cfg, state.density())
-    proj = (np.eye(2, dtype=complex) + sign * pauli_dot(np.eye(3)[_AXES[axis]])) / 2.0
-    return float(np.trace(proj @ rho_f.matrix).real)
+    return (1.0 + sign * _device(state.bloch(), cfg.chi)[_AXES[axis]]) / 2.0
 
 
 def fringe_visibility(state: SpinState, n_points: int = 64) -> float:
     """Fringe contrast of the +x port over a chi scan, by least squares.
 
-    Fits I(chi) = c0 + a cos(chi) + b sin(chi) on a uniform grid and returns
-    sqrt(a^2 + b^2) / c0, the oscillation amplitude relative to the mean;
-    for a pure state this equals sin(theta).  The fit has three unknowns,
-    so `n_points` below 3 is a ValueError, and so is one above
-    _MAX_FRINGE_POINTS.
+    Fits I(chi) = c0 + a cos(chi) + b sin(chi) on the grid chi_j = 2 pi j / n
+    and returns sqrt(a^2 + b^2) / c0, the oscillation amplitude relative to
+    the mean; for a pure state this equals sin(theta).  On this grid the
+    columns are orthogonal, so the least-squares coefficients are the Fourier
+    sums c0 = mean I, a = (2/n) sum (I - c0) cos(chi) and b likewise with sin
+    (taking c0 off changes no sum exactly, and leaves a flat scan at 0).
+    `n_points` below 3, the number of unknowns, or above _MAX_FRINGE_POINTS
+    is a ValueError.
     """
     if n_points < 3:
         raise ValueError(f"the fringe fit needs at least 3 points, got {n_points}")
     if n_points > _MAX_FRINGE_POINTS:
         raise ValueError(f"the fringe scan takes at most {_MAX_FRINGE_POINTS} points, got {n_points}")
-    chis = 2.0 * np.pi * np.arange(n_points) / n_points
-    intensities = np.array(
-        [fringe(InterferometerConfig(chi=c), state, "x", +1) for c in chis]
-    )
-    design = np.column_stack([np.ones_like(chis), np.cos(chis), np.sin(chis)])
-    coef, *_ = np.linalg.lstsq(design, intensities, rcond=None)
-    return float(np.hypot(coef[1], coef[2]) / coef[0])
+    s = state.bloch()
+    chis = [2.0 * math.pi * j / n_points for j in range(n_points)]
+    intensities = [(1.0 + _device(s, chi)[0]) / 2.0 for chi in chis]  # the +x port
+    c0 = math.fsum(intensities) / n_points
+    a = 2.0 / n_points * math.fsum((i - c0) * math.cos(chi) for i, chi in zip(intensities, chis))
+    b = 2.0 / n_points * math.fsum((i - c0) * math.sin(chi) for i, chi in zip(intensities, chis))
+    return math.hypot(a, b) / c0
 
 
 def path_predictability(state: SpinState) -> float:
@@ -141,9 +130,9 @@ def path_predictability(state: SpinState) -> float:
     return abs(fringe(cfg, state, "z", +1) - fringe(cfg, state, "z", -1))
 
 
-def analyzer_direction(chi_sp: float) -> np.ndarray:
+def analyzer_direction(chi_sp: float) -> tuple[float, float, float]:
     """n(0, chi_SP): unit vector in the x-y plane with azimuth chi_SP."""
-    return np.array([np.cos(chi_sp), np.sin(chi_sp), 0.0])
+    return math.cos(chi_sp), math.sin(chi_sp), 0.0
 
 
 def asymmetric_intensity(cfg: InterferometerConfig, state: SpinState, sign: int) -> float:
@@ -153,27 +142,34 @@ def asymmetric_intensity(cfg: InterferometerConfig, state: SpinState, sign: int)
     visibility V fixed by the splitting; always nonnegative since V <= 1 and
     |s| <= 1.
     """
+    from .qcore import complementarity_of
+
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     na, nb = cfg.arm_norms()
     total = na**2 + nb**2
-    visibility, _ = complementarity_of(na * np.eye(2), nb * np.eye(2))
-    return float(total * (1.0 - sign * visibility * np.dot(analyzer_direction(cfg.chi_sp), state.bloch())))
+    visibility, _ = complementarity_of([[na]], [[nb]])  # the arms ||T|| I, of norm ||T|| in any dimension
+    n_dot_s = sum(n * s for n, s in zip(analyzer_direction(cfg.chi_sp), state.bloch()))
+    return total * (1.0 - sign * visibility * n_dot_s)
 
 
-def asymmetric_transition_matrices(cfg: InterferometerConfig, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-amplitude realization (Ta, Tb) of :func:`asymmetric_intensity`.
+def asymmetric_transition_matrices(cfg: InterferometerConfig, sign: int):
+    """Two-amplitude realization (Ta, Tb) of :func:`asymmetric_intensity`, numpy arrays.
 
     Ta = ||Ta|| I and Tb = ||Tb|| U_IF^dag (m.sigma) U_IF, with m the in-plane
     direction that turns the generic intensity Tr[(Ta+Tb) rho (Ta+Tb)^dag]
-    into the closed form above for the chosen output port.
+    into the closed form above for the chosen output port.  U_IF^dag (m.sigma)
+    U_IF is (R^T m).sigma for the device's rotation R, and R^T = R.
     """
+    import numpy as np
+
+    from .qcore import pauli_dot
+
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     na, nb = cfg.arm_norms()
-    u = interferometer_unitary(cfg.chi)
     total_phase = cfg.chi + cfg.chi_sp
-    m = np.array([-np.cos(total_phase), np.sin(total_phase), 0.0])
+    m = (-math.cos(total_phase), math.sin(total_phase), 0.0)
     t_a = na * np.eye(2, dtype=complex)
-    t_b = -sign * nb * (u.conj().T @ pauli_dot(m) @ u)
+    t_b = -sign * nb * pauli_dot(_device(m, cfg.chi))
     return t_a, t_b

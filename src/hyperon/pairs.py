@@ -94,14 +94,16 @@ class PairMoments:
     cross: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
 
     @classmethod
-    def of(cls, n1, n2) -> PairMoments:
-        """Moments of one block of matching (N, 3) direction arrays."""
+    def of(cls, n1, n2, dots: bool = True, cross: bool = True) -> PairMoments:
+        """Moments of one block of matching (N, 3) direction arrays; a moment not asked for stays zero."""
         n1, n2 = _directions(n1, n2)
-        return cls(*_dot_moments(n1, n2), _cross_moment(n1, n2))
+        return cls(*(_dot_moments(n1, n2) if dots else (len(n1), 0.0, 0.0)),
+                   _cross_moment(n1, n2) if cross else np.zeros((3, 3)))
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PairMoments:
-        """Moments of a stream of (n1, n2) blocks.
+    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                    dots: bool = True, cross: bool = True) -> PairMoments:
+        """Moments of a stream of (n1, n2) blocks; `dots` and `cross` as in `of`.
 
         The pairs are merged in groups of _GROUP in stream order, the last
         group partial, and each group is copied into one array first.  So
@@ -118,9 +120,9 @@ class PairMoments:
                 count += take
                 n1, n2 = n1[take:], n2[take:]
                 if count == _GROUP:
-                    total = total.merge(cls.of(*map(np.concatenate, zip(*held))))
+                    total = total.merge(cls.of(*map(np.concatenate, zip(*held)), dots=dots, cross=cross))
                     held, count = [], 0
-        return total.merge(cls.of(*map(np.concatenate, zip(*held)))) if held else total
+        return total.merge(cls.of(*map(np.concatenate, zip(*held)), dots=dots, cross=cross)) if held else total
 
     def merge(self, other: PairMoments) -> PairMoments:
         if not other.count:
@@ -203,7 +205,7 @@ def witness_estimate(n1, n2) -> tuple[float, float]:
 
     Only the moments of n1.n2 are computed; the cross moment stays zero.
     """
-    return PairMoments(*_dot_moments(*_directions(n1, n2))).witness()
+    return PairMoments.of(n1, n2, cross=False).witness()
 
 
 def correlation_estimate(n1, n2, model: PairModel | None = None) -> np.ndarray:
@@ -211,8 +213,7 @@ def correlation_estimate(n1, n2, model: PairModel | None = None) -> np.ndarray:
 
     Only the cross moment is computed; the moments of n1.n2 stay zero.
     """
-    n1, n2 = _directions(n1, n2)
-    return PairMoments(len(n1), cross=_cross_moment(n1, n2)).correlations(model)
+    return PairMoments.of(n1, n2, dots=False).correlations(model)
 
 
 @dataclass(frozen=True)

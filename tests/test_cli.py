@@ -815,6 +815,22 @@ Xi-,Lambda pi-,0.998,0.0226012,0.459157,0.888355
   }
 ]
 """
+    COMPLEMENTARITY_CSV = (
+        "theta,phi,fitted_visibility,analytic_visibility,predictability,vsq_plus_psq\n"
+        "1.0472,{phi},0.866027,0.866027,0.499998,1\n"
+    )
+    COMPLEMENTARITY_JSON = """\
+[
+  {{
+    "theta": 1.0472,
+    "phi": {phi},
+    "fitted_visibility": 0.866027,
+    "analytic_visibility": 0.866027,
+    "predictability": 0.499998,
+    "vsq_plus_psq": 1.0
+  }}
+]
+"""
     # inequality, k, max_value and verdict; the settings column is the see-saw's own choice
     MAXIMUM = {"I2": "I2,0.46,-0.174731,no violation possible",
                "I3": "I3,0.46,-0.425,no violation possible",
@@ -837,6 +853,15 @@ Xi-,Lambda pi-,0.998,0.0226012,0.459157,0.888355
     def test_context(self, capsys, fmt):
         code, out, _ = run_cli(capsys, "--format", fmt, "context", "--alpha", "0.75", "--alphabar", "0.75")
         assert (code, out) == (0, self.CONTEXT_CSV if fmt == "csv" else self.CONTEXT_JSON)
+
+    @pytest.mark.parametrize("flags, phi", [((), ("0", "0.0")), (("--phi", "0.7", "--points", "7"), ("0.7", "0.7"))],
+                             ids=["default", "phi-7-points"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_complementarity(self, capsys, fmt, flags, phi):
+        code, out, _ = run_cli(capsys, "--format", fmt, "complementarity", "--theta", "1.0472", *flags)
+        pinned = self.COMPLEMENTARITY_CSV.format(phi=phi[0]) if fmt == "csv" else \
+            self.COMPLEMENTARITY_JSON.format(phi=phi[1])
+        assert (code, out) == (0, pinned)
 
     @pytest.mark.parametrize("inequality", ["I2", "I3", "I4"])
     def test_maximum(self, capsys, inequality):
@@ -971,8 +996,8 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
 
     # a fresh interpreter that has not imported numpy, so numpy loaded by the CLI shows: the
-    # reports of bell, table and context are scalar work and load none; complementarity's
-    # fringe fit is the control that does
+    # reports of bell, table, context and complementarity are scalar work and load none;
+    # simulate's sampler is the control that does
     @pytest.mark.parametrize("argv, code, numpy_loaded", [
         (None, None, False),
         (["--help"], 0, False),
@@ -982,9 +1007,10 @@ class TestStartup:
         (["bell", "--inequality", "I2", "--k", "0.46"], 0, False),
         (["table"], 0, False),
         (["context", "--alpha", "1", "--alphabar", "1"], 0, False),
-        (["complementarity", "--theta", "1.0472"], 0, True),
+        (["complementarity", "--theta", "1.0472"], 0, False),
+        (["simulate", "pair", "--k", "0.46", "--events", "10"], 0, True),
     ], ids=["build_parser", "help", "bell-without-inequality", "negative-seed", "bell-threshold",
-            "bell-k", "table", "context", "command"])
+            "bell-k", "table", "context", "complementarity", "command"])
     def test_numpy_loads_only_when_a_command_runs(self, argv, code, numpy_loaded):
         call = "hyperon.cli.build_parser()\ncode = None\n" if argv is None else (
             "try:\n"
@@ -1029,26 +1055,35 @@ class TestStartup:
     # modules it loads beyond what numpy and argparse load
     STDLIB = ("concurrent.futures", "logging", "json")
     BELL = {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.inequalities"}
+    SAMPLER = {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.cascade", "hyperon.dataio", "hyperon.mc",
+               "hyperon.params", "hyperon.sphere"}
     LOADS = {
         "bell --inequality I3 --threshold": (BELL, set()),
         "bell --inequality I2 --k 0.46": (BELL, set()),
         "context --alpha 0.75 --alphabar 0.75": (BELL, set()),
         "--format json context --alpha 0.75 --alphabar 0.75": (BELL, {"json"}),
-        "complementarity --theta 1.0472": (
-            {"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.qcore", "hyperon.interferometer"},
-            set(),
-        ),
+        # the device's rotation in math, with no operator module
+        "complementarity --theta 1.0472": ({"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.interferometer"},
+                                           set()),
         # the parameter reader, with no event-file, sampling or operator module
         "table": ({"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.params"}, set()),
+        # the sampler and the event-file writer, then the reader and the estimators: no decay,
+        # interferometer or inequalities module
+        "simulate pair --k 0.46 --events 10 --out {tmp}/pairs.csv": (SAMPLER, {"concurrent.futures", "logging"}),
+        "analyze witness --events {events}": (SAMPLER | {"hyperon.pairs", "hyperon.qcore"},
+                                              {"concurrent.futures", "logging"}),
     }
 
     @pytest.mark.parametrize("argv", list(LOADS))
-    def test_command_loads_only_its_modules(self, argv):
+    def test_command_loads_only_its_modules(self, tmp_path, argv):
+        events = tmp_path / "events.csv"
+        if "{events}" in argv:  # the fewest pairs the witness takes
+            assert main(["simulate", "pair", "--k", "0.46", "--events", "100", "--out", str(events)]) == 0
         code = (
             "import argparse, sys, numpy\n"
             "before = set(sys.modules)\n"
             "import hyperon.cli\n"
-            f"code = hyperon.cli.main({argv.split()!r})\n"
+            f"code = hyperon.cli.main({argv.format(tmp=tmp_path, events=events).split()!r})\n"
             "new = set(sys.modules) - before\n"
             "print(code, sorted(m for m in new if m.split('.')[0] == 'hyperon'),\n"
             f"      sorted(new & set({self.STDLIB!r})), file=sys.stderr)\n"

@@ -8,13 +8,10 @@ from hyperon.interferometer import (
     analyzer_direction,
     asymmetric_intensity,
     asymmetric_transition_matrices,
-    beam_splitter,
     evolve,
     fringe,
     fringe_visibility,
-    interferometer_unitary,
     path_predictability,
-    phase_plate,
 )
 from hyperon.qcore import DensityMatrix, gell_mann_basis, maximally_mixed, two_amplitude_intensity
 
@@ -27,13 +24,28 @@ def exponential_unitary(chi):
     return u_bs @ expm(-1j * chi / 2.0 * SX) @ u_bs
 
 
-class TestUnitaries:
-    def test_beam_splitter_matches_exponential(self):
-        assert np.max(np.abs(beam_splitter() - expm(-1j * np.pi / 4.0 * SY))) < 1e-12
+def lstsq_visibility(state, n_points):
+    # the reference fit: the design matrix of 1, cos and sin solved by least squares
+    chis = 2.0 * np.pi * np.arange(n_points) / n_points
+    intensities = 0.5 * (1.0 - state.length * np.sin(state.theta) * np.cos(state.phi + chis))
+    design = np.column_stack([np.ones_like(chis), np.cos(chis), np.sin(chis)])
+    coef, *_ = np.linalg.lstsq(design, intensities, rcond=None)
+    return float(np.hypot(coef[1], coef[2]) / coef[0])
 
-    def test_phase_plate_matches_exponential(self):
-        for chi in (0.0, 0.3, 2.0, -1.7):
-            assert np.max(np.abs(phase_plate(chi) - expm(-1j * chi / 2.0 * SX))) < 1e-12
+
+class TestUnitaries:
+    def test_rotation_matches_exponential(self):
+        # every port of the device, a Bloch rotation, against the sandwich of expm's unitary
+        rng = np.random.default_rng(19)
+        for _ in range(1000):
+            theta, phi, chi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(-10, 10)
+            state = SpinState(theta, phi, rng.uniform(0, 1))
+            u = exponential_unitary(chi)
+            rho = u @ state.density().matrix @ u.conj().T
+            for axis, sigma in zip("xyz", (SX, SY, SZ)):
+                for sign in (+1, -1):
+                    expected = np.trace((np.eye(2) + sign * sigma) / 2.0 @ rho).real
+                    assert abs(fringe(InterferometerConfig(chi=chi), state, axis, sign) - expected) < 1e-14
 
     def test_evolve_matches_matrix_product(self):
         rng = np.random.default_rng(20)
@@ -106,6 +118,14 @@ class TestFringe:
     def test_too_many_fit_points(self):
         with pytest.raises(ValueError, match="at most 65536 points, got 65537"):
             fringe_visibility(SpinState(0.4, 0.0), n_points=65_537)
+
+    @pytest.mark.parametrize("n_points", [3, 7, 64, 1000, 65536])
+    def test_fourier_sums_are_the_least_squares_fit(self, n_points):
+        rng = np.random.default_rng(n_points)
+        states = [SpinState(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1))
+                  for _ in range(20 if n_points < 65536 else 2)]
+        for state in [SpinState(0.0, 0.0), SpinState(np.pi / 2, 1.0), *states]:
+            assert abs(fringe_visibility(state, n_points) - lstsq_visibility(state, n_points)) <= 1e-14
 
     def test_three_fit_points_suffice(self):
         assert abs(fringe_visibility(SpinState(0.4, 0.0), n_points=3) - np.sin(0.4)) < 1e-12

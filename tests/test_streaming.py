@@ -626,6 +626,19 @@ class TestMoments:
         np.testing.assert_allclose(whole.witness(), one.witness(), rtol=1e-12, atol=0)
         np.testing.assert_allclose(whole.correlations(), one.correlations(), rtol=1e-12, atol=0)
 
+    def test_partial_folds_match_the_full_fold(self):
+        # analyze witness folds only the dot moments and correlations only the cross moment: the same bits
+        rng = np.random.default_rng(10)
+        n1, n2 = rng.normal(size=(2, 60_000, 3))
+        blocks = [(n1[i:i + 4_095], n2[i:i + 4_095]) for i in range(0, 60_000, 4_095)]
+        full = PairMoments.from_blocks(blocks)
+        dots = PairMoments.from_blocks(blocks, cross=False)
+        cross = PairMoments.from_blocks(blocks, dots=False)
+        assert (dots.count, dots.dot_mean, dots.dot_m2) == (full.count, full.dot_mean, full.dot_m2)
+        assert dots.witness() == full.witness() and not dots.cross.any()
+        assert (cross.count, cross.dot_mean, cross.dot_m2) == (full.count, 0.0, 0.0)
+        assert np.array_equal(cross.correlations(), full.correlations())
+
     def test_one_block_is_the_direct_formula(self):
         rng = np.random.default_rng(8)
         n1, n2 = rng.normal(size=(2, 5000, 3))
