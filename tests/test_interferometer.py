@@ -33,7 +33,35 @@ def lstsq_visibility(state, n_points):
     return float(np.hypot(coef[1], coef[2]) / coef[0])
 
 
+def random_density(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = a @ a.conj().T
+    return m / m.trace()
+
+
 class TestUnitaries:
+    def test_beam_splitter_matches_exponential(self):
+        # at chi = 0 the phase plate is I, so the device is the beam splitter applied twice
+        u_bs = expm(-1j * np.pi / 4.0 * SY)
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            rho = random_density(rng)
+            expected = u_bs @ u_bs @ rho @ u_bs.conj().T @ u_bs.conj().T
+            got = evolve(InterferometerConfig(chi=0.0), DensityMatrix(rho))
+            assert np.max(np.abs(got.matrix - expected)) < 1e-12
+
+    def test_phase_plate_matches_exponential(self):
+        # undoing the expm beam splitters on both sides of the device leaves the phase plate alone
+        u_bs = expm(-1j * np.pi / 4.0 * SY)
+        rng = np.random.default_rng(18)
+        for chi in (0.0, 0.3, 2.0, -1.7):
+            plate = expm(-1j * chi / 2.0 * SX)
+            for _ in range(25):
+                rho = random_density(rng)
+                inner = DensityMatrix(u_bs.conj().T @ rho @ u_bs)
+                got = u_bs.conj().T @ evolve(InterferometerConfig(chi=chi), inner).matrix @ u_bs
+                assert np.max(np.abs(got - plate @ rho @ plate.conj().T)) < 1e-12
+
     def test_rotation_matches_exponential(self):
         # every port of the device, a Bloch rotation, against the sandwich of expm's unitary
         rng = np.random.default_rng(19)
