@@ -12,7 +12,7 @@ no submodule and each CLI command loads only the modules it runs.
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 _EXPORTS = {
     "qcore": (
@@ -61,9 +61,6 @@ _EXPORTS = {
         "SampleConfig",
         "SingleDecayModel",
         "generate",
-        "sample_cascade",
-        "sample_pair",
-        "sample_single",
     ),
     "params": (
         "DecayParameters",

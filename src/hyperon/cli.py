@@ -145,7 +145,7 @@ def _cmd_complementarity(args) -> None:
     from .interferometer import SpinState, fringe_visibility, path_predictability
 
     state = SpinState(theta=args.theta, phi=args.phi)
-    fitted = fringe_visibility(state, n_points=args.points)
+    fitted = fringe_visibility(state)
     predictability = path_predictability(state)
     row = {
         "theta": args.theta,
@@ -342,7 +342,6 @@ def build_parser() -> _Parser:
                 _cmd_complementarity)
     p.add_argument("--theta", type=float, required=True, help="initial polar angle (radians)")
     p.add_argument("--phi", type=float, default=0.0, help="initial azimuth (radians)")
-    p.add_argument("--points", type=int, default=64, help="phase-scan grid size")
 
     kinds = command(sub, "simulate", "generate decay events", _cmd_simulate).add_subparsers(
         dest="kind", required=True)

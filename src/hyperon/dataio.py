@@ -2,7 +2,7 @@
 
 The event file is comma-separated UTF-8 text: the header
 ``event_id,role,channel,nx,ny,nz`` and one record per line, a decimal uint64
-id, a role and a channel free of commas and line breaks, and a unit
+id, a role and a channel free of commas and control characters, and a unit
 direction printed with 9 significant digits, so unit norms survive a round
 trip to 1e-9.  It has no comment lines; empty lines are skipped.  Event
 files are written in blocks of rows and read in slices of about 1 MB of
@@ -39,13 +39,15 @@ _MAX_CARRY_ROWS = 1 << 22
 _EVENT_DTYPE = np.dtype(
     [("event_id", np.uint64), ("role", object), ("channel", object), ("n", float, 3)]
 )
+# the bytes `_parse_rows` reads as separators: a name without them is one field, and holds no NUL padding
+_SEPARATOR = re.compile("[,\x00-\x1f]")
 
 
 def _check_names(names, what: str) -> None:
-    """Reject a role or channel that would split an event-file field or line, or that UTF-8 cannot encode."""
+    """Reject a role or channel that holds a comma or a control character, or that UTF-8 cannot encode."""
     for name in names:
-        if "," in name or "\n" in name or "\r" in name:
-            raise EventFileError(f"{what} name {name!r} contains a comma or line break")
+        if _SEPARATOR.search(name):
+            raise EventFileError(f"{what} name {name!r} contains a comma or control character")
         try:
             name.encode()
         except UnicodeEncodeError as exc:
@@ -150,8 +152,8 @@ def _format_block(table: EventTable, rows: slice) -> bytes:
     the words are joined.  A row with a component that _format_unit does
     not write is formatted with `_EVENT_ROW` into its own row of words,
     which its text fits: `%.9g` takes at most 16 of a component's 20
-    bytes.  A block whose names hold a NUL, which would read as padding,
-    is formatted with `_EVENT_ROW` throughout.
+    bytes.  `_check_names` keeps NUL, which would read as padding, out of
+    the names.
     """
     ids, n = table.event_id[rows].astype(np.uint64, copy=False), table.n[rows]
     count = len(ids)
@@ -160,14 +162,6 @@ def _format_block(table: EventTable, rows: slice) -> bytes:
     names = [f"{table.roles[key // len(table.channels)]},{table.channels[key % len(table.channels)]}"
              for key in present.tolist()]
     fields = [f",{name}".encode() for name in names]
-
-    def percent(picked):
-        """``_EVENT_ROW % row`` of each picked row."""
-        return (_EVENT_ROW % (i, names[k], *v)
-                for i, k, v in zip(ids[picked].tolist(), key_index[picked].tolist(), n[picked].tolist()))
-
-    if any(0 in field for field in fields):
-        return "".join(percent(slice(None))).encode()
     field_words = -(-max(map(len, fields)) // 4)
     templates = np.zeros((len(fields), 4 * field_words), np.uint8)
     for template, field in zip(templates, fields):
@@ -181,7 +175,8 @@ def _format_block(table: EventTable, rows: slice) -> bytes:
     words[:, -1] = _NEWLINE
     text = words.view(np.uint8)
     fallback = np.flatnonzero(~ok)
-    lines = b"".join(line.encode().ljust(text.shape[1], b"\0") for line in percent(fallback))
+    picked = zip(ids[fallback].tolist(), key_index[fallback].tolist(), n[fallback].tolist())
+    lines = b"".join((_EVENT_ROW % (i, names[k], *v)).encode().ljust(text.shape[1], b"\0") for i, k, v in picked)
     text[fallback] = np.frombuffer(lines, np.uint8).reshape(fallback.size, text.shape[1])
     return text[text != 0].tobytes()
 

@@ -17,24 +17,28 @@ report it modulo pi (see :func:`chi_sp_mod_pi`).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import (  # chi_sp_mod_pi, params_from_alpha_phi: re-exported
     _PARAM_TOL, DecayParameters, chi_sp_mod_pi, params_from_alpha_phi)
-from .qcore import PAULI, as_density, pauli_dot
+from .qcore import BlochVector, as_density, bloch_compose, bloch_expand, pauli_dot
 from .sphere import require_polarization, require_unit
 
 
 @dataclass(frozen=True)
 class DecayAmplitudes:
-    """S-wave and P-wave amplitudes; at least one must be nonzero."""
+    """Finite S-wave and P-wave amplitudes; at least one must be nonzero."""
 
     S: complex
     P: complex
 
     def __post_init__(self):
+        for name in ("S", "P"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"amplitude {name} = {getattr(self, name)} is not finite")
         if self.norm_sq == 0.0:
             raise ValueError("S and P cannot both vanish")
 
@@ -105,12 +109,6 @@ def transition_matrix(a: DecayAmplitudes, n) -> np.ndarray:
     return a.S * np.eye(2, dtype=complex) + a.P * pauli_dot(n)
 
 
-def spin_half_projector(direction) -> np.ndarray:
-    """Projector (I + w.sigma)/2 onto the spin state along a unit vector."""
-    w = require_unit(direction)
-    return (np.eye(2, dtype=complex) + pauli_dot(w)) / 2.0
-
-
 def kraus_decompose(a: DecayAmplitudes, n) -> KrausPair:
     """Two-outcome Kraus data of the decay: project along +/- n with (1 +/- alpha)/2."""
     n = require_unit(n)
@@ -126,15 +124,15 @@ def kraus_decompose(a: DecayAmplitudes, n) -> KrausPair:
 def kraus_operators(a: DecayAmplitudes, n) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian Kraus operators (K+, K-) with Tr(K+ rho K+) + Tr(K- rho K-) = Tr(T rho T^dag).
 
-    K+- = sqrt(2 (|S|^2+|P|^2) omega_+-) Pi(+-n); the prefactor makes the
-    pair reproduce the unnormalized two-amplitude intensity exactly, i.e.
-    K+^2 + K-^2 = T^dag T.
+    K+- = sqrt(2 (|S|^2+|P|^2) omega_+-) Pi(+-n), with Pi(w) = (I + w.sigma)/2
+    the spin state along w; the prefactor makes the pair reproduce the
+    unnormalized two-amplitude intensity exactly, i.e. K+^2 + K-^2 = T^dag T.
     """
     pair = kraus_decompose(a, n)
     scale = 2.0 * a.norm_sq
     axis = pair.w1 + pair.w2
-    k_plus = np.sqrt(scale * pair.omega_plus) * spin_half_projector(axis)
-    k_minus = np.sqrt(scale * pair.omega_minus) * spin_half_projector(-axis)
+    k_plus = np.sqrt(scale * pair.omega_plus) * bloch_compose(BlochVector(2, axis)).matrix
+    k_minus = np.sqrt(scale * pair.omega_minus) * bloch_compose(BlochVector(2, -axis)).matrix
     return k_plus, k_minus
 
 
@@ -163,4 +161,4 @@ def spin_bloch(rho) -> np.ndarray:
     rho = as_density(rho)
     if rho.dim != 2:
         raise ValueError("spin Bloch vector is defined for qubits only")
-    return np.einsum("kij,ji->k", PAULI, rho.matrix).real
+    return bloch_expand(rho).components

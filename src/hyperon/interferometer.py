@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-# the scan is a few scalar operations a point, about 40 ms for 2^16 points; the cap refuses a larger grid
-_MAX_FRINGE_POINTS = 65_536
+_FRINGE_POINTS = 64  # the chi grid of the fringe fit
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,6 @@ class SpinState:
         return (self.length * (st * math.cos(self.phi)), self.length * (st * math.sin(self.phi)),
                 self.length * math.cos(self.theta))
 
-    def density(self):  # a qcore.DensityMatrix
-        from .qcore import BlochVector, bloch_compose
-
-        return bloch_compose(BlochVector(2, self.bloch()))
-
 
 @dataclass(frozen=True)
 class InterferometerConfig:
@@ -64,9 +58,12 @@ class InterferometerConfig:
     chi_sp: float = 0.0
 
     def __post_init__(self):
+        for name, angle in (("chi", self.chi), ("chi_sp", self.chi_sp)):
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} = {angle} is not finite")
         wa, wb = self.splitting
-        if wa < 0.0 or wb < 0.0 or wa + wb == 0.0:
-            raise ValueError(f"invalid splitting {self.splitting}")
+        if not (wa >= 0.0 and wb >= 0.0 and 0.0 < wa + wb < math.inf):  # NaN fails
+            raise ValueError(f"splitting {self.splitting} must be two weights >= 0 with a finite sum above 0")
 
     def arm_norms(self) -> tuple[float, float]:
         """(||Ta||, ||Tb||) from the splitting ratio."""
@@ -99,28 +96,23 @@ def fringe(cfg: InterferometerConfig, state: SpinState, axis: str, sign: int) ->
     return (1.0 + sign * _device(state.bloch(), cfg.chi)[_AXES[axis]]) / 2.0
 
 
-def fringe_visibility(state: SpinState, n_points: int = 64) -> float:
+def fringe_visibility(state: SpinState) -> float:
     """Fringe contrast of the +x port over a chi scan, by least squares.
 
-    Fits I(chi) = c0 + a cos(chi) + b sin(chi) on the grid chi_j = 2 pi j / n
-    and returns sqrt(a^2 + b^2) / c0, the oscillation amplitude relative to
-    the mean; for a pure state this equals sin(theta).  On this grid the
-    columns are orthogonal, so the least-squares coefficients are the Fourier
-    sums c0 = mean I, a = (2/n) sum (I - c0) cos(chi) and b likewise with sin
-    (taking c0 off changes no sum exactly, and leaves a flat scan at 0).
-    `n_points` below 3, the number of unknowns, or above _MAX_FRINGE_POINTS
-    is a ValueError.
+    Fits I(chi) = c0 + a cos(chi) + b sin(chi) on the grid chi_j = 2 pi j / n,
+    n = _FRINGE_POINTS, and returns sqrt(a^2 + b^2) / c0, the oscillation amplitude
+    relative to the mean; for a pure state this equals sin(theta).  On this grid
+    (any n >= 3) the columns are orthogonal, so the least-squares coefficients are
+    the Fourier sums c0 = mean I, a = (2/n) sum (I - c0) cos(chi) and b likewise
+    with sin (taking c0 off changes no sum exactly, and leaves a flat scan at 0).
     """
-    if n_points < 3:
-        raise ValueError(f"the fringe fit needs at least 3 points, got {n_points}")
-    if n_points > _MAX_FRINGE_POINTS:
-        raise ValueError(f"the fringe scan takes at most {_MAX_FRINGE_POINTS} points, got {n_points}")
+    n = _FRINGE_POINTS
     s = state.bloch()
-    chis = [2.0 * math.pi * j / n_points for j in range(n_points)]
+    chis = [2.0 * math.pi * j / n for j in range(n)]
     intensities = [(1.0 + _device(s, chi)[0]) / 2.0 for chi in chis]  # the +x port
-    c0 = math.fsum(intensities) / n_points
-    a = 2.0 / n_points * math.fsum((i - c0) * math.cos(chi) for i, chi in zip(intensities, chis))
-    b = 2.0 / n_points * math.fsum((i - c0) * math.sin(chi) for i, chi in zip(intensities, chis))
+    c0 = math.fsum(intensities) / n
+    a = 2.0 / n * math.fsum((i - c0) * math.cos(chi) for i, chi in zip(intensities, chis))
+    b = 2.0 / n * math.fsum((i - c0) * math.sin(chi) for i, chi in zip(intensities, chis))
     return math.hypot(a, b) / c0
 
 

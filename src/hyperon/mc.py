@@ -66,7 +66,8 @@ class EventTable:
     """Columnar batch of events with categorical roles and channels.
 
     Row i has id `event_id[i]`, direction `n[i]`, role `roles[role_code[i]]`
-    and channel `channels[channel_code[i]]`.  Ids are unsigned integers, as
+    and channel `channels[channel_code[i]]`; `n` has shape (rows, 3) and
+    the other columns one entry per row.  Ids are unsigned integers, as
     an event file holds them.  Each name appears once in its tuple; codes
     are the smallest unsigned integers that hold the tuple's indices (uint8
     up to 256 names).
@@ -87,6 +88,11 @@ class EventTable:
                 raise ValueError(f"codes must be unsigned indices into {names}")
         if self.event_id.dtype.kind != "u":
             raise ValueError(f"event ids must be unsigned integers, got dtype {self.event_id.dtype}")
+        rows = self.event_id.size
+        for name, shape in (("event_id", (rows,)), ("role_code", (rows,)), ("channel_code", (rows,)),
+                            ("n", (rows, 3))):
+            if (got := np.shape(getattr(self, name))) != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for {rows} event ids")
 
     @classmethod
     def from_names(cls, event_id, role, channel, n) -> EventTable:
@@ -275,41 +281,6 @@ def directions_from_linear_density(
     for i, component in enumerate((nx, ny, cos)):
         np.multiply(component, sign, out=out[:, i])
     return out
-
-
-def sample_single(params: DecayParameters, s, stream) -> np.ndarray:
-    """One daughter direction from (1/4pi)(1 + alpha s.n): SingleDecayModel's kernel on 3 draws.
-
-    `stream` is a numpy Generator; the next three doubles are (u_cos, u_phi,
-    u_keep) of `directions_from_linear_density`, azimuth on [-pi, pi) and its
-    sine from its cosine.  Event i of `generate` is this call on
-    Generator(PCG64(seed)) advanced by 3 i draws.
-    """
-    model = SingleDecayModel(params, require_polarization(s, "s"))
-    return model.kernel(stream.random(3)[None])[0, 0]
-
-
-def sample_pair(k: float, stream) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n1, n2) from (1 - k n1.n2)/(4 pi)^2: PairCorrelationModel's kernel on 6 draws.
-
-    Three draws per decay, as in `sample_single`; event i of `generate` is
-    this call on Generator(PCG64(seed)) advanced by 6 i draws.
-    """
-    n1, n2 = PairCorrelationModel(k).kernel(stream.random(6)[None])[0]
-    return n1, n2
-
-
-def sample_cascade(
-    mu: DecayParameters, nu: DecayParameters, s, stream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (n_mu, n_nu), n_nu from its exact conditional: CascadeDecayModel's kernel on 6 draws.
-
-    Three draws per decay, as in `sample_single`; event i of `generate` is
-    this call on Generator(PCG64(seed)) advanced by 6 i draws.
-    """
-    model = CascadeDecayModel(mu, nu, require_polarization(s, "s"))
-    n_mu, n_nu = model.kernel(stream.random(6)[None])[0]
-    return n_mu, n_nu
 
 
 # ---------------------------------------------------------------------------

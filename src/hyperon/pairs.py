@@ -82,23 +82,24 @@ class PairMoments:
     """Sufficient statistics of paired direction samples (n1, n2).
 
     The count; the mean and the sum of squared deviations (M2) of n1.n2;
-    and the sum over samples of the outer product n1 n2^T.  Blocks of
+    and the sum over samples of the outer product n1 n2^T.  A moment that
+    was not folded is None, and stays None through `merge`.  Blocks of
     samples merge exactly with the pairwise update of Chan, Golub and
     LeVeque (Am. Stat. 37, 242, 1983), so the estimators can consume a
     stream of blocks in bounded memory.
     """
 
     count: int = 0
-    dot_mean: float = 0.0
-    dot_m2: float = 0.0
-    cross: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    dot_mean: float | None = 0.0
+    dot_m2: float | None = 0.0
+    cross: np.ndarray | None = field(default_factory=lambda: np.zeros((3, 3)))
 
     @classmethod
     def of(cls, n1, n2, dots: bool = True, cross: bool = True) -> PairMoments:
-        """Moments of one block of matching (N, 3) direction arrays; a moment not asked for stays zero."""
+        """Moments of one block of matching (N, 3) direction arrays; a moment not asked for is None."""
         n1, n2 = _directions(n1, n2)
-        return cls(*(_dot_moments(n1, n2) if dots else (len(n1), 0.0, 0.0)),
-                   _cross_moment(n1, n2) if cross else np.zeros((3, 3)))
+        return cls(*(_dot_moments(n1, n2) if dots else (len(n1), None, None)),
+                   _cross_moment(n1, n2) if cross else None)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -111,7 +112,8 @@ class PairMoments:
         stream is cut into blocks: a file whose pairs complete in id order
         gives the same bits for any slice size or thread count of the reader.
         """
-        total, held, count = cls(), [], 0  # held: the pieces of the group being filled
+        # no pairs yet, with the same moments folded; held: the pieces of the group being filled
+        total, held, count = cls.of(np.empty((0, 3)), np.empty((0, 3)), dots=dots, cross=cross), [], 0
         for n1, n2 in blocks:
             n1, n2 = _directions(n1, n2)
             while len(n1):
@@ -130,13 +132,12 @@ class PairMoments:
         if not self.count:
             return other
         count = self.count + other.count
+        cross = None if self.cross is None or other.cross is None else self.cross + other.cross
+        if self.dot_mean is None or other.dot_mean is None:
+            return PairMoments(count, None, None, cross)
         delta = other.dot_mean - self.dot_mean
-        return PairMoments(
-            count,
-            self.dot_mean + delta * (other.count / count),
-            self.dot_m2 + other.dot_m2 + delta**2 * (self.count * other.count / count),
-            self.cross + other.cross,
-        )
+        return PairMoments(count, self.dot_mean + delta * (other.count / count),
+                           self.dot_m2 + other.dot_m2 + delta**2 * (self.count * other.count / count), cross)
 
     def require_events(self) -> None:
         """Raise ValueError if there are too few pairs for an estimate."""
@@ -151,6 +152,8 @@ class PairMoments:
         error of the sample mean.
         """
         self.require_events()
+        if self.dot_mean is None:
+            raise ValueError("the witness needs the moments of n1.n2, which were not folded")
         value = 1.0 / 3.0 + 3.0 * self.dot_mean
         stderr = 3.0 * np.sqrt(self.dot_m2 / (self.count - 1)) / np.sqrt(self.count)
         return float(value), float(stderr)
@@ -166,6 +169,8 @@ class PairMoments:
         admissible inputs to a Bell test.
         """
         self.require_events()
+        if self.cross is None:
+            raise ValueError("the correlations need the cross moment n1 n2^T, which was not folded")
         m = 9.0 * (self.cross / self.count)
         if model is not None:
             if model.k == 0.0:
@@ -201,18 +206,12 @@ def _cross_moment(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
 
 
 def witness_estimate(n1, n2) -> tuple[float, float]:
-    """Witness estimate and its standard error from paired direction samples (`PairMoments.witness`).
-
-    Only the moments of n1.n2 are computed; the cross moment stays zero.
-    """
+    """Witness estimate and its standard error from paired direction samples; folds only the n1.n2 moments."""
     return PairMoments.of(n1, n2, cross=False).witness()
 
 
 def correlation_estimate(n1, n2, model: PairModel | None = None) -> np.ndarray:
-    """Spin-correlation matrix estimate from direction samples (`PairMoments.correlations`).
-
-    Only the cross moment is computed; the moments of n1.n2 stay zero.
-    """
+    """Spin-correlation matrix estimate from direction samples; folds only the cross moment n1 n2^T."""
     return PairMoments.of(n1, n2, dots=False).correlations(model)
 
 

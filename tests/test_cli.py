@@ -105,17 +105,11 @@ class TestComplementarity:
         code, _, err = run_cli(capsys, "complementarity")
         assert code == 1
 
-    @pytest.mark.parametrize("points", ["0", "1", "2"])
-    def test_too_few_points_exit_1(self, capsys, points):
-        code, out, err = run_cli(capsys, "complementarity", "--theta", "1", "--points", points)
-        assert code == 1
-        assert out == "" and "at least 3 points" in err
-
-    def test_too_many_points_exit_1(self, capsys):
-        code, out, err = run_cli(capsys, "complementarity", "--theta", "1",
-                                 "--points", "1000000000000000")
-        assert code == 1 and out == ""
-        assert err == "error: the fringe scan takes at most 65536 points, got 1000000000000000\n"
+    @pytest.mark.parametrize("value", ["7", "64"])
+    def test_points_flag_is_refused(self, capsys, value):
+        # the fringe grid is fixed at 64 points, so there is no grid flag
+        code, out, err = run_cli(capsys, "complementarity", "--theta", "1", "--points", value)
+        assert (code, out, err) == (1, "", f"usage error: unrecognized arguments: --points {value}\n")
 
     @pytest.mark.parametrize("angles, message", [
         (("--theta", "inf"), "theta = inf is not finite"),
@@ -241,6 +235,18 @@ class TestSimulate:
         assert code == 0 and ",cascade-nu,alpha=0.4>X:ppi-," in out
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "error: no parameter row for 'X'\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_control_character_in_channel_is_data_error(self, capsys, tmp_path, threads):
+        # the name is checked in format_blocks, on a sampling thread, before the file is opened
+        table = tmp_path / "bad.csv"
+        table.write_text("X,uds,p\tpi-,0.5,0.3,0.0,+1,note\n")
+        f = tmp_path / "f.csv"
+        code, out, err = run_cli(capsys, "--threads", threads, "simulate", "single", "--hyperon", "X",
+                                 "--params", str(table), "--events", "40000", "--out", str(f))
+        assert (code, out) == (2, "")
+        assert err == "data error: channel name 'X:p\\tpi-' contains a comma or control character\n"
+        assert not f.exists()
 
     # digest: the bytes of the cascade run, the same as when each decay loaded the table
     # (0.3.0-0.5.x, before the PCG64 stream:
@@ -651,6 +657,7 @@ class TestBadNumbers:
     COMMANDS = {
         "bell": (("bell", "--inequality", "I3", "--k", "0.5"), ("--k", "--seed", "--threads")),
         "context": (("context", "--alpha", "0.5", "--alphabar", "0.5"), ("--alpha", "--alphabar")),
+        # --points is no flag (the fringe grid is fixed at 64), and is refused in one line too
         "complementarity": (("complementarity", "--theta", "1"), ("--theta", "--phi", "--points")),
         "pair": (("simulate", "pair", "--k", "0.5", "--events", "1000"),
                  ("--k", "--events", "--seed", "--threads")),
@@ -854,8 +861,8 @@ Xi-,Lambda pi-,0.998,0.0226012,0.459157,0.888355
         code, out, _ = run_cli(capsys, "--format", fmt, "context", "--alpha", "0.75", "--alphabar", "0.75")
         assert (code, out) == (0, self.CONTEXT_CSV if fmt == "csv" else self.CONTEXT_JSON)
 
-    @pytest.mark.parametrize("flags, phi", [((), ("0", "0.0")), (("--phi", "0.7", "--points", "7"), ("0.7", "0.7"))],
-                             ids=["default", "phi-7-points"])
+    @pytest.mark.parametrize("flags, phi", [((), ("0", "0.0")), (("--phi", "0.7"), ("0.7", "0.7"))],
+                             ids=["default", "phi-0.7"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_complementarity(self, capsys, fmt, flags, phi):
         code, out, _ = run_cli(capsys, "--format", fmt, "complementarity", "--theta", "1.0472", *flags)
@@ -1119,7 +1126,7 @@ class TestStartup:
         "evaluate evolve fringe gell_mann_basis generate inequality joint_pdf kraus_decompose "
         "kraus_operators load_bundled_parameters load_parameters maximally_mixed maximize "
         "mermin_peres_quantum_value params_from_alpha_phi params_from_amplitudes partial_trace "
-        "prob_joint pure_state read_events sample_cascade sample_pair sample_single tensor threshold "
+        "prob_joint pure_state read_events tensor threshold "
         "transition_matrix two_amplitude_intensity witness_estimate witness_value write_events"
     ).split()
 

@@ -233,6 +233,7 @@ class TestEventFiles:
 
     @pytest.mark.parametrize("role, channel", [
         ("single", "a,b"), ("single", "a\nb"), ("a,b", "x"), ("r\udcff", "x"), ("single", "\ud800x"),
+        ("single", "a\tb"), ("single", "a\0b"), ("r\x1f", "x"), ("single", "\r"),
     ])
     def test_bad_name_leaves_no_file(self, tmp_path, role, channel):
         table = generate(SampleConfig(seed=25, events=10, model=SingleDecayModel(
@@ -248,7 +249,7 @@ class TestEventFiles:
             write_events(path, table)
         assert not path.exists()
         what, name = ("channel", channel) if role == "single" else ("role", role)
-        reason = "contains a comma or line break" if name.isascii() else "cannot be encoded as UTF-8"
+        reason = "contains a comma or control character" if name.isascii() else "cannot be encoded as UTF-8"
         assert str(err.value).startswith(f"{what} name {name!r} {reason}")
 
     def test_failed_write_removes_partial_file(self, tmp_path, monkeypatch):
@@ -477,8 +478,8 @@ class TestRowFormatter:
         ids = [0, 9, 10, 2**53 - 1, 2**53 + 1, 2**64 - 1] + list(range(1000, 1034))
         tables = [
             event_table(ids, ["pair-1", "rôle-β"] * 20, ["Λ→pπ⁻", "x", "Ξ"] * 13 + ["x"], n),
-            # a NUL in a name does not fit the layout either; ids of any unsigned dtype
-            EventTable.from_names(np.arange(20, 60, dtype=np.uint8), ["a\0b", "c"] * 20, ["x"] * 40, n),
+            # ids of any unsigned dtype
+            EventTable.from_names(np.arange(20, 60, dtype=np.uint8), ["a b", "c"] * 20, ["x"] * 40, n),
         ]
         for table in tables:
             assert format_events(table) == HEADER + "\n" + percent_rows(table)
@@ -708,6 +709,19 @@ class TestTableLayout:
         with pytest.raises(ValueError, match="repeated name|unsigned indices"):
             EventTable(np.arange(2), codes, np.zeros(2, np.uint8),
                        np.tile([0.0, 0.0, 1.0], (2, 1)), roles, ("x",))
+
+    @pytest.mark.parametrize("column, value", [
+        ("n", np.zeros((2, 3))), ("n", np.zeros((3, 2))), ("n", np.zeros(9)),
+        ("role_code", np.zeros(2, np.uint8)), ("channel_code", np.zeros(4, np.uint8)),
+        ("event_id", np.arange(3, dtype=np.uint64)[:, None]),
+    ], ids=["n-2x3", "n-3x2", "n-flat", "role_code-short", "channel_code-long", "event_id-2d"])
+    def test_column_lengths_must_match(self, column, value):
+        # refused when the table is made, not by a numpy broadcast error in the writer
+        columns = {"event_id": np.arange(3, dtype=np.uint64), "role_code": np.zeros(3, np.uint8),
+                   "channel_code": np.zeros(3, np.uint8), "n": np.tile([0.0, 0.0, 1.0], (3, 1))}
+        EventTable(**columns, roles=("single",), channels=("x",))  # the valid base
+        with pytest.raises(ValueError, match=f"^{column} has shape "):
+            EventTable(**{**columns, column: value}, roles=("single",), channels=("x",))
 
     @pytest.mark.parametrize("ids", [np.arange(-2, 2, dtype=np.int64), np.array([0.5, 1.0, 2.0, 3.0])],
                              ids=["int64", "float"])

@@ -16,7 +16,6 @@ from hyperon.decay import (
     params_from_alpha_phi,
     params_from_amplitudes,
     spin_bloch,
-    spin_half_projector,
     transition_matrix,
 )
 from hyperon.qcore import DensityMatrix, maximally_mixed, two_amplitude_intensity
@@ -138,6 +137,14 @@ class TestParameters:
 
 
 class TestTransitionMatrix:
+    @pytest.mark.parametrize("s, p, name", [
+        (np.nan, 1.0, "S"), (np.inf, 1.0, "S"), (complex(0.0, np.nan), 1.0, "S"),
+        (1.0, np.nan, "P"), (1.0, -np.inf, "P"), (0.0, complex(np.inf, 1.0), "P"),
+    ])
+    def test_non_finite_amplitude_rejected(self, s, p, name):
+        with pytest.raises(ValueError, match=f"^amplitude {name} = .* is not finite$"):
+            DecayAmplitudes(s, p)
+
     def test_pure_s(self):
         assert np.allclose(transition_matrix(DecayAmplitudes(1, 0), [0, 0, 1]), np.eye(2))
 
@@ -294,7 +301,12 @@ class TestAngularPdf:
 
 
 def test_projector_builds_spin_states():
+    # each Kraus operator over its prefactor is the projector onto the spin state along +n or -n
     n = np.array([np.sin(0.7) * np.cos(1.3), np.sin(0.7) * np.sin(1.3), np.cos(0.7)])
-    proj = spin_half_projector(n)
-    assert np.max(np.abs(proj @ proj - proj)) < 1e-12
-    assert abs(np.trace(proj) - 1.0) < 1e-12
+    a = DecayAmplitudes(0.8, 0.3 + 0.2j)
+    alpha = params_from_amplitudes(a).alpha
+    for k, sign in zip(kraus_operators(a, n), (+1, -1)):
+        proj = k / np.sqrt(a.norm_sq * (1.0 + sign * alpha))
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-12
+        assert abs(np.trace(proj) - 1.0) < 1e-12
+        assert np.max(np.abs(spin_bloch(proj) - sign * n)) < 1e-12

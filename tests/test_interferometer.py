@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hyperon import interferometer
 from hyperon.interferometer import (
     InterferometerConfig,
     SpinState,
@@ -13,7 +14,8 @@ from hyperon.interferometer import (
     fringe_visibility,
     path_predictability,
 )
-from hyperon.qcore import DensityMatrix, gell_mann_basis, maximally_mixed, two_amplitude_intensity
+from hyperon.qcore import (
+    BlochVector, DensityMatrix, bloch_compose, gell_mann_basis, maximally_mixed, two_amplitude_intensity)
 
 SX, SY, SZ = gell_mann_basis(2)
 
@@ -31,6 +33,11 @@ def lstsq_visibility(state, n_points):
     design = np.column_stack([np.ones_like(chis), np.cos(chis), np.sin(chis)])
     coef, *_ = np.linalg.lstsq(design, intensities, rcond=None)
     return float(np.hypot(coef[1], coef[2]) / coef[0])
+
+
+def density(state):
+    """The qubit density matrix of a SpinState's Bloch vector."""
+    return bloch_compose(BlochVector(2, state.bloch()))
 
 
 def random_density(rng):
@@ -69,7 +76,7 @@ class TestUnitaries:
             theta, phi, chi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(-10, 10)
             state = SpinState(theta, phi, rng.uniform(0, 1))
             u = exponential_unitary(chi)
-            rho = u @ state.density().matrix @ u.conj().T
+            rho = u @ density(state).matrix @ u.conj().T
             for axis, sigma in zip("xyz", (SX, SY, SZ)):
                 for sign in (+1, -1):
                     expected = np.trace((np.eye(2) + sign * sigma) / 2.0 @ rho).real
@@ -79,14 +86,14 @@ class TestUnitaries:
         rng = np.random.default_rng(20)
         for _ in range(200):
             theta, phi, chi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
-            state = SpinState(theta, phi).density()
+            state = density(SpinState(theta, phi))
             u = exponential_unitary(chi)
             expected = u @ state.matrix @ u.conj().T
             got = evolve(InterferometerConfig(chi=chi), state)
             assert np.max(np.abs(got.matrix - expected)) < 1e-12
 
     def test_spin_up_z_flips(self):
-        out = evolve(InterferometerConfig(chi=0.0), SpinState(0.0, 0.0).density())
+        out = evolve(InterferometerConfig(chi=0.0), density(SpinState(0.0, 0.0)))
         assert np.allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_mixed_state_invariant(self):
@@ -138,25 +145,20 @@ class TestFringe:
     def test_partial_purity_scales_amplitude(self):
         assert abs(fringe_visibility(SpinState(np.pi / 3, 0.0, 0.5)) - 0.5 * np.sin(np.pi / 3)) < 1e-9
 
-    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2])
-    def test_too_few_fit_points(self, n_points):
-        with pytest.raises(ValueError, match="at least 3 points"):
-            fringe_visibility(SpinState(0.4, 0.0), n_points=n_points)
-
-    def test_too_many_fit_points(self):
-        with pytest.raises(ValueError, match="at most 65536 points, got 65537"):
-            fringe_visibility(SpinState(0.4, 0.0), n_points=65_537)
-
+    # the grid is fixed at 64 points; the Fourier sums are the least-squares fit on any uniform
+    # grid of at least 3 points, the number of unknowns, so the fit is checked on other grids too
     @pytest.mark.parametrize("n_points", [3, 7, 64, 1000, 65536])
-    def test_fourier_sums_are_the_least_squares_fit(self, n_points):
+    def test_fourier_sums_are_the_least_squares_fit(self, monkeypatch, n_points):
+        monkeypatch.setattr(interferometer, "_FRINGE_POINTS", n_points)
         rng = np.random.default_rng(n_points)
         states = [SpinState(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1))
                   for _ in range(20 if n_points < 65536 else 2)]
         for state in [SpinState(0.0, 0.0), SpinState(np.pi / 2, 1.0), *states]:
-            assert abs(fringe_visibility(state, n_points) - lstsq_visibility(state, n_points)) <= 1e-14
+            assert abs(fringe_visibility(state) - lstsq_visibility(state, n_points)) <= 1e-14
 
-    def test_three_fit_points_suffice(self):
-        assert abs(fringe_visibility(SpinState(0.4, 0.0), n_points=3) - np.sin(0.4)) < 1e-12
+    def test_three_fit_points_suffice(self, monkeypatch):
+        monkeypatch.setattr(interferometer, "_FRINGE_POINTS", 3)
+        assert abs(fringe_visibility(SpinState(0.4, 0.0)) - np.sin(0.4)) < 1e-12
 
     def test_z_predictability(self):
         for theta in np.linspace(0.0, np.pi, 13):
@@ -215,7 +217,7 @@ class TestAsymmetric:
                 )
                 for sign in (+1, -1):
                     t_a, t_b = asymmetric_transition_matrices(cfg, sign)
-                    generic = two_amplitude_intensity(t_a, t_b, state.density())
+                    generic = two_amplitude_intensity(t_a, t_b, density(state))
                     closed = asymmetric_intensity(cfg, state, sign)
                     assert abs(generic - closed) < 1e-10
 
@@ -226,5 +228,16 @@ class TestAsymmetric:
         assert abs(np.arctan2(n[1], n[0]) - (-0.043 * np.pi)) < 1e-15
 
     def test_invalid_splitting(self):
-        with pytest.raises(ValueError, match="splitting"):
-            InterferometerConfig(splitting=(0.0, 0.0))
+        # a sum that overflows would make the intensity inf and its visibility nan
+        for splitting in [(0.0, 0.0), (-1.0, 2.0), (1e308, 1e308)]:
+            with pytest.raises(ValueError, match="splitting"):
+                InterferometerConfig(splitting=splitting)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["chi", "chi_sp", "splitting-a", "splitting-b"])
+    def test_non_finite_config(self, field, bad):
+        # refused when the config is made, not inside fringe or qcore later
+        kwargs = {"splitting-a": {"splitting": (bad, 1.0)}, "splitting-b": {"splitting": (1.0, bad)}}
+        name = field.split("-")[0]
+        with pytest.raises(ValueError, match=f"^{name} "):
+            InterferometerConfig(**kwargs.get(field, {field: bad}))

@@ -15,9 +15,6 @@ from hyperon.mc import (
     _pool_size,
     directions_from_linear_density,
     generate,
-    sample_cascade,
-    sample_pair,
-    sample_single,
 )
 from hyperon.sphere import sphere_quadrature
 
@@ -29,6 +26,20 @@ def stream_at(seed, event=0, draws=3):
     bitgen = np.random.PCG64(seed)
     bitgen.advance(draws * event)
     return np.random.Generator(bitgen)
+
+
+def kernel_at(model, seed, event):
+    """The model's kernel on the doubles of event `event` of the stream of `seed`: that event's rows."""
+    draws = 3 * len(model.roles)
+    return model.kernel(stream_at(seed, event, draws).random(draws)[None])[0]
+
+
+def assert_events_are_kernel_runs(model, seed, events):
+    """Event i of `generate` is the model's kernel run on PCG64(seed) advanced to event i."""
+    table = generate(SampleConfig(seed=seed, events=events, model=model))
+    rows = len(model.roles)
+    for i in range(events):
+        assert np.array_equal(kernel_at(model, seed, i), table.n[rows * i:rows * (i + 1)])
 
 
 def azimuth_chi2_pvalue(angles, bins=36):
@@ -215,14 +226,12 @@ class TestSingleSampler:
         assert stats.kstest(table.n @ (s / np.linalg.norm(s)), cdf).pvalue > 0.01
 
     def test_scalar_sampler_matches_generate(self):
-        model = SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5])
-        table = generate(SampleConfig(seed=12, events=16, model=model))
-        for i in range(16):
-            assert np.array_equal(sample_single(LAMBDA, [0.0, 0.3, 0.5], stream_at(12, i)), table.n[i])
+        assert_events_are_kernel_runs(SingleDecayModel(params=LAMBDA, polarization=[0.0, 0.3, 0.5]), 12, 16)
 
     def test_first_samples_repeat(self):
-        first = [sample_single(LAMBDA, [0, 0, 1], stream_at(12, i)) for i in range(10)]
-        again = [sample_single(LAMBDA, [0, 0, 1], stream_at(12, i)) for i in range(10)]
+        model = SingleDecayModel(params=LAMBDA, polarization=[0, 0, 1])
+        first = [kernel_at(model, 12, i) for i in range(10)]
+        again = [kernel_at(model, 12, i) for i in range(10)]
         assert np.array_equal(np.array(first), np.array(again))
 
     def test_azimuth_uniformity(self):
@@ -275,12 +284,7 @@ class TestPairSampler:
         assert azimuth_chi2_pvalue(np.arctan2(n1[:, 1], n1[:, 0])) > 0.01
 
     def test_scalar_sampler_matches_generate(self):
-        model = PairCorrelationModel(k=0.46)
-        table = generate(SampleConfig(seed=10, events=16, model=model))
-        for i in range(16):
-            n1, n2 = sample_pair(0.46, stream_at(10, i, 6))
-            assert np.array_equal(n1, table.n[2 * i])
-            assert np.array_equal(n2, table.n[2 * i + 1])
+        assert_events_are_kernel_runs(PairCorrelationModel(k=0.46), 10, 16)
 
 
 def cascade_moment_by_quadrature(mu, nu, s):
@@ -345,22 +349,14 @@ class TestCascadeSampler:
     def test_scalar_sampler_matches_generate(self):
         mu = params_from_alpha_phi(-0.458, -0.011666667 * np.pi)
         model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=[0.1, 0.2, 0.3])
-        table = generate(SampleConfig(seed=14, events=8, model=model))
-        for i in range(8):
-            n_mu, n_nu = sample_cascade(mu, LAMBDA, [0.1, 0.2, 0.3], stream_at(14, i, 6))
-            assert np.array_equal(n_mu, table.n[2 * i])
-            assert np.array_equal(n_nu, table.n[2 * i + 1])
+        assert_events_are_kernel_runs(model, 14, 8)
 
     def test_one_row_matches_longer_chunks(self):
         # every kernel step is elementwise; one event must get the bits it
-        # gets inside a longer chunk, from the scalar sampler and generate
+        # gets inside a longer chunk, from the kernel on one row and generate
         mu = params_from_alpha_phi(-0.458, -0.011666667 * np.pi)
-        s = [0.31, -0.27, 0.55]
-        model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=s)
-        table = generate(SampleConfig(seed=14, events=300, model=model))
-        for i in range(300):
-            assert np.array_equal(np.array(sample_cascade(mu, LAMBDA, s, stream_at(14, i, 6))),
-                                  table.n[2 * i:2 * i + 2])
+        model = CascadeDecayModel(mu=mu, nu=LAMBDA, polarization=[0.31, -0.27, 0.55])
+        assert_events_are_kernel_runs(model, 14, 300)
         for seed in range(100):
             one = generate(SampleConfig(seed=seed, events=1, model=model))
             two = generate(SampleConfig(seed=seed, events=2, model=model))
@@ -461,10 +457,6 @@ class TestGenerate:
             SingleDecayModel(params=LAMBDA, polarization=s)
         with pytest.raises(ValueError, match=r"\|polarization\| exceeds 1"):
             CascadeDecayModel(mu=LAMBDA, nu=LAMBDA, polarization=s)
-        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
-            sample_single(LAMBDA, s, stream_at(1))
-        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
-            sample_cascade(LAMBDA, LAMBDA, s, stream_at(1))
 
     def test_polarization_is_a_read_only_copy(self):
         s = np.array([0.0, 0.0, 0.5])
@@ -489,19 +481,15 @@ class TestGenerate:
             SingleDecayModel(params=LAMBDA, polarization=s)
         with pytest.raises(ValueError, match=r"polarization must be a 3-vector"):
             CascadeDecayModel(mu=LAMBDA, nu=LAMBDA, polarization=s)
-        with pytest.raises(ValueError, match=r"s must be a 3-vector"):
-            sample_single(LAMBDA, s, stream_at(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nan_inputs_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\|polarization\| exceeds 1"):
             SingleDecayModel(params=LAMBDA, polarization=[bad, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"\|s\| exceeds 1"):
-            sample_cascade(LAMBDA, LAMBDA, [0.0, bad, 0.0], stream_at(1))
+        with pytest.raises(ValueError, match=r"\|polarization\| exceeds 1"):
+            CascadeDecayModel(mu=LAMBDA, nu=LAMBDA, polarization=[0.0, bad, 0.0])
         with pytest.raises(ValueError, match=r"\|k\| exceeds 1"):
             PairCorrelationModel(k=bad)
-        with pytest.raises(ValueError, match=r"\|k\| exceeds 1"):
-            sample_pair(bad, stream_at(1))
         u = np.array([0.5])
         with pytest.raises(ValueError, match="longer than 1"):
             directions_from_linear_density(np.array([bad, 0.0, 0.0]), u, u, u)

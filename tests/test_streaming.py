@@ -635,9 +635,16 @@ class TestMoments:
         dots = PairMoments.from_blocks(blocks, cross=False)
         cross = PairMoments.from_blocks(blocks, dots=False)
         assert (dots.count, dots.dot_mean, dots.dot_m2) == (full.count, full.dot_mean, full.dot_m2)
-        assert dots.witness() == full.witness() and not dots.cross.any()
-        assert (cross.count, cross.dot_mean, cross.dot_m2) == (full.count, 0.0, 0.0)
+        assert dots.witness() == full.witness() and dots.cross is None
+        assert (cross.count, cross.dot_mean, cross.dot_m2) == (full.count, None, None)
         assert np.array_equal(cross.correlations(), full.correlations())
+        # a moment that was not folded is refused, not read as zero, in one block or merged
+        for partial in (dots, PairMoments.of(n1, n2, dots=True, cross=False), full.merge(dots)):
+            with pytest.raises(ValueError, match="cross moment .* not folded"):
+                partial.correlations()
+        for partial in (cross, PairMoments.of(n1, n2, dots=False), cross.merge(full)):
+            with pytest.raises(ValueError, match="moments of n1.n2, which were not folded"):
+                partial.witness()
 
     def test_one_block_is_the_direct_formula(self):
         rng = np.random.default_rng(8)
