@@ -10,9 +10,7 @@ lines, formatted or parsed by vectorised passes over their bytes on the
 sampling threads, and pair rows are matched as the slices stream past, so
 neither direction needs the whole file in memory.  Both directions keep
 the file as bytes, in binary mode; a slice is decoded only to check that
-it is UTF-8, and its line breaks are read as text mode reads them.  The
-parameter-table names (`load_parameters`, ...) live in `params` and are
-re-exported here."""
+it is UTF-8, and its line breaks are read as text mode reads them."""
 
 from __future__ import annotations
 
@@ -24,11 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EventFileError, ParameterFileError  # DataError, ParameterFileError: re-exported
+from .errors import EventFileError
 from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map, _pool_size
-from .params import (  # re-exported
-    PARAMETER_COLUMNS, ParameterRow, ParameterTable, bundled_parameters_path, load_bundled_parameters,
-    load_parameters)
+# re-exported: tests/test_acceptance.py and perfbench/genmem.py import it from dataio
+from .params import load_bundled_parameters
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
 _EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
@@ -229,11 +226,6 @@ def _event_chunks(tables: EventTable | Iterable[EventTable | list[bytes]]) -> It
             yield from rows
 
     return chunks()
-
-
-def format_events(tables: EventTable | Iterable[EventTable]) -> str:
-    """Event-file text of an EventTable or of an iterable of them."""
-    return b"".join(_event_chunks(tables)).decode()
 
 
 def write_events(path, tables: EventTable | Iterable[EventTable | list[bytes]]) -> None:

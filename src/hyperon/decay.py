@@ -18,19 +18,21 @@ report it modulo pi (see :func:`chi_sp_mod_pi`).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (  # chi_sp_mod_pi, params_from_alpha_phi: re-exported
-    _PARAM_TOL, DecayParameters, chi_sp_mod_pi, params_from_alpha_phi)
+from .params import _PARAM_TOL, DecayParameters
+# re-exported: tests/test_acceptance.py imports them from decay
+from .params import chi_sp_mod_pi, params_from_alpha_phi
 from .qcore import BlochVector, as_density, bloch_compose, bloch_expand, pauli_dot
 from .sphere import require_polarization, require_unit
 
 
 @dataclass(frozen=True)
 class DecayAmplitudes:
-    """Finite S-wave and P-wave amplitudes; at least one must be nonzero."""
+    """S-wave and P-wave amplitudes whose |S|^2 + |P|^2 is finite and nonzero."""
 
     S: complex
     P: complex
@@ -39,12 +41,14 @@ class DecayAmplitudes:
         for name in ("S", "P"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"amplitude {name} = {getattr(self, name)} is not finite")
+        if not math.isfinite(self.norm_sq):
+            raise ValueError(f"|S|^2 + |P|^2 overflows for amplitudes S = {self.S}, P = {self.P}")
         if self.norm_sq == 0.0:
             raise ValueError("S and P cannot both vanish")
 
     @property
     def norm_sq(self) -> float:
-        return abs(self.S) ** 2 + abs(self.P) ** 2
+        return abs(self.S) * abs(self.S) + abs(self.P) * abs(self.P)  # float ** 2 raises OverflowError
 
 
 def params_from_amplitudes(a: DecayAmplitudes) -> DecayParameters:

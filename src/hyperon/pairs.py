@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, PAULI, PSI_MINUS_KET, as_density, pauli_dot, psi_minus_state, tensor
+from .qcore import DensityMatrix, PAULI, as_density, pauli_dot, psi_minus_state, tensor
 from .sphere import require_unit
 
 _MIN_EVENTS = 100

@@ -186,12 +186,6 @@ def bloch_compose(b: BlochVector) -> DensityMatrix:
     """Build ``(1/d)(I + b . G)``; rejects vectors giving a non-PSD matrix."""
     d = b.dim
     mat = (np.eye(d, dtype=complex) + np.tensordot(b.components, gell_mann_basis(d), axes=1)) / d
-    lo = float(np.linalg.eigvalsh(mat).min())
-    if lo < PSD_EIG_TOL:
-        raise ValueError(
-            f"Bloch vector of length {np.linalg.norm(b.components):.6g} gives "
-            f"min eigenvalue {lo:.3e}; not a physical state"
-        )
     return DensityMatrix(mat)
 
 

@@ -13,11 +13,11 @@ from hyperon.decay import (
     DecayAmplitudes,
     amplitudes_from_params,
     kraus_operators,
-    params_from_alpha_phi,
     params_from_amplitudes,
     spin_bloch,
     transition_matrix,
 )
+from hyperon.params import params_from_alpha_phi
 from hyperon.qcore import DensityMatrix
 
 FOUR_PI_SQ = (4.0 * np.pi) ** 2

@@ -8,20 +8,11 @@ import pytest
 
 from hyperon import dataio
 from hyperon.cli import main
-from hyperon.dataio import (
-    EventFileError,
-    ParameterFileError,
-    bundled_parameters_path,
-    format_events,
-    load_bundled_parameters,
-    load_parameters,
-    paired_directions,
-    read_events,
-    write_events,
-)
-from hyperon.decay import chi_sp_mod_pi
+from hyperon.dataio import paired_directions, read_events, write_events
+from hyperon.errors import EventFileError, ParameterFileError
 from hyperon.mc import EventTable, PairCorrelationModel, SampleConfig, SingleDecayModel, generate
-from hyperon.decay import params_from_alpha_phi
+from hyperon.params import (
+    bundled_parameters_path, chi_sp_mod_pi, load_bundled_parameters, load_parameters, params_from_alpha_phi)
 
 # published magnitude bands: channel -> (chi_sp/pi, err), (V, err), (P, err)
 REFERENCE_BANDS = {
@@ -159,6 +150,13 @@ def event_table(event_id, role, channel, n) -> EventTable:
     )
 
 
+def event_text(tables) -> str:
+    """The event-file text `write_events` writes for an EventTable or an iterable of them."""
+    out = io.StringIO()
+    write_events(out, tables)
+    return out.getvalue()
+
+
 HEADER = "event_id,role,channel,nx,ny,nz"
 
 
@@ -229,7 +227,7 @@ class TestEventFiles:
 
     def test_comma_in_channel_rejected(self):
         with pytest.raises(EventFileError, match="comma"):
-            format_events(event_table([0], ["single"], ["a,b"], [0.0, 0.0, 1.0]))
+            event_text(event_table([0], ["single"], ["a,b"], [0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("role, channel", [
         ("single", "a,b"), ("single", "a\nb"), ("a,b", "x"), ("r\udcff", "x"), ("single", "\ud800x"),
@@ -268,13 +266,13 @@ class TestEventFiles:
                             [[0.0, 0.6, 0.8]] * 4)
         path = tmp_path / "events.csv"
         write_events(path, table)
-        assert path.read_bytes() == format_events(table).encode("utf-8")
+        assert path.read_bytes() == event_text(table).encode("utf-8")
         back = read_events(path)
         assert (back.roles, back.channels) == (("rôle-β", "pair-2"), ("Λ→pπ⁻", "Ξ", "x"))
         assert back.role.tolist() == table.role.tolist() and back.channel.tolist() == table.channel.tolist()
         assert np.array_equal(back.n, table.n) and back.event_id.tolist() == [0, 0, 1, 1]
 
-    def test_stream_matches_text(self):
+    def test_stream_matches_text(self, tmp_path):
         # 66,000 rows: more than one block of the writer
         table = generate(SampleConfig(seed=26, events=33_000, model=PairCorrelationModel(k=0.3)))
         out, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
@@ -282,7 +280,9 @@ class TestEventFiles:
         binary.write("text before the events\n")
         write_events(binary, table)  # the bytes to its buffer, after what the stream held
         binary.flush()
-        texts = [out.getvalue(), format_events(table),
+        path = tmp_path / "events.csv"
+        write_events(path, table)
+        texts = [out.getvalue(), path.read_bytes().decode(),
                  binary.buffer.getvalue().decode().removeprefix("text before the events\n")]
         # digests, not the strings: a report that diffs two 66,000-line strings takes minutes
         digests = {(len(t), hashlib.sha256(t.encode()).hexdigest()) for t in texts}
@@ -353,7 +353,7 @@ class TestEventFiles:
         assert back.event_id.tolist() == list(range(900))
         assert back.role.tolist() == roles
         assert back.channel.tolist() == channels
-        assert path.read_text() == format_events(back)
+        assert path.read_text() == event_text(back)
 
     def test_nine_digit_precision(self, tmp_path):
         n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -448,10 +448,10 @@ class TestRowFormatter:
             rows = len(n)
             table = EventTable(np.arange(rows, dtype=np.uint64), np.zeros(rows, np.uint8),
                                np.zeros(rows, np.uint8), n, ("r",), ("c",))
-            got, want = format_events(table), HEADER + "\n" + percent_rows(table)
+            got, want = event_text(table), HEADER + "\n" + percent_rows(table)
             if got != want:
                 line = next(g for g, w in zip(got.splitlines(), want.splitlines()) if g != w)
-                pytest.fail(f"{name}: format_events wrote {line!r}")
+                pytest.fail(f"{name}: write_events wrote {line!r}")
             # the first 200,000 rows parsed back, against _parse_body; the unit check, which both
             # share, is off
             with monkeypatch.context() as patch:
@@ -482,7 +482,7 @@ class TestRowFormatter:
             EventTable.from_names(np.arange(20, 60, dtype=np.uint8), ["a b", "c"] * 20, ["x"] * 40, n),
         ]
         for table in tables:
-            assert format_events(table) == HEADER + "\n" + percent_rows(table)
+            assert event_text(table) == HEADER + "\n" + percent_rows(table)
 
 
 def parent_read(path) -> EventTable:
@@ -667,7 +667,7 @@ class TestPairedDirections:
 
     def test_duplicate_event_id_rejected(self, capsys, tmp_path):
         table = generate(SampleConfig(seed=29, events=150, model=PairCorrelationModel(k=0.46)))
-        lines = format_events(table).splitlines(keepends=True)
+        lines = event_text(table).splitlines(keepends=True)
         path = tmp_path / "events.csv"
         path.write_text("".join(lines + lines[1:3]))  # event 0 again, for both roles
         with pytest.raises(EventFileError, match="event id 0 appears more than once"):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,19 +6,17 @@ import pytest
 
 from hyperon.decay import (
     DecayAmplitudes,
-    DecayParameters,
     KrausPair,
     amplitudes_from_params,
     angular_pdf,
-    chi_sp_mod_pi,
     kraus_decompose,
     kraus_intensity,
     kraus_operators,
-    params_from_alpha_phi,
     params_from_amplitudes,
     spin_bloch,
     transition_matrix,
 )
+from hyperon.params import DecayParameters, chi_sp_mod_pi, params_from_alpha_phi
 from hyperon.qcore import DensityMatrix, maximally_mixed, two_amplitude_intensity
 from hyperon.sphere import sphere_integral
 
@@ -144,6 +143,14 @@ class TestTransitionMatrix:
     def test_non_finite_amplitude_rejected(self, s, p, name):
         with pytest.raises(ValueError, match=f"^amplitude {name} = .* is not finite$"):
             DecayAmplitudes(s, p)
+
+    @pytest.mark.parametrize("s, p, names", [(1e200, 1e200, "S = 1e+200, P = 1e+200"),
+                                             (1e200j, 0, "S = 1e+200j, P = 0")])
+    def test_overflowing_norm_rejected(self, s, p, names):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'|S|^2 + |P|^2 overflows for amplitudes {names}')}$"):
+            DecayAmplitudes(s, p)
+        # the squared norm of the largest amplitudes that still fit
+        assert params_from_amplitudes(DecayAmplitudes(1e150, 1e150)).alpha == 1.0
 
     def test_pure_s(self):
         assert np.allclose(transition_matrix(DecayAmplitudes(1, 0), [0, 0, 1]), np.eye(2))

@@ -6,7 +6,7 @@ from scipy import stats
 
 from hyperon import mc
 from hyperon.cascade import cascade_tau
-from hyperon.decay import DecayAmplitudes, params_from_alpha_phi, params_from_amplitudes
+from hyperon.decay import DecayAmplitudes, params_from_amplitudes
 from hyperon.mc import (
     CascadeDecayModel,
     PairCorrelationModel,
@@ -16,6 +16,7 @@ from hyperon.mc import (
     directions_from_linear_density,
     generate,
 )
+from hyperon.params import params_from_alpha_phi
 from hyperon.sphere import sphere_quadrature
 
 LAMBDA = params_from_alpha_phi(0.642, -0.036111111 * np.pi)

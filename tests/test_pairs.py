@@ -11,14 +11,13 @@ from hyperon.pairs import (
     is_ppt,
     is_separable_point,
     joint_pdf,
-    psi_minus_state,
     simplex_shrink,
     simplex_state,
     witness_estimate,
     witness_operator,
     witness_value,
 )
-from hyperon.qcore import tensor
+from hyperon.qcore import psi_minus_state, tensor
 from hyperon.sphere import sphere_quadrature
 
 FOUR_PI_SQ = (4.0 * np.pi) ** 2

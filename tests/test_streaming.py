@@ -19,16 +19,11 @@ import pytest
 
 from hyperon import dataio, mc
 from hyperon.cli import main
-from hyperon.dataio import (
-    EventFileError,
-    format_events,
-    iter_events,
-    iter_pairs,
-    paired_directions,
-    read_events,
-)
+from hyperon.dataio import iter_events, iter_pairs, paired_directions, read_events
+from hyperon.errors import EventFileError
 from hyperon.mc import EventTable, PairCorrelationModel, SampleConfig, generate, iter_chunks
 from hyperon.pairs import PairMoments, correlation_estimate, witness_estimate
+from test_dataio import event_text
 
 HEADER = "event_id,role,channel,nx,ny,nz"
 ROW = "{},pair-{},x,0,0,1\n"  # 17 bytes for a one-digit id
@@ -44,7 +39,7 @@ def small_blocks(monkeypatch):
 
 def pair_file(tmp_path, table: EventTable, name="events.csv"):
     path = tmp_path / name
-    path.write_text(format_events(table))
+    path.write_text(event_text(table))
     return path
 
 
@@ -86,7 +81,7 @@ class TestReadBlocks:
             assert np.array_equal(got.role_code, table.role_code)
             assert np.array_equal(got.channel_code, table.channel_code)
             assert np.array_equal(got.n, table.n)
-        assert format_events(whole) == format_events(blocks) == path.read_text()
+        assert event_text(whole) == event_text(blocks) == path.read_text()
 
     def test_bad_line_in_third_block(self, tmp_path, small_blocks):
         lines = [ROW.format(i, 1) for i in range(9)]
@@ -115,7 +110,7 @@ class TestReadBlocks:
     def test_undecodable_byte_in_later_block(self, tmp_path, small_blocks, capsys):
         table = generate(SampleConfig(seed=3, events=2000, model=PairCorrelationModel(k=0.46)))
         path = tmp_path / "events.csv"
-        text = format_events(table).encode()
+        text = event_text(table).encode()
         small_blocks(300)
         # line starts in a middle slice and in the last one; an error's position is the
         # byte's offset in the file, not in its slice
@@ -732,7 +727,7 @@ class TestChunks:
         else:
             assert threading.get_ident() not in threads
         assert b"".join(block for blocks in iter_chunks(config, dataio.format_blocks) for block in blocks) \
-            == format_events(generate(config))[len(HEADER) + 1:].encode()
+            == event_text(generate(config))[len(HEADER) + 1:].encode()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_error_drawing_items_follows_earlier_results(self, workers):
