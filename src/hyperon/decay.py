@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,14 @@ import numpy as np
 from .params import _PARAM_TOL, DecayParameters
 # re-exported: tests/test_acceptance.py imports them from decay
 from .params import chi_sp_mod_pi, params_from_alpha_phi
-from .qcore import BlochVector, as_density, bloch_compose, bloch_expand, pauli_dot
+from .qcore import as_density, bloch_compose, pauli_dot
+from .qcore import spin_bloch  # re-exported: tests/test_acceptance.py imports it from decay
 from .sphere import require_polarization, require_unit
 
 
 @dataclass(frozen=True)
 class DecayAmplitudes:
-    """S-wave and P-wave amplitudes whose |S|^2 + |P|^2 is finite and nonzero."""
+    """S-wave and P-wave amplitudes whose |S|^2 + |P|^2 is a finite normal float."""
 
     S: complex
     P: complex
@@ -43,8 +45,10 @@ class DecayAmplitudes:
                 raise ValueError(f"amplitude {name} = {getattr(self, name)} is not finite")
         if not math.isfinite(self.norm_sq):
             raise ValueError(f"|S|^2 + |P|^2 overflows for amplitudes S = {self.S}, P = {self.P}")
-        if self.norm_sq == 0.0:
+        if self.S == 0 and self.P == 0:
             raise ValueError("S and P cannot both vanish")
+        if self.norm_sq < sys.float_info.min:  # a subnormal norm_sq leaves too few bits for alpha, beta, gamma
+            raise ValueError(f"|S|^2 + |P|^2 underflows for amplitudes S = {self.S}, P = {self.P}")
 
     @property
     def norm_sq(self) -> float:
@@ -75,36 +79,25 @@ def amplitudes_from_params(p: DecayParameters) -> DecayAmplitudes:
 
 @dataclass(frozen=True)
 class KrausPair:
-    """Two-outcome channel data: probabilities and quantization Bloch vectors.
+    """Two-outcome channel data of a spin-1/2 decay: probabilities and a measurement axis.
 
-    The channel projects the spin along ``w1 + w2`` with probability
-    ``omega_plus`` and along ``w1 - w2`` with probability ``omega_minus``;
-    for spin 1/2 the vectors satisfy w1 = 0 and |w1 +/- w2|^2 = 1.
+    The channel projects the spin along ``+axis`` with probability
+    ``omega_plus`` and along ``-axis`` with probability ``omega_minus``.
     """
 
     omega_plus: float
     omega_minus: float
-    w1: np.ndarray
-    w2: np.ndarray
+    axis: np.ndarray
 
     def __post_init__(self):
-        w1 = np.array(self.w1, dtype=float)  # a copy: the caller's arrays stay writable
-        w2 = np.array(self.w2, dtype=float)
         # each check is written so that NaN fails it
         if not abs(self.omega_plus + self.omega_minus - 1.0) <= _PARAM_TOL:
             raise ValueError("outcome probabilities must sum to 1")
         if not (self.omega_plus >= 0.0 and self.omega_minus >= 0.0):
             raise ValueError("outcome probabilities must be nonnegative")
-        if not abs(np.dot(w1, w2)) <= _PARAM_TOL:
-            raise ValueError("quantization vectors must be orthogonal")
-        for sign in (+1.0, -1.0):
-            length_sq = float(np.dot(w1 + sign * w2, w1 + sign * w2))
-            if not abs(length_sq - 1.0) <= _PARAM_TOL:  # s(2s+1) = 1 for s = 1/2
-                raise ValueError(f"|w1 {'+' if sign > 0 else '-'} w2|^2 = {length_sq:.12g}, expected 1")
-        w1.setflags(write=False)
-        w2.setflags(write=False)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
+        axis = require_unit(self.axis, "axis").copy()  # a copy: the caller's array stays writable
+        axis.setflags(write=False)
+        object.__setattr__(self, "axis", axis)
 
 
 def transition_matrix(a: DecayAmplitudes, n) -> np.ndarray:
@@ -115,14 +108,8 @@ def transition_matrix(a: DecayAmplitudes, n) -> np.ndarray:
 
 def kraus_decompose(a: DecayAmplitudes, n) -> KrausPair:
     """Two-outcome Kraus data of the decay: project along +/- n with (1 +/- alpha)/2."""
-    n = require_unit(n)
     alpha = params_from_amplitudes(a).alpha
-    return KrausPair(
-        omega_plus=(1.0 + alpha) / 2.0,
-        omega_minus=(1.0 - alpha) / 2.0,
-        w1=np.zeros(3),
-        w2=n,
-    )
+    return KrausPair(omega_plus=(1.0 + alpha) / 2.0, omega_minus=(1.0 - alpha) / 2.0, axis=n)
 
 
 def kraus_operators(a: DecayAmplitudes, n) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +121,8 @@ def kraus_operators(a: DecayAmplitudes, n) -> tuple[np.ndarray, np.ndarray]:
     """
     pair = kraus_decompose(a, n)
     scale = 2.0 * a.norm_sq
-    axis = pair.w1 + pair.w2
-    k_plus = np.sqrt(scale * pair.omega_plus) * bloch_compose(BlochVector(2, axis)).matrix
-    k_minus = np.sqrt(scale * pair.omega_minus) * bloch_compose(BlochVector(2, -axis)).matrix
+    k_plus = np.sqrt(scale * pair.omega_plus) * bloch_compose(pair.axis).matrix
+    k_minus = np.sqrt(scale * pair.omega_minus) * bloch_compose(-pair.axis).matrix
     return k_plus, k_minus
 
 
@@ -159,10 +145,3 @@ def angular_pdf(params: DecayParameters, s, n) -> float:
     n = require_unit(n)
     return float((1.0 + params.alpha * np.dot(s, n)) / (4.0 * np.pi))
 
-
-def spin_bloch(rho) -> np.ndarray:
-    """Bloch 3-vector Tr(sigma rho) of a qubit state."""
-    rho = as_density(rho)
-    if rho.dim != 2:
-        raise ValueError("spin Bloch vector is defined for qubits only")
-    return bloch_expand(rho).components

@@ -79,12 +79,9 @@ def _device(s, chi: float) -> tuple[float, float, float]:
 
 def evolve(cfg: InterferometerConfig, rho):
     """U_IF rho U_IF^dag for a qubit state, as its Bloch vector turned by the device."""
-    from .qcore import BlochVector, bloch_compose, bloch_expand
+    from .qcore import bloch_compose, spin_bloch
 
-    b = bloch_expand(rho)
-    if b.dim != 2:
-        raise ValueError(f"interferometer acts on qubits, got dimension {b.dim}")
-    return bloch_compose(BlochVector(2, _device(b.components, cfg.chi)))
+    return bloch_compose(_device(spin_bloch(rho), cfg.chi))
 
 
 def fringe(cfg: InterferometerConfig, state: SpinState, axis: str, sign: int) -> float:

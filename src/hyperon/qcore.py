@@ -1,29 +1,23 @@
-"""Dense complex-matrix foundation for small spin systems.
+"""Dense complex-matrix foundation for spin-1/2 systems.
 
-Density matrices, generalized Gell-Mann (Bloch) expansions, tensor products,
-partial traces and the generic two-amplitude interference intensity with its
+Density matrices, the qubit Bloch map, tensor products, partial traces and
+the generic two-amplitude interference intensity with its
 visibility/predictability split.  Everything here is a pure function over
-immutable values; dimensions of interest are small (d <= 4, d <= 16 for
-two-particle systems) so all storage is dense.
+immutable values; dimensions are small (d = 2 for one spin, d = 4 for a
+pair) so all storage is dense.
 
 Conventions
 -----------
-* Basis: generalized Hermitian traceless Gell-Mann matrices in
-  symmetric / antisymmetric / diagonal order, normalized to
-  ``Tr(G_i G_j) = 2 delta_ij``.  For d=2 this is exactly (sigma_x,
-  sigma_y, sigma_z).
-* Bloch expansion: ``rho = (1/d) (I + b . G)`` with
-  ``b_i = (d/2) Tr(G_i rho)``; for d=2 the coefficients coincide with the
-  usual ``Tr(sigma_i rho)``.  A maximal (pure-state) vector has
-  ``|b| = sqrt(d(d-1)/2)``.
+* Bloch map: ``rho = (I + b . sigma) / 2`` with ``b_i = Tr(sigma_i rho)``,
+  sigma = (sigma_x, sigma_y, sigma_z); a state has ``|b| <= 1``, a pure
+  state ``|b| = 1``.
 * Matrix norm used for visibility/predictability: Frobenius norm scaled so
   that ``||I|| = 1`` in every dimension, i.e. ``||T|| = ||T||_F / sqrt(d)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,38 +42,6 @@ def pauli_dot(v) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     return np.tensordot(v, PAULI, axes=1)
-
-
-@lru_cache(maxsize=8)
-def gell_mann_basis(d: int) -> np.ndarray:
-    """Traceless Hermitian basis of shape (d^2 - 1, d, d), Tr(G_i G_j) = 2 d_ij.
-
-    Order: symmetric off-diagonal pairs, antisymmetric pairs, then the
-    diagonal matrices; for d=2 this returns the Pauli matrices.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    mats = []
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m * np.sqrt(2.0 / (l * (l + 1))))
-    basis = np.stack(mats, axis=0)
-    basis.setflags(write=False)
-    return basis
 
 
 def _as_square(mat, name: str = "matrix") -> np.ndarray:
@@ -145,47 +107,20 @@ def psi_minus_state() -> DensityMatrix:
     return pure_state(PSI_MINUS_KET)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Coefficient vector of a density matrix in the Gell-Mann basis."""
-
-    dim: int
-    components: np.ndarray = field()
-
-    def __post_init__(self):
-        b = np.asarray(self.components, dtype=float).copy()
-        if b.shape != (self.dim**2 - 1,):
-            raise ValueError(
-                f"expected {self.dim**2 - 1} components for dim {self.dim}, got shape {b.shape}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise ValueError("components must be finite")
-        r_max = np.sqrt(self.dim * (self.dim - 1) / 2.0)
-        if np.linalg.norm(b) > r_max + 1e-9:
-            raise ValueError(
-                f"|b| = {np.linalg.norm(b):.6g} exceeds the pure-state radius {r_max:.6g}"
-            )
-        b.setflags(write=False)
-        object.__setattr__(self, "components", b)
-
-
-def bloch_expand(rho) -> BlochVector:
-    """Expand rho in the Gell-Mann basis; inverse of :func:`bloch_compose`.
-
-    Coefficients are scaled so that ``rho = (1/d)(I + b . G)`` holds exactly;
-    for d=2 they equal the familiar ``Tr(sigma_i rho)``.
-    """
+def spin_bloch(rho) -> np.ndarray:
+    """Read-only Bloch 3-vector ``Tr(sigma rho)`` of a qubit state; inverse of :func:`bloch_compose`."""
     rho = as_density(rho)
-    d = rho.dim
-    basis = gell_mann_basis(d)
-    b = (d / 2.0) * np.einsum("kij,ji->k", basis, rho.matrix).real
-    return BlochVector(dim=d, components=b)
+    if rho.dim != 2:
+        raise ValueError(f"spin Bloch vector is defined for qubits only, got dimension {rho.dim}")
+    b = np.einsum("kij,ji->k", PAULI, rho.matrix).real
+    b.setflags(write=False)
+    return b
 
 
-def bloch_compose(b: BlochVector) -> DensityMatrix:
-    """Build ``(1/d)(I + b . G)``; rejects vectors giving a non-PSD matrix."""
-    d = b.dim
-    mat = (np.eye(d, dtype=complex) + np.tensordot(b.components, gell_mann_basis(d), axes=1)) / d
+def bloch_compose(b) -> DensityMatrix:
+    """The qubit state ``(I + b . sigma) / 2``; DensityMatrix refuses a non-finite b or |b| > 1."""
+    with np.errstate(invalid="ignore"):  # an infinite b_i times a zero Pauli entry is NaN, refused below
+        mat = (np.eye(2, dtype=complex) + pauli_dot(b)) / 2
     return DensityMatrix(mat)
 
 

@@ -1,9 +1,12 @@
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from hyperon import decay, qcore
 from hyperon.decay import (
     DecayAmplitudes,
     KrausPair,
@@ -152,6 +155,33 @@ class TestTransitionMatrix:
         # the squared norm of the largest amplitudes that still fit
         assert params_from_amplitudes(DecayAmplitudes(1e150, 1e150)).alpha == 1.0
 
+    @pytest.mark.parametrize("s, p, names", [(1e-170, 0, "S = 1e-170, P = 0"),
+                                             (0, 1e-160j, "S = 0, P = 1e-160j")])
+    def test_underflowing_norm_rejected(self, s, p, names):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'|S|^2 + |P|^2 underflows for amplitudes {names}')}$"):
+            DecayAmplitudes(s, p)
+        with pytest.raises(ValueError, match="^S and P cannot both vanish$"):
+            DecayAmplitudes(0, 0.0)
+        # the squared norm of the smallest amplitudes that still fit
+        tiny = math.sqrt(sys.float_info.min)
+        assert params_from_amplitudes(DecayAmplitudes(tiny, tiny)).alpha == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-154, 1e-158])
+    def test_tiny_amplitudes_convert_or_name_the_underflow(self, scale):
+        # never "inconsistent decay parameters": a normal |S|^2 + |P|^2 leaves alpha, beta and gamma
+        # their precision (DecayParameters checks their squares sum to 1), a subnormal one is refused
+        rng = np.random.default_rng(18)
+        outcomes = set()
+        for _ in range(200):
+            s, p = (scale * complex(rng.normal(), rng.normal()) for _ in range(2))
+            try:
+                params_from_amplitudes(DecayAmplitudes(s, p))
+                outcomes.add("converted")
+            except ValueError as err:
+                assert str(err) == f"|S|^2 + |P|^2 underflows for amplitudes S = {s}, P = {p}"
+                outcomes.add("underflow")
+        assert outcomes == {1e-150: {"converted"}, 1e-154: {"converted", "underflow"}, 1e-158: {"underflow"}}[scale]
+
     def test_pure_s(self):
         assert np.allclose(transition_matrix(DecayAmplitudes(1, 0), [0, 0, 1]), np.eye(2))
 
@@ -185,8 +215,7 @@ class TestKraus:
         pair = kraus_decompose(amplitudes_from_params(p), [0, 0, 1])
         assert abs(pair.omega_plus - (1 + 0.642) / 2) < 1e-12
         assert abs(pair.omega_plus - 0.821) < 1e-3
-        assert np.allclose(pair.w1, 0.0)
-        assert np.allclose(pair.w2, [0, 0, 1])
+        assert pair.axis.tolist() == [0.0, 0.0, 1.0]
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(12)
@@ -195,27 +224,29 @@ class TestKraus:
             assert pair.omega_plus + pair.omega_minus == 1.0
 
     def test_pair_invariants_enforced(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            KrausPair(0.5, 0.5, w1=np.array([0.5, 0, 0]), w2=np.array([0.5, 0, 0]))
         with pytest.raises(ValueError, match="sum to 1"):
-            KrausPair(0.7, 0.4, w1=np.zeros(3), w2=np.array([1.0, 0, 0]))
+            KrausPair(0.7, 0.4, axis=np.array([1.0, 0, 0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            KrausPair(1.25, -0.25, axis=np.array([1.0, 0, 0]))
+        with pytest.raises(ValueError, match="axis is not unit length"):
+            KrausPair(0.5, 0.5, axis=np.array([0.5, 0, 0]))
 
-    @pytest.mark.parametrize("omega_plus, omega_minus, w1, w2, match", [
-        (np.nan, 0.5, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], "sum to 1"),
-        (0.5, np.nan, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], "sum to 1"),
-        (0.5, 0.5, [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], "orthogonal"),
-        (0.5, 0.5, [0.0, 0.0, 0.0], [1.0, np.nan, 0.0], "orthogonal"),
+    @pytest.mark.parametrize("omega_plus, omega_minus, axis, match", [
+        (np.nan, 0.5, [1.0, 0.0, 0.0], "sum to 1"),
+        (0.5, np.nan, [1.0, 0.0, 0.0], "sum to 1"),
+        (0.5, 0.5, [np.nan, 0.0, 0.0], "unit length"),
+        (0.5, 0.5, [1.0, np.nan, 0.0], "unit length"),
     ])
-    def test_pair_rejects_nan(self, omega_plus, omega_minus, w1, w2, match):
-        KrausPair(0.5, 0.5, w1=np.zeros(3), w2=np.array([1.0, 0.0, 0.0]))  # the valid base
+    def test_pair_rejects_nan(self, omega_plus, omega_minus, axis, match):
+        KrausPair(0.5, 0.5, axis=np.array([1.0, 0.0, 0.0]))  # the valid base
         with pytest.raises(ValueError, match=match):
-            KrausPair(omega_plus, omega_minus, w1=np.array(w1), w2=np.array(w2))
+            KrausPair(omega_plus, omega_minus, axis=np.array(axis))
 
     def test_caller_direction_stays_writable(self):
         n = np.array([0.0, 0.0, 1.0])
         pair = kraus_decompose(DecayAmplitudes(1.0, 1.0j), n)
         n[2] = -1.0  # the record holds its own read-only copy
-        assert pair.w2.tolist() == [0.0, 0.0, 1.0] and not pair.w2.flags.writeable
+        assert pair.axis.tolist() == [0.0, 0.0, 1.0] and not pair.axis.flags.writeable
 
     def test_operators_are_hermitian_projector_multiples(self):
         rng = np.random.default_rng(13)
@@ -317,3 +348,7 @@ def test_projector_builds_spin_states():
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
         assert abs(np.trace(proj) - 1.0) < 1e-12
         assert np.max(np.abs(spin_bloch(proj) - sign * n)) < 1e-12
+
+
+def test_spin_bloch_has_one_implementation():
+    assert decay.spin_bloch is qcore.spin_bloch

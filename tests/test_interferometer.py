@@ -14,10 +14,9 @@ from hyperon.interferometer import (
     fringe_visibility,
     path_predictability,
 )
-from hyperon.qcore import (
-    BlochVector, DensityMatrix, bloch_compose, gell_mann_basis, maximally_mixed, two_amplitude_intensity)
+from hyperon.qcore import PAULI, DensityMatrix, bloch_compose, maximally_mixed, two_amplitude_intensity
 
-SX, SY, SZ = gell_mann_basis(2)
+SX, SY, SZ = PAULI
 
 
 def exponential_unitary(chi):
@@ -37,7 +36,7 @@ def lstsq_visibility(state, n_points):
 
 def density(state):
     """The qubit density matrix of a SpinState's Bloch vector."""
-    return bloch_compose(BlochVector(2, state.bloch()))
+    return bloch_compose(state.bloch())
 
 
 def random_density(rng):

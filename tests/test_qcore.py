@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from hyperon.qcore import (
-    BlochVector,
+    PAULI,
     DensityMatrix,
     as_density,
     bloch_compose,
-    bloch_expand,
     complementarity_of,
-    gell_mann_basis,
     maximally_mixed,
     partial_trace,
     pure_state,
+    spin_bloch,
     tensor,
     two_amplitude_intensity,
 )
@@ -28,16 +27,17 @@ def random_matrix(rng, d):
 
 
 class TestGellMannBasis:
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    """PAULI, the Gell-Mann basis of the qubit dimension d = 2."""
+
+    @pytest.mark.parametrize("d", [2])
     def test_orthogonality(self, d):
-        basis = gell_mann_basis(d)
-        assert basis.shape == (d * d - 1, d, d)
-        gram = np.einsum("aij,bji->ab", basis, basis)
+        assert PAULI.shape == (d * d - 1, d, d)
+        gram = np.einsum("aij,bji->ab", PAULI, PAULI)
         assert np.allclose(gram, 2.0 * np.eye(d * d - 1), atol=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2])
     def test_hermitian_traceless(self, d):
-        for g in gell_mann_basis(d):
+        for g in PAULI:
             assert np.allclose(g, g.conj().T, atol=1e-15)
             assert abs(np.trace(g)) < 1e-15
 
@@ -45,44 +45,49 @@ class TestGellMannBasis:
         sx = [[0, 1], [1, 0]]
         sy = [[0, -1j], [1j, 0]]
         sz = [[1, 0], [0, -1]]
-        assert np.allclose(gell_mann_basis(2), [sx, sy, sz])
+        assert np.array_equal(PAULI, [sx, sy, sz]) and not PAULI.flags.writeable
 
 
 class TestBloch:
     def test_maximally_mixed_is_origin(self):
-        b = bloch_expand(maximally_mixed(2))
-        assert np.allclose(b.components, 0.0, atol=1e-15)
+        b = spin_bloch(maximally_mixed(2))
+        assert np.allclose(b, 0.0, atol=1e-15)
 
     def test_spin_up_is_z(self):
-        b = bloch_expand(pure_state([1.0, 0.0]))
-        assert np.allclose(b.components, [0.0, 0.0, 1.0], atol=1e-15)
+        b = spin_bloch(pure_state([1.0, 0.0]))
+        assert np.allclose(b, [0.0, 0.0, 1.0], atol=1e-15)
+        assert not b.flags.writeable
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2])
     def test_round_trip_random(self, d):
         rng = np.random.default_rng(42 + d)
         for _ in range(50):
             rho = random_density(rng, d)
-            back = bloch_compose(bloch_expand(rho))
+            back = bloch_compose(spin_bloch(rho))
             assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
 
     def test_compose_trivials(self):
-        assert np.allclose(bloch_compose(BlochVector(2, [0, 0, 0])).matrix, np.eye(2) / 2)
-        assert np.allclose(bloch_compose(BlochVector(2, [0, 0, 1])).matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(bloch_compose([0, 0, 0]).matrix, np.eye(2) / 2)
+        assert np.allclose(bloch_compose([0, 0, 1]).matrix, np.diag([1.0, 0.0]))
 
     def test_compose_rejects_unphysical(self):
-        with pytest.raises(ValueError, match="pure-state radius"):
-            BlochVector(2, [0.9, 0.9, 0.9])
-        # on the d=3 Bloch sphere radius but not positive semidefinite
-        bad = BlochVector(3, [0.0] * 7 + [np.sqrt(3.0)])
-        with pytest.raises(ValueError, match="eigenvalue"):
-            bloch_compose(bad)
+        # |b| > 1 has the eigenvalue (1 - |b|)/2 < 0, and no warning comes before the refusal
+        for b, match in (([0.9, 0.9, 0.9], "semidefinite"), ([0.0, 0.0, 1.0 + 1e-9], "semidefinite"),
+                         ([np.nan, 0.0, 0.0], "non-finite"), ([0.0, -np.inf, 0.0], "non-finite"),
+                         ([0.0, 0.0, np.inf], "non-finite")):
+            with pytest.raises(ValueError, match=match):
+                bloch_compose(b)
 
     def test_pure_state_radius(self):
-        for d in (2, 3, 4):
-            rng = np.random.default_rng(d)
-            ket = rng.normal(size=d) + 1j * rng.normal(size=d)
-            b = bloch_expand(pure_state(ket))
-            assert abs(np.linalg.norm(b.components) - np.sqrt(d * (d - 1) / 2)) < 1e-12
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            b = spin_bloch(pure_state(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            assert abs(np.linalg.norm(b) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_spin_bloch_refuses_non_qubits(self, d):
+        with pytest.raises(ValueError, match=f"qubits only, got dimension {d}$"):
+            spin_bloch(maximally_mixed(d))
 
 
 class TestDensityMatrix:
@@ -151,8 +156,7 @@ class TestTwoAmplitudeIntensity:
         # direct matrix evaluation oracle for T = S I + P n.sigma on I/2
         s, p = 0.3 + 0.4j, 0.5 - 0.2j
         n = np.array([0.0, 0.6, 0.8])
-        sigma = gell_mann_basis(2)
-        t_b = p * np.tensordot(n, sigma, axes=1)
+        t_b = p * np.tensordot(n, PAULI, axes=1)
         t = s * np.eye(2) + t_b
         expected = np.trace(t @ (np.eye(2) / 2) @ t.conj().T).real
         got = two_amplitude_intensity(s * np.eye(2), t_b, maximally_mixed(2))
