@@ -12,8 +12,8 @@ Raw (k-scaled) probabilities are the only admissible inputs here: dividing
 out the analyzing powers presupposes quantum mechanics and is confined to
 the pair-analysis estimators.
 
-Settings are 3-vectors and the largest matrix is 8 x 8, so everything but
-the Mermin-Peres operator algebra is scalar arithmetic on tuples.
+Settings are 3-vectors and the largest matrix is 8 x 8, so everything here
+is scalar arithmetic on tuples.
 """
 
 from __future__ import annotations
@@ -343,45 +343,3 @@ def equal_alpha_contextuality_threshold() -> float:
     x = ((19.0 + r) ** (1.0 / 3.0) + (19.0 - r) ** (1.0 / 3.0) - 2.0) / 3.0
     return math.sqrt(x)
 
-
-_SQUARE = (
-    (("x", None), (None, "x"), ("x", "x")),
-    ((None, "y"), ("y", None), ("y", "y")),
-    (("x", "y"), ("y", "x"), ("z", "z")),
-)
-_IDX = {"x": 0, "y": 1, "z": 2}
-
-
-def mermin_peres_quantum_value(scaling: float) -> float:
-    """Row/column product expectations of the magic square on the singlet.
-
-    Builds the 3x3 square of two-qubit observables, multiplies the three
-    observables of each of the six contexts, takes expectations on the
-    singlet and returns the standard sum (rows and first two columns with
-    plus sign, last column with minus).  At scaling 1 the products are all
-    proportional to the identity and the value is 6, independent of state.
-    """
-    if not 0.0 <= scaling <= 1.0:
-        raise ValueError("scaling must lie in [0, 1]")
-    from .qcore import PAULI, psi_minus_state, tensor
-
-    identity = PAULI[0] @ PAULI[0]  # sigma_x^2, exactly
-
-    def observable(labels):
-        """Two-qubit observable with each non-identity factor scaled."""
-        left, right = (identity if label is None else scaling * PAULI[_IDX[label]] for label in labels)
-        return tensor(left, right)
-
-    square = [[observable(labels) for labels in row] for row in _SQUARE]
-    rho = psi_minus_state().matrix
-
-    def expect(product) -> float:
-        return float((product @ rho).trace().real)
-
-    value = 0.0
-    for i in range(3):
-        value += expect(square[i][0] @ square[i][1] @ square[i][2])
-    for j in range(2):
-        value += expect(square[0][j] @ square[1][j] @ square[2][j])
-    value -= expect(square[0][2] @ square[1][2] @ square[2][2])
-    return value

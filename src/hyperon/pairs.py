@@ -20,34 +20,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, PAULI, as_density, pauli_dot, psi_minus_state, tensor
 from .sphere import require_unit
 
 _MIN_EVENTS = 100
 _GROUP = 1 << 14  # pairs per merged group of `PairMoments.from_blocks`
 
 
-def _pauli_correlation_operator(c) -> np.ndarray:
-    """sum_i c_i sigma_i x sigma_i."""
-    out = np.zeros((4, 4), dtype=complex)
-    for ci, sigma in zip(c, PAULI):
-        out += ci * tensor(sigma, sigma)
-    return out
-
-
 @dataclass(frozen=True)
 class PairModel:
-    """Signed analyzing powers of the two decays and the initial two-qubit state."""
+    """Signed analyzing powers of the two decays of a pair produced as the singlet."""
 
     alpha_L: float
     alpha_Lbar: float
-    initial: DensityMatrix = field(default_factory=psi_minus_state)
 
     def __post_init__(self):
         if not (abs(self.alpha_L) <= 1.0 and abs(self.alpha_Lbar) <= 1.0):  # written so that NaN fails
             raise ValueError("analyzing powers must lie in [-1, 1]")
-        if self.initial.dim != 4:
-            raise ValueError("initial state must be a two-qubit density matrix")
 
     @property
     def k(self) -> float:
@@ -55,21 +43,13 @@ class PairModel:
 
 
 def joint_pdf(model: PairModel, n1, n2) -> float:
-    """Joint density of the two daughter directions, normalized on both spheres.
+    """Joint density (1 - k n1.n2)/(4 pi)^2 of the two daughter directions, normalized on both spheres.
 
-    Computed from the channel form
-    (1/(4 pi)^2) Tr[(I + a1 n1.sigma) x (I + a2 n2.sigma) rho]; for the
-    default singlet state this reduces to (1/(4 pi)^2)(1 - k n1.n2).
+    It is the channel form (1/(4 pi)^2) Tr[(I + a1 n1.sigma) x (I + a2 n2.sigma) rho]
+    on the singlet, the state the sampler and the estimators assume.
     """
-    eff1 = np.eye(2, dtype=complex) + model.alpha_L * pauli_dot(require_unit(n1, name="n1"))
-    eff2 = np.eye(2, dtype=complex) + model.alpha_Lbar * pauli_dot(require_unit(n2, name="n2"))
-    val = np.trace(tensor(eff1, eff2) @ model.initial.matrix).real
-    return float(val / (4.0 * np.pi) ** 2)
-
-
-def witness_operator(scale: float = 1.0) -> np.ndarray:
-    """(1/3)(I x I + scale * sum_i sigma_i x sigma_i), optimal for the singlet."""
-    return (np.eye(4, dtype=complex) + scale * _pauli_correlation_operator([1.0, 1.0, 1.0])) / 3.0
+    n1, n2 = require_unit(n1, name="n1"), require_unit(n2, name="n2")
+    return float((1.0 - model.k * np.dot(n1, n2)) / (4.0 * np.pi) ** 2)
 
 
 def witness_value(model: PairModel) -> float:
@@ -228,8 +208,12 @@ class SimplexPoint:
 
 
 def simplex_state(p: SimplexPoint) -> np.ndarray:
-    """The two-qubit matrix (1/4)(I + sum_i c_i sigma_i x sigma_i)."""
-    return (np.eye(4, dtype=complex) + _pauli_correlation_operator(p.as_array())) / 4.0
+    """The two-qubit matrix (1/4)(I + sum_i c_i sigma_i x sigma_i), written out entry by entry."""
+    c1, c2, c3 = p.as_array()
+    out = np.diag(np.array([1.0 + c3, 1.0 - c3, 1.0 - c3, 1.0 + c3], dtype=complex))
+    out[0, 3] = out[3, 0] = c1 - c2
+    out[1, 2] = out[2, 1] = c1 + c2
+    return out / 4.0
 
 
 def simplex_shrink(p: SimplexPoint, k: float) -> SimplexPoint:
@@ -238,8 +222,13 @@ def simplex_shrink(p: SimplexPoint, k: float) -> SimplexPoint:
 
 
 def in_state_tetrahedron(p: SimplexPoint) -> bool:
-    """Whether (c1, c2, c3) corresponds to a positive semidefinite state."""
-    eigs = np.linalg.eigvalsh(simplex_state(p))
+    """Whether (c1, c2, c3) corresponds to a positive semidefinite state.
+
+    The eigenvalues of `simplex_state(p)` are (1 - c1 - c2 - c3)/4,
+    (1 - c1 + c2 + c3)/4, (1 + c1 - c2 + c3)/4 and (1 + c1 + c2 - c3)/4.
+    """
+    c1, c2, c3 = p.as_array()
+    eigs = np.array([1.0 - c1 - c2 - c3, 1.0 - c1 + c2 + c3, 1.0 + c1 - c2 + c3, 1.0 + c1 + c2 - c3]) / 4.0
     return bool(eigs.min() >= -1e-12)
 
 
@@ -256,6 +245,8 @@ def is_separable_point(p: SimplexPoint) -> bool:
 
 def is_ppt(rho) -> bool:
     """Positive partial transpose check; for two qubits PPT iff separable."""
+    from .qcore import as_density
+
     rho = as_density(rho)
     if rho.dim != 4:
         raise ValueError("PPT cross-check is implemented for two qubits only")

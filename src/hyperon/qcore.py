@@ -1,10 +1,9 @@
 """Dense complex-matrix foundation for spin-1/2 systems.
 
-Density matrices, the qubit Bloch map, tensor products, partial traces and
-the generic two-amplitude interference intensity with its
-visibility/predictability split.  Everything here is a pure function over
-immutable values; dimensions are small (d = 2 for one spin, d = 4 for a
-pair) so all storage is dense.
+Density matrices, the qubit Bloch map and the generic two-amplitude
+interference intensity with its visibility/predictability split.
+Everything here is a pure function over immutable values; dimensions are
+small (d = 2 for one spin, d = 4 for a pair) so all storage is dense.
 
 Conventions
 -----------
@@ -85,28 +84,6 @@ def as_density(rho) -> DensityMatrix:
     return DensityMatrix(np.asarray(rho, dtype=complex))
 
 
-def maximally_mixed(d: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(d, dtype=complex) / d)
-
-
-def pure_state(ket) -> DensityMatrix:
-    """Projector |psi><psi| onto a (normalized) state vector."""
-    v = np.asarray(ket, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot project onto the zero vector")
-    v = v / n
-    return DensityMatrix(np.outer(v, v.conj()))
-
-
-PSI_MINUS_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-
-
-def psi_minus_state() -> DensityMatrix:
-    """Projector onto the antisymmetric Bell state."""
-    return pure_state(PSI_MINUS_KET)
-
-
 def spin_bloch(rho) -> np.ndarray:
     """Read-only Bloch 3-vector ``Tr(sigma rho)`` of a qubit state; inverse of :func:`bloch_compose`."""
     rho = as_density(rho)
@@ -122,34 +99,6 @@ def bloch_compose(b) -> DensityMatrix:
     with np.errstate(invalid="ignore"):  # an infinite b_i times a zero Pauli entry is NaN, refused below
         mat = (np.eye(2, dtype=complex) + pauli_dot(b)) / 2
     return DensityMatrix(mat)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(rho, dims: tuple[int, int], trace_out: int) -> DensityMatrix:
-    """Reduced state of a bipartite density matrix.
-
-    Parameters
-    ----------
-    rho : array or DensityMatrix of dimension dims[0] * dims[1]
-    dims : (d1, d2) factorization of the total dimension
-    trace_out : 0 to trace out the first subsystem, 1 for the second
-    """
-    rho = as_density(rho)
-    d1, d2 = dims
-    if d1 * d2 != rho.dim:
-        raise ValueError(f"dims {dims} do not factor dimension {rho.dim}")
-    if trace_out not in (0, 1):
-        raise ValueError("trace_out must be 0 or 1")
-    r = rho.matrix.reshape(d1, d2, d1, d2)
-    if trace_out == 0:
-        red = np.einsum("ijik->jk", r)
-    else:
-        red = np.einsum("jiki->jk", r)
-    return DensityMatrix(red)
 
 
 def two_amplitude_intensity(t_a, t_b, rho) -> float:

@@ -1075,9 +1075,9 @@ class TestStartup:
         # the parameter reader, with no event-file, sampling or operator module
         "table": ({"hyperon", "hyperon.cli", "hyperon.errors", "hyperon.params"}, set()),
         # the sampler and the event-file writer, then the reader and the estimators: no decay,
-        # interferometer or inequalities module
+        # interferometer, inequalities or operator module
         "simulate pair --k 0.46 --events 10 --out {tmp}/pairs.csv": (SAMPLER, {"concurrent.futures", "logging"}),
-        "analyze witness --events {events}": (SAMPLER | {"hyperon.pairs", "hyperon.qcore"},
+        "analyze witness --events {events}": (SAMPLER | {"hyperon.pairs"},
                                               {"concurrent.futures", "logging"}),
     }
 

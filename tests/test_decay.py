@@ -20,7 +20,7 @@ from hyperon.decay import (
     transition_matrix,
 )
 from hyperon.params import DecayParameters, chi_sp_mod_pi, params_from_alpha_phi
-from hyperon.qcore import DensityMatrix, maximally_mixed, two_amplitude_intensity
+from hyperon.qcore import DensityMatrix, two_amplitude_intensity
 from hyperon.sphere import sphere_integral
 
 

@@ -19,10 +19,10 @@ from hyperon.inequalities import (
     evaluate,
     inequality,
     maximize,
-    mermin_peres_quantum_value,
     prob_joint,
     threshold,
 )
+from hyperon.qcore import PAULI
 
 # k* = -4 c0 / S in closed form: CHSH's 1/sqrt(2), I3's S = 5 and I4's S = 11/sqrt(2)
 CLOSED_FORM_THRESHOLD = {"I2": 1.0 / np.sqrt(2.0), "I3": 0.8, "I4": 7.0 * np.sqrt(2.0) / 11.0}
@@ -349,6 +349,48 @@ class TestContextuality:
     def test_equal_alpha_root_exact(self):
         x = equal_alpha_contextuality_threshold() ** 2
         assert abs(x**3 + 2 * x**2 - 2.0) < 1e-14
+
+
+MAGIC_SQUARE = (
+    (("x", None), (None, "x"), ("x", "x")),
+    ((None, "y"), ("y", None), ("y", "y")),
+    (("x", "y"), ("y", "x"), ("z", "z")),
+)
+AXIS = {"x": 0, "y": 1, "z": 2}
+SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+
+def mermin_peres_quantum_value(scaling):
+    """Row/column product expectations of the magic square on the singlet.
+
+    The operator-algebra reference for `contextuality_value(s, s)`. Builds the 3x3 square of two-qubit observables, multiplies the three
+    observables of each of the six contexts, takes expectations on the
+    singlet and returns the standard sum (rows and first two columns with
+    plus sign, last column with minus).  At scaling 1 the products are all
+    proportional to the identity and the value is 6, independent of state.
+    """
+    if not 0.0 <= scaling <= 1.0:
+        raise ValueError("scaling must lie in [0, 1]")
+    identity = PAULI[0] @ PAULI[0]  # sigma_x^2, exactly
+
+    def observable(labels):
+        """Two-qubit observable with each non-identity factor scaled."""
+        left, right = (identity if label is None else scaling * PAULI[AXIS[label]] for label in labels)
+        return np.kron(left, right)
+
+    square = [[observable(labels) for labels in row] for row in MAGIC_SQUARE]
+    rho = np.outer(SINGLET_KET, SINGLET_KET)
+
+    def expect(product):
+        return float((product @ rho).trace().real)
+
+    value = 0.0
+    for i in range(3):
+        value += expect(square[i][0] @ square[i][1] @ square[i][2])
+    for j in range(2):
+        value += expect(square[0][j] @ square[1][j] @ square[2][j])
+    value -= expect(square[0][2] @ square[1][2] @ square[2][2])
+    return value
 
 
 class TestMerminPeres:

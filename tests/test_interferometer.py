@@ -14,7 +14,7 @@ from hyperon.interferometer import (
     fringe_visibility,
     path_predictability,
 )
-from hyperon.qcore import PAULI, DensityMatrix, bloch_compose, maximally_mixed, two_amplitude_intensity
+from hyperon.qcore import PAULI, DensityMatrix, bloch_compose, two_amplitude_intensity
 
 SX, SY, SZ = PAULI
 
@@ -96,7 +96,7 @@ class TestUnitaries:
         assert np.allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_mixed_state_invariant(self):
-        out = evolve(InterferometerConfig(chi=0.0), maximally_mixed(2))
+        out = evolve(InterferometerConfig(chi=0.0), np.eye(2) / 2)
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_unitarity_preserves_spectrum(self):
@@ -112,7 +112,7 @@ class TestUnitaries:
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="qubits"):
-            evolve(InterferometerConfig(), maximally_mixed(4))
+            evolve(InterferometerConfig(), np.eye(4) / 4)
 
 
 class TestFringe:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,24 @@ from hyperon.pairs import (
     simplex_shrink,
     simplex_state,
     witness_estimate,
-    witness_operator,
     witness_value,
 )
-from hyperon.qcore import psi_minus_state, tensor
+from hyperon.qcore import PAULI, DensityMatrix, pauli_dot
 from hyperon.sphere import sphere_quadrature
 
 FOUR_PI_SQ = (4.0 * np.pi) ** 2
+SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+SINGLET = np.outer(SINGLET_KET, SINGLET_KET)  # the antisymmetric Bell state the pair layer assumes
+
+
+def pauli_correlation_operator(c):
+    """sum_i c_i sigma_i x sigma_i, the reference for the matrices `pairs` writes out in closed form."""
+    return sum(ci * np.kron(sigma, sigma) for ci, sigma in zip(c, PAULI))
+
+
+def witness_operator(scale=1.0):
+    """(1/3)(I x I + scale * sum_i sigma_i x sigma_i), optimal for the singlet; the reference for `witness_value`."""
+    return (np.eye(4) + scale * pauli_correlation_operator([1.0, 1.0, 1.0])) / 3.0
 
 
 def random_unit(rng):
@@ -57,7 +70,7 @@ class TestJointPdf:
             assert abs(joint_pdf(model, n1, n2) - closed) < 1e-14
 
     def test_tensor_channel_consistency(self):
-        # full-stack oracle: decay matrices with arbitrary phases, tensored via qcore
+        # full-stack oracle: decay matrices with arbitrary phases, tensored, on the singlet
         rng = np.random.default_rng(41)
         a1 = DecayAmplitudes(0.8 + 0.1j, 0.3 - 0.5j)
         a2 = DecayAmplitudes(0.2 - 0.7j, 0.6 + 0.2j)
@@ -65,11 +78,10 @@ class TestJointPdf:
             alpha_L=params_from_amplitudes(a1).alpha,
             alpha_Lbar=params_from_amplitudes(a2).alpha,
         )
-        rho = psi_minus_state().matrix
         for _ in range(1000):
             n1, n2 = random_unit(rng), random_unit(rng)
-            t12 = tensor(transition_matrix(a1, n1), transition_matrix(a2, n2))
-            intensity = np.trace(t12 @ rho @ t12.conj().T).real
+            t12 = np.kron(transition_matrix(a1, n1), transition_matrix(a2, n2))
+            intensity = np.trace(t12 @ SINGLET @ t12.conj().T).real
             normalized = intensity / (a1.norm_sq * a2.norm_sq * FOUR_PI_SQ)
             assert abs(joint_pdf(model, n1, n2) - normalized) < 1e-10
 
@@ -89,17 +101,6 @@ class TestJointPdf:
                 m = weights @ (np.outer(nodes[:, i], nodes[:, j]) * density) @ weights
                 expected = -(k / 9.0) if i == j else 0.0
                 assert abs(m - expected) < 1e-8
-
-    def test_general_initial_state(self):
-        # product state: no correlations, marginals polarized
-        up_down = np.zeros((4, 4), dtype=complex)
-        up_down[1, 1] = 1.0
-        from hyperon.qcore import DensityMatrix
-
-        model = PairModel(alpha_L=0.6, alpha_Lbar=0.8, initial=DensityMatrix(up_down))
-        val = joint_pdf(model, [0, 0, 1], [0, 0, 1])
-        expected = (1.0 + 0.6) * (1.0 - 0.8) / FOUR_PI_SQ
-        assert abs(val - expected) < 1e-14
 
     def test_non_unit_rejected(self):
         model = PairModel(alpha_L=0.5, alpha_Lbar=0.5)
@@ -126,11 +127,16 @@ class TestWitness:
 
     def test_operator_oracle(self):
         # explicit operator algebra: Tr(W_k rho_singlet) = 1/3 - k
-        rho = psi_minus_state().matrix
         for k in (0.0, 0.2, 0.46, 1.0):
-            val = np.trace(witness_operator(scale=k) @ rho).real
+            val = np.trace(witness_operator(scale=k) @ SINGLET).real
             model = PairModel(alpha_L=k, alpha_Lbar=1.0)
             assert abs(val - witness_value(model)) < 1e-12
+
+    def test_singlet_only(self):
+        # witness_value is 1/3 - k on the singlet alone, so a model takes no other initial state
+        assert [f.name for f in dataclasses.fields(PairModel)] == ["alpha_L", "alpha_Lbar"]
+        with pytest.raises(TypeError, match="initial"):
+            PairModel(1.0, 1.0, initial=DensityMatrix(np.eye(4) / 4))
 
     def test_witness_nonnegative_on_separable(self):
         # product states: Tr(W rho_a x rho_b) >= 0 for the unscaled witness
@@ -138,9 +144,7 @@ class TestWitness:
         w = witness_operator()
         for _ in range(200):
             sa, sb = rng.uniform(0, 1) * random_unit(rng), rng.uniform(0, 1) * random_unit(rng)
-            from hyperon.qcore import pauli_dot
-
-            rho = tensor(
+            rho = np.kron(
                 (np.eye(2) + pauli_dot(sa)) / 2.0, (np.eye(2) + pauli_dot(sb)) / 2.0
             )
             assert np.trace(w @ rho).real > -1e-12
@@ -212,7 +216,7 @@ class TestSimplex:
     def test_singlet_corner_is_state(self):
         corner = SimplexPoint(-1.0, -1.0, -1.0)
         assert in_state_tetrahedron(corner)
-        assert np.max(np.abs(simplex_state(corner) - psi_minus_state().matrix)) < 1e-12
+        assert np.max(np.abs(simplex_state(corner) - SINGLET)) < 1e-12
 
     def test_opposite_corner_is_not(self):
         # eigenvalue oracle of the explicit 4x4 matrix
@@ -234,8 +238,18 @@ class TestSimplex:
         assert is_separable_point(shrunk)
 
     def test_outside_state_space_rejected(self):
-        with pytest.raises(ValueError, match="state space"):
-            is_separable_point(SimplexPoint(1.0, 1.0, 1.0))
+        for c in ((1.0, 1.0, 1.0), (np.nan, 0.0, 0.0), (0.0, 0.0, np.inf)):
+            with pytest.raises(ValueError, match="state space"):
+                is_separable_point(SimplexPoint(*c))
+
+    def test_closed_forms_match_operator_algebra(self):
+        # the written-out matrix against the Pauli sum, and the eigenvalue verdict against eigvalsh
+        rng = np.random.default_rng(43)
+        for c in rng.uniform(-1.05, 1.05, size=(2000, 3)):
+            point = SimplexPoint(*c)
+            reference = (np.eye(4) + pauli_correlation_operator(c)) / 4.0
+            assert np.max(np.abs(simplex_state(point) - reference)) < 1e-15
+            assert in_state_tetrahedron(point) == (np.linalg.eigvalsh(reference).min() >= -1e-12)
 
     def test_witness_octahedron_agreement(self):
         # the witness sign and the octahedron membership of the shrunken
@@ -251,7 +265,5 @@ class TestSimplex:
         corner = SimplexPoint(-1.0, -1.0, -1.0)
         for k in (0.0, 0.2, 1.0 / 3.0, 0.4, 0.6, 1.0):
             shrunk = simplex_shrink(corner, k)
-            from hyperon.qcore import DensityMatrix
-
             rho = DensityMatrix(simplex_state(shrunk))
             assert is_ppt(rho) == is_separable_point(shrunk)

@@ -7,11 +7,7 @@ from hyperon.qcore import (
     as_density,
     bloch_compose,
     complementarity_of,
-    maximally_mixed,
-    partial_trace,
-    pure_state,
     spin_bloch,
-    tensor,
     two_amplitude_intensity,
 )
 
@@ -26,17 +22,13 @@ def random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-class TestGellMannBasis:
-    """PAULI, the Gell-Mann basis of the qubit dimension d = 2."""
-
-    @pytest.mark.parametrize("d", [2])
-    def test_orthogonality(self, d):
-        assert PAULI.shape == (d * d - 1, d, d)
+class TestPauli:
+    def test_orthogonality(self):
+        assert PAULI.shape == (3, 2, 2)
         gram = np.einsum("aij,bji->ab", PAULI, PAULI)
-        assert np.allclose(gram, 2.0 * np.eye(d * d - 1), atol=1e-12)
+        assert np.allclose(gram, 2.0 * np.eye(3), atol=1e-12)
 
-    @pytest.mark.parametrize("d", [2])
-    def test_hermitian_traceless(self, d):
+    def test_hermitian_traceless(self):
         for g in PAULI:
             assert np.allclose(g, g.conj().T, atol=1e-15)
             assert abs(np.trace(g)) < 1e-15
@@ -50,19 +42,18 @@ class TestGellMannBasis:
 
 class TestBloch:
     def test_maximally_mixed_is_origin(self):
-        b = spin_bloch(maximally_mixed(2))
+        b = spin_bloch(np.eye(2) / 2)
         assert np.allclose(b, 0.0, atol=1e-15)
 
     def test_spin_up_is_z(self):
-        b = spin_bloch(pure_state([1.0, 0.0]))
+        b = spin_bloch(np.diag([1.0, 0.0]))
         assert np.allclose(b, [0.0, 0.0, 1.0], atol=1e-15)
         assert not b.flags.writeable
 
-    @pytest.mark.parametrize("d", [2])
-    def test_round_trip_random(self, d):
-        rng = np.random.default_rng(42 + d)
+    def test_round_trip_random(self):
+        rng = np.random.default_rng(44)
         for _ in range(50):
-            rho = random_density(rng, d)
+            rho = random_density(rng, 2)
             back = bloch_compose(spin_bloch(rho))
             assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
 
@@ -81,13 +72,15 @@ class TestBloch:
     def test_pure_state_radius(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            b = spin_bloch(pure_state(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+            ket /= np.linalg.norm(ket)
+            b = spin_bloch(np.outer(ket, ket.conj()))
             assert abs(np.linalg.norm(b) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_spin_bloch_refuses_non_qubits(self, d):
         with pytest.raises(ValueError, match=f"qubits only, got dimension {d}$"):
-            spin_bloch(maximally_mixed(d))
+            spin_bloch(np.eye(d) / d)
 
 
 class TestDensityMatrix:
@@ -105,45 +98,22 @@ class TestDensityMatrix:
 
 
 class TestTensorAndPartialTrace:
+    """`np.kron` in the basis order |00>, |01>, |10>, |11> that `pairs.simplex_state` writes out."""
+
     def test_identity_tensor(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_sigma_z_tensor(self):
         sz = np.diag([1.0, -1.0])
-        assert np.allclose(tensor(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
+        assert np.allclose(np.kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
 
     def test_trace_multiplicativity(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             a = random_matrix(rng, 2)
             b = random_matrix(rng, 3)
-            lhs = np.trace(tensor(a, b))
+            lhs = np.trace(np.kron(a, b))
             assert abs(lhs - np.trace(a) * np.trace(b)) < 1e-12 * max(1.0, abs(lhs))
-
-    def test_singlet_reduces_to_mixed(self):
-        psi = pure_state([0.0, 1.0, -1.0, 0.0])
-        for side in (0, 1):
-            red = partial_trace(psi, (2, 2), trace_out=side)
-            assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_reduction(self):
-        rng = np.random.default_rng(2)
-        ra = random_density(rng, 2)
-        rb = random_density(rng, 2)
-        joint = DensityMatrix(tensor(ra.matrix, rb.matrix))
-        assert np.max(np.abs(partial_trace(joint, (2, 2), 1).matrix - ra.matrix)) < 1e-12
-        assert np.max(np.abs(partial_trace(joint, (2, 2), 0).matrix - rb.matrix)) < 1e-12
-
-    def test_reduced_trace_is_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            rho = random_density(rng, 4)
-            red = partial_trace(rho, (2, 2), 0)
-            assert abs(np.trace(red.matrix) - 1.0) < 1e-12
-
-    def test_bad_factorization(self):
-        with pytest.raises(ValueError, match="factor"):
-            partial_trace(maximally_mixed(4), (3, 2), 0)
 
 
 class TestTwoAmplitudeIntensity:
@@ -159,16 +129,16 @@ class TestTwoAmplitudeIntensity:
         t_b = p * np.tensordot(n, PAULI, axes=1)
         t = s * np.eye(2) + t_b
         expected = np.trace(t @ (np.eye(2) / 2) @ t.conj().T).real
-        got = two_amplitude_intensity(s * np.eye(2), t_b, maximally_mixed(2))
+        got = two_amplitude_intensity(s * np.eye(2), t_b, np.eye(2) / 2)
         assert abs(got - expected) < 1e-12
         assert abs(got - (abs(s) ** 2 + abs(p) ** 2)) < 1e-12
 
     def test_constructive_interference(self):
-        assert abs(two_amplitude_intensity(np.eye(2), np.eye(2), maximally_mixed(2)) - 4.0) < 1e-12
+        assert abs(two_amplitude_intensity(np.eye(2), np.eye(2), np.eye(2) / 2) - 4.0) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            two_amplitude_intensity(np.eye(2), np.eye(3), maximally_mixed(2))
+            two_amplitude_intensity(np.eye(2), np.eye(3), np.eye(2) / 2)
 
     def test_real_nonnegative_property(self):
         rng = np.random.default_rng(5)
