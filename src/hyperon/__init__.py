@@ -11,4 +11,4 @@ Import each name from its module, e.g. `from hyperon.mc import generate`;
 modules it runs.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"

@@ -267,8 +267,11 @@ _NOT_UNIT = "direction is not unit length"
 
 
 def _is_unit(n: np.ndarray) -> np.ndarray:
-    """Whether each row of n is a unit vector to 1e-9; written so that a NaN component fails."""
-    return np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-9
+    """Whether each row of n is a unit vector to 1e-9; written so that a NaN component fails.
+
+    The squares add in np.linalg.norm's order, column by column, several times faster."""
+    x, y, z = n[:, 0], n[:, 1], n[:, 2]
+    return np.abs(np.sqrt((x * x + y * y) + z * z) - 1.0) <= 1e-9
 
 
 def _parse_body(lines: list[str]) -> np.ndarray:

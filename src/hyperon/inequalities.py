@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+
+from ._record import Record
 
 MERMIN_PERES_CLASSICAL_BOUND = 4.0
 # Published equal-alpha contextuality claim; the displayed formula's own root
@@ -35,8 +36,7 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-@dataclass(frozen=True)
-class InequalitySpec:
+class InequalitySpec(Record):
     """Coefficients of one CH-form Bell expression, classical bound 0."""
 
     name: str
@@ -103,8 +103,7 @@ def inequality(name: str) -> InequalitySpec:
         raise ValueError(f"unknown inequality {name!r}; choose from {sorted(_SPECS)}") from None
 
 
-@dataclass(frozen=True)
-class BellSettings:
+class BellSettings(Record):
     """Measurement directions for the two sides."""
 
     a: tuple[Vector, ...]  # n_a unit vectors
@@ -123,8 +122,7 @@ class BellSettings:
             object.__setattr__(self, name, vectors)
 
 
-@dataclass(frozen=True)
-class ProbModel:
+class ProbModel(Record):
     """Correlation scale k = alpha alpha-bar of the measured singlet."""
 
     k: float

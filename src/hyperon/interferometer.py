@@ -22,14 +22,14 @@ test suite.  numpy and `qcore` load only in the functions that use matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 _FRINGE_POINTS = 64  # the chi grid of the fringe fit
 
 
-@dataclass(frozen=True)
-class SpinState:
+class SpinState(Record):
     """Initial spin direction (theta, phi) with optional purity length |s| <= 1."""
 
     theta: float
@@ -49,8 +49,7 @@ class SpinState:
                 self.length * math.cos(self.theta))
 
 
-@dataclass(frozen=True)
-class InterferometerConfig:
+class InterferometerConfig(Record):
     """Relative phase chi, arm splitting |Ta|^2 : |Tb|^2 and S-P analyzer phase."""
 
     chi: float = 0.0

@@ -11,17 +11,16 @@ magnitude tables."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ._record import Record
 from .errors import ParameterFileError
 
 _PARAM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DecayParameters:
+class DecayParameters(Record):
     """Asymmetry parameters (alpha, beta, gamma) and their information-theoretic face.
 
     alpha = 2 Re(S* P) / (|S|^2 + |P|^2)
@@ -101,8 +100,7 @@ def params_from_alpha_phi(alpha: float, phi: float, gamma_sign: int | None = Non
 PARAMETER_COLUMNS = ("parent", "quarks", "channel", "branching", "alpha", "phi_over_pi", "gamma_sign", "note")
 
 
-@dataclass(frozen=True)
-class ParameterRow:
+class ParameterRow(Record):
     """One decay channel as stored on disk."""
 
     parent: str
@@ -120,8 +118,7 @@ class ParameterRow:
         )
 
 
-@dataclass(frozen=True)
-class ParameterTable:
+class ParameterTable(Record):
     rows: tuple[ParameterRow, ...]
 
     def __len__(self) -> int:

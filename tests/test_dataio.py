@@ -632,6 +632,21 @@ def test_event_file_bytes_pinned(capsys, tmp_path, monkeypatch, model):
     assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
 
+class TestUnitCheck:
+    def test_matches_linalg_norm_near_the_tolerance(self):
+        # rows whose length lies within 2e-9 of 1, on both sides of the 1e-9 edge
+        rng = np.random.default_rng(71)
+        v = rng.normal(size=(200_000, 3))
+        n = v / np.linalg.norm(v, axis=1)[:, None] * rng.uniform(1 - 2e-9, 1 + 2e-9, size=(len(v), 1))
+        want = np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-9
+        assert 0.3 < want.mean() < 0.7
+        np.testing.assert_array_equal(dataio._is_unit(n), want)
+
+    @pytest.mark.parametrize("row", [[np.nan, 0, 1], [0, np.inf, 0], [0, 0, -np.inf], [0, 0, 1 + 2e-9]])
+    def test_refuses(self, row):
+        assert dataio._is_unit(np.array([[0.0, 0.0, 1.0], row])).tolist() == [True, False]
+
+
 class TestPairedDirections:
     def test_pairing(self):
         table = generate(SampleConfig(seed=23, events=500, model=PairCorrelationModel(k=0.1)))

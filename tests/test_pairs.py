@@ -62,12 +62,15 @@ class TestJointPdf:
         assert abs(joint_pdf(scaled, same, same) * FOUR_PI_SQ - 0.54) < 1e-12
 
     def test_closed_form_on_singlet(self):
+        # the daughter-direction operators (I + alpha n.sigma) on each side, on the singlet
         rng = np.random.default_rng(40)
         model = PairModel(alpha_L=0.642, alpha_Lbar=-0.71)
         for _ in range(200):
             n1, n2 = random_unit(rng), random_unit(rng)
-            closed = (1.0 - model.k * np.dot(n1, n2)) / FOUR_PI_SQ
-            assert abs(joint_pdf(model, n1, n2) - closed) < 1e-14
+            e1 = np.eye(2) + model.alpha_L * sum(c * sigma for c, sigma in zip(n1, PAULI))
+            e2 = np.eye(2) + model.alpha_Lbar * sum(c * sigma for c, sigma in zip(n2, PAULI))
+            reference = np.trace(np.kron(e1, e2) @ SINGLET).real / FOUR_PI_SQ
+            assert abs(joint_pdf(model, n1, n2) - reference) < 1e-14
 
     def test_tensor_channel_consistency(self):
         # full-stack oracle: decay matrices with arbitrary phases, tensored, on the singlet
