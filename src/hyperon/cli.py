@@ -15,8 +15,8 @@ import math
 import numbers
 import os
 import re
+import stat
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from .errors import DataError
@@ -61,7 +61,7 @@ def _emit(rows: list[dict], args) -> None:
         for row in rows:
             lines.append(",".join(_csv_cell(row[k]) for k in keys))
         text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    _write_out(args.out, lambda f: f.write(text), "report", args.out)
 
 
 def _csv_cell(value) -> str:
@@ -85,14 +85,51 @@ def _write_stdout(write, what: str) -> None:
         raise DataError(f"cannot write {what}: {exc}") from None
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        _write_stdout(lambda stdout: stdout.write(text), "report")
-        return
+def _write_file(out: str, write, what: str) -> None:
+    """write(f) to the file `out`, opened as UTF-8 text, all or nothing; an OSError is a DataError.
+
+    A regular file, or a path not there yet, gets a new file beside it that
+    replaces it once write(f) returns, and a symlink's target is replaced.
+    Any other file, such as /dev/null or a FIFO, is written in place: a
+    rename onto a device node would replace the node.
+    """
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        try:  # the permission check of a plain open, with no truncation
+            f = open(os.open(out, os.O_WRONLY), "w", encoding="utf-8")
+        except FileNotFoundError:
+            mode = None
+        else:
+            with f:
+                mode = os.fstat(f.fileno()).st_mode
+                if not stat.S_ISREG(mode):
+                    write(f)
+                    return
+        target = os.path.realpath(out) if os.path.islink(out) else out
+        directory, name = os.path.split(target)
+        temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as to open()
+        try:
+            with open(fd, "w", encoding="utf-8") as f:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                write(f)
+            os.replace(temp, target)
+        finally:
+            if os.path.lexists(temp):  # write(f) or the rename failed
+                os.unlink(temp)
     except OSError as exc:
-        raise DataError(f"cannot write {out}: {exc}") from None
+        if exc.filename is not None:  # --out as given, never the new file's name
+            exc.filename, exc.filename2 = out, None
+        raise DataError(f"cannot write {what}: {exc}") from None
+
+
+def _write_out(out: str | None, write, stream_what: str, file_what: str) -> bool:
+    """write(f) to stdout for `out` None or "-", else to the file `out`; True for the file."""
+    if out is None or out == "-":
+        _write_stdout(write, stream_what)
+        return False
+    _write_file(out, write, file_what)
+    return True
 
 
 def _load_table(args):
@@ -207,10 +244,12 @@ def _cmd_simulate(args) -> None:
         raise UsageError(str(exc)) from None
     # each chunk is formatted on the thread that sampled it, and written as it arrives
     chunks = mc.iter_chunks(config, dataio.format_blocks)
-    if args.out is None or args.out == "-":
-        _write_stdout(lambda stdout: dataio.write_events(stdout, chunks), "event stream")
-    else:
-        dataio.write_events(args.out, chunks)
+
+    def write(f):
+        f.flush()  # what the text stream holds comes first
+        dataio.write_events(f.buffer, chunks)
+
+    if _write_out(args.out, write, "event stream", f"event file {args.out}"):
         print(f"wrote {config.events * len(model.roles)} records to {args.out}", file=sys.stderr)
 
 

@@ -14,7 +14,6 @@ it is UTF-8, and its line breaks are read as text mode reads them."""
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
 from collections.abc import Iterable, Iterator
@@ -206,61 +205,22 @@ def format_blocks(table: EventTable) -> list[bytes]:
     return list(_row_blocks(table))
 
 
-def _event_chunks(tables: EventTable | Iterable[EventTable | list[bytes]]) -> Iterator[bytes]:
-    """Check the first table's names, then return an iterator over the event file's bytes.
+def write_events(f, tables: EventTable | Iterable[EventTable | list[bytes]]) -> None:
+    """Write an EventTable, or an iterable of them or of their `format_blocks` bytes, to the binary file f.
 
-    `tables` is one EventTable or an iterable of EventTables or of their
-    `format_blocks` bytes, such as the chunks of `mc.iter_chunks`.  The
-    header comes first, then each table's rows in blocks, so a writer
-    need not hold the whole file, as bytes or as a table.  Each later
-    table's names are checked when it arrives.
+    `tables` may be the chunks of `mc.iter_chunks`.  The header comes
+    first, then each table's rows in blocks, so the writer never holds the
+    whole file, as bytes or as a table.  The first table's names are
+    checked before anything is written, and each later table's when it
+    arrives.
     """
     tables = iter((tables,) if isinstance(tables, EventTable) else tables)
     blocks = map(_row_blocks, tables)  # no name holds a written table
     first = next(blocks, iter(()))
-
-    def chunks():
-        yield f"{EVENT_HEADER}\n".encode()
-        yield from first
-        for rows in blocks:
-            yield from rows
-
-    return chunks()
-
-
-def write_events(path, tables: EventTable | Iterable[EventTable | list[bytes]]) -> None:
-    """Write an EventTable, or an iterable of them or of their `format_blocks` bytes, block by block.
-
-    `path` is a file path, written as a binary file, or an open text
-    stream, whose `.buffer` takes the bytes; a text stream without one,
-    such as io.StringIO, takes them decoded.  The names of the first
-    table are checked before anything is written; a write to a path that
-    fails part way, for a bad name in a later table too, removes the
-    partial file.
-    """
-    chunks = _event_chunks(tables)
-    if hasattr(path, "write"):
-        buffer = getattr(path, "buffer", None)
-        if buffer is None:
-            path.writelines(chunk.decode() for chunk in chunks)
-        else:
-            path.flush()  # what the stream holds comes first
-            buffer.writelines(chunks)
-        return
-    path = Path(path)
-    try:
-        out = path.open("wb")
-    except OSError as exc:
-        raise EventFileError(f"cannot write event file {path}: {exc}") from None
-    try:
-        with out:
-            out.writelines(chunks)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            path.unlink()
-        if isinstance(exc, OSError):
-            raise EventFileError(f"cannot write event file {path}: {exc}") from None
-        raise
+    f.write(f"{EVENT_HEADER}\n".encode())
+    f.writelines(first)
+    for rows in blocks:
+        f.writelines(rows)
 
 
 _NOT_UNIT = "direction is not unit length"

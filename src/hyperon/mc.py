@@ -214,8 +214,8 @@ class SampleConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if self.events < 1:
-            raise ValueError("event count must be at least 1")
+        if not 1 <= self.events <= 2**64:  # the event ids, 0 to events - 1, are uint64
+            raise ValueError("event count must be at least 1 and at most 2^64")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         _check_workers(self.workers)

@@ -6,8 +6,13 @@ import itertools
 import json
 import os
 import re
+import resource
+import signal
+import stat
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -159,6 +164,15 @@ class TestSimulate:
     def test_zero_events_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", "0")
         assert code == 1
+
+    def test_events_past_64_bit_ids_exit_1(self, capsys, tmp_path):
+        # refused when the config is made, before any event is drawn
+        f = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "simulate", "pair", "--k", "0.2", "--events", str(2**64 + 5),
+                                 "--out", str(f))
+        assert code == 1
+        assert err == "usage error: event count must be at least 1 and at most 2^64\n"
+        assert out == "" and not f.exists()
 
     def test_negative_threads_exit_1(self, capsys, tmp_path):
         events = tmp_path / "events.csv"
@@ -991,6 +1005,149 @@ class TestReportOut:
         assert result.stdout == "" and not out.exists()
 
 
+
+class TestOutPaths:
+    """--out of a report and of an event file at each kind of path, run as `python -m hyperon.cli`.
+
+    A write either gives the whole output and exit code 0, or exit code 2,
+    one stderr line and no traceback; a file already there is replaced
+    whole or kept byte for byte, and no `.name.*` temporary file is left
+    beside the target.
+    """
+
+    # the JSON table report is 1,396 bytes and the pair events 24,412: both longer than LIMIT
+    COMMANDS = {"table": ("--format", "json", "table"),
+                "simulate": ("simulate", "pair", "--k", "0.46", "--events", "200")}
+    LIMIT = 1000  # RLIMIT_FSIZE of a failing write, in bytes
+
+    @staticmethod
+    def run(command: str, out, limit: int | None = None) -> subprocess.CompletedProcess:
+        def preexec():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        return run_entry(*TestOutPaths.COMMANDS[command], "--out", str(out),
+                         preexec_fn=None if limit is None else preexec)
+
+    @pytest.fixture(scope="class")
+    def want(self) -> dict[str, str]:
+        """Each command's output to stdout."""
+        return {command: run_entry(*argv).stdout for command, argv in self.COMMANDS.items()}
+
+    @staticmethod
+    def check(result, command: str, out, code: int) -> None:
+        assert result.returncode == code and "Traceback" not in result.stderr
+        if code == 0:
+            assert result.stderr == ("" if command == "table" else f"wrote 400 records to {out}\n")
+        else:
+            what = "" if command == "table" else "event file "
+            assert result.stderr.startswith(f"data error: cannot write {what}{out}: ")
+            assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+        if Path(out).parent.is_dir():
+            assert [p for p in Path(out).parent.iterdir() if p.name.startswith(f".{Path(out).name}.")] == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_directory(self, tmp_path, command):
+        result = self.run(command, tmp_path)
+        self.check(result, command, tmp_path, 2)
+        assert "Is a directory" in result.stderr and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_directory(self, tmp_path, command):
+        out = tmp_path / "missing" / "out.csv"
+        result = self.run(command, out)
+        self.check(result, command, out, 2)
+        assert f"No such file or directory: '{out}'" in result.stderr and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_write_that_fails_part_way(self, tmp_path, want, command):
+        # a new file: none is left; a complete file already there: kept byte for byte, and its mode
+        out = tmp_path / "out.csv"
+        result = self.run(command, out, limit=self.LIMIT)
+        self.check(result, command, out, 2)
+        assert "File too large" in result.stderr and list(tmp_path.iterdir()) == []
+        self.check(self.run(command, out), command, out, 0)
+        out.chmod(0o600)
+        result = self.run(command, out, limit=self.LIMIT)
+        self.check(result, command, out, 2)
+        assert list(tmp_path.iterdir()) == [out] and out.read_text(encoding="utf-8") == want[command]
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_existing_file_replaced_with_its_mode(self, tmp_path, want, command):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        self.check(self.run(command, out), command, out, 0)
+        assert out.read_text(encoding="utf-8") == want[command]
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_symlink(self, tmp_path, want, command):
+        # the link's target is replaced, and the link kept; a failed write leaves both as they were
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        self.check(self.run(command, link, limit=self.LIMIT), command, link, 2)
+        assert link.is_symlink() and target.read_text() == "old\n"
+        self.check(self.run(command, link), command, link, 0)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8") == want[command]
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_dev_null(self, command):
+        self.check(self.run(command, "/dev/null"), command, "/dev/null", 0)
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_dev_full(self, command):
+        try:
+            with open("/dev/full", "wb", buffering=0) as f:
+                f.write(b"x")
+        except OSError:
+            pass
+        else:
+            pytest.skip("a write to /dev/full succeeds here")
+        result = self.run(command, "/dev/full")
+        self.check(result, command, "/dev/full", 2)
+        assert "No space left on device" in result.stderr
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_fifo(self, tmp_path, want, command):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            self.check(self.run(command, fifo), command, fifo, 0)
+        finally:
+            reader.join(timeout=60)
+        assert got == [want[command].encode()] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_sigterm_mid_write_leaves_the_old_file(self, tmp_path):
+        # the old file is kept whole, and the new one stays behind as a hidden temporary file
+        out = tmp_path / "big.csv"
+        out.write_bytes(b"old\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "hyperon.cli", "--threads", "1", "simulate", "pair",
+                                 "--k", "0.46", "--events", "5000000", "--out", str(out)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not any(p.name.startswith(".big.csv.") and p.stat().st_size for p in tmp_path.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        assert out.read_bytes() == b"old\n"
+        assert len(list(tmp_path.iterdir())) == 2
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # scipy is needed by the tests only; importing it costs every CLI start
@@ -1247,7 +1404,7 @@ class TestEntry:
 
 
 def run_entry(*argv: str, unbuffered: bool = True, stdout=subprocess.PIPE,
-              options: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+              options: tuple[str, ...] = (), preexec_fn=None) -> subprocess.CompletedProcess:
     """Run `python *options -m hyperon.cli *argv` in a fresh interpreter that imports hyperon from this tree.
 
     `unbuffered` sets PYTHONUNBUFFERED, or unsets it, so that stdout is block-buffered.
@@ -1256,7 +1413,7 @@ def run_entry(*argv: str, unbuffered: bool = True, stdout=subprocess.PIPE,
     if not unbuffered:
         del env["PYTHONUNBUFFERED"]
     return subprocess.run([sys.executable, *options, "-m", "hyperon.cli", *argv], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=60)
+                          stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
 def run_fresh(code: str, **environ: str | None) -> subprocess.CompletedProcess:

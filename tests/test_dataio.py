@@ -1,15 +1,16 @@
 import hashlib
 import io
+import itertools
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from hyperon import dataio
+from hyperon import cli, dataio
 from hyperon.cli import main
-from hyperon.dataio import paired_directions, read_events, write_events
-from hyperon.errors import EventFileError, ParameterFileError
+from hyperon.dataio import format_blocks, paired_directions, read_events, write_events
+from hyperon.errors import DataError, EventFileError, ParameterFileError
 from hyperon.mc import EventTable, PairCorrelationModel, SampleConfig, SingleDecayModel, generate
 from hyperon.params import (
     bundled_parameters_path, chi_sp_mod_pi, load_bundled_parameters, load_parameters, params_from_alpha_phi)
@@ -152,9 +153,14 @@ def event_table(event_id, role, channel, n) -> EventTable:
 
 def event_text(tables) -> str:
     """The event-file text `write_events` writes for an EventTable or an iterable of them."""
-    out = io.StringIO()
+    out = io.BytesIO()
     write_events(out, tables)
-    return out.getvalue()
+    return out.getvalue().decode()
+
+
+def write_file(path, tables) -> None:
+    """Write an event file as `simulate --out` does: a new file, which replaces `path` once written whole."""
+    cli._write_file(str(path), lambda f: write_events(f.buffer, tables), f"event file {path}")
 
 
 HEADER = "event_id,role,channel,nx,ny,nz"
@@ -166,7 +172,7 @@ class TestEventFiles:
             SampleConfig(seed=21, events=1000, model=PairCorrelationModel(k=0.3, channel="pair(k=0.3)"))
         )
         path = tmp_path / "events.csv"
-        write_events(path, table)
+        write_file(path, table)
         back = read_events(path)
         assert np.array_equal(back.event_id, table.event_id)
         assert list(back.role) == list(table.role)
@@ -175,7 +181,7 @@ class TestEventFiles:
     def test_round_trip_records(self, tmp_path):
         table = event_table([0, 1], ["single"] * 2, ["x"] * 2, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         path = tmp_path / "records.csv"
-        write_events(path, table)
+        write_file(path, table)
         back = read_events(path)
         assert len(back) == 2
         assert np.allclose(back.n[1], [1.0, 0.0, 0.0])
@@ -184,7 +190,7 @@ class TestEventFiles:
         table = generate(SampleConfig(seed=22, events=5, model=SingleDecayModel(
             params=params_from_alpha_phi(0.5, 0.0))))
         path = tmp_path / "events.csv"
-        write_events(path, table)
+        write_file(path, table)
         text = path.read_text()
         path.write_text(text[: text.rfind(",") + 2])  # cut the last line short
         with pytest.raises(EventFileError, match="last good event id: 3"):
@@ -242,30 +248,39 @@ class TestEventFiles:
             channel=np.where(table.event_id == 9, channel, table.channel),
             n=table.n,
         )
+        out = io.BytesIO()
+        with pytest.raises(EventFileError):
+            write_events(out, table)
+        assert out.getvalue() == b""  # the first table's names are checked before the header
         path = tmp_path / "events.csv"
         with pytest.raises(EventFileError) as err:
-            write_events(path, table)
-        assert not path.exists()
+            write_file(path, table)
+        assert list(tmp_path.iterdir()) == []
         what, name = ("channel", channel) if role == "single" else ("role", role)
         reason = "contains a comma or control character" if name.isascii() else "cannot be encoded as UTF-8"
         assert str(err.value).startswith(f"{what} name {name!r} {reason}")
 
-    def test_failed_write_removes_partial_file(self, tmp_path, monkeypatch):
-        def failing_chunks(events):
-            yield f"{dataio.EVENT_HEADER}\n".encode()
+    def test_failed_write_removes_partial_file(self, tmp_path):
+        def failing_tables():
+            yield event_table([0], ["single"], ["x"], [0.0, 0.0, 1.0])
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(dataio, "_event_chunks", failing_chunks)
         path = tmp_path / "events.csv"
-        with pytest.raises(EventFileError, match="No space left"):
-            write_events(path, event_table([0], ["single"], ["x"], [0.0, 0.0, 1.0]))
-        assert not path.exists()
+        with pytest.raises(DataError) as err:
+            write_file(path, failing_tables())
+        assert str(err.value) == f"cannot write event file {path}: [Errno 28] No space left on device"
+        assert list(tmp_path.iterdir()) == []
+        # and a file already there is kept as it was
+        path.write_bytes(b"old")
+        with pytest.raises(DataError):
+            write_file(path, failing_tables())
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
 
     def test_non_ascii_names_round_trip(self, tmp_path):
         table = event_table([0, 0, 1, 1], ["rôle-β", "pair-2"] * 2, ["Λ→pπ⁻", "Ξ", "x", "Λ→pπ⁻"],
                             [[0.0, 0.6, 0.8]] * 4)
         path = tmp_path / "events.csv"
-        write_events(path, table)
+        write_file(path, table)
         assert path.read_bytes() == event_text(table).encode("utf-8")
         back = read_events(path)
         assert (back.roles, back.channels) == (("rôle-β", "pair-2"), ("Λ→pπ⁻", "Ξ", "x"))
@@ -275,15 +290,9 @@ class TestEventFiles:
     def test_stream_matches_text(self, tmp_path):
         # 66,000 rows: more than one block of the writer
         table = generate(SampleConfig(seed=26, events=33_000, model=PairCorrelationModel(k=0.3)))
-        out, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        write_events(out, table)  # decoded: a text stream without a buffer
-        binary.write("text before the events\n")
-        write_events(binary, table)  # the bytes to its buffer, after what the stream held
-        binary.flush()
         path = tmp_path / "events.csv"
-        write_events(path, table)
-        texts = [out.getvalue(), path.read_bytes().decode(),
-                 binary.buffer.getvalue().decode().removeprefix("text before the events\n")]
+        write_file(path, table)
+        texts = [event_text(table), event_text([format_blocks(table)]), path.read_bytes().decode()]
         # digests, not the strings: a report that diffs two 66,000-line strings takes minutes
         digests = {(len(t), hashlib.sha256(t.encode()).hexdigest()) for t in texts}
         assert len(digests) == 1
@@ -299,7 +308,7 @@ class TestEventFiles:
     def test_long_names_kept_whole(self, tmp_path):
         name = "channel-" + "x" * 300
         path = tmp_path / "events.csv"
-        write_events(path, event_table([2**64 - 1], ["r" * 100], [name], [0.0, 1.0, 0.0]))
+        write_file(path, event_table([2**64 - 1], ["r" * 100], [name], [0.0, 1.0, 0.0]))
         back = read_events(path)
         assert back.event_id.tolist() == [2**64 - 1]
         assert back.role.tolist() == ["r" * 100]
@@ -346,7 +355,7 @@ class TestEventFiles:
         roles = [("pair-1", "single", "pair-2")[i % 3] for i in range(900)]
         channels = [f"ch-{(7 * i) % 300}" for i in range(900)]
         path = tmp_path / "events.csv"
-        write_events(path, event_table(range(900), roles, channels, [[0.0, 0.0, 1.0]] * 900))
+        write_file(path, event_table(range(900), roles, channels, [[0.0, 0.0, 1.0]] * 900))
         back = read_events(path)
         assert back.channel_code.dtype == np.uint16 and back.role_code.dtype == np.uint8
         assert len(back.channels) == 300 and back.roles == ("pair-1", "single", "pair-2")
@@ -358,7 +367,7 @@ class TestEventFiles:
     def test_nine_digit_precision(self, tmp_path):
         n = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
         path = tmp_path / "events.csv"
-        write_events(path, event_table([7], ["single"], ["x"], n))
+        write_file(path, event_table([7], ["single"], ["x"], n))
         back = read_events(path)
         assert abs(np.linalg.norm(back.n[0]) - 1.0) < 1e-9
 
@@ -428,27 +437,33 @@ class TestRowFormatter:
         }
         checked = 0
         for name, x in categories.items():
-            # the values _format_unit writes, against `%`
-            written_count = 0
-            for block in np.array_split(x, -(-x.size // 250_000)):
+            n = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)  # rows for the writer
+            rows = len(n)
+            # each value through `%` once, a block of rows at a time: the reference of the values
+            # _format_unit writes, and of the rows `_EVENT_ROW %` prints
+            want_rows, written_count = [HEADER], 0
+            for start in range(0, rows, 83_333):
+                block = n[start:start + 83_333].ravel()
+                strings = (("%.9g\n" * block.size) % tuple(block.tolist())).split("\n")
                 out = np.zeros(block.shape + (5,), np.uint32)
                 written = dataio._format_unit(block, out)
                 text = out[written].view(np.uint8)
                 got = text[text != 0].tobytes().decode()
-                want = "".join(map(",%.9g".__mod__, block[written].tolist()))
+                want = "," * bool(written.any()) + ",".join(itertools.compress(strings, written.tolist()))
                 if got != want:  # name the first value, not a diff of megabytes
                     bad = next(v for v, g, w in zip(block[written].tolist(), got.split(",")[1:],
                                                     want.split(",")[1:]) if g != w)
                     pytest.fail(f"{name}: %.9g of {bad!r}")
-                written_count += np.count_nonzero(written)
+                written_count += np.count_nonzero(written[:x.size - 3 * start])  # not the padding
+                want_rows += map(",".join, zip(map(str, range(start, start + len(block) // 3)),
+                                               itertools.repeat("r,c"), strings[0::3], strings[1::3],
+                                               strings[2:-1:3]))
             if name == "unit-vector components":
                 assert written_count >= 0.9999 * x.size
             # every value, fast or left to `%`, through the writer
-            n = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)
-            rows = len(n)
             table = EventTable(np.arange(rows, dtype=np.uint64), np.zeros(rows, np.uint8),
                                np.zeros(rows, np.uint8), n, ("r",), ("c",))
-            got, want = event_text(table), HEADER + "\n" + percent_rows(table)
+            got, want = event_text(table), "\n".join(want_rows) + "\n"
             if got != want:
                 line = next(g for g, w in zip(got.splitlines(), want.splitlines()) if g != w)
                 pytest.fail(f"{name}: write_events wrote {line!r}")
@@ -485,25 +500,31 @@ class TestRowFormatter:
             assert event_text(table) == HEADER + "\n" + percent_rows(table)
 
 
-def parent_read(path) -> EventTable:
-    """An event file of one block read as the np.loadtxt reader did: `_parse_body` and `from_names`,
-    and where that fails, `_parse_body` of one line at a time up to the first line it rejects."""
+def loadtxt_events(path, size: int):
+    """The np.loadtxt reader: `_parse_body` per `readlines(size)` block and `from_names`, and in the
+    first block it rejects, `_parse_body` of one line at a time up to the first line it rejects.
+    A size of 0 reads the file as one block."""
     with open(path, encoding="utf-8") as f:
         f.readline()
-        lines = f.readlines()
-    try:
-        return reference_table(lines)
-    except ValueError:
-        last_good = None
-        for line_no, line in enumerate(lines, 2):
+        line_no, last_good = 2, None
+        while lines := f.readlines(size):
             try:
-                rows = dataio._parse_body([line])
-            except ValueError as exc:
-                raise EventFileError(f"{path}:{line_no}: {dataio._line_error(line, exc)} "
-                                     f"(last good event id: {last_good})") from None
-            if rows.size:
-                last_good = int(rows["event_id"][-1])
-        raise
+                table = reference_table(lines)
+            except ValueError:
+                for line in lines:
+                    try:
+                        rows = dataio._parse_body([line])
+                    except ValueError as exc:
+                        raise EventFileError(f"{path}:{line_no}: {dataio._line_error(line, exc)} "
+                                             f"(last good event id: {last_good})") from None
+                    line_no += 1
+                    if rows.size:
+                        last_good = int(rows["event_id"][-1])
+                raise
+            line_no += len(lines)
+            if len(table):
+                last_good = int(table.event_id[-1])
+                yield table
 
 
 ROWS = "0,pair-1,x,0.6,0,0.8\n0,pair-2,x,-0.6,0,-0.8\n"
@@ -557,7 +578,7 @@ class TestRowParser:
         path = tmp_path / "events.csv"
         path.write_bytes(f"{HEADER}\n{before}{line}\n{after}".encode())
         try:
-            want = parent_read(path)
+            want = EventTable.concat(loadtxt_events(path, 0))
         except EventFileError as exc:
             with pytest.raises(EventFileError) as got:
                 read_events(path)
@@ -573,8 +594,8 @@ class TestRowParser:
         n = np.random.default_rng(keys).normal(size=(3 * keys, 3))
         path = tmp_path / "events.csv"
         n /= np.linalg.norm(n, axis=1, keepdims=True)
-        write_events(path, event_table(range(3 * keys), roles, channels, n))
-        assert_same_table(read_events(path), parent_read(path))
+        write_file(path, event_table(range(3 * keys), roles, channels, n))
+        assert_same_table(read_events(path), EventTable.concat(loadtxt_events(path, 0)))
 
     def test_digit_words(self):
         # every byte in every position of an eight-byte word, with every count of digits read

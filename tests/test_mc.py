@@ -438,6 +438,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="at least 1"):
             SampleConfig(seed=1, events=0, model=PairCorrelationModel(k=0.2))
 
+    def test_events_up_to_2_64(self):
+        # the ids 0 to events - 1 are uint64; the configs are made, never sampled
+        assert SampleConfig(seed=1, events=2**64, model=PairCorrelationModel(k=0.2)).events == 2**64
+        for events in (2**64 + 1, 2**64 + 5):
+            with pytest.raises(ValueError, match=r"at most 2\^64"):
+                SampleConfig(seed=1, events=events, model=PairCorrelationModel(k=0.2))
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="worker count"):
             SampleConfig(seed=1, events=10, model=PairCorrelationModel(k=0.2), workers=-1)

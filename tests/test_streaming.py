@@ -23,7 +23,7 @@ from hyperon.dataio import iter_events, iter_pairs, paired_directions, read_even
 from hyperon.errors import EventFileError
 from hyperon.mc import EventTable, PairCorrelationModel, SampleConfig, generate, iter_chunks
 from hyperon.pairs import PairMoments, correlation_estimate, witness_estimate
-from test_dataio import event_text
+from test_dataio import event_text, loadtxt_events, write_file
 
 HEADER = "event_id,role,channel,nx,ny,nz"
 ROW = "{},pair-{},x,0,0,1\n"  # 17 bytes for a one-digit id
@@ -162,8 +162,7 @@ class TestReadBlocks:
         # one 2**19-byte slice of a pair file, parsed on a fresh thread: its temporaries peak at a
         # little over two bytes per byte of the slice, the table it returns included
         path = tmp_path / "events.csv"
-        dataio.write_events(path, generate(SampleConfig(seed=13, events=10_000,
-                                                         model=PairCorrelationModel(k=0.46))))
+        write_file(path, generate(SampleConfig(seed=13, events=10_000, model=PairCorrelationModel(k=0.46))))
         small_blocks(1 << 19)
         with path.open("rb") as f:
             slices = dataio._slices(f)
@@ -185,33 +184,6 @@ class TestReadBlocks:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and peak[0] <= 3.2 * len(data)
-
-
-def loadtxt_events(path, size: int):
-    """The np.loadtxt reader: `_parse_body` per `readlines(size)` block and `from_names`, and in the
-    first block it rejects, `_parse_body` of one line at a time up to the first line it rejects."""
-    with open(path, encoding="utf-8") as f:
-        f.readline()
-        line_no, last_good = 2, None
-        while lines := f.readlines(size):
-            try:
-                rows = dataio._parse_body(lines)
-            except ValueError:
-                for line in lines:
-                    try:
-                        rows = dataio._parse_body([line])
-                    except ValueError as exc:
-                        raise EventFileError(f"{path}:{line_no}: {dataio._line_error(line, exc)} "
-                                             f"(last good event id: {last_good})") from None
-                    line_no += 1
-                    if rows.size:
-                        last_good = int(rows["event_id"][-1])
-                raise
-            line_no += len(lines)
-            if rows.size:
-                last_good = int(rows["event_id"][-1])
-                yield EventTable.from_names(np.ascontiguousarray(rows["event_id"]), rows["role"],
-                                            rows["channel"], np.ascontiguousarray(rows["n"]))
 
 
 def drain(tables) -> tuple[list[tuple], str | None]:
@@ -776,8 +748,8 @@ def test_bad_name_in_a_later_chunk_leaves_no_file(tmp_path):
                                 np.tile([0.0, 0.0, 1.0], (2, 1)))
     path = tmp_path / "events.csv"
     with pytest.raises(EventFileError, match="contains a comma"):
-        dataio.write_events(path, iter([good, bad]))
-    assert not path.exists()
+        write_file(path, iter([good, bad]))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_error_leaves_no_file(tmp_path, monkeypatch):
@@ -793,5 +765,5 @@ def test_worker_error_leaves_no_file(tmp_path, monkeypatch):
     path = tmp_path / "events.csv"
     config = SampleConfig(seed=5, events=100, model=PairCorrelationModel(k=0.2), workers=2)
     with pytest.raises(MemoryError):
-        dataio.write_events(path, iter_chunks(config))
-    assert not path.exists()
+        write_file(path, iter_chunks(config))
+    assert list(tmp_path.iterdir()) == []
