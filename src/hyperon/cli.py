@@ -85,13 +85,22 @@ def _write_stdout(write, what: str) -> None:
         raise DataError(f"cannot write {what}: {exc}") from None
 
 
+def _is_stdout(f) -> bool:
+    """Whether the file f is the one sys.stdout writes to; an io.StringIO stdout has none."""
+    try:
+        return os.path.samestat(os.fstat(f.fileno()), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or a closed one
+        return False
+
+
 def _write_file(out: str, write, what: str) -> None:
     """write(f) to the file `out`, opened as UTF-8 text, all or nothing; an OSError is a DataError.
 
     A regular file, or a path not there yet, gets a new file beside it that
     replaces it once write(f) returns, and a symlink's target is replaced.
-    Any other file, such as /dev/null or a FIFO, is written in place: a
-    rename onto a device node would replace the node.
+    A file that stdout already writes to, such as /dev/stdout, is written
+    through sys.stdout.  Any other file, such as /dev/null or a FIFO, is
+    written in place: a rename onto a device node would replace the node.
     """
     try:
         try:  # the permission check of a plain open, with no truncation
@@ -101,6 +110,9 @@ def _write_file(out: str, write, what: str) -> None:
         else:
             with f:
                 mode = os.fstat(f.fileno()).st_mode
+                if _is_stdout(f):  # a rename over it would lose what stdout wrote before
+                    _write_stdout(write, what)
+                    return
                 if not stat.S_ISREG(mode):
                     write(f)
                     return

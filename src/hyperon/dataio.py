@@ -27,7 +27,6 @@ from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map, _pool_size
 from .params import load_bundled_parameters
 
 EVENT_HEADER = "event_id,role,channel,nx,ny,nz"
-_EVENT_ROW = "%d,%s,%.9g,%.9g,%.9g\n"  # %s: "role,channel"
 # rows `iter_pairs` may carry while they wait for their partner; 2^22 rows
 # hold about 130 MB, and a file in id order carries a row or two
 _MAX_CARRY_ROWS = 1 << 22
@@ -91,13 +90,14 @@ def _groups(v: np.ndarray, count: int) -> tuple[np.ndarray, list[np.ndarray]]:
 def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``",%.9g" % v`` for each v of x into `out`, uint32 of shape x.shape + (5,).
 
-    Only values with |v| in [1e-4, 1] or v = +-0 are written, as comma,
-    sign, integer digit and point, then 12 decimals in four words, with
-    zero bytes for a plus sign, trailing zeros and a bare point; %g prints
-    these values, whose 9-digit exponents lie in -4..0, in this fixed
-    notation.  A value whose scaled product lies within 1e-6 of a rounding
-    tie is not written either.  Returns the mask of the values written;
-    the other words of `out` hold junk.
+    Values with |v| in [1e-4, 1] or v = +-0 are written by word arithmetic,
+    as comma, sign, integer digit and point, then 12 decimals in four
+    words, with zero bytes for a plus sign, trailing zeros and a bare
+    point; %g prints these values, whose 9-digit exponents lie in -4..0,
+    in this fixed notation.  Any other value, and one whose scaled product
+    lies within 1e-6 of a rounding tie, is formatted with `%` and padded
+    with zero bytes: its text takes at most 17 of the 20 bytes.  Returns
+    the mask of the values written by word arithmetic.
     """
     a = np.abs(x)
     fast = ((a >= 1e-4) & (a <= 1.0)) | (a == 0.0)  # NaN is not fast
@@ -108,7 +108,7 @@ def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     p = a * _POW10[k]
     # rint of the rounded product p is the integer nearest the exact product
     # unless p lies within 1e-6 of a tie (its error is below 1.2e-7 up to
-    # 10**9); those rare values are left to the caller's `%` formatting
+    # 10**9); those rare values are formatted with `%` below
     fast &= np.abs(p - np.floor(p) - 0.5) >= 1e-6
     # q has 9 digits, or is 10**9 where rounding carries into the next decade;
     # q * 10**(12 - k) is then the same as 10**8 one decade up, so k needs no correction
@@ -121,6 +121,8 @@ def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[..., word] = _TRAILING[group + 1000 * later]
         later = later | (group > 0)
     out[..., 0] = _HEAD[4 * np.signbit(x) + 2 * integer + later]
+    text = b"".join((",%.9g" % v).encode().ljust(20, b"\0") for v in x[~fast].tolist())
+    out[~fast] = np.frombuffer(text, np.uint32).reshape(-1, 5)
     return fast
 
 
@@ -140,40 +142,29 @@ def _format_ids(ids: np.ndarray, out: np.ndarray) -> None:
 
 
 def _format_block(table: EventTable, rows: slice) -> bytes:
-    """The event-file bytes of `table[rows]`, byte for byte ``_EVENT_ROW % row`` in UTF-8 for every row.
+    """The event-file bytes of `table[rows]`: ``"%d,%s,%s,%.9g,%.9g,%.9g\\n" % row`` in UTF-8 for each row.
 
     Each row is laid out in words: the id, the ",role,channel" bytes of
     the row's key (templates made for the keys present), the three
     components and a line break.  Zero bytes are padding, dropped when
-    the words are joined.  A row with a component that _format_unit does
-    not write is formatted with `_EVENT_ROW` into its own row of words,
-    which its text fits: `%.9g` takes at most 16 of a component's 20
-    bytes.  `_check_names` keeps NUL, which would read as padding, out of
-    the names.
+    the words are joined; `_check_names` keeps NUL, which would read as
+    padding, out of the names.
     """
     ids, n = table.event_id[rows].astype(np.uint64, copy=False), table.n[rows]
-    count = len(ids)
-    keys = table.role_code[rows].astype(np.intp) * len(table.channels) + table.channel_code[rows]
+    count, channels = len(ids), len(table.channels)
+    keys = table.role_code[rows].astype(np.intp) * channels + table.channel_code[rows]
     present, key_index = np.unique(keys, return_inverse=True)
-    names = [f"{table.roles[key // len(table.channels)]},{table.channels[key % len(table.channels)]}"
-             for key in present.tolist()]
-    fields = [f",{name}".encode() for name in names]
+    fields = [f",{table.roles[key // channels]},{table.channels[key % channels]}".encode()
+              for key in present.tolist()]
     field_words = -(-max(map(len, fields)) // 4)
-    templates = np.zeros((len(fields), 4 * field_words), np.uint8)
-    for template, field in zip(templates, fields):
-        template[:len(field)] = np.frombuffer(field, np.uint8)
+    templates = np.frombuffer(b"".join(field.ljust(4 * field_words, b"\0") for field in fields), np.uint32)
     id_words = max(1, -(-len(str(int(ids.max(initial=0)))) // 3))
     words = np.empty((count, id_words + field_words + 16), np.uint32)
     _format_ids(ids, words[:, :id_words])
-    words[:, id_words:id_words + field_words] = templates.view(np.uint32)[key_index]
-    components = words[:, id_words + field_words:-1].reshape(count, 3, 5)
-    ok = _format_unit(np.asarray(n, dtype=float), components).all(axis=1)
+    words[:, id_words:id_words + field_words] = templates.reshape(-1, field_words)[key_index]
+    _format_unit(np.asarray(n, dtype=float), words[:, id_words + field_words:-1].reshape(count, 3, 5))
     words[:, -1] = _NEWLINE
     text = words.view(np.uint8)
-    fallback = np.flatnonzero(~ok)
-    picked = zip(ids[fallback].tolist(), key_index[fallback].tolist(), n[fallback].tolist())
-    lines = b"".join((_EVENT_ROW % (i, names[k], *v)).encode().ljust(text.shape[1], b"\0") for i, k, v in picked)
-    text[fallback] = np.frombuffer(lines, np.uint8).reshape(fallback.size, text.shape[1])
     return text[text != 0].tobytes()
 
 
@@ -186,12 +177,8 @@ def _row_blocks(table: EventTable | list[bytes]) -> Iterator[bytes]:
         return iter(table)
     _check_names(table.roles, "role")
     _check_names(table.channels, "channel")
-
-    def blocks():
-        for start in range(0, len(table), _FORMAT_ROWS):
-            yield _format_block(table, slice(start, start + _FORMAT_ROWS))
-
-    return blocks()
+    return (_format_block(table, slice(start, start + _FORMAT_ROWS))
+            for start in range(0, len(table), _FORMAT_ROWS))
 
 
 def format_blocks(table: EventTable) -> list[bytes]:

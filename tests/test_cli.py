@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import hyperon
-from hyperon.cli import main
+from hyperon.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -660,27 +661,33 @@ class TestNegativeValues:
 
 
 class TestBadNumbers:
-    """Every numeric flag, given an edge value or a non-number, reports or fails in one line.
+    """Every numeric flag of every command, given an edge value or a non-number, reports or fails in one line.
 
     Each command line below is valid; the flag is appended after it, so its value is the one
     that counts.  A value that fails gives exit code 1 or 2, exactly one stderr line naming the
-    kind of error, and no file at --out; none may raise, or warn (warnings are errors here).
+    kind of error, and no file at --out or beside it; none may raise, or warn (warnings are
+    errors here).
     """
 
-    VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "1e-320", "", "x"]
+    VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "1e-320", str(2**64), "", "x"]
     COMMANDS = {
+        "table": (("table",), ("--seed", "--threads")),
         "bell": (("bell", "--inequality", "I3", "--k", "0.5"), ("--k", "--seed", "--threads")),
-        "context": (("context", "--alpha", "0.5", "--alphabar", "0.5"), ("--alpha", "--alphabar")),
+        "context": (("context", "--alpha", "0.5", "--alphabar", "0.5"),
+                    ("--alpha", "--alphabar", "--seed", "--threads")),
         # --points is no flag (the fringe grid is fixed at 64), and is refused in one line too
-        "complementarity": (("complementarity", "--theta", "1"), ("--theta", "--phi", "--points")),
+        "complementarity": (("complementarity", "--theta", "1"),
+                            ("--theta", "--phi", "--points", "--seed", "--threads")),
         "pair": (("simulate", "pair", "--k", "0.5", "--events", "1000"),
                  ("--k", "--events", "--seed", "--threads")),
         "single": (("simulate", "single", "--alpha", "0.5", "--events", "1000"),
-                   ("--alpha", "--phi-over-pi", "--pol", "--events")),
+                   ("--alpha", "--phi-over-pi", "--pol", "--events", "--seed", "--threads")),
         "cascade": (("simulate", "cascade", "--mu-alpha", "0.5", "--nu-alpha", "-0.5", "--events", "1000"),
-                    ("--mu-alpha", "--nu-alpha", "--mu-phi-over-pi", "--nu-phi-over-pi", "--pol")),
+                    ("--mu-alpha", "--nu-alpha", "--mu-phi-over-pi", "--nu-phi-over-pi", "--pol", "--events",
+                     "--seed", "--threads")),
+        "witness": (("analyze", "witness", "--events", "{events}"), ("--seed", "--threads")),
         "correlations": (("analyze", "correlations", "--events", "{events}", "--renormalize",
-                          "--alpha", "0.6", "--alphabar", "0.7"), ("--alpha", "--alphabar", "--threads")),
+                          "--alpha", "0.6", "--alphabar", "0.7"), ("--alpha", "--alphabar", "--threads", "--seed")),
     }
 
     @pytest.fixture(scope="class")
@@ -688,6 +695,19 @@ class TestBadNumbers:
         f = tmp_path_factory.mktemp("bad-numbers") / "pairs.csv"
         assert main(["simulate", "pair", "--k", "0.46", "--events", "1000", "--out", str(f)]) == 0
         return f
+
+    def test_every_numeric_flag_is_listed(self):
+        # the int and float flags, and the --pol vector, of each command the parser runs
+        def commands(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from commands(sub) if sub._subparsers else [(name, sub)]
+
+        numeric = {name: {flag for action in sub._actions if action.type in (int, float) or action.dest == "pol"
+                          for flag in action.option_strings}
+                   for name, sub in commands(build_parser())}
+        assert numeric == {command: set(flags) - {"--points"} for command, (_, flags) in self.COMMANDS.items()}
 
     @pytest.mark.parametrize("value", VALUES)
     @pytest.mark.parametrize("command, flag", [
@@ -697,7 +717,11 @@ class TestBadNumbers:
         argv, _ = self.COMMANDS[command]
         out = tmp_path / "out.csv"
         argv = [a.format(events=events) for a in argv]
-        argv += [flag, f"{value},0,0" if flag == "--pol" else value, "--out", str(out)]
+        if flag == "--pol":
+            value = f"{value},0,0"
+        elif flag == "--events" and value == str(2**64):  # a valid count, which no test can wait for
+            value = str(2**64 + 1)
+        argv += [flag, value, "--out", str(out)]
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -706,7 +730,7 @@ class TestBadNumbers:
         assert code in (0, 1, 2)
         if code != 0:
             assert err.count("\n") == 1 and err.startswith(("usage error: ", "error: ", "data error: "))
-            assert not out.exists()
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:
@@ -1125,6 +1149,20 @@ class TestOutPaths:
         finally:
             reader.join(timeout=60)
         assert got == [want[command].encode()] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.parametrize("argv", [("context", "--alpha", "0.5", "--alphabar", "0.5"), COMMANDS["simulate"]],
+                             ids=["context", "simulate"])
+    def test_dev_stdout_follows_what_stdout_holds(self, tmp_path, argv):
+        # /dev/stdout of a stdout sent to a file opens that file: written through stdout, never renamed over
+        out = tmp_path / "o.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperon.__file__).parents[1]))
+        with open(out, "w") as f:
+            result = subprocess.run(["sh", "-c", 'echo first; "$@" --out /dev/stdout; echo done', "sh",
+                                     sys.executable, "-m", "hyperon.cli", *argv],
+                                    env=env, stdout=f, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert result.returncode == 0 and "Traceback" not in result.stderr
+        assert out.read_text(encoding="utf-8") == f"first\n{run_entry(*argv).stdout}done\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_sigterm_mid_write_leaves_the_old_file(self, tmp_path):
         # the old file is kept whole, and the new one stays behind as a hidden temporary file

@@ -377,10 +377,10 @@ class TestEventFiles:
 
 
 def percent_rows(table: EventTable) -> str:
-    """The reference text of a table's rows: each row through `_EVENT_ROW %`."""
+    """The reference text of a table's rows: each row through `%`."""
     names = [f"{role},{channel}" for role in table.roles for channel in table.channels]
     keys = table.role_code.astype(np.intp) * len(table.channels) + table.channel_code
-    return "".join(map(dataio._EVENT_ROW.__mod__, zip(
+    return "".join(map("%d,%s,%.9g,%.9g,%.9g\n".__mod__, zip(
         table.event_id.tolist(), map(names.__getitem__, keys.tolist()), *table.n.T.tolist())))
 
 
@@ -419,7 +419,7 @@ class TestRowFormatter:
         # the doubles nearest the 9-digit rounding midpoints (q + 1/2) 10**(e - 8) of
         # the decades 10**e <= |x| < 10**(e + 1); the decade of 1 holds only 1, a power of ten
         midpoints = np.concatenate([(q + 0.5) / 10.0 ** (8 - e) for e in range(-4, 0)])
-        # values about the edges of the 1e-6 window of scaled products that _format_unit leaves to `%`
+        # values about the edges of the 1e-6 window of scaled products that _format_unit formats with `%`
         q = rng.integers(10**8, 10**9, 50_000)
         edges = np.concatenate([(q + 0.5 + d) / 10.0 ** (8 - e) for e in range(-4, 0)
                                 for d in (-1e-5, -1.5e-6, -1e-6, 1e-6, 1.5e-6, 1e-5)])
@@ -439,19 +439,19 @@ class TestRowFormatter:
         for name, x in categories.items():
             n = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)  # rows for the writer
             rows = len(n)
-            # each value through `%` once, a block of rows at a time: the reference of the values
-            # _format_unit writes, and of the rows `_EVENT_ROW %` prints
+            # each value through `%` once, a block of rows at a time: the reference of every value
+            # _format_unit writes, and of the rows the writer prints
             want_rows, written_count = [HEADER], 0
             for start in range(0, rows, 83_333):
                 block = n[start:start + 83_333].ravel()
                 strings = (("%.9g\n" * block.size) % tuple(block.tolist())).split("\n")
                 out = np.zeros(block.shape + (5,), np.uint32)
                 written = dataio._format_unit(block, out)
-                text = out[written].view(np.uint8)
+                text = out.view(np.uint8)
                 got = text[text != 0].tobytes().decode()
-                want = "," * bool(written.any()) + ",".join(itertools.compress(strings, written.tolist()))
+                want = "," + ",".join(strings[:-1])
                 if got != want:  # name the first value, not a diff of megabytes
-                    bad = next(v for v, g, w in zip(block[written].tolist(), got.split(",")[1:],
+                    bad = next(v for v, g, w in zip(block.tolist(), got.split(",")[1:],
                                                     want.split(",")[1:]) if g != w)
                     pytest.fail(f"{name}: %.9g of {bad!r}")
                 written_count += np.count_nonzero(written[:x.size - 3 * start])  # not the padding
@@ -460,7 +460,7 @@ class TestRowFormatter:
                                                strings[2:-1:3]))
             if name == "unit-vector components":
                 assert written_count >= 0.9999 * x.size
-            # every value, fast or left to `%`, through the writer
+            # every value, word path or `%`, through the writer
             table = EventTable(np.arange(rows, dtype=np.uint64), np.zeros(rows, np.uint8),
                                np.zeros(rows, np.uint8), n, ("r",), ("c",))
             got, want = event_text(table), "\n".join(want_rows) + "\n"

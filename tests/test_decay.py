@@ -103,6 +103,9 @@ class TestParameters:
         params_from_alpha_phi(0.5, 0.1, gamma_sign=+1)
         with pytest.raises(ValueError, match="gamma_sign"):
             params_from_alpha_phi(0.5, 0.1, gamma_sign=-1)
+        for sign in (0, 2):
+            with pytest.raises(ValueError, match=r"gamma_sign must be \+1 or -1"):
+                params_from_alpha_phi(0.5, 0.1, gamma_sign=sign)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -125,8 +128,9 @@ class TestParameters:
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(10)
-        for _ in range(300):
-            p = params_from_amplitudes(random_amplitudes(rng))
+        # and the pure P wave, gamma = -1, whose S vanishes
+        for p in [params_from_amplitudes(random_amplitudes(rng)) for _ in range(300)] + [
+                DecayParameters(alpha=0.0, beta=0.0, gamma=-1.0)]:
             back = params_from_amplitudes(amplitudes_from_params(p))
             for field in ("alpha", "beta", "gamma"):
                 assert abs(getattr(back, field) - getattr(p, field)) < 1e-10

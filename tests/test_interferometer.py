@@ -167,6 +167,14 @@ class TestFringe:
         with pytest.raises(ValueError, match="axis"):
             fringe(InterferometerConfig(), SpinState(0.1, 0.2), "w", +1)
 
+    @pytest.mark.parametrize("sign", [0, 2, -1.5])
+    def test_bad_sign(self, sign):
+        cfg, state = InterferometerConfig(), SpinState(0.1, 0.2)
+        for call in (lambda: fringe(cfg, state, "x", sign), lambda: asymmetric_intensity(cfg, state, sign),
+                     lambda: asymmetric_transition_matrices(cfg, sign)):
+            with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+                call()
+
     @pytest.mark.parametrize("theta, phi, name", [
         (np.inf, 0.0, "theta"), (np.nan, 0.0, "theta"), (0.4, -np.inf, "phi"), (0.4, np.nan, "phi"),
     ])

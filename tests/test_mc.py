@@ -445,6 +445,12 @@ class TestGenerate:
             with pytest.raises(ValueError, match=r"at most 2\^64"):
                 SampleConfig(seed=1, events=events, model=PairCorrelationModel(k=0.2))
 
+    def test_seed_fits_64_bits(self):
+        assert SampleConfig(seed=2**64 - 1, events=1, model=PairCorrelationModel(k=0.2)).seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+                SampleConfig(seed=seed, events=1, model=PairCorrelationModel(k=0.2))
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="worker count"):
             SampleConfig(seed=1, events=10, model=PairCorrelationModel(k=0.2), workers=-1)

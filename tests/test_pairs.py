@@ -109,6 +109,9 @@ class TestJointPdf:
         model = PairModel(alpha_L=0.5, alpha_Lbar=0.5)
         with pytest.raises(ValueError, match="unit"):
             joint_pdf(model, [0, 0, 2.0], [0, 0, 1.0])
+        for n1 in ([0, 1.0], [[0, 0, 1.0]]):
+            with pytest.raises(ValueError, match=r"n1 must be a 3-vector, got shape"):
+                joint_pdf(model, n1, [0, 0, 1.0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="analyzing powers"):
@@ -270,3 +273,5 @@ class TestSimplex:
             shrunk = simplex_shrink(corner, k)
             rho = DensityMatrix(simplex_state(shrunk))
             assert is_ppt(rho) == is_separable_point(shrunk)
+        with pytest.raises(ValueError, match="two qubits only"):
+            is_ppt(np.eye(2) / 2)

@@ -65,7 +65,7 @@ class TestBloch:
         # |b| > 1 has the eigenvalue (1 - |b|)/2 < 0, and no warning comes before the refusal
         for b, match in (([0.9, 0.9, 0.9], "semidefinite"), ([0.0, 0.0, 1.0 + 1e-9], "semidefinite"),
                          ([np.nan, 0.0, 0.0], "non-finite"), ([0.0, -np.inf, 0.0], "non-finite"),
-                         ([0.0, 0.0, np.inf], "non-finite")):
+                         ([0.0, 0.0, np.inf], "non-finite"), ([0.0, 0.5], "3-vector, got shape")):
             with pytest.raises(ValueError, match=match):
                 bloch_compose(b)
 
@@ -139,6 +139,8 @@ class TestTwoAmplitudeIntensity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             two_amplitude_intensity(np.eye(2), np.eye(3), np.eye(2) / 2)
+        with pytest.raises(ValueError, match=r"Ta must be square, got shape \(2, 3\)"):
+            two_amplitude_intensity(np.ones((2, 3)), np.eye(2), np.eye(2) / 2)
 
     def test_real_nonnegative_property(self):
         rng = np.random.default_rng(5)

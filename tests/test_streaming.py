@@ -631,6 +631,19 @@ class TestMoments:
         assert (moments.count, moments.dot_mean, moments.dot_m2) == (one.count, one.dot_mean, one.dot_m2)
         assert np.array_equal(moments.cross, one.cross)
         assert PairMoments.from_blocks([]).count == 0
+        # an empty side of a merge, even one that folded no moment, leaves the other side's moments
+        nothing = PairMoments.of(empty, empty, dots=False, cross=False)
+        for merged in (one.merge(nothing), nothing.merge(one)):
+            assert (merged.count, merged.dot_mean, merged.dot_m2) == (one.count, one.dot_mean, one.dot_m2)
+            assert np.array_equal(merged.cross, one.cross)
+
+    def test_mismatched_directions_refused(self):
+        ok = np.zeros((5, 3))
+        for n1, n2 in ((ok, np.zeros((4, 3))), (ok, np.zeros((5, 2))), (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError, match=r"expected matching \(N, 3\) direction arrays"):
+                PairMoments.of(n1, n2)
+            with pytest.raises(ValueError, match=r"expected matching \(N, 3\) direction arrays"):
+                PairMoments.from_blocks([(ok, ok), (n1, n2)])
 
 
 class TestChunks:
