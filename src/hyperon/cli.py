@@ -131,7 +131,7 @@ def _write_file(out: str, write, what: str) -> None:
                 os.unlink(temp)
     except OSError as exc:
         if exc.filename is not None:  # --out as given, never the new file's name
-            exc.filename, exc.filename2 = out, None
+            exc = OSError(exc.errno, exc.strerror, out)
         raise DataError(f"cannot write {what}: {exc}") from None
 
 

@@ -94,10 +94,10 @@ def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     as comma, sign, integer digit and point, then 12 decimals in four
     words, with zero bytes for a plus sign, trailing zeros and a bare
     point; %g prints these values, whose 9-digit exponents lie in -4..0,
-    in this fixed notation.  Any other value, and one whose scaled product
-    lies within 1e-6 of a rounding tie, is formatted with `%` and padded
-    with zero bytes: its text takes at most 17 of the 20 bytes.  Returns
-    the mask of the values written by word arithmetic.
+    in this fixed notation.  Any other value, and one whose scaled double
+    is itself a rounding tie, is formatted with `%` and padded with zero
+    bytes: its text takes at most 17 of the 20 bytes.  Returns the mask of
+    the values written by word arithmetic.
     """
     a = np.abs(x)
     fast = ((a >= 1e-4) & (a <= 1.0)) | (a == 0.0)  # NaN is not fast
@@ -106,10 +106,10 @@ def _format_unit(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # the real one, so a >= 1e-3 exactly when a >= 10**-3
     k = 12 - (a >= 1e-3) - (a >= 1e-2) - (a >= 1e-1) - (a >= 1.0)
     p = a * _POW10[k]
-    # rint of the rounded product p is the integer nearest the exact product
-    # unless p lies within 1e-6 of a tie (its error is below 1.2e-7 up to
-    # 10**9); those rare values are formatted with `%` below
-    fast &= np.abs(p - np.floor(p) - 0.5) >= 1e-6
+    # p is 0 or in [1e8, 1e9], where doubles are 2**-26 or more apart and each tie q + 1/2 is one;
+    # the exact product lies within half a spacing of p, so rint(p) is its nearest integer unless
+    # p is itself a tie, which the product may lie on either side of: those go to `%` below
+    fast &= p - np.floor(p) != 0.5
     # q has 9 digits, or is 10**9 where rounding carries into the next decade;
     # q * 10**(12 - k) is then the same as 10**8 one decade up, so k needs no correction
     q = np.rint(p)

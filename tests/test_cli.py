@@ -1070,18 +1070,26 @@ class TestOutPaths:
         if Path(out).parent.is_dir():
             assert [p for p in Path(out).parent.iterdir() if p.name.startswith(f".{Path(out).name}.")] == []
 
+    @staticmethod
+    def error_line(command: str, out, error: str) -> str:
+        """The whole stderr of a write to `out` that fails with `error`, naming --out as given."""
+        what = "" if command == "table" else "event file "
+        return f"data error: cannot write {what}{out}: {error}: '{out}'\n"
+
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_directory(self, tmp_path, command):
         result = self.run(command, tmp_path)
         self.check(result, command, tmp_path, 2)
-        assert "Is a directory" in result.stderr and list(tmp_path.iterdir()) == []
+        assert result.stderr == self.error_line(command, tmp_path, "[Errno 21] Is a directory")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_missing_directory(self, tmp_path, command):
         out = tmp_path / "missing" / "out.csv"
         result = self.run(command, out)
         self.check(result, command, out, 2)
-        assert f"No such file or directory: '{out}'" in result.stderr and list(tmp_path.iterdir()) == []
+        assert result.stderr == self.error_line(command, out, "[Errno 2] No such file or directory")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_write_that_fails_part_way(self, tmp_path, want, command):

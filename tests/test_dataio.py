@@ -1,6 +1,5 @@
 import hashlib
 import io
-import itertools
 import re
 import warnings
 
@@ -419,7 +418,7 @@ class TestRowFormatter:
         # the doubles nearest the 9-digit rounding midpoints (q + 1/2) 10**(e - 8) of
         # the decades 10**e <= |x| < 10**(e + 1); the decade of 1 holds only 1, a power of ten
         midpoints = np.concatenate([(q + 0.5) / 10.0 ** (8 - e) for e in range(-4, 0)])
-        # values about the edges of the 1e-6 window of scaled products that _format_unit formats with `%`
+        # values 1e-6 to 1e-5 from a rounding tie
         q = rng.integers(10**8, 10**9, 50_000)
         edges = np.concatenate([(q + 0.5 + d) / 10.0 ** (8 - e) for e in range(-4, 0)
                                 for d in (-1e-5, -1.5e-6, -1e-6, 1e-6, 1.5e-6, 1e-5)])
@@ -431,42 +430,32 @@ class TestRowFormatter:
             "9-digit decimals":
                 rng.integers(10**8, 10**9, 1_000_000) / 10.0 ** rng.integers(9, 13, 1_000_000),
             "rounding midpoints": near(midpoints) * rng.choice([-1.0, 1.0], 5 * midpoints.size),
-            "rounding-window edges": edges * rng.choice([-1.0, 1.0], edges.size),
+            "values 1e-6 to 1e-5 from a rounding tie": edges * rng.choice([-1.0, 1.0], edges.size),
             "powers of ten": near(np.concatenate([powers, powers * (1 - 5e-10)]), ulps=50),
             "signed zero and one": np.array([0.0, -0.0, 1.0, -1.0]),
         }
         checked = 0
         for name, x in categories.items():
+            if name == "unit-vector components":
+                written = dataio._format_unit(x, np.zeros(x.shape + (5,), np.uint32))
+                assert np.count_nonzero(written) >= 0.9999 * x.size
             n = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)  # rows for the writer
             rows = len(n)
-            # each value through `%` once, a block of rows at a time: the reference of every value
-            # _format_unit writes, and of the rows the writer prints
-            want_rows, written_count = [HEADER], 0
+            # each value through `%` once, a block of rows at a time: the reference of every row
+            want = [HEADER + "\n"]
             for start in range(0, rows, 83_333):
-                block = n[start:start + 83_333].ravel()
-                strings = (("%.9g\n" * block.size) % tuple(block.tolist())).split("\n")
-                out = np.zeros(block.shape + (5,), np.uint32)
-                written = dataio._format_unit(block, out)
-                text = out.view(np.uint8)
-                got = text[text != 0].tobytes().decode()
-                want = "," + ",".join(strings[:-1])
-                if got != want:  # name the first value, not a diff of megabytes
-                    bad = next(v for v, g, w in zip(block.tolist(), got.split(",")[1:],
-                                                    want.split(",")[1:]) if g != w)
-                    pytest.fail(f"{name}: %.9g of {bad!r}")
-                written_count += np.count_nonzero(written[:x.size - 3 * start])  # not the padding
-                want_rows += map(",".join, zip(map(str, range(start, start + len(block) // 3)),
-                                               itertools.repeat("r,c"), strings[0::3], strings[1::3],
-                                               strings[2:-1:3]))
-            if name == "unit-vector components":
-                assert written_count >= 0.9999 * x.size
+                block = n[start:start + 83_333]
+                ids_and_values = np.column_stack([np.arange(start, start + len(block)), block])  # ids < 2**53
+                want.append(("%d,r,c,%.9g,%.9g,%.9g\n" * len(block)) % tuple(ids_and_values.ravel().tolist()))
             # every value, word path or `%`, through the writer
             table = EventTable(np.arange(rows, dtype=np.uint64), np.zeros(rows, np.uint8),
                                np.zeros(rows, np.uint8), n, ("r",), ("c",))
-            got, want = event_text(table), "\n".join(want_rows) + "\n"
-            if got != want:
-                line = next(g for g, w in zip(got.splitlines(), want.splitlines()) if g != w)
-                pytest.fail(f"{name}: write_events wrote {line!r}")
+            got, want = event_text(table), "".join(want)
+            if got != want:  # name the first value, not a diff of megabytes
+                row, line = next((row, g) for row, (g, w) in enumerate(zip(got.splitlines()[1:],
+                                                                          want.splitlines()[1:])) if g != w)
+                bad = [v for v, text in zip(n[row].tolist(), line.split(",")[3:]) if text != "%.9g" % v]
+                pytest.fail(f"{name}: %.9g of {bad[0]!r}" if bad else f"{name}: write_events wrote {line!r}")
             # the first 200,000 rows parsed back, against _parse_body; the unit check, which both
             # share, is off
             with monkeypatch.context() as patch:
@@ -479,6 +468,18 @@ class TestRowFormatter:
                     assert_same_table(parsed, reference_table(lines))
             checked += x.size
         assert checked >= 10_000_000
+
+    def test_only_scaled_ties_take_percent(self):
+        # 2**-13 scales to the tie 122070312.5 exactly and prints by round-half-even; -0.3248091945
+        # scales to the double 324809194.5, but its exact product lies above that tie; the
+        # neighbours 1 ulp away on either side scale to no tie and take the word path
+        x = near(np.array([2**-13, -0.3248091945]), ulps=1)
+        out = np.zeros(x.shape + (5,), np.uint32)
+        assert dataio._format_unit(x, out).tolist() == [False, False, True, True, True, True]
+        text = out.view(np.uint8)
+        got = text[text != 0].tobytes().decode()
+        assert got.startswith(",0.000122070312,-0.324809195,")
+        assert got == "".join(",%.9g" % v for v in x.tolist())
 
     @pytest.mark.parametrize("block_rows", [7, 1 << 14])
     def test_fallback_rows_ids_and_names_match_percent_format(self, monkeypatch, block_rows):

@@ -375,6 +375,8 @@ class TestPairing:
     def test_shuffled_file_carries_across_many_blocks(self, tmp_path, small_blocks):
         table = generate(SampleConfig(seed=4, events=400, model=PairCorrelationModel(k=0.46)))
         path = pair_file(tmp_path, shuffled(table))
+        # each generated pair, read back whole before the slices shrink
+        want = {tuple(np.r_[a, b]) for a, b in zip(*paired_directions(read_events(path)))}
         small_blocks(400)
         blocks = list(iter_pairs(iter_events(path)))
         assert len(blocks) > 50
@@ -385,7 +387,6 @@ class TestPairing:
         n2 = np.concatenate([b[1] for b in blocks])
         assert n1.shape == (400, 3)
         # each matched pair is a generated pair, each exactly once
-        want = {tuple(np.r_[a, b]) for a, b in zip(*paired_directions(read_events(path)))}
         assert {tuple(np.r_[a, b]) for a, b in zip(n1, n2)} == want
         moments = streamed_moments(path)
         assert moments.count == 400
@@ -395,11 +396,11 @@ class TestPairing:
         table = generate(SampleConfig(seed=6, events=3000, model=PairCorrelationModel(k=0.46)))
         path = pair_file(tmp_path, table)
         n1, n2 = table.n[0::2], table.n[1::2]
+        # the file holds 9 digits, so compare with the directions read back whole, before the
+        # slices shrink: 3,000 pairs are one group of the merge, so the bits are those of one block
+        r1, r2 = paired_directions(read_events(path))
         small_blocks(block_bytes)
         moments = streamed_moments(path)
-        # the file holds 9 digits, so compare with the directions read back whole: 3,000 pairs
-        # are one group of the merge, so the bits are those of one block
-        r1, r2 = paired_directions(read_events(path))
         assert moments.count == 3000
         assert moments.witness() == witness_estimate(r1, r2)
         assert np.array_equal(moments.correlations(), correlation_estimate(r1, r2))
