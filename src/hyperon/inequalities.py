@@ -6,14 +6,14 @@ Under local realism each expression is bounded by 0.  Each expression is
 c0 - k/4 sum c_ij a_i.b_j, linear in k at fixed settings, so the optimal
 settings do not depend on k, the maximum is c0 + k S/4 with S the maximal
 correlation sum, and the violation threshold k* = -4 c0 / S is exact: S
-comes from a see-saw that its semidefinite dual bound proves maximal.
+comes from a see-saw, certified by a Cholesky-proved semidefinite bound.
 
 Raw (k-scaled) probabilities are the only admissible inputs here: dividing
 out the analyzing powers presupposes quantum mechanics and is confined to
 the pair-analysis estimators.
 
 Settings are 3-vectors and the largest matrix is 8 x 8, so everything here
-is scalar arithmetic on tuples.
+is scalar arithmetic on tuples and lists.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class InequalitySpec(Record):
         sa, sb = tuple(map(float, self.singles_a)), tuple(map(float, self.singles_b))
         if len(joint) != len(sa) or any(len(row) != len(sb) for row in joint):
             raise ValueError("coefficient table shapes are inconsistent")
+        if not sa or not sb:
+            raise ValueError("each side needs at least one setting")
         flat = [x for row in joint for x in row]
         for name, values in (("joint", flat), ("singles_a", sa), ("singles_b", sb)):
             if not all(map(math.isfinite, values)):
@@ -156,7 +158,6 @@ def evaluate(spec: InequalitySpec, settings: BellSettings, model: ProbModel) -> 
 _SEESAW_MAX_SWEEPS = 10_000
 _SEESAW_STARTS = 4
 _CERTIFY_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 50
 # a sweep that moves no component of a unit vector by more than this is rounding, not progress
 _STALL_STEP = 1e-15
 
@@ -177,52 +178,39 @@ def _unit_or_keep(target: Vector, previous: Vector) -> Vector:
     return (target[0] / norm, target[1] / norm, target[2] / norm) if norm > 0.0 else previous
 
 
-def _min_eigenvalue(m: list[list[float]]) -> float:
-    """Smallest eigenvalue of the symmetric matrix m (a list of rows, overwritten).
+def _proves_psd(m: list[list[float]], shift: float) -> bool:
+    """True only if m + shift I is positive semidefinite (m symmetric, a list of rows).
 
-    Cyclic Jacobi (Golub & Van Loan, sec. 8.5): each rotation zeroes one
-    off-diagonal pair, and an element too small to move either diagonal
-    entry it couples is zeroed outright, so the sweeps end on a diagonal
-    of eigenvalues, each accurate to the rounding of the matrix's norm.
+    Floating-point Cholesky of H, run to completion, gives R^T R = H + E with
+    |E| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), so H >= -||E||_2 I and ||E||_2 <=
+    gamma_{n+1} ||R||_F^2 <= gamma_{n+1}/(1 - gamma_{n+1}) tr(H).  Factoring
+    H = m + (shift - c) I with c = (n+2) eps sum|m_ii + shift|, at least
+    gamma_{n+2}/(1 - gamma_{n+2}) tr(H) with the rounding of H's diagonal,
+    proves m + shift I >= 0 (Rump, BIT 46, 433, 2006).  The theorem assumes
+    no underflow: at coefficients down to 1e-150 no intermediate is subnormal.
     """
-    n = len(m)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p][q]
-                if apq == 0.0:
-                    continue
-                app, aqq = m[p][p], m[q][q]
-                g = 100.0 * abs(apq)
-                if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    m[p][q] = m[q][p] = 0.0
-                    continue
-                rotated = True
-                theta = (aqq - app) / (2.0 * apq)  # an overflowing theta gives t = 0, which zeroes apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                m[p][p], m[q][q] = app - t * apq, aqq + t * apq
-                m[p][q] = m[q][p] = 0.0
-                for r in range(n):
-                    if r != p and r != q:
-                        arp, arq = m[r][p], m[r][q]
-                        m[r][p] = m[p][r] = arp - s * (arq + tau * arp)
-                        m[r][q] = m[q][r] = arq + s * (arp - tau * arq)
-        if not rotated:
-            break
-    return min(m[i][i] for i in range(n))
+    c = (len(m) + 2) * sys.float_info.epsilon * sum(abs(row[i] + shift) for i, row in enumerate(m))
+    factor = []  # the rows of R^T
+    for i, row in enumerate(m):
+        r = []
+        for j, rj in enumerate(factor):
+            r.append((row[j] - sum(x * y for x, y in zip(r, rj))) / rj[j])
+        pivot = row[i] + shift - c - sum(x * x for x in r)
+        if not pivot > 0.0:
+            return False
+        factor.append([*r, math.sqrt(pivot)])
+    return True
 
 
 def _certificate(c, a, b) -> tuple[float, float]:
     """The value sum_ij c_ij a_i.b_j at settings (a, b), and a bound U on its maximum.
 
     With y the half-norms of the fields on each a_i and b_j and
-    W = [[0, C], [C^T, 0]]/2, U = sum(y) + n max(0, -lambda_min(Diag(y) - W))
-    bounds the value over unit vectors in any dimension, and meets it at a
-    maximum (semidefinite duality: Tsirelson 1980; Wehner, PRA 73, 022110).
+    W = [[0, C], [C^T, 0]]/2, U = sum(y) + n s bounds the value over unit
+    vectors in any dimension once Diag(y) - W + s I >= 0 is proved, and meets
+    it at a maximum as s -> 0 (semidefinite duality: Tsirelson 1980; Wehner,
+    PRA 73, 022110).  Unproved, U = sum |c_ij|, since |a_i.b_j| <= 1.
     """
     fields_a = [_field(row, b) for row in c]
     y = [math.hypot(*f) / 2.0 for f in fields_a] + [math.hypot(*_field(col, a)) / 2.0 for col in zip(*c)]
@@ -231,10 +219,11 @@ def _certificate(c, a, b) -> tuple[float, float]:
     for i, row in enumerate(c):
         for j, cij in enumerate(row):
             m[i][n_a + j] = m[n_a + j][i] = -cij / 2.0
-    # raised by 2n units of rounding, the error of the n-term sums that form U and the value,
-    # so that U >= value holds in floating point as well
-    bound = (sum(y) + n * max(0.0, -_min_eigenvalue(m))) * (1.0 + 2 * n * sys.float_info.epsilon)
-    return sum(_dot(ai, f) for ai, f in zip(a, fields_a)), bound
+    # a quarter of the tolerance on U - S: lambda_min(Diag(y) - W) is about -2e-13 at I4's maximum
+    shift = _CERTIFY_RTOL * sum(y) / (4 * n)
+    bound = sum(y) + n * shift if _proves_psd(m, shift) else sum(abs(x) for row in c for x in row)
+    # 2n units of rounding, the error of the n-term sums of U and the value, keep U >= value
+    return sum(_dot(ai, f) for ai, f in zip(a, fields_a)), bound * (1.0 + 2 * n * sys.float_info.epsilon)
 
 
 def _correlation_max(spec: InequalitySpec) -> tuple[float, float, tuple[Vector, ...], tuple[Vector, ...]]:
@@ -266,7 +255,7 @@ def _correlation_max(spec: InequalitySpec) -> tuple[float, float, tuple[Vector, 
             rising = new_value > value
             a, b, value = new_a, new_b, new_value
             if rising and sweep < _SEESAW_MAX_SWEEPS:
-                continue  # a certificate costs about 30 sweeps: ask once the value settles
+                continue  # a certificate costs about 5 sweeps: ask once the value settles
             value, bound = _certificate(c, a, b)
             if bound - value <= _CERTIFY_RTOL * value:
                 return value, bound, a, b

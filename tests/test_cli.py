@@ -599,6 +599,18 @@ class TestBell:
         code, out, _ = run_cli(capsys, "bell", "--inequality", inequality, "--k", k)
         assert code == 0 and parse_csv(out)[0]["verdict"] == verdict
 
+    # a relative 1e-9 either side of k* = 1/sqrt(2), 4/5 and 7 sqrt(2)/11 is far outside the
+    # certificate's 1e-12 slack, so the bound decides each verdict
+    @pytest.mark.parametrize("side, verdict", [(-1.0, "no violation possible"), (1.0, "violation")],
+                             ids=["below", "above"])
+    @pytest.mark.parametrize("inequality, k_star", [
+        ("I2", 1.0 / np.sqrt(2.0)), ("I3", 0.8), ("I4", 7.0 * np.sqrt(2.0) / 11.0),
+    ], ids=["I2", "I3", "I4"])
+    def test_verdict_beside_threshold(self, capsys, inequality, k_star, side, verdict):
+        k = repr(float(k_star * (1.0 + side * 1e-9)))
+        code, out, _ = run_cli(capsys, "bell", "--inequality", inequality, "--k", k)
+        assert code == 0 and parse_csv(out)[0]["verdict"] == verdict
+
     @pytest.mark.parametrize("k, verdict", [("0.46", "undecided"), ("1", "violation")])
     def test_no_proof_is_undecided(self, capsys, monkeypatch, k, verdict):
         # "no violation possible" needs the bound; a certificate that proves nothing leaves a
@@ -1355,6 +1367,15 @@ class TestStartup:
             if imported - used:
                 unused[path.stem] = imported - used
         assert unused == self.REEXPORTS
+
+    def test_readme_size_line(self):
+        # the size README gives is wc -l of src/hyperon/*.py, at the current version
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        lines, version = re.search(r"([\d,]+) lines of Python\s+\(`wc -l src/hyperon/\*\.py`, ([^)]+)\)",
+                                   readme).groups()
+        sources = Path(hyperon.__file__).parent.glob("*.py")
+        assert int(lines.replace(",", "")) == sum(path.read_bytes().count(b"\n") for path in sources)
+        assert version == hyperon.__version__
 
     def test_readme_library_example_runs(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -228,16 +228,30 @@ class TestCertificate:
         assert bound == value + 1.0
         assert certificate(I4.joint, a, b)[0] == value
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_jacobi_matches_lapack(self, n):
-        # the smallest eigenvalue of symmetric matrices of the certificate's sizes, to rounding
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_psd_proof_matches_lapack(self, n):
+        # m + s I with s = -lambda_min + r sum|m| (LAPACK's lambda_min) is proved for every r >= 1e-11
+        # and for no r < 0: the proof is sound, and complete well inside the see-saw's tolerance
         rng = np.random.default_rng(61 + n)
-        for _ in range(50):
-            m = rng.normal(size=(n, n))
+        for _ in range(200):
+            m = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-5.0, 5.0)
             m = m + m.T
-            want = np.linalg.eigvalsh(m)[0]
-            got = inequalities._min_eigenvalue(m.tolist())
-            assert abs(got - want) <= 1e-13 * np.abs(m).sum()
+            low, size = np.linalg.eigvalsh(m)[0], np.abs(m).sum()
+            for r in (1e-8, 1e-11, 1e-13):
+                assert not inequalities._proves_psd(m.tolist(), -low - r * size)
+            for r in (1e-8, 1e-11):
+                assert inequalities._proves_psd(m.tolist(), -low + r * size)
+
+    def test_rank_deficient_psd_shifted_down_is_not_proved(self):
+        # G G^T of rank n - 1 less u tr/2 I is indefinite by less than the factorization's rounding,
+        # which completes it now and then; the margin c keeps such a matrix from being proved
+        rng = np.random.default_rng(63)
+        u = np.finfo(float).eps / 2.0
+        for n in range(2, 9):
+            for _ in range(500):
+                g = rng.normal(size=(n, n - 1)) * 10.0 ** rng.uniform(-5.0, 5.0)
+                a = g @ g.T
+                assert not inequalities._proves_psd((a - u * np.trace(a) / 2.0 * np.eye(n)).tolist(), 0.0)
 
     @pytest.mark.parametrize("spec", [I2, I3, I4], ids=lambda spec: spec.name)
     def test_certified_bound_holds_the_maximum(self, spec):
@@ -271,14 +285,24 @@ class TestCertificate:
         with pytest.raises(ValueError, match="coefficients too large"):
             InequalitySpec("big", **coefficients)
 
+    @pytest.mark.parametrize("joint, singles_a, singles_b", [
+        ([], [], []),
+        ([[]], [1.0], []),
+    ], ids=["no-settings", "no-b-settings"])
+    def test_side_without_settings_rejected(self, joint, singles_a, singles_b):
+        with pytest.raises(ValueError, match="each side needs at least one setting"):
+            InequalitySpec("e", joint, singles_a, singles_b)
+
     def test_large_coefficients_keep_the_threshold(self):
-        # k* = -4 c0 / S does not change when every coefficient is scaled
-        scaled = InequalitySpec("I2e150", joint=1e150 * np.asarray(I2.joint),
-                                singles_a=1e150 * np.asarray(I2.singles_a),
-                                singles_b=1e150 * np.asarray(I2.singles_b))
-        value, bound, _, _ = inequalities._correlation_max(scaled)
-        assert 0.0 <= bound - value <= 1e-12 * value
-        assert threshold(scaled) == pytest.approx(CLOSED_FORM_THRESHOLD["I2"], rel=1e-12)
+        # k* = -4 c0 / S does not change when every coefficient is scaled, up or down
+        for spec in (I2, I4):
+            for scale in (1e150, 1e-150):
+                scaled = InequalitySpec(f"{spec.name}x{scale:g}", joint=scale * np.asarray(spec.joint),
+                                        singles_a=scale * np.asarray(spec.singles_a),
+                                        singles_b=scale * np.asarray(spec.singles_b))
+                value, bound, _, _ = inequalities._correlation_max(scaled)
+                assert 0.0 <= bound - value <= 1e-12 * value
+                assert threshold(scaled) == pytest.approx(CLOSED_FORM_THRESHOLD[spec.name], rel=1e-12)
 
 
 class TestThreshold:
