@@ -14,7 +14,6 @@ it is UTF-8, and its line breaks are read as text mode reads them."""
 
 from __future__ import annotations
 
-import os
 import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EventFileError
-from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map, _pool_size
+from .mc import ROLE_PAIR, EventTable, _code_dtype, _ordered_map
 # re-exported: tests/test_acceptance.py and perfbench/genmem.py import it from dataio
 from .params import load_bundled_parameters
 
@@ -513,9 +512,9 @@ def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
 
     The file is read as bytes, and each slice is parsed from its bytes.
     The header is checked first.  The lines are parsed in slices of about
-    _PARSE_SLICE_BYTES bytes by _parse_slice on up to `workers` threads
-    (all CPUs when unset or 0, as for `SampleConfig.workers`): the tables
-    come in file order and are the same for any worker count.  Line breaks
+    _PARSE_SLICE_BYTES bytes by _parse_slice on up to `workers` threads,
+    which `_ordered_map` sizes (all CPUs when unset or 0) for a file, a pipe
+    or a FIFO alike: the tables come in file order, the same for any count.  Line breaks
     are b"\n", b"\r\n" or a lone b"\r", as in text mode.  A slice with no
     records yields nothing.  A slice that fails names its first malformed
     or truncated line, and the error gives that line's number in the file
@@ -538,8 +537,7 @@ def iter_events(path, workers: int | None = None) -> Iterator[EventTable]:
             if str(header[_PAD_BEFORE:-_PAD_AFTER], "utf-8").strip() != EVENT_HEADER:
                 raise EventFileError(f"{path}:1: missing event header {EVENT_HEADER!r}")
             line_no, last_good = 2, None
-            count = os.fstat(f.fileno()).st_size // _PARSE_SLICE_BYTES + 1
-            for table, lines in _ordered_map(parse, slices, _pool_size(workers, os.cpu_count(), count)):
+            for table, lines in _ordered_map(parse, slices, workers):
                 if isinstance(table, tuple):
                     bad, reason, before = table
                     raise EventFileError(f"{path}:{line_no + bad}: {reason} (last good event id: "

@@ -12,7 +12,7 @@ conversions, the Kraus decomposition and the normalized angular density;
 Phase conventions: ``alpha + i beta`` has phase ``chi_SP`` (the S-P phase
 shift), and ``beta + i gamma`` has phase ``pi/2 - phi``.  `DecayParameters`
 stores ``chi_SP = atan2(beta, alpha)`` on the full circle; published tables
-report it modulo pi (see :func:`chi_sp_mod_pi`).
+report it modulo pi (see `params.chi_sp_mod_pi`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import _PARAM_TOL, DecayParameters
-# re-exported: tests/test_acceptance.py imports them from decay
-from .params import chi_sp_mod_pi, params_from_alpha_phi
 from .qcore import as_density, bloch_compose, pauli_dot
-from .qcore import spin_bloch  # re-exported: tests/test_acceptance.py imports it from decay
 from .sphere import require_polarization, require_unit
 
 

@@ -172,6 +172,15 @@ def _field(coefficients, vectors) -> Vector:
     return x, y, z
 
 
+def _even_power(values) -> int:
+    """The even e that puts 2^e max|values| in [1, 4); scaling by 2^e is exact, and so is its root 2^(e/2)."""
+    return -2 * ((math.frexp(max(map(abs, values)))[1] - 1) // 2)
+
+
+def _times_power(rows, e: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(math.ldexp(x, e) for x in row) for row in rows)
+
+
 def _unit_or_keep(target: Vector, previous: Vector) -> Vector:
     """`target` scaled to unit length; a zero `target` keeps `previous`."""
     norm = math.hypot(*target)
@@ -188,7 +197,14 @@ def _proves_psd(m: list[list[float]], shift: float) -> bool:
     H = m + (shift - c) I with c = (n+2) eps sum|m_ii + shift|, at least
     gamma_{n+2}/(1 - gamma_{n+2}) tr(H) with the rounding of H's diagonal,
     proves m + shift I >= 0 (Rump, BIT 46, 433, 2006).  The theorem assumes
-    no underflow: at coefficients down to 1e-150 no intermediate is subnormal.
+    no underflow.  `_correlation_max` scales the coefficients by
+    `_even_power` first, so its m has entries of order 1 and none
+    underflows.  `certified_bound` forms m at the caller's scale: on a
+    spec whose coefficients are subnormal, each product or halving of that
+    size is rounded to an absolute error of up to 2^-1075 that c, itself 0
+    there, does not cover.  That adds at most n^2 2^-1075 to ||E||_2, and as
+    much from the rounding of W, so its U may undercut a proved bound by
+    about 2 n^3 2^-1075, 2.5e-321 at n = 8.
     """
     c = (len(m) + 2) * sys.float_info.epsilon * sum(abs(row[i] + shift) for i, row in enumerate(m))
     factor = []  # the rows of R^T
@@ -237,9 +253,16 @@ def _correlation_max(spec: InequalitySpec) -> tuple[float, float, tuple[Vector, 
     A start passes to the next when a sweep moves its vectors by no more
     than rounding (_STALL_STEP) short of a proof, or after
     _SEESAW_MAX_SWEEPS; if none of the _SEESAW_STARTS certifies, the best
-    value wins.
+    value wins.  The see-saw runs on `joint` times 2^e, by `_even_power`, so no
+    step is subnormal; S and U are multiplied back by 2^-e.
     """
-    c, columns, runs = spec.joint, tuple(zip(*spec.joint)), []
+    e = _even_power(x for row in spec.joint for x in row)
+    c, runs = _times_power(spec.joint, e), []
+    columns = tuple(zip(*c))
+
+    def unscaled(value, bound, a, b):
+        return math.ldexp(value, -e), math.ldexp(bound, -e), a, b
+
     for start in range(_SEESAW_STARTS):
         gauss = random.Random(start).gauss
         v = tuple(_unit_or_keep((gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0)), (0.0, 0.0, 1.0))
@@ -258,11 +281,11 @@ def _correlation_max(spec: InequalitySpec) -> tuple[float, float, tuple[Vector, 
                 continue  # a certificate costs about 5 sweeps: ask once the value settles
             value, bound = _certificate(c, a, b)
             if bound - value <= _CERTIFY_RTOL * value:
-                return value, bound, a, b
+                return unscaled(value, bound, a, b)
             if not moved:
                 break  # stalled short of a proof
         runs.append((value, bound, a, b))
-    return max(runs, key=lambda run: run[0])
+    return unscaled(*max(runs, key=lambda run: run[0]))
 
 
 def maximize(spec: InequalitySpec, model: ProbModel) -> tuple[float, BellSettings]:
@@ -294,15 +317,20 @@ def threshold(spec: InequalitySpec) -> float:
     """Exact smallest k in [0, 1] where the maximal value reaches zero.
 
     The maximum is c0 + k g with g = S/4 >= 0, linear in k, so the
-    threshold is -c0/g with no search over k.  Raises when the maximum
-    never changes sign on [0, 1] (c0 > 0 or c0 + g <= 0).
+    threshold is -c0/g with no search over k.  c0 and g are those of the
+    spec times 2^e, by `_even_power`, which leaves -c0/g as it is and
+    keeps every step normal.  Raises when the maximum never changes sign
+    on [0, 1] (c0 > 0 or c0 + g <= 0).
     """
-    c0 = _constant(spec)
-    g = _correlation_max(spec)[0] / 4.0
+    e = _even_power([x for row in (*spec.joint, spec.singles_a, spec.singles_b) for x in row])
+    scaled = InequalitySpec(spec.name, _times_power(spec.joint, e),
+                            *_times_power((spec.singles_a, spec.singles_b), e))
+    c0 = _constant(scaled)
+    g = _correlation_max(scaled)[0] / 4.0
     if c0 > 0.0 or c0 + g <= 0.0:
         raise ValueError(
             f"no violation threshold for {spec.name} on [0, 1]: "
-            f"max at k=0 is {c0:.6g}, at k=1 is {c0 + g:.6g}"
+            f"max at k=0 is {math.ldexp(c0, -e):.6g}, at k=1 is {math.ldexp(c0 + g, -e):.6g}"
         )
     return -c0 / g
 

@@ -294,11 +294,11 @@ def _event_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray
     return np.random.Generator(bitgen).random(draws * count).reshape(count, draws)
 
 
-def _pool_size(requested: int | None, cpus: int | None, n_chunks: int) -> int:
-    """Threads: all CPUs when unset or 0, at most one per CPU and per chunk."""
+def _pool_size(requested: int | None, cpus: int | None) -> int:
+    """Threads: all CPUs when unset or 0, at most one per CPU."""
     _check_workers(requested)
     cpus = cpus or 1
-    return min(requested or cpus, cpus, n_chunks)
+    return min(requested or cpus, cpus)
 
 
 def _check_workers(workers: int | None) -> None:
@@ -306,14 +306,16 @@ def _check_workers(workers: int | None) -> None:
         raise ValueError(f"worker count must be non-negative, got {workers}")
 
 
-def _ordered_map(func: Callable[[_S], _T], items: Iterable[_S], workers: int) -> Iterator[_T]:
-    """func(item) for each item, in order, on `workers` threads with at most 2 x workers items in flight.
+def _ordered_map(func: Callable[[_S], _T], items: Iterable[_S], workers: int | None) -> Iterator[_T]:
+    """func(item) for each item, in order, on a pool with at most 2 x its threads items in flight.
 
-    One worker maps in the calling thread, one item at a time.  An error
-    raised while drawing the next item is raised after the results of
-    the items before it have been yielded.
+    The one place a pool is sized: `_pool_size(workers, os.cpu_count())`
+    threads.  The executor starts a thread only when none is idle, so k
+    items run on at most k threads; a pool of one maps in the calling
+    thread.  An error raised while drawing the next item is raised after
+    the results of the items before it have been yielded.
     """
-    items = iter(items)
+    items, workers = iter(items), _pool_size(workers, os.cpu_count())
     if workers <= 1:
         yield from map(func, items)
         return
@@ -364,8 +366,7 @@ def _sample(config: SampleConfig, start: int, out: np.ndarray) -> None:
 
 def _map_chunks(config: SampleConfig, func: Callable[[int], _T]) -> Iterator[_T]:
     """func(start) for the first event of each chunk, in order, on the sampling pool."""
-    starts = range(0, config.events, _CHUNK)
-    return _ordered_map(func, starts, _pool_size(config.workers, os.cpu_count(), len(starts)))
+    return _ordered_map(func, range(0, config.events, _CHUNK), config.workers)
 
 
 def iter_chunks(
@@ -376,7 +377,7 @@ def iter_chunks(
     Each model's `kernel` maps uniforms of shape (events, 3 x len(roles))
     to directions of shape (events, len(roles), 3), three uniforms per
     decay; pair and cascade models emit two rows per event id, in the
-    fixed role order.  Chunks are sampled on up to `_pool_size` threads
+    fixed role order.  Chunks are sampled on `_ordered_map`'s pool
     with at most two chunks per thread in flight, so memory stays bounded
     for any event count.  With `apply`, each chunk's
     table is passed to it on the thread that sampled the chunk, and its

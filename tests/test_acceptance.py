@@ -15,11 +15,8 @@ from hyperon.dataio import load_bundled_parameters
 from hyperon.decay import (
     DecayAmplitudes,
     amplitudes_from_params,
-    chi_sp_mod_pi,
     kraus_intensity,
-    params_from_alpha_phi,
     params_from_amplitudes,
-    spin_bloch,
     transition_matrix,
 )
 from hyperon.inequalities import (
@@ -44,7 +41,8 @@ from hyperon.pairs import (
     witness_estimate,
     witness_value,
 )
-from hyperon.qcore import DensityMatrix, complementarity_of, two_amplitude_intensity
+from hyperon.params import chi_sp_mod_pi, params_from_alpha_phi
+from hyperon.qcore import DensityMatrix, complementarity_of, spin_bloch, two_amplitude_intensity
 from hyperon.sphere import sphere_integral
 
 PUBLISHED_BANDS = {

@@ -14,11 +14,10 @@ from hyperon.decay import (
     amplitudes_from_params,
     kraus_operators,
     params_from_amplitudes,
-    spin_bloch,
     transition_matrix,
 )
 from hyperon.params import params_from_alpha_phi
-from hyperon.qcore import DensityMatrix
+from hyperon.qcore import DensityMatrix, spin_bloch
 
 FOUR_PI_SQ = (4.0 * np.pi) ** 2
 

@@ -1350,7 +1350,6 @@ class TestStartup:
     # the imports that a module makes for its importers, not for its own use
     REEXPORTS = {
         "dataio": {"load_bundled_parameters"},
-        "decay": {"chi_sp_mod_pi", "params_from_alpha_phi", "spin_bloch"},
     }
 
     def test_every_import_is_used(self):

@@ -294,15 +294,17 @@ class TestCertificate:
             InequalitySpec("e", joint, singles_a, singles_b)
 
     def test_large_coefficients_keep_the_threshold(self):
-        # k* = -4 c0 / S does not change when every coefficient is scaled, up or down
-        for spec in (I2, I4):
-            for scale in (1e150, 1e-150):
+        # k* = -4 c0 / S does not change when every coefficient is scaled, up or down, even to
+        # subnormal coefficients: the see-saw and its certificate run on the spec scaled to order 1
+        for spec in (I2, I3, I4):
+            for scale in (1e150, 1e-150, 1e-310, 1e-320):
                 scaled = InequalitySpec(f"{spec.name}x{scale:g}", joint=scale * np.asarray(spec.joint),
                                         singles_a=scale * np.asarray(spec.singles_a),
                                         singles_b=scale * np.asarray(spec.singles_b))
                 value, bound, _, _ = inequalities._correlation_max(scaled)
                 assert 0.0 <= bound - value <= 1e-12 * value
-                assert threshold(scaled) == pytest.approx(CLOSED_FORM_THRESHOLD[spec.name], rel=1e-12)
+                want = CLOSED_FORM_THRESHOLD[spec.name]
+                assert abs(threshold(scaled) - want) <= math.ulp(want), scale
 
 
 class TestThreshold:

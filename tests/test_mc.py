@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -455,15 +456,18 @@ class TestGenerate:
         with pytest.raises(ValueError, match="worker count"):
             SampleConfig(seed=1, events=10, model=PairCorrelationModel(k=0.2), workers=-1)
 
-    def test_pool_size_bounded(self):
-        # never more threads than CPUs or chunks, however many are asked for
-        assert _pool_size(10**9, 2, 10**6) == 2
-        assert _pool_size(10**9, 64, 3) == 3
-        assert _pool_size(None, 4, 10**6) == 4
-        assert _pool_size(0, 4, 10**6) == 4
-        assert _pool_size(1, 64, 10**6) == 1
-        assert _pool_size(None, None, 10**6) == 1
-        assert _pool_size(8, 8, 1) == 1
+    def test_pool_size_bounded(self, monkeypatch):
+        # never more threads than CPUs or items, however many are asked for
+        assert _pool_size(10**9, 2) == 2
+        assert _pool_size(None, 4) == 4
+        assert _pool_size(0, 4) == 4
+        assert _pool_size(1, 64) == 1
+        assert _pool_size(None, None) == 1
+        # a pool of 64 starts a thread only when none is idle: three items, at most three threads
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        before = threading.active_count()
+        seen = list(mc._ordered_map(lambda _: (threading.get_ident(), threading.active_count()), range(3), None))
+        assert len({ident for ident, _ in seen}) <= 3 and max(count for _, count in seen) <= before + 3
 
     def test_overlong_polarization_rejected_everywhere(self):
         s = [0.0, 0.6, 0.81]

@@ -9,6 +9,7 @@ pair moments merge in fixed groups of pairs.
 
 import hashlib
 import itertools
+import os
 import re
 import sys
 import threading
@@ -228,7 +229,7 @@ class TestByteReader:
         path = tmp_path / "events.csv"
         path.write_bytes((HEADER + "\n" + "".join(mixed_lines(200, block_bytes))).encode())
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
-        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
         tables = list(iter_events(path, workers))
         want = drain([EventTable.concat(loadtxt_events(path, block_bytes))])
         assert drain([EventTable.concat(tables)]) == drain([read_events(path)]) == want
@@ -258,7 +259,7 @@ class TestByteReader:
         path = tmp_path / "events.csv"
         path.write_bytes((HEADER + "\n" + "".join(lines)).encode())
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
-        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
         got = drain(iter_events(path, workers))[1]
         assert got == drain(loadtxt_events(path, 1 << 18))[1]
         return got.removeprefix(f"{path}:")
@@ -308,7 +309,7 @@ class TestByteReader:
         path = tmp_path / "events.csv"
         path.write_bytes((HEADER + "\n" + "".join(mixed_lines(600, 5))).encode())
         monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", 300)
-        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
         serial = drain(iter_events(path, 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -318,11 +319,33 @@ class TestByteReader:
             sys.setswitchinterval(interval)
         assert threaded == serial and serial[1] is None and len(serial[0]) > 10
 
+    def test_fifo_parses_off_the_calling_thread(self, tmp_path, monkeypatch):
+        # a FIFO has no size to guess a slice count from: its slices go to the pool as a file's do
+        path = tmp_path / "events.csv"
+        path.write_bytes((HEADER + "\n" + "".join(mixed_lines(200, 6))).encode())
+        fifo = tmp_path / "events.fifo"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", 300)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        parse, threads = dataio._parse_slice, set()
+
+        def recording(data):
+            threads.add(threading.get_ident())
+            return parse(data)
+
+        monkeypatch.setattr(dataio, "_parse_slice", recording)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        got = drain(iter_events(fifo))
+        writer.join(timeout=60)
+        assert not writer.is_alive() and threads and threading.get_ident() not in threads
+        assert got == drain(iter_events(path)) and got[1] is None and len(got[0]) > 10
+
     def test_threads_give_the_same_reports(self, tmp_path, monkeypatch, capsys):
         # and any slice size: the moments merge in groups of pairs, not of slices
         table = generate(SampleConfig(seed=11, events=3000, model=PairCorrelationModel(k=0.46)))
         path = pair_file(tmp_path, table)
-        monkeypatch.setattr(dataio.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
         reports = set()
         for slice_bytes in (3_000, 1 << 19):
             monkeypatch.setattr(dataio, "_PARSE_SLICE_BYTES", slice_bytes)
